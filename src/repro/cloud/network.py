@@ -9,6 +9,7 @@ networks and the dynamic allocator whose leases feed customisation disks.
 
 from __future__ import annotations
 
+import heapq
 import ipaddress
 from dataclasses import dataclass
 from typing import Optional
@@ -29,6 +30,8 @@ class VirtualNetwork:
 
     Addresses are handed out lowest-first and recycled on release, matching
     common DHCP server behaviour closely enough for configuration purposes.
+    The free pool is a min-heap of integer addresses, so allocating and
+    releasing cost O(log pool) whatever order addresses come back in.
     """
 
     def __init__(self, name: str, cidr: str = "10.0.0.0/24",
@@ -47,7 +50,9 @@ class VirtualNetwork:
         # Skip network and broadcast addresses; reserve .1 for the gateway.
         hosts = list(self._net.hosts())
         self.gateway = str(hosts[0]) if hosts else None
-        self._free = [str(h) for h in hosts[1:]]
+        self._address_type = type(self._net.network_address)
+        # Ascending, hence already a valid heap.
+        self._free = [int(h) for h in hosts[1:]]
         self._leases: dict[str, _Lease] = {}
 
     @property
@@ -62,7 +67,7 @@ class VirtualNetwork:
         """Lease the next free address to ``owner`` (e.g. a VM id)."""
         if not self._free:
             raise NetworkError(f"network {self.name!r}: address pool exhausted")
-        address = self._free.pop(0)
+        address = str(self._address_type(heapq.heappop(self._free)))
         self._leases[address] = _Lease(address, owner)
         return address
 
@@ -72,9 +77,7 @@ class VirtualNetwork:
             raise NetworkError(
                 f"network {self.name!r}: {address} is not leased"
             )
-        # Re-insert keeping the pool sorted so allocation stays lowest-first.
-        self._free.append(address)
-        self._free.sort(key=lambda a: ipaddress.ip_address(a))
+        heapq.heappush(self._free, int(self._address_type(address)))
 
     def owner_of(self, address: str) -> Optional[str]:
         lease = self._leases.get(address)

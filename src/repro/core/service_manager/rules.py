@@ -110,6 +110,9 @@ class RuleInterpreter:
         self._rules: dict[str, _InstalledRule] = {}
         self._defaults = dict(kpi_defaults or {})
         self._explicit_period = eval_period_s
+        # Sets ``_period``, the evaluation period in force: recomputed when
+        # the rule set changes, read on every pass of the evaluation loop.
+        self._refresh_period()
         self._incremental = incremental
         self._compiled = compiled
         self._loop = None
@@ -183,7 +186,7 @@ class RuleInterpreter:
             self._kpi_index.setdefault(name, []).append(installed)
         # A fresh rule has never been evaluated: check it on the next pass.
         self._set_hot(installed, True)
-        self._restart_loop()
+        self._refresh_period()
 
     def install_all(self, rules) -> None:
         for rule in rules:
@@ -202,7 +205,7 @@ class RuleInterpreter:
         if installed.periodic:
             self._periodic.remove(installed)
         self._hot.pop(name, None)
-        self._restart_loop()
+        self._refresh_period()
 
     @property
     def rules(self) -> list[ElasticityRule]:
@@ -210,12 +213,18 @@ class RuleInterpreter:
 
     @property
     def eval_period_s(self) -> float:
+        return self._period
+
+    def _refresh_period(self) -> None:
+        # Called whenever the rule set changes; a running loop waits the
+        # new period from its next pass on.
         if self._explicit_period is not None:
-            return self._explicit_period
-        if not self._rules:
-            return 5.0
-        return min(ir.rule.trigger.time_constraint_s
-                   for ir in self._rules.values()) / 2.0
+            self._period = self._explicit_period
+        elif self._rules:
+            self._period = min(ir.rule.trigger.time_constraint_s
+                               for ir in self._rules.values()) / 2.0
+        else:
+            self._period = 5.0
 
     # ------------------------------------------------------------------
     # Monitoring input (OCL: RuleInterpreter::notify)
@@ -423,15 +432,10 @@ class RuleInterpreter:
             self._loop.interrupt("engine stopped")
         self._loop = None
 
-    def _restart_loop(self) -> None:
-        # Period may have changed with the rule set; a running loop picks
-        # the new period up on its next iteration, so nothing to do.
-        pass
-
     def _evaluation_loop(self):
         try:
             while True:
-                yield self.env.timeout(self.eval_period_s)
+                yield self.env.timeout(self._period)
                 self.evaluate_rules()
         except Interrupt:
             pass

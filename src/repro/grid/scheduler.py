@@ -240,22 +240,27 @@ class CondorScheduler:
         if self.match_delay_s > 0:
             yield self.env.timeout(self.match_delay_s)
         self._match_pending = False
-        # Scan the queue in order; a job whose requirements no available
-        # node satisfies is skipped (it stays idle) without starving the
-        # jobs behind it — Condor's negotiation behaves the same way.
+        # Scan the queue in order; a job whose requirements no free node
+        # satisfies is skipped (it stays idle) without starving the jobs
+        # behind it — Condor's negotiation behaves the same way. Once no
+        # node is free every remaining job would be skipped, so the scan
+        # stops there: a pass costs O(free nodes + jobs popped until the
+        # pool is full).
+        free = [n for n in self.nodes.values() if n.available]
         unmatched: deque[Job] = deque()
         progressed = False
-        while self.idle_jobs:
+        while free and self.idle_jobs:
             job = self.idle_jobs.popleft()
-            node = next(
-                (n for n in self.nodes.values()
-                 if n.available and n.satisfies(job.requirements)), None)
-            if node is None:
+            requirements = job.requirements
+            for i, node in enumerate(free):
+                if node.satisfies(requirements):
+                    break
+            else:
                 unmatched.append(job)
                 continue
+            del free[i]
             progressed = True
             node.current_job = job
-            self.series.record("queue_size", self.queue_size)
             self.trace.emit(self.name, "job.match", job=job.job_id,
                             node=node.name)
             node._runner = self.env.process(self._run_job(job, node),
@@ -264,6 +269,8 @@ class CondorScheduler:
         while unmatched:
             self.idle_jobs.appendleft(unmatched.pop())
         if progressed:
+            # One record per pass: same-instant records overwrite each
+            # other, so only the pass's final queue length is observable.
             self.series.record("queue_size", self.queue_size)
 
     def _run_job(self, job: Job, node: ExecutionNodeHandle):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import bisect
 import json
 from array import array
+from itertools import islice
 from operator import attrgetter, mul, sub
 from typing import Any, Callable, Iterator, Optional, Union
 
@@ -178,6 +179,11 @@ class TraceLog:
         self._by_pair: dict[tuple[str, str], list[TraceRecord]] = {}
         self._by_span: dict[int, list[TraceRecord]] = {}
         self._idx_pos = 0
+        # Lazy parent id -> child spans index over ``spans``, caught up the
+        # same way; ``_child_pos`` spans are folded in. Spans are never
+        # removed and a span's parent never changes, so appending suffices.
+        self._children: dict[Optional[int], list[Span]] = {}
+        self._child_pos = 0
 
     # -- flat records --------------------------------------------------------
     def emit(self, source: str, kind: str, **details: Any) -> TraceRecord:
@@ -401,8 +407,15 @@ class TraceLog:
         return [s for s in self.spans.values() if not s.closed]
 
     def children(self, span: Union[Span, int]) -> list[Span]:
+        """Direct children of ``span`` in this log, in the order opened."""
+        spans = self.spans
+        if self._child_pos != len(spans):
+            children = self._children
+            for sp in islice(spans.values(), self._child_pos, None):
+                children.setdefault(sp.parent_id, []).append(sp)
+            self._child_pos = len(spans)
         parent_id = span.span_id if isinstance(span, Span) else span
-        return [s for s in self.spans.values() if s.parent_id == parent_id]
+        return list(self._children.get(parent_id, _EMPTY))
 
     def ancestors(self, span: Union[Span, int]) -> list[Span]:
         """Parent chain, nearest first. Stops at a root or at a parent id

@@ -1,5 +1,9 @@
 """Unit tests for the image repository and virtual networks."""
 
+import bisect
+import ipaddress
+import random
+
 import pytest
 
 from repro.cloud import (
@@ -133,6 +137,102 @@ def test_network_bad_cidr():
         VirtualNetwork("n", "not-a-cidr")
     with pytest.raises(NetworkError):
         VirtualNetwork("", "10.0.0.0/24")
+
+
+class PoolModel:
+    """The address pool as a list kept sorted by ``ipaddress.ip_address``:
+    the numeric order, which string order contradicts at .9/.10, .99/.100
+    and ::9/::10."""
+
+    def __init__(self, cidr: str):
+        hosts = list(ipaddress.ip_network(cidr).hosts())
+        self.free = [str(h) for h in hosts[1:]]  # .1 is the gateway
+        self.leases: dict[str, str] = {}
+
+    def allocate(self, owner: str) -> str:
+        address = self.free.pop(0)
+        self.leases[address] = owner
+        return address
+
+    def release(self, address: str) -> None:
+        del self.leases[address]
+        bisect.insort(self.free, address, key=ipaddress.ip_address)
+
+
+def check_pool_against_model(cidr: str, seed: int, ops: int = 400) -> int:
+    """Drive the pool and the model with one random sequence; return how
+    many allocations the exhausted pool refused."""
+    rng = random.Random(seed)
+    net, model = VirtualNetwork("n", cidr), PoolModel(cidr)
+    refused = 0
+    for step in range(ops):
+        roll = rng.random()
+        if roll < 0.55 or not model.leases:
+            if not model.free:
+                with pytest.raises(NetworkError):
+                    net.allocate(f"vm{step}")
+                refused += 1
+                continue
+            assert net.allocate(f"vm{step}") == model.allocate(f"vm{step}")
+        elif roll < 0.95:
+            # Release any lease, so addresses come back out of order.
+            address = rng.choice(sorted(model.leases))
+            model.release(address)
+            net.release(address)
+        else:
+            unknown = rng.choice(model.free[:8]
+                                 + ["not-an-address", "192.0.2.77"])
+            with pytest.raises(NetworkError):
+                net.release(unknown)
+        assert net.allocated == len(model.leases)
+        assert net.capacity == len(model.free) + len(model.leases)
+    for address, owner in model.leases.items():
+        assert net.owner_of(address) == owner
+        assert address in net
+    return refused
+
+
+@pytest.mark.parametrize("cidr", ["10.0.0.0/24", "fd00::/120"])
+@pytest.mark.parametrize("seed", range(6))
+def test_address_pool_matches_numeric_order_model(cidr, seed):
+    check_pool_against_model(cidr, seed)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_small_address_pool_exhausts_like_model(seed):
+    # 29 addresses (.98 to .126): about 60 net allocations drain it dry,
+    # so the sequence keeps hitting exhaustion and refilling.
+    assert check_pool_against_model("192.168.7.96/27", seed) > 0
+
+
+def test_address_pool_refills_then_exhausts():
+    """A full cycle on a tiny pool: exhaust, release everything in a
+    scrambled order, and the pool hands addresses out numerically again
+    until it is exhausted once more."""
+    for cidr in ("10.0.0.0/27", "fd00::/124"):
+        net = VirtualNetwork("n", cidr)
+        leased = [net.allocate(f"vm{i}") for i in range(net.capacity)]
+        with pytest.raises(NetworkError):
+            net.allocate("extra")
+        random.Random(cidr).shuffle(leased)
+        for address in leased:
+            net.release(address)
+        again = [net.allocate(f"vm{i}") for i in range(net.capacity)]
+        assert again == sorted(leased, key=ipaddress.ip_address)
+        with pytest.raises(NetworkError):
+            net.allocate("extra")
+
+
+def test_address_pool_slash16_matches_model():
+    check_pool_against_model("10.1.0.0/16", seed=3, ops=600)
+    # A fresh /16 hands out all 65533 addresses in numeric order,
+    # crossing every octet boundary, and then refuses.
+    net = VirtualNetwork("big", "10.1.0.0/16")
+    expected = PoolModel("10.1.0.0/16").free
+    assert [net.allocate("vm") for _ in expected] == expected
+    assert expected[0] == "10.1.0.2" and expected[-1] == "10.1.255.254"
+    with pytest.raises(NetworkError):
+        net.allocate("vm")
 
 
 def test_fabric_create_get_ensure():

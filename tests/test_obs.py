@@ -339,6 +339,44 @@ def test_indexed_query_matches_linear_reference_randomized():
     assert log.last(kind="c") == (linear[-1] if linear else None)
 
 
+def test_children_index_matches_linear_scan_randomized():
+    rng = random.Random(20261017)
+    env = Environment()
+    log, other = TraceLog(env), TraceLog(env)
+    foreign = other.span("elsewhere", "root")  # a parent in another log
+    opened = []
+
+    def linear_children(parent_id):
+        return [s for s in log.spans.values() if s.parent_id == parent_id]
+
+    # Query between batches, so spans keep arriving after the index has
+    # been built and must be folded in on the next query.
+    for batch in range(8):
+        for _ in range(rng.randint(0, 50)):
+            roll = rng.random()
+            if roll < 0.15 or not opened:
+                sp = log.span("s", "root")
+            elif roll < 0.25:
+                sp = log.span("s", "foreign-child", parent=foreign)
+            elif roll < 0.4:
+                # Ambient nesting: the parent comes from the open scope.
+                with log.activate(rng.choice(opened)):
+                    sp = log.span("s", "ambient-child")
+            else:
+                sp = log.span("s", "child", parent=rng.choice(opened))
+            opened.append(sp)
+        probes = rng.sample(opened, min(len(opened), 25))
+        for probe in probes + [foreign]:
+            expected = linear_children(probe.span_id)
+            assert log.children(probe) == expected
+            assert log.children(probe.span_id) == expected
+        assert log.children(10 ** 9) == []
+    # Each call returns a fresh list, as the scan did.
+    parent = max(opened, key=lambda s: len(linear_children(s.span_id)))
+    log.children(parent).clear()
+    assert log.children(parent) == linear_children(parent.span_id) != []
+
+
 # ---------------------------------------------------------------------------
 # TimeSeries.sample drift
 # ---------------------------------------------------------------------------

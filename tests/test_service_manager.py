@@ -248,6 +248,74 @@ def test_periodic_loop_evaluates():
     assert len(calls) == 2
 
 
+def record_pass_instants(interp):
+    """The simulated instant of every evaluation pass from now on."""
+    instants = []
+    evaluate = interp.evaluate_rules
+
+    def recording():
+        instants.append(interp.env.now)
+        return evaluate()
+
+    interp.evaluate_rules = recording
+    return instants
+
+
+def period_rules():
+    from repro.core.manifest import ElasticityRule
+    slow = ElasticityRule.from_text("slow", "@a.b > 4", "deployVM(x)",
+                                    defaults={"a.b": 0},
+                                    time_constraint_ms=10_000)
+    tight = ElasticityRule.from_text("tight", "@a.b > 4", "deployVM(x)",
+                                     defaults={"a.b": 0},
+                                     time_constraint_ms=2_000)
+    return slow, tight
+
+
+def test_running_loop_follows_rule_set_period():
+    env = Environment()
+    slow, tight = period_rules()
+    interp, _ = make_interpreter(env, [slow])
+    instants = record_pass_instants(interp)
+    interp.start()
+    env.run(until=7)
+    assert instants == [5.0]
+    # A tighter constraint installed mid-wait: the wait in progress ends
+    # at t=10, and from that pass on the loop waits 1 s (half of 2 s).
+    interp.install(tight)
+    assert interp.eval_period_s == 1.0
+    env.run(until=12.5)
+    assert instants == [5.0, 10.0, 11.0, 12.0]
+    # Uninstalled: after the 1 s wait in progress, back to 5 s.
+    interp.uninstall("tight")
+    assert interp.eval_period_s == 5.0
+    env.run(until=25)
+    assert instants == [5.0, 10.0, 11.0, 12.0, 13.0, 18.0, 23.0]
+    # No rules at all: the 5 s idle default.
+    interp.uninstall("slow")
+    assert interp.eval_period_s == 5.0
+
+
+def test_explicit_eval_period_overrides_rule_set():
+    env = Environment()
+    slow, tight = period_rules()
+    interp = RuleInterpreter(env, "svc-1", executor=lambda a, r: True,
+                             eval_period_s=3.0)
+    assert interp.eval_period_s == 3.0
+    interp.install(slow)
+    instants = record_pass_instants(interp)
+    interp.start()
+    env.run(until=4)
+    interp.install(tight)
+    assert interp.eval_period_s == 3.0
+    env.run(until=8)
+    interp.uninstall("tight")
+    interp.uninstall("slow")
+    assert interp.eval_period_s == 3.0
+    env.run(until=13)
+    assert instants == [3.0, 6.0, 9.0, 12.0]
+
+
 def test_install_duplicate_and_uninstall():
     from repro.core.manifest import ElasticityRule
     env = Environment()
