@@ -30,6 +30,7 @@ HEADLINE = (
     "test_rule_engine_evaluation_pass",
     "test_kernel_event_throughput",
     "test_broker_fanout_indexed_1k",
+    "test_multicast_fanout_50",
     "test_probe_emission_throughput",
     "test_codec_header_peek",
     "test_control_plane_churn",

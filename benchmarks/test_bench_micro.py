@@ -15,6 +15,7 @@ from repro.monitoring import (
     DHTRing,
     DataSource,
     Measurement,
+    MulticastChannel,
     PacketEncoder,
     Probe,
     ProbeAttribute,
@@ -141,6 +142,27 @@ def test_broker_fanout_reference_1k(benchmark):
     net, traffic = _fanout_broker(reference=True)
     benchmark(_publish_all, net, traffic)
     assert net.bytes_delivered > 0
+
+
+def test_multicast_fanout_50(benchmark):
+    """A federation site's fabric: 100 pre-encoded packets through a
+    multicast channel of 50 service-pinned members (one per service, as
+    each service's rule interpreter subscribes), every packet matching one
+    member. The route cache answers which member without a member scan."""
+    env = Environment()
+    net = MulticastChannel(env)
+    matched = []
+    for i in range(50):
+        net.subscribe(matched.append, service_id=f"svc-{i}")
+    traffic = []
+    for i in range(100):
+        m = Measurement("uk.ucl.kpi.load", f"svc-{i % 50}", "probe-1", 0.0,
+                        (i,), seqno=i)
+        encoder = PacketEncoder(m.qualified_name, m.service_id, m.probe_id)
+        traffic.append((m, encoder.encode(m)))
+    benchmark(_publish_all, net, traffic)
+    assert len(matched) == net.packets_published
+    assert net.bytes_delivered == 50 * net.bytes_published
 
 
 def test_probe_emission_throughput(benchmark):

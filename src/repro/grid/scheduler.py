@@ -274,9 +274,15 @@ class CondorScheduler:
             self.series.record("queue_size", self.queue_size)
 
     def _run_job(self, job: Job, node: ExecutionNodeHandle):
+        # node_failed() requeues the job and clears node.current_job before
+        # its interrupt lands, so a wait ending at the failure's instant
+        # resumes here first: each resume checks the node still holds the
+        # job.
         try:
             job.mark_transferring(node.name)
             yield self.env.timeout(job.input_mb / node.transfer_mb_per_s)
+            if node.current_job is not job:
+                return
             job.mark_running(self.env)
             self.trace.emit(self.name, "job.start", job=job.job_id,
                             node=node.name)
@@ -284,6 +290,8 @@ class CondorScheduler:
             yield self.env.timeout(job.output_mb / node.transfer_mb_per_s)
         except Interrupt:
             # node_failed() already requeued the job; just stop.
+            return
+        if node.current_job is not job:
             return
         job.mark_completed(self.env)
         node.jobs_completed += 1

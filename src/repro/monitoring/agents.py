@@ -103,12 +103,16 @@ class MonitoringAgent:
         if aggregate is not None:
             value_fn = AggregatingKPI(value_fn, operation=aggregate,
                                       window=window)
+        try:
+            coerce = _COERCERS[type]
+        except KeyError:
+            raise TypeError(f"unsupported type {type}") from None
 
         def collector() -> Optional[tuple]:
             value = value_fn()
             if value is None:
                 return None
-            return (_coerce(value, type),)
+            return (coerce(value),)
 
         short_name = qualified_name.rsplit(".", 1)[-1]
         probe = Probe(
@@ -130,8 +134,7 @@ class MonitoringAgent:
         self.datasource.emit_all_now()
 
 
-#: declared wire type -> Python conversion, resolved per sample on the
-#: emission hot path (a dict hit instead of an if-chain)
+#: declared wire type -> Python conversion, resolved once per exposed KPI
 _COERCERS: dict[AttributeType, Any] = {
     AttributeType.INTEGER: int,
     AttributeType.LONG: int,
@@ -140,12 +143,3 @@ _COERCERS: dict[AttributeType, Any] = {
     AttributeType.BOOLEAN: bool,
     AttributeType.STRING: str,
 }
-
-
-def _coerce(value: Any, type_: AttributeType) -> Any:
-    """Convert an application value to the declared wire type."""
-    try:
-        coerce = _COERCERS[type_]
-    except KeyError:
-        raise TypeError(f"unsupported type {type_}")  # pragma: no cover
-    return coerce(value)

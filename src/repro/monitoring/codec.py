@@ -28,8 +28,11 @@ paths sit on top:
 * :class:`PacketEncoder` caches a probe's encoded header prefix (magic,
   version, qualified name, service id, probe id — none of which change
   between one probe's packets), so steady-state encode is prefix + seqno +
-  timestamp + values. Its output is byte-identical to
-  :func:`encode_measurement`.
+  timestamp + values. It is the only tail encoder:
+  :func:`encode_measurement` is a one-off :class:`PacketEncoder`. The tail
+  (seqno, timestamp, value count) is one precompiled struct, and each value
+  is encoded through a table keyed on its exact Python type; anything else
+  goes through :func:`encode_value`, so errors keep their type.
 
 Every malformed-input path raises :class:`CodecError` — never a bare
 ``struct.error``, ``IndexError`` or ``UnicodeDecodeError`` — so consumers
@@ -275,17 +278,36 @@ def encode_measurement(m: Measurement) -> bytes:
     Layout: magic, version, qualified name, service id, probe id, seqno
     (hyper), timestamp (double), value count (int), then tagged values.
     """
-    parts = [
-        _HEADER_PREFIX,
-        encode_value(m.qualified_name),
-        encode_value(m.service_id),
-        encode_value(m.probe_id),
-        encode_value(m.seqno, AttributeType.LONG),
-        encode_value(m.timestamp, AttributeType.DOUBLE),
-        _U32.pack(len(m.values)),
-    ]
-    parts.extend(encode_value(v) for v in m.values)
-    return b"".join(parts)
+    return PacketEncoder(m.qualified_name, m.service_id,
+                         m.probe_id).encode(m)
+
+
+_LONG_TAG = _TAGS[AttributeType.LONG]
+_DOUBLE_TAG = _TAGS[AttributeType.DOUBLE]
+
+#: LONG tag + seqno, DOUBLE tag + timestamp, value count
+_TAIL = struct.Struct(">BqBdI")
+
+_I32_MAX = 2**31 - 1
+_TAG_INT = bytes([_TAGS[AttributeType.INTEGER]])
+
+
+def _encode_int(value: int) -> bytes:
+    # for_python_value widens to LONG once abs(value) > 2**31 - 1, so
+    # -2**31 travels as a hyper too; encode_value handles that side.
+    if -_I32_MAX <= value <= _I32_MAX:
+        return _TAG_INT + _I32.pack(value)
+    return encode_value(value)
+
+
+#: exact Python type -> value encoder, byte-identical to encode_value for
+#: that type; PacketEncoder sends every other type through encode_value
+_ENCODERS_BY_TYPE: dict[type, Callable[[Any], bytes]] = {
+    int: _encode_int,
+    float: _ENCODERS[AttributeType.DOUBLE],
+    bool: _encode_bool,
+    str: _encode_string,
+}
 
 
 class PacketEncoder:
@@ -294,8 +316,9 @@ class PacketEncoder:
     A probe's qualified name, service id and probe id never change between
     its packets, so the tag-prefixed XDR encoding of those three strings
     (plus magic and version) is computed once here; each :meth:`encode` call
-    then appends only the per-packet fields. Output is byte-identical to
-    :func:`encode_measurement`, which tests assert.
+    then appends only the per-packet fields. :func:`encode_measurement` is
+    a one-off encoder, so its output is byte-identical by construction;
+    tests pin both to a per-field reference encoder.
     """
 
     __slots__ = ("qualified_name", "service_id", "probe_id", "_prefix")
@@ -320,18 +343,25 @@ class PacketEncoder:
                 f" does not match encoder identity "
                 f"{(self.qualified_name, self.service_id, self.probe_id)!r}"
             )
-        parts = [
-            self._prefix,
-            encode_value(m.seqno, AttributeType.LONG),
-            encode_value(m.timestamp, AttributeType.DOUBLE),
-            _U32.pack(len(m.values)),
-        ]
-        parts.extend(encode_value(v) for v in m.values)
+        seqno, timestamp, values = m.seqno, m.timestamp, m.values
+        tail = None
+        if type(seqno) is int and type(timestamp) is float:
+            try:
+                tail = _TAIL.pack(_LONG_TAG, seqno, _DOUBLE_TAG, timestamp,
+                                  len(values))
+            except struct.error:
+                pass  # seqno outside the hyper range
+        if tail is None:
+            # other types or out-of-range fields: the per-field path
+            # raises the precise error (or encodes the widened value)
+            tail = (encode_value(seqno, AttributeType.LONG)
+                    + encode_value(timestamp, AttributeType.DOUBLE)
+                    + _U32.pack(len(values)))
+        encoders = _ENCODERS_BY_TYPE
+        parts = [self._prefix, tail]
+        for v in values:
+            parts.append(encoders.get(type(v), encode_value)(v))
         return b"".join(parts)
-
-
-_LONG_TAG = _TAGS[AttributeType.LONG]
-_DOUBLE_TAG = _TAGS[AttributeType.DOUBLE]
 
 
 def _decode_tail_fast(buf: bytes, offset: int):

@@ -27,18 +27,24 @@ Data-plane fast path
 The fabric is the firehose feeding every elasticity decision, so the hot
 path is engineered:
 
-* **Lazy decode** — delivery first peeks only the routing fields of a packet
-  (:func:`repro.monitoring.codec.peek_header`); a full
+* **One route cache** — :class:`DistributionFramework` peeks a packet's
+  routing fields (:func:`repro.monitoring.codec.peek_header`) and looks the
+  ``(service id, qualified name)`` key up in a route cache that fronts both
+  fabrics. The cache holds the matched subscriptions in registration order
+  and is cleared whenever the subscription set changes. A fabric says only
+  how a miss is computed (:meth:`DistributionFramework._match`) and how
+  delivered bytes are charged (:meth:`DistributionFramework._charge`): the
+  multicast channel scans its members once per key and charges every
+  member; the broker consults its index and charges matched members.
+* **Lazy decode** — a full
   :class:`~repro.monitoring.measurements.Measurement` is materialised at
   most once per packet, shared by all matched consumers, and never for
   packets nobody wants (``packets_decoded`` counts the full decodes).
 * **Indexed routing** — :class:`PubSubBroker` keys exact subscriptions in a
-  dict on the canonical :func:`topic_for` string, compiles glob
-  subscriptions once (``fnmatch.translate`` → ``re.compile``), and fronts
-  both with a route cache keyed on the decoded header. The cache is
-  invalidated whenever the subscription set changes. The seed's linear scan
-  survives as ``PubSubBroker(env, reference=True)`` — the differential-test
-  oracle.
+  dict on the canonical :func:`topic_for` string and compiles glob
+  subscriptions once (``fnmatch.translate`` → ``re.compile``). The seed's
+  linear scan survives as ``PubSubBroker(env, reference=True)`` — the
+  differential-test oracle.
 * **Coalesced delayed delivery** — packets published into a latency edge are
   queued per due-time and drained by one long-lived process, so N packets
   sharing an edge cost one kernel event (``delivery_events``), not N.
@@ -47,7 +53,9 @@ Subscriptions are first-class: :meth:`DistributionFramework.subscribe`
 returns a :class:`Subscription` handle that
 :meth:`DistributionFramework.unsubscribe` (or ``handle.cancel()``) removes —
 consumers torn down on probe ``off`` or service undeploy no longer leak
-routing state.
+routing state. A packet's route is a snapshot taken at delivery: a
+subscription cancelled by an earlier callback of the same packet is not
+called, and one added mid-packet first sees the next packet.
 """
 
 from __future__ import annotations
@@ -146,7 +154,14 @@ class Subscription:
 
 
 class DistributionFramework(abc.ABC):
-    """Producer/consumer fabric for measurement packets."""
+    """Producer/consumer fabric for measurement packets.
+
+    Delivery is shared by every fabric: peek the routing header, look its
+    ``(service id, qualified name)`` key up in the route cache, charge the
+    delivered bytes, then decode the packet once and hand it to every
+    matched subscription. Implementations supply :meth:`_match` (a cache
+    miss) and :meth:`_charge` (the byte accounting).
+    """
 
     def __init__(self, env: Environment, *, latency_s: float = 0.0):
         if latency_s < 0:
@@ -166,6 +181,11 @@ class DistributionFramework(abc.ABC):
         self.delivery_events = 0
         self._subs: list[Subscription] = []
         self._sub_seq = itertools.count().__next__
+        #: (service id, qualified name) -> matched subscriptions, in
+        #: registration order; cleared on any subscribe/unsubscribe
+        self._route_cache: dict[tuple[str, str], tuple[Subscription, ...]] = {}
+        self.route_cache_hits = 0
+        self.route_cache_misses = 0
         #: FIFO of (due time, [packets]) batches awaiting the latency edge
         self._pending: deque[tuple[float, list[bytes]]] = deque()
         self._drain = None
@@ -176,7 +196,8 @@ class DistributionFramework(abc.ABC):
         metrics = env.metrics
         for attr in ("bytes_published", "bytes_delivered",
                      "packets_published", "packets_decoded",
-                     "delivery_events"):
+                     "delivery_events", "route_cache_hits",
+                     "route_cache_misses"):
             metrics.register_view(
                 f"monitoring.fabric.{attr}",
                 (lambda _a=attr: getattr(self, _a)),
@@ -249,6 +270,7 @@ class DistributionFramework(abc.ABC):
         sub = Subscription(self, callback, service_id, qualified_name,
                            self._sub_seq())
         self._subs.append(sub)
+        self._route_cache.clear()
         self._on_subscribed(sub)
         return sub
 
@@ -260,6 +282,7 @@ class DistributionFramework(abc.ABC):
             return
         subscription.active = False
         self._subs.remove(subscription)
+        self._route_cache.clear()
         self._on_unsubscribed(subscription)
 
     @property
@@ -272,9 +295,37 @@ class DistributionFramework(abc.ABC):
     def _on_unsubscribed(self, subscription: Subscription) -> None:
         """Hook for implementations to maintain routing state."""
 
-    @abc.abstractmethod
+    # -- delivery ------------------------------------------------------------
     def _deliver(self, packet: bytes) -> None:
-        """Route an encoded packet to the appropriate consumers."""
+        """Route an encoded packet to the consumers that asked for it."""
+        header = peek_header(packet)
+        key = (header.service_id, header.qualified_name)
+        route = self._route_cache.get(key)
+        if route is None:
+            self.route_cache_misses += 1
+            route = self._route_cache[key] = self._match(*key)
+        else:
+            self.route_cache_hits += 1
+        self.bytes_delivered += self._charge(len(packet), route)
+        if not route:
+            return  # nobody asked: the packet is never fully decoded
+        measurement = decode_measurement(packet, header=header)
+        self.packets_decoded += 1
+        for sub in route:
+            # a callback may have cancelled a later member of this route
+            if sub.active:
+                sub.callback(measurement)
+
+    @abc.abstractmethod
+    def _match(self, service_id: str,
+               qualified_name: str) -> tuple[Subscription, ...]:
+        """The subscriptions a packet with this header reaches, in
+        registration order (computed on a route-cache miss)."""
+
+    @abc.abstractmethod
+    def _charge(self, size: int, route: tuple[Subscription, ...]) -> int:
+        """Bytes a ``size``-byte packet delivered along ``route`` puts on
+        the network."""
 
 
 class MulticastChannel(DistributionFramework):
@@ -283,41 +334,38 @@ class MulticastChannel(DistributionFramework):
     Subscription filters are applied *at the consumer* after decode, as a
     host's kernel would after joining the multicast group — the whole packet
     still traverses the network to every member, which the byte accounting
-    reflects. The decode itself is lazy: the header peek answers the filter
-    question, and the packet body is only materialised (once) if at least
-    one member's filter matches.
+    reflects. Which members' filters pass is answered once per routing key
+    by a scan of the members, then served from the route cache; the packet
+    body is only materialised (once) if at least one filter matches.
     """
 
-    def _deliver(self, packet: bytes) -> None:
-        header = peek_header(packet)
-        service_id = header.service_id
-        qualified_name = header.qualified_name
-        size = len(packet)
-        measurement = None
-        for sub in self._subs:
-            self.bytes_delivered += size  # every member receives it
-            if sub.matches(service_id, qualified_name):
-                if measurement is None:
-                    measurement = decode_measurement(packet, header=header)
-                    self.packets_decoded += 1
-                sub.callback(measurement)
+    def _match(self, service_id: str,
+               qualified_name: str) -> tuple[Subscription, ...]:
+        return tuple(sub for sub in self._subs
+                     if sub.matches(service_id, qualified_name))
+
+    def _charge(self, size: int, route: tuple[Subscription, ...]) -> int:
+        return size * len(self._subs)  # every member receives it
 
 
 class PubSubBroker(DistributionFramework):
     """Topic-routed delivery: only matching subscribers receive the packet.
 
     The default routing mode is indexed: exact subscriptions live in dicts
-    keyed on :func:`topic_for` / qualified name / service id, globs are
-    compiled once, and a per-header route cache makes the steady state a
-    single dict lookup. ``reference=True`` keeps the seed's O(subscriptions)
-    linear scan with per-packet ``fnmatch`` — functionally identical (the
-    differential tests assert it) and used as the benchmark baseline.
+    keyed on :func:`topic_for` / qualified name / service id and globs are
+    compiled once; the index answers route-cache misses, so the steady
+    state is a single dict lookup. ``reference=True`` keeps the seed's
+    O(subscriptions) linear scan with per-packet ``fnmatch`` — functionally
+    identical (the differential tests assert it) and used as the benchmark
+    baseline.
     """
 
     def __init__(self, env: Environment, *, latency_s: float = 0.0,
                  reference: bool = False):
         super().__init__(env, latency_s=latency_s)
         self.reference = reference
+        if reference:
+            self._deliver = self._deliver_reference
         #: subscriptions pinning service id + exact qualified name,
         #: keyed on the canonical topic string
         self._exact: dict[str, list[Subscription]] = {}
@@ -329,18 +377,6 @@ class PubSubBroker(DistributionFramework):
         self._globs: list[Subscription] = []
         #: no filters at all
         self._catch_all: list[Subscription] = []
-        #: (service id, qualified name) -> matched subscriptions, in
-        #: registration order; cleared on any subscribe/unsubscribe
-        self._route_cache: dict[tuple[str, str], tuple[Subscription, ...]] = {}
-        self.route_cache_hits = 0
-        self.route_cache_misses = 0
-        metrics = env.metrics
-        metrics.register_view(
-            "monitoring.broker.route_cache_hits",
-            lambda: self.route_cache_hits, fabric=self._fabric_label)
-        metrics.register_view(
-            "monitoring.broker.route_cache_misses",
-            lambda: self.route_cache_misses, fabric=self._fabric_label)
 
     # -- index maintenance ---------------------------------------------------
     def _bucket(self, sub: Subscription) -> list[Subscription]:
@@ -358,22 +394,14 @@ class PubSubBroker(DistributionFramework):
     def _on_subscribed(self, sub: Subscription) -> None:
         if not self.reference:
             self._bucket(sub).append(sub)
-        self._route_cache.clear()
 
     def _on_unsubscribed(self, sub: Subscription) -> None:
         if not self.reference:
             self._bucket(sub).remove(sub)
-        self._route_cache.clear()
 
     # -- routing -------------------------------------------------------------
-    def _route(self, service_id: str,
+    def _match(self, service_id: str,
                qualified_name: str) -> tuple[Subscription, ...]:
-        key = (service_id, qualified_name)
-        route = self._route_cache.get(key)
-        if route is not None:
-            self.route_cache_hits += 1
-            return route
-        self.route_cache_misses += 1
         matched = list(self._exact.get(topic_for(service_id, qualified_name),
                                        ()))
         matched += self._by_qname.get(qualified_name, ())
@@ -385,24 +413,10 @@ class PubSubBroker(DistributionFramework):
         # callbacks must fire in registration order, exactly as the
         # reference linear scan would invoke them
         matched.sort(key=lambda s: s.seq)
-        route = tuple(matched)
-        self._route_cache[key] = route
-        return route
+        return tuple(matched)
 
-    def _deliver(self, packet: bytes) -> None:
-        if self.reference:
-            self._deliver_reference(packet)
-            return
-        header = peek_header(packet)
-        route = self._route(header.service_id, header.qualified_name)
-        if not route:
-            return  # nobody asked: the packet is never fully decoded
-        measurement = decode_measurement(packet, header=header)
-        self.packets_decoded += 1
-        size = len(packet)
-        for sub in route:
-            self.bytes_delivered += size  # only matched deliveries
-            sub.callback(measurement)
+    def _charge(self, size: int, route: tuple[Subscription, ...]) -> int:
+        return size * len(route)  # only matched deliveries
 
     def _deliver_reference(self, packet: bytes) -> None:
         # The seed's routing path, preserved as the differential oracle:

@@ -16,8 +16,9 @@ model (§5.2.7), so the wire encoding stays small.
 from __future__ import annotations
 
 import enum
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 __all__ = [
@@ -40,11 +41,21 @@ def validate_qualified_name(name: str) -> str:
     """Validate and return a KPI qualified name.
 
     Raises ``ValueError`` for malformed names — catching these at manifest
-    parse time, not when the first measurement arrives.
+    parse time, not when the first measurement arrives. Every measurement
+    built or decoded passes through here, so names that passed are
+    memoised; a rejected name is checked again on every call.
     """
-    if not isinstance(name, str) or not _QNAME_RE.match(name):
+    if not isinstance(name, str):
         raise ValueError(f"malformed qualified name {name!r}")
+    _check_qualified_name(name)
     return name
+
+
+@functools.lru_cache(maxsize=4096)
+def _check_qualified_name(name: str) -> None:
+    # lru_cache does not cache a raised exception
+    if not _QNAME_RE.match(name):
+        raise ValueError(f"malformed qualified name {name!r}")
 
 
 class AttributeType(enum.Enum):
@@ -97,6 +108,18 @@ class ProbeAttribute:
             raise ValueError("attribute name must be non-empty")
 
 
+#: the exact Python types each wire type accepts outright; a value of any
+#: other type is judged by :meth:`AttributeType.accepts`
+_EXACT_TYPES: dict[AttributeType, tuple[type, ...]] = {
+    AttributeType.INTEGER: (int,),
+    AttributeType.LONG: (int,),
+    AttributeType.FLOAT: (float, int),
+    AttributeType.DOUBLE: (float, int),
+    AttributeType.BOOLEAN: (bool,),
+    AttributeType.STRING: (str,),
+}
+
+
 @dataclass(frozen=True)
 class DataDictionary:
     """The ordered attribute schema of a probe.
@@ -107,11 +130,17 @@ class DataDictionary:
     """
 
     attributes: tuple[ProbeAttribute, ...]
+    #: per attribute, the exact value types it accepts without a further
+    #: check (resolved once here, read on every validated sample)
+    _exact_types: tuple[tuple[type, ...], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         names = [a.name for a in self.attributes]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate attribute names in {names}")
+        object.__setattr__(self, "_exact_types", tuple(
+            _EXACT_TYPES.get(a.type, ()) for a in self.attributes))
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -131,8 +160,9 @@ class DataDictionary:
             raise ValueError(
                 f"expected {len(self.attributes)} values, got {len(values)}"
             )
-        for attr, value in zip(self.attributes, values):
-            if not attr.type.accepts(value):
+        for attr, exact, value in zip(self.attributes, self._exact_types,
+                                      values):
+            if type(value) not in exact and not attr.type.accepts(value):
                 raise TypeError(
                     f"attribute {attr.name!r}: {value!r} is not a valid "
                     f"{attr.type.value}"

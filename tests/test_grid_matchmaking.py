@@ -193,9 +193,8 @@ def drive_traffic(scheduler_cls, seed: int):
                     sched.drain_node(node)
             elif roll < 0.9 and sched.nodes:
                 # Failures land between the integer instants on which jobs
-                # end: a node failing at the very instant its job ends lets
-                # that job both complete and requeue, in either scheduler
-                # (a separate, known race).
+                # end; a failure at the very instant a job's wait ends has
+                # its own regression test in test_grid_scheduler.py.
                 yield env.timeout(0.5)
                 if sched.nodes:
                     node = rng.choice(sorted(sched.nodes.values(),

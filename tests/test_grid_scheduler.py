@@ -239,6 +239,52 @@ def test_pick_node_to_drain_falls_back_to_newest_busy():
     env.run(until=50)
 
 
+# ---------------------------------------------------------------------------
+# Node failure at the instant one of the job's waits ends
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("draining", [False, True], ids=["busy", "draining"])
+@pytest.mark.parametrize("at", [2.0, 15.0], ids=["input-done", "job-done"])
+def test_node_failing_as_a_wait_ends_requeues_the_job_once(draining, at):
+    """The failure is processed before the job's wait ending at the same
+    instant (it was scheduled first), so its interrupt lands behind that
+    resume. The job must be requeued once and never completed, and a
+    draining node must not be deregistered a second time."""
+    env = Environment()
+    sched = make_sched(env)
+    node = ExecutionNodeHandle("n0", transfer_mb_per_s=1.0)
+    # input done at 2.0; 10 s of work and 3 MB out: the job ends at 15.0
+    job = Job(duration_s=10, input_mb=2, output_mb=3)
+
+    def fail():
+        yield env.timeout(at)
+        sched.node_failed(node)
+
+    env.process(fail())
+    sched.register_node(node)
+    sched.submit(job)
+    drained = []
+    if draining:
+        env.run(until=1.0)
+        node.on_drained = drained.append
+        sched.drain_node(node)
+    env.run()
+    assert job.state is JobState.IDLE
+    assert list(sched.idle_jobs) == [job]
+    assert job.completed_at is None
+    assert not sched.trace.query(kind="job.complete")
+    assert [r.details["requeued"]
+            for r in sched.trace.query(kind="node.failed")] == [job.job_id]
+    assert sched.node_count == 0 and node.current_job is None
+    assert drained == []  # the node failed; it never finished draining
+    # The requeued job runs to completion once on the next node.
+    add_node(sched, "n1")
+    env.run()
+    assert job.state is JobState.COMPLETED
+    assert [r.details["job"] for r in sched.trace.query(
+        kind="job.complete")] == [job.job_id]
+
+
 def test_series_track_queue_and_nodes():
     env = Environment()
     # Non-zero match delay so the t=0 queue spike isn't collapsed by the

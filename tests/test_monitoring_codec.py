@@ -1,6 +1,9 @@
 """Tests for measurements, qualified names and the XDR codec."""
 
+import enum
+import fractions
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +46,27 @@ def test_valid_qualified_names(name):
 def test_invalid_qualified_names(name):
     with pytest.raises((ValueError, TypeError)):
         validate_qualified_name(name)
+
+
+class _Name(str):
+    pass
+
+
+def test_qualified_name_memo_rejects_on_every_call():
+    """Valid names are memoised; a rejected name is checked again and
+    raises on every call, and a non-str never reaches the memo."""
+    good = "uk.ucl.memo.kpi"
+    for _ in range(3):
+        assert validate_qualified_name(good) is good
+        for bad in ("single", "two..dots", "", None, 42, b"uk.ucl.bytes",
+                    ("uk.ucl.tuple",)):
+            with pytest.raises(ValueError):
+                validate_qualified_name(bad)
+    # an equal str subclass passes and is returned as given
+    name = _Name(good)
+    assert validate_qualified_name(name) is name
+    with pytest.raises(ValueError):
+        validate_qualified_name(_Name("single"))
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +114,38 @@ def test_dictionary_validate_values():
     assert d.index_of("load") == 1
     with pytest.raises(KeyError):
         d.index_of("missing")
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HUGE = 2**40
+
+
+class _Ratio(float):
+    pass
+
+
+#: values of every kind a collector might hand a probe, accepted or not
+_SAMPLE_VALUES = [
+    0, 1, -7, 2**31 - 1, -(2**31), 2**31, 2**63, True, False, 0.5, -0.0,
+    float("nan"), float("inf"), "", "busy", "\U0001f4a1", _Level.LOW,
+    _Level.HUGE, _Name("label"), _Ratio(2.5), fractions.Fraction(1, 3),
+    None, [1], b"raw", 1j,
+]
+
+
+@pytest.mark.parametrize("type_", list(AttributeType))
+def test_validate_values_agrees_with_accepts(type_):
+    """The exact-type fast check resolves to the same verdict as
+    ``AttributeType.accepts`` for every value."""
+    schema = DataDictionary((ProbeAttribute("first", AttributeType.STRING),
+                             ProbeAttribute("probed", type_)))
+    for value in _SAMPLE_VALUES:
+        if type_.accepts(value):
+            schema.validate_values(("ok", value))
+        else:
+            with pytest.raises(TypeError):
+                schema.validate_values(("ok", value))
 
 
 def test_probe_attribute_validation():
@@ -264,14 +320,50 @@ def test_peek_header_truncated():
 # Cached-prefix PacketEncoder
 # ---------------------------------------------------------------------------
 
+def reference_encode(m):
+    """The per-field packet encoder: every field through ``encode_value``.
+    The type-resolved fast path must match it byte for byte, or raise the
+    same exception type."""
+    parts = [
+        b"RMON" + struct.pack(">I", 1),
+        encode_value(m.qualified_name),
+        encode_value(m.service_id),
+        encode_value(m.probe_id),
+        encode_value(m.seqno, AttributeType.LONG),
+        encode_value(m.timestamp, AttributeType.DOUBLE),
+        struct.pack(">I", len(m.values)),
+    ]
+    parts.extend(encode_value(v) for v in m.values)
+    return b"".join(parts)
+
+
+def _outcome(encode, m):
+    try:
+        return encode(m)
+    except Exception as exc:  # the type is what must agree
+        return type(exc)
+
+
 def test_packet_encoder_byte_identical():
     m = make_measurement(values=(7, 0.5, "büsy", True), seqno=42)
     enc = PacketEncoder(m.qualified_name, m.service_id, m.probe_id)
-    assert enc.encode(m) == encode_measurement(m)
+    assert enc.encode(m) == reference_encode(m) == encode_measurement(m)
     # steady state: only per-packet fields change, prefix is reused
     m2 = make_measurement(values=(8, -1.25, "", False), seqno=43,
                           timestamp=999.0)
-    assert enc.encode(m2) == encode_measurement(m2)
+    assert enc.encode(m2) == reference_encode(m2) == encode_measurement(m2)
+
+
+def test_packet_encoder_edge_values_match_reference():
+    """Every sample value under every edge seqno, deterministically: the
+    property test below draws these edges only some of the time."""
+    for seqno in (0, 2**63 - 1, -(2**63), 2**63, True):
+        for value in _SAMPLE_VALUES:
+            m = make_measurement(values=(value,), seqno=seqno)
+            expected = _outcome(reference_encode, m)
+            enc = PacketEncoder(m.qualified_name, m.service_id, m.probe_id)
+            assert _outcome(enc.encode, m) == expected, (seqno, value)
+            assert _outcome(encode_measurement, m) == expected, (seqno, value)
 
 
 def test_packet_encoder_rejects_identity_mismatch():
@@ -286,21 +378,29 @@ def test_packet_encoder_rejects_identity_mismatch():
     values=st.lists(
         st.one_of(
             st.integers(min_value=-(2**62), max_value=2**62),
-            st.floats(allow_nan=False, allow_infinity=True, width=64),
+            st.sampled_from([2**31 - 1, -(2**31 - 1), 2**31, -(2**31),
+                             2**63, _Level.LOW, _Level.HUGE]),
+            st.floats(width=64),  # NaN and both infinities included
             st.booleans(),
             st.text(max_size=40),  # includes non-ASCII and non-BMP chars
+            st.text(st.characters(min_codepoint=0x10000), max_size=4),
+            st.sampled_from([None, b"raw", _Name("label"), _Ratio(0.25)]),
         ),
         max_size=8,
     ),
-    seqno=st.integers(min_value=0, max_value=2**31),
-    timestamp=st.floats(min_value=0, max_value=1e12),
+    seqno=st.one_of(st.integers(min_value=0, max_value=2**31),
+                    st.sampled_from([True, False, 2**63, -(2**63) - 1])),
+    timestamp=st.one_of(st.floats(min_value=0, max_value=1e12),
+                        st.sampled_from([math.inf, math.nan, 7])),
 )
-@settings(max_examples=150)
+@settings(max_examples=300)
 def test_packet_encoder_byte_identical_property(values, seqno, timestamp):
     m = make_measurement(values=tuple(values), seqno=seqno,
                          timestamp=timestamp)
+    expected = _outcome(reference_encode, m)
     enc = PacketEncoder(m.qualified_name, m.service_id, m.probe_id)
-    assert enc.encode(m) == encode_measurement(m)
+    assert _outcome(enc.encode, m) == expected
+    assert _outcome(encode_measurement, m) == expected
 
 
 # ---------------------------------------------------------------------------

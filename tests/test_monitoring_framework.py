@@ -283,12 +283,17 @@ def test_unsubscribe_foreign_subscription_rejected():
         net_b.unsubscribe(sub)
 
 
-def test_route_cache_invalidated_by_subscription_churn():
+FABRICS = pytest.mark.parametrize("fabric", [PubSubBroker, MulticastChannel],
+                                  ids=["broker", "multicast"])
+
+
+@FABRICS
+def test_route_cache_invalidated_by_subscription_churn(fabric):
     env = Environment()
-    net = PubSubBroker(env)
+    net = fabric(env)
     first, late = MeasurementStore(), MeasurementStore()
-    first.subscribe_to(net, qualified_name="uk.ucl.a.b")
-    ds = _emit(env, net)
+    first_sub = first.subscribe_to(net, qualified_name="uk.ucl.a.b")
+    _emit(env, net)
     env.run(until=15)
     assert first.notifications == 1
     # the route for this header is now cached; a later subscriber must
@@ -297,6 +302,42 @@ def test_route_cache_invalidated_by_subscription_churn():
     env.run(until=25)
     assert first.notifications == 2
     assert late.notifications == 1
+    # and a cancelled one must not be
+    first_sub.cancel()
+    env.run(until=35)
+    assert first.notifications == 2
+    assert late.notifications == 2
+    assert (net.route_cache_misses, net.route_cache_hits) == (3, 0)
+
+
+@FABRICS
+def test_callback_churn_mid_packet_applies_from_the_next_packet(fabric):
+    """A packet's route is a snapshot taken at delivery: a member cancelled
+    by an earlier callback of the same packet is not called, and a member
+    added mid-packet first sees the next packet."""
+    env = Environment()
+    net = fabric(env)
+    log = []
+    added = []
+
+    def churn(m):
+        log.append(("churn", m.seqno))
+        if m.seqno == 1:
+            doomed.cancel()
+            added.append(net.subscribe(lambda m: log.append(("new", m.seqno)),
+                                       qualified_name="uk.ucl.a.b"))
+
+    net.subscribe(churn, service_id="svc-1")
+    doomed = net.subscribe(lambda m: log.append(("doomed", m.seqno)),
+                           qualified_name="uk.ucl.a.b")
+    net.subscribe(lambda m: log.append(("last", m.seqno)))
+    for seqno in (1, 2):
+        net.publish(Measurement("uk.ucl.a.b", "svc-1", "p-1", float(seqno),
+                                (seqno,), seqno=seqno))
+    assert log == [("churn", 1), ("last", 1),
+                   ("churn", 2), ("last", 2), ("new", 2)]
+    assert not doomed.active and added[0].active
+    assert net.subscription_count == 3
 
 
 def test_relay_stop_releases_subscription():

@@ -4,14 +4,21 @@ The PubSubBroker's indexed mode (exact-topic dict + compiled globs + route
 cache) must be observationally identical to the seed's O(subscriptions)
 linear scan, which survives as ``PubSubBroker(env, reference=True)``. These
 tests drive both with identical randomized subscribe/unsubscribe/publish
-traffic and assert identical callback sequences and byte accounting.
+traffic and assert identical callback sequences and byte accounting. The
+multicast channel shares the route cache; its byte accounting is checked
+against a model that charges every member.
 """
 
 import random
 
 import pytest
 
-from repro.monitoring import Measurement, MulticastChannel, PubSubBroker
+from repro.monitoring import (
+    Measurement,
+    MulticastChannel,
+    PubSubBroker,
+    encode_measurement,
+)
 from repro.sim import Environment
 
 QNAMES = [
@@ -53,6 +60,17 @@ def _random_filters(rng):
     return service_id, qualified_name
 
 
+def _random_measurement(rng, k):
+    return Measurement(
+        qualified_name=rng.choice(QNAMES),
+        service_id=rng.choice(SERVICES),
+        probe_id=f"probe-{rng.randrange(8) + 1}",
+        timestamp=float(k),
+        values=(k, rng.random(), "state"),
+        seqno=k,
+    )
+
+
 def _run_traffic(seed, indexed, reference, env_i, env_r, *,
                  latency=False, n_ops=400):
     rng = random.Random(seed)
@@ -83,14 +101,7 @@ def _run_traffic(seed, indexed, reference, env_i, env_r, *,
                 sub_i.cancel()
                 sub_r.cancel()
         else:
-            m = Measurement(
-                qualified_name=rng.choice(QNAMES),
-                service_id=rng.choice(SERVICES),
-                probe_id=f"probe-{rng.randrange(8) + 1}",
-                timestamp=float(k),
-                values=(k, rng.random(), "state"),
-                seqno=k,
-            )
+            m = _random_measurement(rng, k)
             indexed.publish(m)
             reference.publish(m)
             if latency and rng.random() < 0.2:
@@ -146,20 +157,68 @@ def test_multicast_matches_reference_broker_callbacks(seed):
     assert multicast.bytes_delivered >= reference.bytes_delivered
 
 
-def test_route_cache_counters_account_hits_and_misses():
+@pytest.mark.parametrize("seed", range(6))
+def test_multicast_bytes_charge_every_member_at_publish(seed):
+    """Under random churn, including members that cancel others from their
+    callback, each packet costs its size once per member subscribed when it
+    is published, whether or not the member's filter matches: the route
+    cache changes what is scanned, not what is charged."""
     env = Environment()
-    broker = PubSubBroker(env)
-    broker.subscribe(lambda m: None, service_id="svc-1",
-                     qualified_name=QNAMES[0])
+    multicast = MulticastChannel(env)
+    rng = random.Random(seed)
+    live = []
+    charged = 0
+
+    def cancel_another(m):
+        if live and rng.random() < 0.3:
+            live.pop(rng.randrange(len(live))).cancel()
+
+    for k in range(400):
+        op = rng.random()
+        if op < 0.2:
+            service_id, qualified_name = _random_filters(rng)
+            callback = (cancel_another if rng.random() < 0.2
+                        else (lambda m: None))
+            live.append(multicast.subscribe(callback, service_id=service_id,
+                                            qualified_name=qualified_name))
+        elif op < 0.3 and live:
+            live.pop(rng.randrange(len(live))).cancel()
+        else:
+            m = _random_measurement(rng, k)
+            packet = encode_measurement(m)
+            charged += len(packet) * len(live)
+            multicast.publish(m, packet=packet)
+        assert multicast.subscription_count == len(live)
+    assert multicast.bytes_delivered == charged
+    assert multicast.route_cache_hits > 0 and multicast.route_cache_misses > 0
+
+
+def _check_route_cache_counters(net):
+    net.subscribe(lambda m: None, service_id="svc-1",
+                  qualified_name=QNAMES[0])
     m = Measurement(QNAMES[0], "svc-1", "p-1", 0.0, (1,))
-    broker.publish(m)
-    assert (broker.route_cache_misses, broker.route_cache_hits) == (1, 0)
-    broker.publish(m)
-    assert (broker.route_cache_misses, broker.route_cache_hits) == (1, 1)
+    net.publish(m)
+    assert (net.route_cache_misses, net.route_cache_hits) == (1, 0)
+    net.publish(m)
+    assert (net.route_cache_misses, net.route_cache_hits) == (1, 1)
     # subscription churn invalidates the cache
-    sub = broker.subscribe(lambda m: None, qualified_name="uk.ucl.*")
-    broker.publish(m)
-    assert (broker.route_cache_misses, broker.route_cache_hits) == (2, 1)
-    broker.unsubscribe(sub)
-    broker.publish(m)
-    assert (broker.route_cache_misses, broker.route_cache_hits) == (3, 1)
+    sub = net.subscribe(lambda m: None, qualified_name="uk.ucl.*")
+    net.publish(m)
+    assert (net.route_cache_misses, net.route_cache_hits) == (2, 1)
+    net.unsubscribe(sub)
+    net.publish(m)
+    assert (net.route_cache_misses, net.route_cache_hits) == (3, 1)
+    # the registry sees the counters in the fabric family
+    views = {name: value for name, _labels, _kind, value
+             in net.env.metrics.collect()
+             if name.startswith("monitoring.fabric.route_cache")}
+    assert views == {"monitoring.fabric.route_cache_hits": 1,
+                     "monitoring.fabric.route_cache_misses": 3}
+
+
+def test_route_cache_counters_account_hits_and_misses():
+    _check_route_cache_counters(PubSubBroker(Environment()))
+
+
+def test_multicast_route_cache_counters_account_hits_and_misses():
+    _check_route_cache_counters(MulticastChannel(Environment()))
