@@ -98,16 +98,24 @@ class ManagedComponent:
     #: component's effective size, so back-to-back scale-downs cannot
     #: undershoot the minimum while shutdowns are still in flight
     releasing: set = field(default_factory=set)
+    #: the VMs of ``vms`` not yet seen STOPPED or FAILED, in deploy order;
+    #: both states are terminal, so the counts prune it as they read it and
+    #: cost the live instances, not every VM the component ever had
+    live: list[VirtualMachine] = field(default_factory=list)
+
+    def _live(self) -> list[VirtualMachine]:
+        live = self.live = [vm for vm in self.live if vm.is_active]
+        return live
 
     @property
     def active_count(self) -> int:
-        return sum(1 for vm in self.vms if vm.is_active)
+        return len(self._live())
 
     @property
     def effective_count(self) -> int:
         """Active instances minus those already being released."""
-        return sum(1 for vm in self.vms
-                   if vm.is_active and vm.vm_id not in self.releasing)
+        releasing = self.releasing
+        return sum(1 for vm in self._live() if vm.vm_id not in releasing)
 
     @property
     def running_count(self) -> int:
@@ -291,6 +299,7 @@ class ServiceLifecycleManager:
         self.descriptors.append(descriptor)
         vm = component.driver.deploy(descriptor)
         component.vms.append(vm)
+        component.live.append(vm)
         self.accountant.instance_deployed(component.system.system_id)
         self.env.process(self._watch_instance(component, vm),
                          name=f"watch:{vm.vm_id}")

@@ -42,11 +42,22 @@ store for non-periodic rules), so skipping it cannot change the firing
 journal. ``RuleInterpreter(..., incremental=False, compiled=False)``
 restores the evaluate-everything tree-walking engine for differential
 validation.
+
+Idle ticks
+----------
+
+A pass with no dirty KPI, no periodic rule and every hot rule inside its
+cooldown evaluates nothing. The incremental loop does not wake up for such
+passes when nothing can change before the next one: up to the kernel's
+``quiet_until`` no notify, install or stop can run, so it charges the idle
+ticks before that bound (and before the first cooldown lapse) to the pass
+counters and waits for the first grid tick at or after it (DESIGN.md §9).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Optional
 
 from ...monitoring.consumers import MeasurementJournal, MeasurementStore
@@ -132,6 +143,9 @@ class RuleInterpreter:
         self._kpi_spans: dict[str, object] = {}
         self.firings: list[RuleFiring] = []
         self.evaluations = 0
+        #: of those, idle passes the evaluation loop accounted without
+        #: waking up (see :meth:`_jump`)
+        self.ticks_jumped = 0
         #: cumulative number of per-rule condition evaluations
         self.rules_evaluated = 0
         #: cumulative number of rules skipped by the incremental pass
@@ -156,6 +170,8 @@ class RuleInterpreter:
                               service=service_id)
         metrics.register_view("core.rules.rules_skipped",
                               lambda: self.rules_skipped, service=service_id)
+        metrics.register_view("core.rules.ticks_jumped",
+                              lambda: self.ticks_jumped, service=service_id)
         metrics.register_view("core.rules.firings",
                               lambda: len(self.firings), service=service_id)
         self._views_registered = True
@@ -329,10 +345,45 @@ class RuleInterpreter:
             selected[installed.seq] = installed
         return [selected[seq] for seq in sorted(selected)]
 
+    def _due(self) -> float:
+        """The first instant at which a pass evaluates some rule even if no
+        new input arrives: ``-inf`` while a KPI is dirty, a rule is periodic
+        or a hot rule has never fired, else the earliest cooldown lapse of
+        the hot rules (``inf`` when none is hot)."""
+        if self._dirty or self._periodic:
+            return -inf
+        due = inf
+        for installed in self._hot.values():
+            if installed.last_fired is None:
+                return -inf
+            lapse = installed.last_fired + installed.rule.effective_cooldown_s
+            if lapse < due:
+                due = lapse
+        return due
+
+    def _charge_idle(self, passes: int) -> None:
+        """Account ``passes`` incremental passes that evaluate nothing: the
+        only candidates are hot rules inside their cooldown."""
+        installed = len(self._rules)
+        cooling = len(self._hot)
+        self.evaluations += passes
+        self.rules_skipped += passes * (installed - cooling)
+        self.last_pass = {
+            "installed": installed,
+            "candidates": cooling,
+            "evaluated": 0,
+            "cooldown_skipped": cooling,
+            "skipped": installed - cooling,
+            "dirty_kpis": 0,
+        }
+
     def evaluate_rules(self) -> list[RuleFiring]:
         """One evaluation pass; incremental unless configured otherwise."""
-        self.evaluations += 1
         now = self.env.now
+        if self._incremental and not self._dirty and now < self._due():
+            self._charge_idle(1)
+            return []
+        self.evaluations += 1
         context = self._context
         if self._incremental:
             work = self._candidates()
@@ -433,12 +484,49 @@ class RuleInterpreter:
         self._loop = None
 
     def _evaluation_loop(self):
+        env = self.env
         try:
+            delay = self._period
             while True:
-                yield self.env.timeout(self._period)
+                yield env.timeout(delay)
                 self.evaluate_rules()
+                delay = self._period
+                # Only a tick due before anything else can act may start
+                # a run of idle ticks; the common busy case stops here.
+                if env.now + delay < env.quiet_until:
+                    delay = self._jump(delay)
         except Interrupt:
             pass
+
+    def _jump(self, period: float) -> float:
+        """The wait until the next pass that can observe anything.
+
+        The loop ticks on the grid ``now + period``, ``+ period``, ... A
+        tick before :meth:`_due` and before the kernel's ``quiet_until``
+        is an idle pass: no notify, install or stop can run before the
+        latter, so no KPI turns dirty and no rule turns hot by then. Those
+        ticks are charged here without waking up, and the loop waits for
+        the first grid point at or after the bound, computed by the same
+        repeated additions as the ticking timeouts, so it lands on the same
+        timestamp in the same bucket position.
+        """
+        now = self.env.now
+        bound = min(self.env.quiet_until, self._due())
+        tick = now + period
+        if not self._incremental or not now < tick < bound or bound == inf:
+            return period
+        skipped = 0
+        while tick < bound:
+            skipped += 1
+            tick += period
+        delay = tick - now
+        if now + delay != tick:
+            # The grid point is not exactly ``now`` plus any one delay
+            # we computed: take the next tick as usual.
+            return period
+        self._charge_idle(skipped)
+        self.ticks_jumped += skipped
+        return delay
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -558,7 +558,7 @@ class Environment:
     __slots__ = ("_now", "_buckets", "_urgent", "_times", "_live_n",
                  "_live_u", "_draining", "_events_done", "_dead_skipped",
                  "_active_process", "_metrics", "_obs_scope", "_profile_cb",
-                 "timeout")
+                 "_until", "timeout")
 
     def __new__(cls, initial_time: float = 0.0, reference: bool = False):
         if reference and cls is Environment:
@@ -579,6 +579,9 @@ class Environment:
         self._live_n: deque[Event] = deque()
         self._live_u: deque[Event] = deque()
         self._draining = False
+        #: Stop time of the running ``run()`` (``inf`` without a time
+        #: bound), ``None`` outside one; read by :attr:`quiet_until`.
+        self._until: Optional[float] = None
         #: Events dispatched so far; flushed per batch during a drain.
         self._events_done = 0
         self._dead_skipped = 0
@@ -714,6 +717,25 @@ class Environment:
             return self._now
         return self._times[0] if self._times else float("inf")
 
+    @property
+    def quiet_until(self) -> float:
+        """The first instant at which any dispatch or caller code can act.
+
+        Inside :meth:`run`, once the current instant has no queued event
+        left, that is the earlier of the next queued timestamp and the
+        run's stop time: until then the clock only advances. Anywhere else
+        (under :meth:`step`, between runs, mid-instant) it is ``now``. A
+        periodic process may account its ticks strictly before it without
+        being woken for them.
+        """
+        until = self._until
+        if until is None or self._live_u or self._live_n:
+            return self._now
+        times = self._times
+        if times and times[0] < until:
+            return times[0]
+        return until
+
     def step(self) -> None:
         """Process the single next event."""
         if self._draining:
@@ -794,6 +816,7 @@ class Environment:
         done = 0
         dead_skipped = 0
         self._draining = True
+        self._until = stop_time
         try:
             while True:
                 # ``callbacks is None`` is the processed marker with the
@@ -849,6 +872,7 @@ class Environment:
                     raise event._value
         finally:
             self._draining = False
+            self._until = None
             self._events_done += done
             self._dead_skipped += dead_skipped
 
@@ -894,6 +918,7 @@ class Environment:
         done = 0
         dead_skipped = 0
         self._draining = True
+        self._until = stop_time
         try:
             while True:
                 if stop_event is not None and stop_event.callbacks is None:
@@ -944,6 +969,7 @@ class Environment:
                     hook(event, None, 0.0)
         finally:
             self._draining = False
+            self._until = None
             self._events_done += done
             self._dead_skipped += dead_skipped
 
@@ -985,6 +1011,16 @@ class _ReferenceEnvironment(Environment):
     def peek(self) -> float:
         return self._queue[0][0] if self._queue else float("inf")
 
+    @property
+    def quiet_until(self) -> float:
+        until = self._until
+        if until is None:
+            return self._now
+        queue = self._queue
+        if queue and queue[0][0] < until:
+            return queue[0][0]
+        return until
+
     def step(self) -> None:
         if not self._queue:
             raise SimError("empty event queue")
@@ -1016,6 +1052,7 @@ class _ReferenceEnvironment(Environment):
         queue = self._queue
         done = 0
         dead_skipped = 0
+        self._until = stop_time
         try:
             while queue:
                 if stop_event is not None and stop_event.processed:
@@ -1038,6 +1075,7 @@ class _ReferenceEnvironment(Environment):
                 elif not event._ok and not event.defused:
                     raise event._value
         finally:
+            self._until = None
             self._events_done += done
             self._dead_skipped += dead_skipped
 

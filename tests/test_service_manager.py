@@ -249,15 +249,36 @@ def test_periodic_loop_evaluates():
 
 
 def record_pass_instants(interp):
-    """The simulated instant of every evaluation pass from now on."""
-    instants = []
+    """A callable returning the instant of every evaluation pass from now on.
+
+    The loop calls ``evaluate_rules`` only at ticks that can observe
+    something; the idle ticks in between are counted in ``evaluations``
+    without a call. So the ticks after each executed pass, up to the next
+    one (or up to now), lie on that pass's grid: its instant plus the
+    period then in force, repeated.
+    """
+    executed = []   # (instant, period, evaluations after the pass)
     evaluate = interp.evaluate_rules
 
     def recording():
-        instants.append(interp.env.now)
-        return evaluate()
+        fired = evaluate()
+        executed.append((interp.env.now, interp.eval_period_s,
+                         interp.evaluations))
+        return fired
 
     interp.evaluate_rules = recording
+
+    def instants():
+        out = []
+        for i, (t, period, after) in enumerate(executed):
+            out.append(t)
+            upto = (executed[i + 1][2] - 1 if i + 1 < len(executed)
+                    else interp.evaluations)
+            for _ in range(upto - after):
+                t += period
+                out.append(t)
+        return out
+
     return instants
 
 
@@ -279,18 +300,18 @@ def test_running_loop_follows_rule_set_period():
     instants = record_pass_instants(interp)
     interp.start()
     env.run(until=7)
-    assert instants == [5.0]
+    assert instants() == [5.0]
     # A tighter constraint installed mid-wait: the wait in progress ends
     # at t=10, and from that pass on the loop waits 1 s (half of 2 s).
     interp.install(tight)
     assert interp.eval_period_s == 1.0
     env.run(until=12.5)
-    assert instants == [5.0, 10.0, 11.0, 12.0]
+    assert instants() == [5.0, 10.0, 11.0, 12.0]
     # Uninstalled: after the 1 s wait in progress, back to 5 s.
     interp.uninstall("tight")
     assert interp.eval_period_s == 5.0
     env.run(until=25)
-    assert instants == [5.0, 10.0, 11.0, 12.0, 13.0, 18.0, 23.0]
+    assert instants() == [5.0, 10.0, 11.0, 12.0, 13.0, 18.0, 23.0]
     # No rules at all: the 5 s idle default.
     interp.uninstall("slow")
     assert interp.eval_period_s == 5.0
@@ -313,7 +334,7 @@ def test_explicit_eval_period_overrides_rule_set():
     interp.uninstall("slow")
     assert interp.eval_period_s == 3.0
     env.run(until=13)
-    assert instants == [3.0, 6.0, 9.0, 12.0]
+    assert instants() == [3.0, 6.0, 9.0, 12.0]
 
 
 def test_install_duplicate_and_uninstall():
@@ -599,3 +620,128 @@ def test_builtin_time_can_be_shadowed_by_measurement():
     interp.notify(Measurement("system.time.now", "svc-1", "p", 0.0, (999,)))
     interp.evaluate_rules()
     assert calls == [1]
+
+
+# ---------------------------------------------------------------------------
+# Instance counts over the live VMs
+# ---------------------------------------------------------------------------
+
+def full_scan_counts(lifecycle) -> dict:
+    """(active, effective) per component, scanning every VM the component
+    ever had."""
+    return {
+        name: (sum(1 for vm in c.vms if vm.is_active),
+               sum(1 for vm in c.vms
+                   if vm.is_active and vm.vm_id not in c.releasing))
+        for name, c in lifecycle.components.items()
+    }
+
+
+def assert_counts_match_full_scan(env, service) -> None:
+    lifecycle = service.lifecycle
+    expected = full_scan_counts(lifecycle)
+    got = {name: (c.active_count, c.effective_count)
+           for name, c in lifecycle.components.items()}
+    assert got == expected
+    for c in lifecycle.components.values():
+        # Pruned as read, in deploy order.
+        assert c.live == [vm for vm in c.vms if vm.is_active]
+    assert env.metrics.value("core.lifecycle.active_instances",
+                             service=service.service_id) == sum(
+        active for active, _ in expected.values())
+
+
+def drive_random_lifecycle(seed: int) -> set:
+    """Scale, release, fail (provisioning, running, releasing), heal,
+    migrate, suspend/resume and crash hosts at random, checking the counts
+    after every operation and every run step. Returns the operations that
+    took effect."""
+    import random
+    from repro.cloud import PlacementError
+    from repro.scenarios.library import (
+        CHAOS_TIMINGS,
+        make_veem as make_site,
+        simple_manifest,
+    )
+    rng = random.Random(seed)
+    env = Environment()
+    veem = make_site(env, 3, timings=CHAOS_TIMINGS)
+    sm = ServiceManager(env, veem)
+    service = sm.deploy(simple_manifest(minimum=1, initial=2, maximum=6))
+    lifecycle = service.lifecycle
+    done = set()
+    provisioning = (VMState.PENDING, VMState.STAGING, VMState.BOOTING)
+
+    def pick(vms):
+        return rng.choice(vms) if vms else None
+
+    for _ in range(80):
+        web = lifecycle.components.get("web")
+        vms = web.vms if web is not None else []
+        op = rng.choice(["up", "up", "down", "down", "fail-provisioning",
+                         "fail-running", "fail-releasing", "migrate",
+                         "suspend", "resume", "crash-host", "recover",
+                         "floor", "wait"])
+        try:
+            if op == "up":
+                lifecycle.scale_up("web")
+            elif op == "down":
+                lifecycle.scale_down("web")
+            elif op == "migrate":
+                if lifecycle.migrate_for_balance("web") is None:
+                    continue
+            elif op == "floor":
+                if not lifecycle.ensure_floor():
+                    continue
+            elif op == "crash-host":
+                host = pick([h for h in veem.hosts if not h.failed])
+                if host is None or not veem.inject_host_failure(host):
+                    continue
+            elif op == "recover":
+                host = pick([h for h in veem.hosts if h.failed])
+                if host is None:
+                    continue
+                veem.recover_host(host)
+            elif op != "wait":
+                states = {
+                    "fail-provisioning": provisioning,
+                    "fail-running": (VMState.RUNNING,),
+                    "fail-releasing": tuple(VMState),
+                    "suspend": (VMState.RUNNING,),
+                    "resume": (VMState.SUSPENDED,),
+                }[op]
+                vm = pick([v for v in vms if v.is_active
+                           and v.state in states
+                           and (op != "fail-releasing"
+                                or v.vm_id in web.releasing)])
+                if vm is None:
+                    continue
+                if op == "suspend":
+                    veem.suspend(vm)
+                elif op == "resume":
+                    veem.resume(vm)
+                else:
+                    veem.inject_vm_failure(vm)
+        except (ScaleError, PlacementError):     # bounds, or hosts down
+            continue
+        done.add(op)
+        assert_counts_match_full_scan(env, service)
+        env.run(until=env.now + rng.choice([0.5, 1.0, 2.0, 5.0, 12.0, 30.0]))
+        assert_counts_match_full_scan(env, service)
+    if sm.trace.last(kind="instance.heal") is not None:
+        done.add("heal")
+    return done
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_live_counts_match_full_scan(seed):
+    drive_random_lifecycle(seed)
+
+
+def test_live_count_drive_covers_every_operation():
+    done = set()
+    for seed in range(12):
+        done |= drive_random_lifecycle(seed)
+    assert done >= {"up", "down", "fail-provisioning", "fail-running",
+                    "fail-releasing", "migrate", "suspend", "resume",
+                    "crash-host", "recover", "heal"}
