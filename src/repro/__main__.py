@@ -393,14 +393,18 @@ def _cmd_scale(args) -> int:
         verify_against_oracle,
     )
 
-    cfg = ScaleConfig(
-        sites=args.sites, services=args.services, hours=args.hours,
-        tenants=args.tenants, reference=args.reference,
-        random_seed=args.seed, monitor_period_s=args.monitor_period,
-        elastic_fraction=args.elastic_fraction,
-        procs=args.procs, epoch_s=args.epoch,
-        defrag_every_h=args.defrag_every,
-    )
+    try:
+        cfg = ScaleConfig(
+            sites=args.sites, services=args.services, hours=args.hours,
+            tenants=args.tenants, reference=args.reference,
+            random_seed=args.seed, monitor_period_s=args.monitor_period,
+            elastic_fraction=args.elastic_fraction,
+            procs=args.procs, epoch_s=args.epoch,
+            defrag_every_h=args.defrag_every,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     say = lambda m: print(m, file=sys.stderr)  # noqa: E731
     profiler = None
     if args.profile:

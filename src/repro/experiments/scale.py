@@ -22,19 +22,24 @@ Everything is deterministic under ``random_seed``: session profiles come
 from :class:`~repro.sim.RandomStreams`, and the kernel replays identically
 (``reference=True`` runs the same workload on the heap oracle kernel).
 
-With ``procs > 1`` the federation is sharded: the coordinator runs the
-*real* control plane to take every admission decision, then partitions the
-sites across a :class:`~repro.sim.ShardPool` of worker processes which
-replay those decisions as pinned submissions and simulate their shards in
-parallel through epoch barriers. Decision outcomes (admission verdicts,
-peak/final fleet, per-site fleet sizes) are identical to ``procs=1`` by
-construction — see DESIGN §14 and :func:`verify_against_oracle`.
+One :class:`FederationRun` simulates the federation's stack over a set of
+sites. With ``procs=1`` it runs over every site and admits live: that run
+is the differential oracle. With ``procs > 1`` the federation is sharded:
+the coordinator runs the *real* control plane to take every admission
+decision, then deals the sites across a :class:`~repro.sim.ShardPool` of
+worker processes, each a :class:`FederationRun` that replays its sites'
+decisions as pinned submissions, and drives them in parallel through epoch
+barriers. Decision outcomes (admission verdicts, peak/final fleet, per-site
+fleet sizes) are identical to ``procs=1`` by construction — see DESIGN §14
+and :func:`verify_against_oracle`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import tempfile
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -44,7 +49,7 @@ from ..control import Admitted, ControlPlane, Queued
 from ..core.manifest import ManifestBuilder
 from ..monitoring import MonitoringAgent
 from ..obs.audit import TimeConstraintAuditor, audit_violation_strings
-from ..obs.metrics import canonical_view
+from ..obs.metrics import SnapshotCursor, canonical_view
 from ..obs.recorder import FlightRecorder
 from ..scenarios.chaos import (
     NetworkPartition,
@@ -54,12 +59,20 @@ from ..scenarios.chaos import (
 )
 from ..scenarios.invariants import check_all
 from ..scenarios.workloads import SessionProfile, WORKLOADS, draw_profiles
-from ..sim import Environment, read_peak_rss_kb
+from ..sim import (
+    Environment,
+    EpochReport,
+    ShardPool,
+    partition_round_robin,
+    read_peak_rss_kb,
+)
 
 __all__ = [
+    "FederationRun",
     "ScaleConfig",
     "ScaleReport",
     "SessionProfile",
+    "make_shard",
     "run_scale",
     "verify_against_oracle",
 ]
@@ -68,7 +81,7 @@ __all__ = [
 SESSIONS_KPI = "scale.app.sessions"
 
 #: Simulated seconds the initial fleet gets to deploy before monitoring
-#: agents attach and the census starts (shared by both execution modes).
+#: agents attach and the census starts (the same in every run).
 WARMUP_S = 60.0
 
 
@@ -142,6 +155,20 @@ class ScaleConfig:
             raise ValueError("defrag_every_h must be >= 0")
         if self.settle_s < 0:
             raise ValueError("settle_s must be >= 0")
+        if self.duration_s + self.settle_s <= WARMUP_S:
+            raise ValueError(f"the run must outlast the {WARMUP_S:g} s "
+                             f"warm-up")
+        if self.monitor_period_s <= 0 or self.sample_period_s <= 0:
+            raise ValueError(
+                "monitor_period_s and sample_period_s must be positive")
+        if min(self.host_cpu, self.host_memory_mb,
+               self.vm_cpu, self.vm_memory_mb) <= 0:
+            raise ValueError("host and VM shapes must be positive")
+        if (self.vm_cpu > self.host_cpu
+                or self.vm_memory_mb > self.host_memory_mb):
+            raise ValueError("VM shape exceeds the host shape")
+        if self.max_instances < 1:
+            raise ValueError("max_instances must be >= 1")
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}; "
                              f"have {sorted(WORKLOADS)}")
@@ -172,8 +199,6 @@ class ScaleConfig:
         (guaranteed capacity): every service may reach ``max_instances``."""
         per_host = min(int(self.host_cpu // self.vm_cpu),
                        int(self.host_memory_mb // self.vm_memory_mb))
-        if per_host < 1:
-            raise ValueError("VM shape exceeds the host shape")
         ceiling = self.services_per_site * self.max_instances
         return math.ceil(ceiling / per_host) + 1
 
@@ -283,8 +308,7 @@ class ScaleReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared building blocks (used by the single-process path, the coordinator
-# and — via :mod:`.scale_worker` — the shard worker processes)
+# Building blocks
 # ---------------------------------------------------------------------------
 
 def _scale_manifest(cfg: ScaleConfig):
@@ -350,25 +374,6 @@ def _session_driver(env, state, profile: SessionProfile, quiet_s: float):
     state["sessions"] = 30          # baseline: between both thresholds
 
 
-def _start_session_driver(env, profile: SessionProfile,
-                          cfg: ScaleConfig) -> dict:
-    state = {"sessions": 30}
-    env.process(
-        _session_driver(env, state, profile,
-                        quiet_s=6 * cfg.monitor_period_s),
-        name=f"sessions:{profile.service_id}")
-    return state
-
-
-def _attach_agent(env, cfg: ScaleConfig, site_manager, service_id: str,
-                  state: dict) -> MonitoringAgent:
-    agent = MonitoringAgent(env, service_id=service_id, component="app",
-                            network=site_manager.network)
-    agent.expose(SESSIONS_KPI, lambda s=state: s["sessions"],
-                 frequency_s=cfg.monitor_period_s, units="sessions")
-    return agent
-
-
 def _vm_census(env, veems, samples: list, period_s: float):
     """Periodic live-VM census across the given sites.
 
@@ -389,11 +394,7 @@ def _vm_census(env, veems, samples: list, period_s: float):
         yield env.timeout(period_s)
 
 
-def _peak_of(samples: list) -> int:
-    return max((total for _t, total in samples), default=0)
-
-
-def _start_defrag(env, cfg: ScaleConfig, veems, stats: Optional[list] = None):
+def _defrag_passes(env, cfg: ScaleConfig, veems):
     """Periodic per-site defragmentation passes (``--defrag-every H``).
 
     Each site plans (:func:`repro.solver.defrag.plan_defrag`) and executes
@@ -403,314 +404,314 @@ def _start_defrag(env, cfg: ScaleConfig, veems, stats: Optional[list] = None):
     the sharded-vs-oracle decision comparison — workers and oracle run
     the identical per-site plans.
     """
-    if cfg.defrag_every_h <= 0:
-        return None
     from ..solver.defrag import execute_plan, plan_defrag
 
-    def pass_loop():
-        # Quarter-period offset: plan *between* monitor instants (like the
-        # census's half-period offset) so a plan never races a same-instant
-        # scale event whose ordering could differ between the oracle's
-        # all-site environment and a shard's subset environment.
-        period_s = cfg.defrag_every_h * 3600.0
-        yield env.timeout(cfg.sample_period_s / 4.0)
-        while True:
-            yield env.timeout(period_s)
-            moved = 0
-            # Plan every site at this same instant (planning is synchronous,
-            # execution runs as per-site processes): a site's plan is a pure
-            # function of its own state, never of another site's progress.
-            for veem in veems:
-                plan = plan_defrag(veem)
-                if plan:
-                    moved += len(plan.steps)
-                    execute_plan(veem, plan)
-            if stats is not None:
-                stats.append((env.now, moved))
-
-    return env.process(pass_loop(), name="defrag-pass")
+    # Quarter-period offset: plan *between* monitor instants (like the
+    # census's half-period offset) so a plan never races a same-instant
+    # scale event whose ordering could differ between the oracle's
+    # all-site environment and a shard's subset environment.
+    period_s = cfg.defrag_every_h * 3600.0
+    yield env.timeout(cfg.sample_period_s / 4.0)
+    while True:
+        yield env.timeout(period_s)
+        # Plan every site at this same instant (planning is synchronous,
+        # execution runs as per-site processes): a site's plan is a pure
+        # function of its own state, never of another site's progress.
+        for veem in veems:
+            plan = plan_defrag(veem)
+            if plan:
+                execute_plan(veem, plan)
 
 
-# ---------------------------------------------------------------------------
-# Admission planning (shared: the single-process run *is* the plan)
-# ---------------------------------------------------------------------------
+def _admit(control: ControlPlane, cfg: ScaleConfig, manifest,
+           profiles=None):
+    """Register the tenants, then admit the services; returns ``(profiles,
+    admitted requests, (admitted, queued, rejected))``.
 
-def _submit_all(control: ControlPlane, cfg: ScaleConfig, manifest):
-    """Submit every service through the real control plane; returns
-    (admitted_requests, admitted, queued, rejected)."""
-    admitted = queued = rejected = 0
-    admitted_requests = []
+    Live (``profiles`` None), the control plane picks each site, and the
+    admitted services' profiles are drawn from the seeded stream in
+    admission order, so every run replays the identical workload. Pinned,
+    each profile is re-submitted to its site: per-site admission state
+    sees the coordinator's plan restricted to these sites, so anything
+    but :class:`~repro.control.Admitted` is an oracle divergence and
+    raises.
+    """
+    for t in range(cfg.tenants):
+        control.register_tenant(f"tenant-{t}", weight=1 + t % 3)
+    requests = []
+    if profiles is not None:
+        for profile in profiles:
+            outcome = control.submit(
+                profile.tenant, manifest,
+                service_id=profile.service_id, site=profile.site)
+            if not isinstance(outcome, Admitted):
+                raise RuntimeError(
+                    f"pinned replay of {profile.service_id} on "
+                    f"{profile.site} was not admitted: {outcome!r}")
+            requests.append(outcome.request)
+        return profiles, requests, (len(requests), 0, 0)
+    queued = rejected = 0
     for i in range(cfg.services):
-        out = control.submit(f"tenant-{i % cfg.tenants}", manifest,
-                             service_id=f"svc-{i}")
-        if isinstance(out, Admitted):
-            admitted += 1
-            admitted_requests.append(out.request)
-        elif isinstance(out, Queued):
+        outcome = control.submit(f"tenant-{i % cfg.tenants}", manifest,
+                                 service_id=f"svc-{i}")
+        if isinstance(outcome, Admitted):
+            requests.append(outcome.request)
+        elif isinstance(outcome, Queued):
             queued += 1
         else:
             rejected += 1
-    return admitted_requests, admitted, queued, rejected
-
-
-def _register_tenants(control: ControlPlane, cfg: ScaleConfig) -> None:
-    for t in range(cfg.tenants):
-        control.register_tenant(f"tenant-{t}", weight=1 + t % 3)
-
-
-def _draw_profiles(cfg: ScaleConfig, admitted_requests) -> list[SessionProfile]:
-    """Draw every admitted service's profile through the workload-generator
-    registry (:mod:`repro.scenarios.workloads`). Drawn centrally, in
-    admission order, from one seeded stream — the determinism contract
-    that makes sharded runs replay the identical workload."""
-    return draw_profiles(cfg, admitted_requests)
-
-
-def _install_chaos(env, cfg: ScaleConfig, site_names, veems,
-                   control: Optional[ControlPlane] = None,
-                   managers_by_site: Optional[dict] = None) -> None:
-    """Install the config's chaos events against the given sites (the
-    shard-local subset under ``procs > 1``). Must run before the warm-up
-    advance so event timers share the single-process epoch."""
-    if not cfg.chaos:
-        return
-    veems_by_site = dict(zip(site_names, veems))
-    owned = set(site_names)
-    local = [restricted for event in cfg.chaos
-             if (restricted := restrict_event(event, owned)) is not None]
-    if not local:
-        return
-    trace = control.trace if control is not None else veems[0].trace
-    install_chaos(env, local, veems_by_site=veems_by_site, control=control,
-                  managers_by_site=managers_by_site, trace=trace)
+    return (draw_profiles(cfg, requests), requests,
+            (len(requests), queued, rejected))
 
 
 # ---------------------------------------------------------------------------
-# Execution: single process (the differential oracle)
+# One federation run: the oracle, or one shard of a sharded run
 # ---------------------------------------------------------------------------
 
-def _run_scale_single(cfg: ScaleConfig, say,
-                      profiler=None) -> ScaleReport:
-    wall_start = time.perf_counter()
-    env = Environment(reference=cfg.reference)
-    if profiler is not None:
-        profiler.attach(env)
-    control = ControlPlane(env)
-    recorder = (FlightRecorder(control.trace, cfg.flight_recorder)
-                if cfg.flight_recorder > 0 else None)
+class FederationRun:
+    """The federation's stack over ``site_names``, driven through epochs.
 
-    say(f"building {cfg.sites} site(s) × {cfg.hosts_per_site} host(s) ...")
-    veems = []
-    site_names = [f"site-{s}" for s in range(cfg.sites)]
-    for name in site_names:
-        veem = _build_site_veem(env, cfg, name, control.trace)
-        veems.append(veem)
-        control.add_site(name, veem)
-    _register_tenants(control, cfg)
-    _install_chaos(env, cfg, site_names, veems, control=control,
-                   managers_by_site={cs.name: cs.manager
-                                     for cs in control.sites})
+    With ``profiles=None`` it admits every service live through its own
+    control plane: over all sites, that is the ``--procs 1`` oracle. Given
+    the coordinator's profiles it replays them as pinned submissions, then
+    takes the telemetry baseline: that is one shard worker
+    (:func:`make_shard`). Both modes build in one order — sites, chaos
+    restricted to them, admission, session drivers, warm-up, agents,
+    census, defrag — since the kernel orders same-instant events by
+    creation, and both report through :meth:`run_epoch` / :meth:`finish`.
+    """
 
-    manifest = _scale_manifest(cfg)
-    say(f"submitting {cfg.services} service(s) "
-        f"across {cfg.tenants} tenant(s) ...")
-    admitted_requests, admitted, queued, rejected = _submit_all(
-        control, cfg, manifest)
+    def __init__(self, cfg: ScaleConfig, site_names, *, shard: int = 0,
+                 profiles=None, profiler=None, say=lambda _msg: None):
+        self.cfg = cfg
+        self.shard = shard
+        self.site_names = tuple(site_names)
+        self._say = say
+        env = self.env = Environment(reference=cfg.reference)
+        if profiler is not None:
+            profiler.attach(env)
+        control = self.control = ControlPlane(env)
+        self.recorder = (FlightRecorder(control.trace, cfg.flight_recorder)
+                         if cfg.flight_recorder > 0 else None)
 
-    # Session tides: every service gets one burst; a seeded fraction bursts
-    # past the scale-up threshold and grows its app tier until the tide
-    # drains. Profiles are drawn deterministically from the seeded stream.
-    profiles = _draw_profiles(cfg, admitted_requests)
-    states = [_start_session_driver(env, profile, cfg)
-              for profile in profiles]
+        say(f"building {len(self.site_names)} site(s) × "
+            f"{cfg.hosts_per_site} host(s) ...")
+        self.veems = []
+        for name in self.site_names:
+            veem = _build_site_veem(env, cfg, name, control.trace)
+            self.veems.append(veem)
+            control.add_site(name, veem)
+        # Chaos goes in before any kernel advance so its delays line up
+        # with every other run's (timeouts are relative to install time).
+        chaos = [local for event in cfg.chaos
+                 if (local := restrict_event(event, self.site_names))
+                 is not None]
+        if chaos:
+            install_chaos(env, chaos,
+                          veems_by_site=dict(zip(self.site_names,
+                                                 self.veems)),
+                          control=control,
+                          managers_by_site={cs.name: cs.manager
+                                            for cs in control.sites})
 
-    say("deploying and wiring monitoring agents ...")
-    # Let the initial fleet deploy, then attach one agent per service so
-    # the KPI stream flows through each site's monitoring network.
-    env.run(until=WARMUP_S)
-    site_by_name = {s.name: s for s in control.sites}
-    for request, state in zip(admitted_requests, states):
-        if request.service is None:
-            continue
-        site = site_by_name[request.site]
-        _attach_agent(env, cfg, site.manager, request.service_id, state)
+        say(f"submitting {cfg.services} service(s) "
+            f"across {cfg.tenants} tenant(s) ...")
+        pinned = profiles is not None
+        profiles, requests, self.tally = _admit(
+            control, cfg, _scale_manifest(cfg), profiles)
+        # Telemetry baseline: a pinned replay just re-incremented the
+        # submission counters the coordinator's planning registry already
+        # holds, so this first (discarded) snapshot keeps them out of every
+        # shipped delta. The live run's registry is the federation's own
+        # and is read directly, never snapshotted.
+        self._cursor = None
+        if pinned:
+            self._cursor = SnapshotCursor()
+            self._cursor.snapshot(env.metrics)
 
-    samples: list = []
-    env.process(_vm_census(env, veems, samples, cfg.sample_period_s),
-                name="vm-census")
-    _start_defrag(env, cfg, veems)
+        # Session tides: every service gets one burst; a seeded fraction
+        # bursts past the scale-up threshold and grows its app tier until
+        # the tide drains.
+        states = []
+        for profile in profiles:
+            state = {"sessions": 30}
+            env.process(
+                _session_driver(env, state, profile,
+                                quiet_s=6 * cfg.monitor_period_s),
+                name=f"sessions:{profile.service_id}")
+            states.append(state)
 
-    say(f"running {cfg.hours:g} simulated hour(s) ...")
-    env.run(until=cfg.duration_s + cfg.settle_s)
+        say("deploying and wiring monitoring agents ...")
+        # Let the initial fleet deploy, then attach one agent per service so
+        # the KPI stream flows through each site's monitoring network.
+        env.run(until=WARMUP_S)
+        managers = {cs.name: cs.manager for cs in control.sites}
+        for request, state in zip(requests, states):
+            if request.service is None:
+                continue
+            agent = MonitoringAgent(env, service_id=request.service_id,
+                                    component="app",
+                                    network=managers[request.site].network)
+            agent.expose(SESSIONS_KPI, lambda s=state: s["sessions"],
+                         frequency_s=cfg.monitor_period_s, units="sessions")
+        self.samples: list = []
+        env.process(_vm_census(env, self.veems, self.samples,
+                               cfg.sample_period_s), name="vm-census")
+        if cfg.defrag_every_h > 0:
+            env.process(_defrag_passes(env, cfg, self.veems),
+                        name="defrag-pass")
+        self._audit_cursor = 0
+        self._audit_violated = False
 
-    violations: tuple = ()
-    if cfg.check_invariants:
-        say("checking invariants ...")
-        violations = tuple(str(v) for v in
-                           check_all(control, veems, control.trace,
-                                     metrics=env.metrics))
+    def _audit(self) -> tuple:
+        """Audit the rule firings closed since the last call, exactly once:
+        firings open and close within one dispatch, so every firing visible
+        here is final, and the span-id cursor never re-audits one. The
+        union across epochs equals a single end-of-run audit."""
+        trace = self.control.trace
+        findings = TimeConstraintAuditor(trace).audit(
+            min_span_id=self._audit_cursor).findings
+        if trace.spans:
+            self._audit_cursor = max(trace.spans) + 1
+        late = audit_violation_strings(findings)
+        if late:
+            self._audit_violated = True
+        metrics = self.env.metrics
+        metrics.counter("obs.audit.firings").inc(len(findings))
+        metrics.counter("obs.audit.violations").inc(len(late))
+        return tuple(findings)
 
-    # §4.2.3 time-constraint audit + the canonical metric view. Same
-    # counters, in the same order, as the sharded workers increment —
-    # the audit/invariant tallies land in the registry *before* the view
-    # is built, exactly as worker snapshots are taken after both.
-    audit_report = TimeConstraintAuditor(control.trace).audit()
-    audit_violations = tuple(audit_violation_strings(audit_report.findings))
-    env.metrics.counter("obs.audit.firings").inc(len(audit_report.findings))
-    env.metrics.counter("obs.audit.violations").inc(len(audit_violations))
-    metrics_view = canonical_view(env.metrics)
+    def _report(self, findings: tuple = (), **final) -> EpochReport:
+        return EpochReport(
+            shard=self.shard, now=self.env.now,
+            events_processed=self.env.events_processed,
+            metrics=(self._cursor.snapshot(self.env.metrics)
+                     if self._cursor is not None else None),
+            findings=findings, **final)
 
-    flight: tuple = ()
-    if recorder is not None:
-        if violations or audit_violations:
-            flight = recorder.snapshot()
-        recorder.close()
+    def _crash_dump(self, exc: BaseException):
+        """Dump the flight ring and raise an error naming the dump, chained
+        to ``exc`` (across the pipe, the coordinator's ShardError carries
+        it); without a recorder, re-raise ``exc`` unchanged."""
+        if self.recorder is None:
+            raise exc
+        path = os.path.join(
+            tempfile.gettempdir(),
+            f"repro-flight-shard{self.shard}-pid{os.getpid()}.jsonl")
+        try:
+            self.recorder.dump(path, reason=repr(exc))
+        except OSError:
+            raise exc from None
+        raise RuntimeError(
+            f"shard {self.shard} failed; flight recorder dumped to "
+            f"{path}") from exc
 
-    wall_s = time.perf_counter() - wall_start
-    depth_series = control.series["queue.depth"]
-    site_fleets = tuple(
-        (f"site-{s}", veems[s].table.active_count)
-        for s in range(cfg.sites))
-    return ScaleReport(
-        sites=cfg.sites, services=cfg.services, hours=cfg.hours,
-        reference=cfg.reference,
-        admitted=admitted, queued=queued, rejected=rejected,
-        peak_vms=_peak_of(samples),
-        peak_queue_depth=int(depth_series.maximum()),
-        events_processed=env.events_processed,
-        dead_skipped=env.dead_skipped,
-        wall_s=wall_s, peak_rss_kb=int(read_peak_rss_kb()),
-        procs=1,
-        final_vms=sum(count for _name, count in site_fleets),
-        site_fleets=site_fleets,
-        violations=violations,
-        metrics=metrics_view,
-        audit_findings=len(audit_report.findings),
-        audit_violations=audit_violations,
-        flight=flight,
-    )
+    def run_epoch(self, until: float) -> EpochReport:
+        """Advance to ``until``; report the epoch's audit findings and,
+        when pinned, the metric delta since the last report."""
+        try:
+            self.env.run(until=until)
+            if (self.cfg.check_invariants
+                    and until >= self.cfg.duration_s + self.cfg.settle_s):
+                # The simulated run is over; the checks start with this
+                # audit, so the message comes before it.
+                self._say("checking invariants ...")
+            return self._report(self._audit())
+        except Exception as exc:
+            self._crash_dump(exc)
+
+    def finish(self) -> EpochReport:
+        """The closing report, after the last epoch: invariants (their
+        tally lands in the registry), the flight snapshot if they or an
+        audit failed, and the payload — the metric snapshot last, so every
+        increment ships."""
+        try:
+            violations: list = []
+            if self.cfg.check_invariants:
+                violations = [
+                    str(v) for v in check_all(self.control, self.veems,
+                                              self.control.trace,
+                                              metrics=self.env.metrics)]
+            payload = {
+                "samples": self.samples,
+                "site_fleets": [
+                    (name, veem.table.active_count)
+                    for name, veem in zip(self.site_names, self.veems)],
+                "dead_skipped": self.env.dead_skipped,
+                "violations": violations,
+            }
+            if self.recorder is not None and (violations
+                                              or self._audit_violated):
+                payload["flight"] = self.recorder.snapshot()
+            return self._report(peak_rss_kb=read_peak_rss_kb(),
+                                payload=payload)
+        except Exception as exc:
+            self._crash_dump(exc)
 
 
-# ---------------------------------------------------------------------------
-# Execution: sharded across worker processes
-# ---------------------------------------------------------------------------
+def make_shard(spec: dict) -> FederationRun:
+    """The :class:`~repro.sim.ShardPool` factory: ``spec`` holds one
+    worker's :class:`FederationRun` arguments (module-level, so the spawn
+    pickler ships it by reference)."""
+    return FederationRun(**spec)
 
-def _run_scale_sharded(cfg: ScaleConfig, say) -> ScaleReport:
-    # Imported lazily: scale_worker imports this module for the shared
-    # building blocks, so the dependency must stay one-way at import time.
-    from ..sim import ShardPool, partition_round_robin
-    from .scale_worker import ShardSpec, make_shard
 
-    wall_start = time.perf_counter()
+def _fold(cfg: ScaleConfig, control: ControlPlane, tally: tuple,
+          epochs: list, finals: list, wall_start: float) -> ScaleReport:
+    """Fold the runs' epoch and closing reports into the federation's.
 
-    # Phase 1 — plan admission with the REAL control plane. The planning
-    # environment never runs: submission outcomes are decided synchronously
-    # at submit() time (there are no capacity releases during a scale run),
-    # so hostless sites with explicitly-shaped admission pools reproduce
-    # the single-process decisions exactly, without building any host or
-    # deploying any VM in the coordinator.
-    say(f"planning admission for {cfg.services} service(s) "
-        f"across {cfg.sites} site(s) ...")
-    plan_env = Environment()
-    plan_control = ControlPlane(plan_env)
-    site_names = [f"site-{s}" for s in range(cfg.sites)]
-    for name in site_names:
-        veem = VEEM(plan_env, name=name, trace=plan_control.trace)
-        plan_control.add_site(name, veem,
-                              pool_hosts=cfg.hosts_per_site,
-                              host_type=cfg.host_type)
-    _register_tenants(plan_control, cfg)
-    manifest = _scale_manifest(cfg)
-    admitted_requests, admitted, queued, rejected = _submit_all(
-        plan_control, cfg, manifest)
-    profiles = _draw_profiles(cfg, admitted_requests)
-    depth_series = plan_control.series["queue.depth"]
-
-    # Phase 2 — partition sites round-robin and ship each shard its pinned
-    # replay: the admission decisions (site bindings) and session profiles
-    # are the only cross-process traffic besides epoch barriers.
-    buckets = partition_round_robin(site_names, cfg.procs)
-    by_site: dict[str, list[SessionProfile]] = {name: [] for name in site_names}
-    for profile in profiles:
-        by_site[profile.site].append(profile)
-    specs = []
-    for shard, bucket in enumerate(buckets):
-        shard_profiles = [p for name in bucket for p in by_site[name]]
-        shard_profiles.sort(key=lambda p: p.service_index)
-        specs.append(ShardSpec(shard=shard, cfg=cfg,
-                               site_names=tuple(bucket),
-                               profiles=tuple(shard_profiles)))
-
-    say(f"running {cfg.hours:g} simulated hour(s) on "
-        f"{cfg.procs} worker process(es), epoch {cfg.epoch_s:g} s ...")
-    end = cfg.duration_s + cfg.settle_s
-    events_processed = 0
-    dead_skipped = 0
-    merged_findings: list = []
-
-    def fold_telemetry(report) -> None:
-        # Counter deltas, gauge finals and histogram tails from the shard
-        # fold into the coordinator's planning registry — which already
-        # holds the submission-time counters the workers baselined away —
-        # so the union is the same federation-wide view as ``procs=1``.
+    ``control`` is the plane that decided admission. Every report's metric
+    delta merges, in barrier order, into that plane's registry, which
+    already holds the submission counters the workers baselined away; its
+    audit findings join the union. Census samples share one time grid, so
+    the federation-wide fleet at each sample is the per-run sum. The
+    ``--procs 1`` oracle is the one-run case: its reports carry no
+    snapshot, so the view is its own registry as is.
+    """
+    registry = control.env.metrics
+    findings: list = []
+    for report in epochs + finals:
         if report.metrics:
-            plan_env.metrics.merge_snapshot(report.metrics)
-        merged_findings.extend(report.findings)
-
-    with ShardPool(make_shard, specs) as pool:
-        now = WARMUP_S
-        while now < end:
-            now = min(now + cfg.epoch_s, end)
-            for report in pool.epoch(now):
-                fold_telemetry(report)
-        finals = pool.stop()
-
-    # Phase 3 — merge: census samples share one time grid across shards,
-    # so the federation-wide fleet at each sample is the per-shard sum.
+            registry.merge_snapshot(report.metrics)
+        findings.extend(report.findings)
     merged: dict[float, int] = {}
-    fleet_by_site: dict[str, int] = {}
-    workers_rss_kb = 0
+    fleets: dict[str, int] = {}
     violations: list = []
-    flight_records: list = []
+    flight: list = []
     for report in finals:
-        events_processed += report.events_processed
-        dead_skipped += report.payload.get("dead_skipped", 0)
-        workers_rss_kb += report.peak_rss_kb
-        fold_telemetry(report)
         for t, total in report.payload["samples"]:
             merged[t] = merged.get(t, 0) + total
-        fleet_by_site.update(report.payload["site_fleets"])
-        violations.extend(report.payload.get("violations", ()))
-        for rec in report.payload.get("flight", ()):
-            flight_records.append(dict(rec, shard=report.shard))
-    flight_records.sort(key=lambda r: (r["time"], r["shard"]))
-    peak_vms = max(merged.values(), default=0)
-    site_fleets = tuple((name, fleet_by_site.get(name, 0))
-                        for name in site_names)
-    # Workers already incremented (and shipped) the audit counters; the
-    # coordinator only renders the union of their findings.
-    audit_violations = tuple(audit_violation_strings(merged_findings))
-    metrics_view = canonical_view(plan_env.metrics)
-
+        fleets.update(report.payload["site_fleets"])
+        violations.extend(report.payload["violations"])
+        flight.extend(dict(rec, shard=report.shard)
+                      for rec in report.payload.get("flight", ()))
+    flight.sort(key=lambda r: (r["time"], r["shard"]))
+    site_fleets = tuple((f"site-{s}", fleets.get(f"site-{s}", 0))
+                        for s in range(cfg.sites))
+    metrics_view = canonical_view(registry)
+    admitted, queued, rejected = tally
     wall_s = time.perf_counter() - wall_start
     return ScaleReport(
         sites=cfg.sites, services=cfg.services, hours=cfg.hours,
         reference=cfg.reference,
         admitted=admitted, queued=queued, rejected=rejected,
-        peak_vms=peak_vms,
-        peak_queue_depth=int(depth_series.maximum()),
-        events_processed=events_processed,
-        dead_skipped=dead_skipped,
+        peak_vms=max(merged.values(), default=0),
+        peak_queue_depth=int(control.series["queue.depth"].maximum()),
+        events_processed=sum(r.events_processed for r in finals),
+        dead_skipped=sum(r.payload["dead_skipped"] for r in finals),
         wall_s=wall_s,
-        peak_rss_kb=int(read_peak_rss_kb()) + workers_rss_kb,
+        # This process, plus the workers when they are processes of their
+        # own.
+        peak_rss_kb=read_peak_rss_kb() + (
+            sum(r.peak_rss_kb for r in finals) if cfg.procs > 1 else 0),
         procs=cfg.procs,
         final_vms=sum(count for _name, count in site_fleets),
         site_fleets=site_fleets,
         violations=tuple(violations),
         metrics=metrics_view,
-        audit_findings=len(merged_findings),
-        audit_violations=audit_violations,
-        flight=tuple(flight_records),
+        audit_findings=len(findings),
+        audit_violations=tuple(audit_violation_strings(findings)),
+        flight=tuple(flight),
     )
 
 
@@ -724,11 +725,57 @@ def run_scale(cfg: Optional[ScaleConfig] = None, *,
     """
     cfg = cfg or ScaleConfig()
     say = progress or (lambda _msg: None)
-    if cfg.procs > 1:
-        if profiler is not None:
-            raise ValueError("profiling requires procs=1")
-        return _run_scale_sharded(cfg, say)
-    return _run_scale_single(cfg, say, profiler=profiler)
+    if cfg.procs > 1 and profiler is not None:
+        raise ValueError("profiling requires procs=1")
+    wall_start = time.perf_counter()
+    end = cfg.duration_s + cfg.settle_s
+    site_names = [f"site-{s}" for s in range(cfg.sites)]
+    if cfg.procs == 1:
+        run = FederationRun(cfg, site_names, profiler=profiler, say=say)
+        say(f"running {cfg.hours:g} simulated hour(s) ...")
+        epochs = [run.run_epoch(end)]
+        return _fold(cfg, run.control, run.tally, epochs, [run.finish()],
+                     wall_start)
+
+    # Plan admission with the REAL control plane. The planning environment
+    # never runs: submission outcomes are decided synchronously at submit()
+    # time (there are no capacity releases during a scale run), so hostless
+    # sites with explicitly-shaped admission pools reproduce the oracle's
+    # decisions exactly, without building any host or deploying any VM in
+    # the coordinator.
+    say(f"planning admission for {cfg.services} service(s) "
+        f"across {cfg.sites} site(s) ...")
+    plan_env = Environment()
+    control = ControlPlane(plan_env)
+    for name in site_names:
+        control.add_site(name, VEEM(plan_env, name=name,
+                                    trace=control.trace),
+                         pool_hosts=cfg.hosts_per_site,
+                         host_type=cfg.host_type)
+    profiles, _requests, tally = _admit(control, cfg, _scale_manifest(cfg))
+
+    # Deal the sites round-robin; each worker gets its sites' profiles in
+    # global submission order. Those pinned replays and the epoch barriers
+    # are the only cross-process traffic.
+    specs = []
+    for shard, bucket in enumerate(partition_round_robin(site_names,
+                                                         cfg.procs)):
+        owned = set(bucket)
+        specs.append({"cfg": cfg, "site_names": tuple(bucket),
+                      "shard": shard,
+                      "profiles": tuple(p for p in profiles
+                                        if p.site in owned)})
+
+    say(f"running {cfg.hours:g} simulated hour(s) on "
+        f"{cfg.procs} worker process(es), epoch {cfg.epoch_s:g} s ...")
+    epochs = []
+    with ShardPool(make_shard, specs) as pool:
+        now = WARMUP_S
+        while now < end:
+            now = min(now + cfg.epoch_s, end)
+            epochs += pool.epoch(now)
+        finals = pool.stop()
+    return _fold(cfg, control, tally, epochs, finals, wall_start)
 
 
 def verify_against_oracle(cfg: ScaleConfig, *,

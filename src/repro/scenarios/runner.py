@@ -327,20 +327,30 @@ def run_experiment(name: str, *, sweep=(), seed: Optional[int] = None,
     if hours is not None:
         forced["hours"] = hours
 
+    # Configure every cell before running any, so a bad value anywhere in
+    # the grid fails fast, naming its cell.
+    configured = []
+    for index, cell in enumerate(cells):
+        merged = {**cell, **{k: v for k, v in forced.items()
+                             if k not in cell}}
+        label = " ".join(f"{k}={v}" for k, v in sorted(merged.items()))
+        try:
+            cfg = scenario.configure(merged)
+        except (TypeError, ValueError) as exc:
+            raise WorkloadError(
+                f"cell {index} ({label or 'defaults'}): {exc}") from exc
+        configured.append((merged, label, cfg))
+
     directory = None
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
 
+    # The grid always has a cell; the first one's seed names the run.
+    run_seed = configured[0][2].random_seed
     results = []
     records = []
-    run_seed = None
-    for index, cell in enumerate(cells):
-        merged = {**cell, **{k: v for k, v in forced.items()
-                             if k not in cell}}
-        cfg = scenario.configure(merged)
-        run_seed = cfg.random_seed if run_seed is None else run_seed
-        label = " ".join(f"{k}={v}" for k, v in sorted(merged.items()))
+    for index, (merged, label, cfg) in enumerate(configured):
         say(f"[{index + 1}/{len(cells)}] {name} {label or '(defaults)'}")
         report = run_scale(cfg)
         flight_path = None
@@ -361,9 +371,6 @@ def run_experiment(name: str, *, sweep=(), seed: Optional[int] = None,
         status = "ok" if result.ok else "INVARIANT VIOLATION"
         say(f"    admitted={report.admitted} peak_vms={report.peak_vms} "
             f"wall={report.wall_s:.1f}s {status}")
-
-    if run_seed is None:   # empty grid can't happen, but stay total
-        run_seed = ScaleConfig().random_seed
 
     jsonl_path = None
     if directory is not None:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from heapq import heappop, heappush
+from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -590,7 +591,7 @@ class Environment:
         #: :attr:`metrics`.
         self._metrics: Optional[Any] = None
         #: Optional per-event profiling hook; see :meth:`profile`. When set,
-        #: :meth:`run` routes through the instrumented drain loop.
+        #: :meth:`run` times each dispatch and reports it to the hook.
         self._profile_cb: Optional[Any] = None
         #: ``env.timeout(delay, value=None)`` — a specialised closure rather
         #: than a method; see :func:`_make_timeout_factory`.
@@ -786,8 +787,6 @@ class Environment:
         the clock would pass it), or an :class:`Event` (run until it fires and
         return its value).
         """
-        if self._profile_cb is not None:
-            return self._run_profiled(until)
         if self._draining:
             raise SimError("run() is not reentrant")
         stop_event: Optional[Event] = None
@@ -803,9 +802,11 @@ class Environment:
 
         # The drain loop is the single hottest path in the harness: queue
         # state is bound locally and the common dispatch (one callback, event
-        # ok) is branch-minimal. The dispatch tally is written back in the
-        # finally so an exception (or an until= return) leaves the counters
-        # and queue resumable.
+        # ok) is branch-minimal; the profiling hook is read once, so an
+        # unprofiled dispatch pays one ``hook is not None`` test for it. The
+        # dispatch tally is written back in the finally so an exception (or
+        # an until= return) leaves the counters and queue resumable.
+        hook = self._profile_cb
         times = self._times
         buckets = self._buckets
         urgent = self._urgent
@@ -859,7 +860,12 @@ class Environment:
                 callbacks = event.callbacks
                 event.callbacks = None
                 if callbacks:
-                    if len(callbacks) == 1:
+                    if hook is not None:
+                        t0 = perf_counter()
+                        for callback in callbacks:
+                            callback(event)
+                        hook(event, callbacks, perf_counter() - t0)
+                    elif len(callbacks) == 1:
                         callbacks[0](event)
                     else:
                         for callback in callbacks:
@@ -868,104 +874,11 @@ class Environment:
                         raise event._value
                 elif event.dead:
                     dead_skipped += 1
+                    if hook is not None:
+                        hook(event, None, 0.0)
                 elif not event._ok and not event.defused:
                     raise event._value
-        finally:
-            self._draining = False
-            self._until = None
-            self._events_done += done
-            self._dead_skipped += dead_skipped
-
-        if stop_event is not None:
-            if stop_event.processed:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            raise SimError("simulation ended before the awaited event fired")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-    def _run_profiled(self, until: Optional[float | Event] = None) -> Any:
-        """:meth:`run` with the profiling hook: a faithful copy of the
-        drain loop (same ``_draining`` cascade batching, same urgent-first
-        picks, same batch adoption) that additionally times each dispatch
-        with ``perf_counter`` and feeds the hook. Kept separate so the
-        unprofiled hot path stays branch-minimal.
-        """
-        from time import perf_counter
-        if self._draining:
-            raise SimError("run() is not reentrant")
-        hook = self._profile_cb
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
-
-        times = self._times
-        buckets = self._buckets
-        urgent = self._urgent
-        live_n = self._live_n
-        live_u = self._live_u
-        pop_n = live_n.popleft
-        pop_u = live_u.popleft
-        done = 0
-        dead_skipped = 0
-        self._draining = True
-        self._until = stop_time
-        try:
-            while True:
-                if stop_event is not None and stop_event.callbacks is None:
-                    if not stop_event._ok:
-                        raise stop_event._value
-                    return stop_event._value
-                if live_u:
-                    event = pop_u()
-                elif live_n:
-                    event = pop_n()
-                else:
-                    self._events_done += done
-                    done = 0
-                    if not times:
-                        break
-                    t = times[0]
-                    if t > stop_time:
-                        self._now = stop_time
-                        return None
-                    heappop(times)
-                    while times and times[0] == t:
-                        heappop(times)
-                    self._now = t
-                    bucket = buckets.pop(t, None)
-                    if bucket is not None:
-                        live_n.extend(bucket)
-                    bucket = urgent.pop(t, None) if urgent else None
-                    if bucket is not None:
-                        live_u.extend(bucket)
-                    continue
-
-                done += 1
-                callbacks = event.callbacks
-                event.callbacks = None
-                if callbacks:
-                    t0 = perf_counter()
-                    for callback in callbacks:
-                        callback(event)
-                    hook(event, callbacks, perf_counter() - t0)
-                    if not event._ok and not event.defused:
-                        raise event._value
-                elif event.dead:
-                    dead_skipped += 1
-                    hook(event, None, 0.0)
-                elif not event._ok and not event.defused:
-                    raise event._value
-                else:
+                elif hook is not None:
                     hook(event, None, 0.0)
         finally:
             self._draining = False

@@ -2,6 +2,7 @@
 verdicts, and the CLI wiring."""
 
 import json
+from time import perf_counter
 
 import pytest
 
@@ -134,6 +135,16 @@ def test_unknown_scenario_rejected():
         run_experiment("no-such-scenario", out_dir=None)
 
 
+def test_bad_cell_fails_before_any_cell_runs(tmp_path):
+    """Every cell is configured before the first one runs: a bad value in
+    the last cell is a typed error naming that cell, and nothing ran."""
+    ran = []
+    with pytest.raises(WorkloadError, match=r"cell 1 \(sites=0\)"):
+        run_experiment("baseline", sweep=["sites=2,0"],
+                       out_dir=str(tmp_path / "runs"), progress=ran.append)
+    assert ran == [] and not (tmp_path / "runs").exists()
+
+
 def test_run_without_out_dir_writes_nothing():
     result = run_experiment("baseline", sweep=FAST, seed=3, out_dir=None)
     assert result.jsonl_path is None and result.ok
@@ -186,6 +197,19 @@ def test_cli_experiment_smoke(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "experiment flash-crowd" in out and "ok" in out
     assert (tmp_path / "flash-crowd-seed7.jsonl").exists()
+
+
+@pytest.mark.parametrize("axis", ["sample_period_s=0", "vm_cpu=0"])
+def test_cli_bad_cell_config_exits_2(axis, tmp_path, capsys):
+    """Values that once hung the census or divided by zero while sizing
+    the sites now fail up front with a typed error."""
+    t0 = perf_counter()
+    assert main(["experiment", "baseline", "--sweep", axis,
+                 "--out", str(tmp_path)]) == 2
+    assert perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cell 0 ({axis}): ")
+    assert "Traceback" not in err
 
 
 def test_cli_unknown_scenario_exits_2(capsys):

@@ -1,12 +1,18 @@
 """Tests for the federation scale harness (``python -m repro scale``)."""
 
+import dataclasses
+import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import ScaleConfig, ScaleReport, run_scale
+from repro.experiments import scale
 from repro.experiments.scale import SESSIONS_KPI, verify_against_oracle
 from repro.sim import read_peak_rss_kb
 
@@ -28,6 +34,14 @@ def test_config_validation():
         ScaleConfig(tenants=0)
     with pytest.raises(ValueError):
         ScaleConfig(elastic_fraction=1.5)
+    for field in ("monitor_period_s", "sample_period_s", "host_cpu",
+                  "host_memory_mb", "vm_cpu", "vm_memory_mb"):
+        with pytest.raises(ValueError):
+            ScaleConfig(**{field: 0.0})
+    with pytest.raises(ValueError):
+        ScaleConfig(max_instances=0)
+    with pytest.raises(ValueError, match="warm-up"):
+        ScaleConfig(hours=0.01)
 
 
 def test_config_pool_sizing_admits_whole_ceiling():
@@ -122,6 +136,58 @@ def test_cli_scale_smoke():
     assert "per 1k VMs" in out.stdout
 
 
+@pytest.mark.parametrize("argv", [["--sites", "0"], ["--procs", "0"],
+                                  ["--monitor-period", "0"]])
+def test_cli_scale_bad_config_is_a_typed_error(argv, capsys):
+    t0 = perf_counter()
+    assert main(["scale", *argv]) == 2
+    assert perf_counter() - t0 < 1.0      # rejected before anything is built
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_progress_messages_name_the_phases_in_order():
+    """The end-to-end benchmark splits a run's phases on the first word of
+    each progress message, so those words and their order are a contract."""
+    def phases(**overrides):
+        words = []
+        run_scale(ScaleConfig(sites=2, services=8, hours=0.25, random_seed=3,
+                              check_invariants=True, **overrides),
+                  progress=lambda msg: words.append(msg.split(" ", 1)[0]))
+        return words
+
+    assert phases() == ["building", "submitting", "deploying", "running",
+                        "checking"]
+    assert phases(procs=2) == ["planning", "running"]
+
+
+def test_crash_dumps_the_flight_recorder(monkeypatch, tmp_path):
+    """A run that raises dumps its flight ring and raises an error naming
+    the dump, chained to the original; without a recorder the original
+    error propagates unchanged."""
+    boom = RuntimeError("invariant sweep exploded")
+
+    def explode(*_args, **_kwargs):
+        raise boom
+
+    monkeypatch.setattr(scale, "check_all", explode)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    cfg = ScaleConfig(sites=2, services=8, hours=0.25, random_seed=3,
+                      check_invariants=True)
+    with pytest.raises(RuntimeError, match="flight recorder dumped") as info:
+        run_scale(cfg)
+    assert info.value.__cause__ is boom
+    (dump,) = tmp_path.glob("repro-flight-*.jsonl")
+    assert str(dump) in str(info.value)
+    header = json.loads(dump.read_text().splitlines()[0])
+    assert header["record"] == "flight"
+    assert header["reason"] == repr(boom)
+
+    with pytest.raises(RuntimeError) as info:
+        run_scale(dataclasses.replace(cfg, flight_recorder=0))
+    assert info.value is boom
+
+
 def test_sessions_kpi_name_is_stable():
     # The manifest rules and the monitoring agents must agree on this name.
     assert SESSIONS_KPI == "scale.app.sessions"
@@ -185,6 +251,20 @@ def test_sharded_more_procs_than_sites():
     sharded = run_scale(ScaleConfig(sites=2, services=8, hours=0.25,
                                     random_seed=3, procs=3))
     assert sharded.decision_outcomes() == single.decision_outcomes()
+
+
+def test_sharded_defrag_matches_oracle():
+    """--defrag-every stays decision-identical under sharding — and the
+    passes really migrate VMs, so the agreement is not vacuous."""
+    cfg = ScaleConfig(sites=4, services=40, hours=1, tenants=4,
+                      random_seed=7, procs=2, epoch_s=300,
+                      defrag_every_h=0.1, check_invariants=True)
+    sharded, oracle, divergences = verify_against_oracle(cfg)
+    assert divergences == []
+    assert sharded.violations == oracle.violations == ()
+    migrations = sum(value for key, value in oracle.metrics.items()
+                     if key.startswith("cloud.veem.migrations"))
+    assert migrations > 0
 
 
 def test_cli_scale_verify_oracle_smoke():

@@ -3,10 +3,11 @@
 The calendar-queue kernel (`Environment()`) must be *observationally
 identical* to the reference heap kernel (`Environment(reference=True)`):
 same event orderings, same clock, same final states, same event counts —
-byte-identical logs on any seeded workload. These tests run randomized
-process mixes (timeouts, zero-delay cascades, AnyOf/AllOf races with
-abandoned losers, interrupts, resource and store waits) through both
-kernels and compare serialized transcripts.
+byte-identical logs on any seeded workload. So must its drain with a
+profiling hook installed (`Environment.profile`). These tests run
+randomized process mixes (timeouts, zero-delay cascades, AnyOf/AllOf races
+with abandoned losers, interrupts, resource and store waits) through all
+three and compare serialized transcripts.
 """
 
 import json
@@ -27,12 +28,17 @@ from repro.sim import (  # noqa: E402
 )
 
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.5, 7.0)
+KERNELS = ("calendar", "profiled", "reference")
 
 
-def _run_mix(seed: int, n_workers: int, *, reference: bool) -> str:
-    """One seeded multi-process scenario; returns a serialized transcript
-    of everything observable (event order, clock, counters, final state)."""
-    env = Environment(reference=reference)
+def _run_mix(seed: int, n_workers: int, *, kernel: str) -> str:
+    """One seeded multi-process scenario on ``kernel`` (one of
+    :data:`KERNELS`); returns a serialized transcript of everything
+    observable (event order, clock, counters, final state)."""
+    env = Environment(reference=kernel == "reference")
+    hooked: list = []
+    if kernel == "profiled":
+        env.profile(lambda event, callbacks, wall_s: hooked.append(event))
     log: list = []
     resource = Resource(env, capacity=max(1, n_workers // 3))
     store = Store(env)
@@ -105,6 +111,9 @@ def _run_mix(seed: int, n_workers: int, *, reference: bool) -> str:
         procs.append(env.process(worker(wid, rng.randrange(2**31)),
                                  name=f"w{wid}"))
     env.run(until=500.0)
+    if kernel == "profiled":
+        # the hook sees every dispatch, dead skips included
+        assert len(hooked) == env.events_processed
     return json.dumps({
         "now": env.now,
         "events": env.events_processed,
@@ -124,19 +133,21 @@ def test_reference_flag_selects_heap_kernel():
 @given(seed=st.integers(0, 2**32 - 1), n_workers=st.integers(2, 12))
 def test_wheel_matches_heap_on_random_mixes(seed, n_workers):
     """Byte-identical transcripts on randomized seeded process mixes."""
-    assert (_run_mix(seed, n_workers, reference=False)
-            == _run_mix(seed, n_workers, reference=True))
+    calendar, profiled, reference = (_run_mix(seed, n_workers, kernel=k)
+                                     for k in KERNELS)
+    assert calendar == profiled == reference
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2010, 99991])
 def test_wheel_matches_heap_on_pinned_seeds(seed):
     """A fast pinned-seed subset that runs even without randomization."""
-    assert (_run_mix(seed, 8, reference=False)
-            == _run_mix(seed, 8, reference=True))
+    calendar, profiled, reference = (_run_mix(seed, 8, kernel=k)
+                                     for k in KERNELS)
+    assert calendar == profiled == reference
 
 
 def test_wheel_matches_heap_replays_itself():
     """Each kernel is also self-deterministic across repeat runs."""
-    for reference in (False, True):
-        assert (_run_mix(1234, 6, reference=reference)
-                == _run_mix(1234, 6, reference=reference))
+    for kernel in KERNELS:
+        assert (_run_mix(1234, 6, kernel=kernel)
+                == _run_mix(1234, 6, kernel=kernel))

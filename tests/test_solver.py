@@ -580,10 +580,10 @@ def test_migration_plan_replay_catches_oversubscription():
 
 
 def test_scale_harness_defrag_hook():
-    from repro.experiments.scale import ScaleConfig, _run_scale_single
+    from repro.experiments.scale import ScaleConfig, run_scale
     cfg = ScaleConfig(sites=2, services=12, hours=0.5, tenants=2,
                       defrag_every_h=0.2)
-    report = _run_scale_single(cfg, lambda m: None)
+    report = run_scale(cfg)
     assert report.admitted == 12
     with pytest.raises(ValueError, match="defrag_every_h"):
         ScaleConfig(sites=1, services=1, hours=0.1, defrag_every_h=-1.0)

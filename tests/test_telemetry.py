@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.scale import ScaleConfig, run_scale
+from repro.experiments.scale import FederationRun, ScaleConfig, run_scale
 from repro.obs import (
     FlightRecorder,
     MetricError,
@@ -354,38 +354,12 @@ def test_incremental_audit_is_exactly_once():
     """Per-epoch audits with a span-id cursor must union to the same
     findings as one end-of-run audit."""
     cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0)
-    # one full single-process run, then replay its trace in two cursor
-    # chunks: the real worker advances the cursor between epochs; here
-    # the same contract is checked on a finished trace split by span id.
-    from repro.control import ControlPlane
-    from repro.experiments.scale import (
-        _draw_profiles, _scale_manifest, _start_session_driver,
-        _submit_all, _attach_agent, _build_site_veem, _register_tenants,
-        WARMUP_S)
-    env = Environment()
-    control = ControlPlane(env)
-    veems = []
-    for name in ("site-0", "site-1"):
-        veem = _build_site_veem(env, cfg, name, control.trace)
-        veems.append(veem)
-        control.add_site(name, veem)
-    _register_tenants(control, cfg)
-    requests, *_ = _submit_all(control, cfg, _scale_manifest(cfg))
-    states = [_start_session_driver(env, p, cfg)
-              for p in _draw_profiles(cfg, requests)]
-    env.run(until=WARMUP_S)
-    site_by_name = {s.name: s for s in control.sites}
-    for request, state in zip(requests, states):
-        if request.service is not None:
-            _attach_agent(env, cfg, site_by_name[request.site].manager,
-                          request.service_id, state)
-    auditor = TimeConstraintAuditor(control.trace)
-    env.run(until=cfg.duration_s / 2)
-    first = auditor.audit(min_span_id=0).findings
-    cursor = max(control.trace.spans) + 1 if control.trace.spans else 0
-    env.run(until=cfg.duration_s + cfg.settle_s)
-    second = auditor.audit(min_span_id=cursor).findings
-    full = auditor.audit().findings
+    # the audit a run performs at each epoch barrier, split mid-run, against
+    # one audit of the finished trace
+    run = FederationRun(cfg, ("site-0", "site-1"))
+    first = run.run_epoch(cfg.duration_s / 2).findings
+    second = run.run_epoch(cfg.duration_s + cfg.settle_s).findings
+    full = TimeConstraintAuditor(run.control.trace).audit().findings
     assert len(first) + len(second) == len(full)
     assert len(full) > 0             # the run actually fired rules
     assert (audit_violation_strings(first + second)
