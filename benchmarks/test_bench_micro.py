@@ -7,6 +7,8 @@ and rule-engine passes — the operations whose cost bounds how large a
 simulated cloud the harness can drive.
 """
 
+import itertools
+
 import pytest
 
 from repro.core.manifest import parse_expression
@@ -281,7 +283,9 @@ def test_rule_engine_sparse_churn(benchmark):
     """Pass cost must track the *dirty* rule count, not the installed count.
 
     100 installed rules, but each iteration dirties exactly one KPI: the
-    incremental engine should evaluate ~1 rule per pass.
+    incremental engine should evaluate ~1 rule per pass. Only a changed
+    value dirties a KPI, so the iterations alternate two values that both
+    keep the rule cold.
     """
     from repro.core.manifest import ElasticityRule
     from repro.core.service_manager import RuleInterpreter
@@ -294,10 +298,13 @@ def test_rule_engine_sparse_churn(benchmark):
             f"rule-{i}", f"(@kpi.stream{i} > {n}) && (@kpi.stream{i} < {2 * n})",
             "notify()", defaults={f"kpi.stream{i}": 0}))
     interp.evaluate_rules()  # settle: every fresh rule goes cold
-    churn = Measurement("kpi.stream42", "svc", "p", 0.0, (3,))
+    churn = itertools.cycle([
+        Measurement("kpi.stream42", "svc", "p", 0.0, (3,)),
+        Measurement("kpi.stream42", "svc", "p", 0.0, (4,)),
+    ])
 
     def one_dirty_pass():
-        interp.notify(churn)
+        interp.notify(next(churn))
         interp.evaluate_rules()
 
     benchmark(one_dirty_pass)

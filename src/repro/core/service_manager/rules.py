@@ -24,8 +24,9 @@ Incremental evaluation
 
 A pass no longer re-evaluates every installed rule. At install time each
 rule's KPI reference list is resolved once into a KPI→rules inverted index;
-``notify()`` marks the measurement's qualified name *dirty*. A pass then
-considers only:
+``notify()`` marks the measurement's qualified name *dirty* when its values
+differ from the stored latest sample's (or it is the KPI's first). A pass
+then considers only:
 
 * rules referencing a KPI dirtied since the last pass,
 * *hot* rules — those whose last evaluation held (fired, was refused by the
@@ -36,12 +37,16 @@ considers only:
   references, or no KPI references at all: their conditions can change with
   the clock alone, so they are checked on every pass.
 
-A rule whose last evaluation was false and whose KPIs are untouched is
-provably still false (conditions are pure functions of the latest-value
-store for non-periodic rules), so skipping it cannot change the firing
-journal. ``RuleInterpreter(..., incremental=False, compiled=False)``
-restores the evaluate-everything tree-walking engine for differential
-validation.
+A rule whose last evaluation was false and whose KPIs' values are
+unchanged is provably still false (conditions are pure functions of
+``float(latest.value)`` per KPI for non-periodic rules, and equal values
+give equal floats), so skipping it cannot change the firing journal.
+``RuleInterpreter(..., incremental=False, compiled=False)`` restores the
+evaluate-everything tree-walking engine for differential validation. A
+compiled condition may skip an operand that is total for numeric values;
+a rule reading a KPI whose latest value is not numeric (a string, say) is
+therefore evaluated by the interpreter, which reads every KPI and raises
+as the reference engine does.
 
 Idle ticks
 ----------
@@ -72,6 +77,17 @@ __all__ = ["RuleFiring", "RuleInterpreter"]
 #: Executes one action; returns True if the action was actually carried out
 #: (False = refused, e.g. scale-down with nothing left to remove).
 ActionExecutor = Callable[[ElasticityAction, ElasticityRule], bool]
+
+
+def _readable(values: tuple) -> bool:
+    """Whether a condition can read a sample with these values: the first
+    is ``None`` (the KPI's default applies) or converts to a float."""
+    try:
+        if values[0] is not None:
+            float(values[0])
+    except Exception:   # no values, or no float reading of the first
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -130,8 +146,10 @@ class RuleInterpreter:
         self._seq = 0
         #: KPI qualified name → installed rules referencing it
         self._kpi_index: dict[str, list[_InstalledRule]] = {}
-        #: KPIs with a new measurement since the last evaluation pass
+        #: KPIs whose latest values changed since the last evaluation pass
         self._dirty: set[str] = set()
+        #: KPIs whose latest sample a condition cannot read as a number
+        self._unreadable: set[str] = set()
         self._periodic: list[_InstalledRule] = []
         self._hot: dict[str, _InstalledRule] = {}
         self._context = EvaluationContext(latest=self._bindings,
@@ -248,16 +266,26 @@ class RuleInterpreter:
     def notify(self, measurement: Measurement) -> None:
         if measurement.service_id != self.service_id:
             return  # multiple service instances operate independently
-        self.store.notify(measurement)
+        previous = self.store.notify(measurement)
         self.journal.notify(measurement)
-        if measurement.qualified_name in self._kpi_index:
-            self._dirty.add(measurement.qualified_name)
+        name = measurement.qualified_name
+        # A sample repeating the stored values cannot change any condition
+        # that reads only the latest values (DESIGN.md §9).
+        changed = previous is None or previous.values != measurement.values
+        if changed:
+            if _readable(measurement.values):
+                self._unreadable.discard(name)
+            else:
+                self._unreadable.add(name)
+        if name in self._kpi_index:
+            if changed:
+                self._dirty.add(name)
             # Delivery is synchronous from the publisher's span scope, so the
             # ambient span here *is* the KPI publication — remember it as the
             # causal parent for any firing this measurement enables.
             span = self.env.current_span
             if span is not None:
-                self._kpi_spans[measurement.qualified_name] = span
+                self._kpi_spans[name] = span
 
     def subscribe_to(self, network: DistributionFramework):
         subscription = network.subscribe(self.notify,
@@ -391,6 +419,7 @@ class RuleInterpreter:
             work = list(self._rules.values())
         dirty_kpis = len(self._dirty)
         self._dirty.clear()
+        unreadable = self._unreadable
         fired: list[RuleFiring] = []
         evaluated = 0
         cooldown_skipped = 0
@@ -404,8 +433,13 @@ class RuleInterpreter:
                 cooldown_skipped += 1
                 continue
             evaluated += 1
+            cond = installed.cond
+            if unreadable and not installed.refs.isdisjoint(unreadable):
+                # The compiled closure may short-circuit past the read that
+                # fails; the interpreter reads every KPI, as a full pass does.
+                cond = rule.trigger.expression.interpret
             try:
-                holds = installed.cond(context) > 0.0
+                holds = cond(context) > 0.0
             except Exception as exc:
                 self.trace.emit("rule-engine", "rule.error",
                                 rule=rule.name, service=self.service_id,

@@ -33,6 +33,11 @@ paths sit on top:
   (seqno, timestamp, value count) is one precompiled struct, and each value
   is encoded through a table keyed on its exact Python type; anything else
   goes through :func:`encode_value`, so errors keep their type.
+* the same prefix is a stream's identity on the receiving side: a fabric
+  finds where it ends from the three string-length words alone
+  (:func:`_prefix_end`), looks its bytes up among the prefixes the strict
+  decoder already accepted, and decodes only the tail
+  (:func:`_decode_stream`).
 
 Every malformed-input path raises :class:`CodecError` — never a bare
 ``struct.error``, ``IndexError`` or ``UnicodeDecodeError`` — so consumers
@@ -45,7 +50,7 @@ import json
 import struct
 from typing import Any, Callable, NamedTuple
 
-from .measurements import AttributeType, Measurement
+from .measurements import AttributeType, Measurement, _build_measurement
 
 __all__ = [
     "CodecError",
@@ -310,6 +315,17 @@ _ENCODERS_BY_TYPE: dict[type, Callable[[Any], bytes]] = {
 }
 
 
+def _identity_prefix(qualified_name: str, service_id: str,
+                     probe_id: str) -> bytes:
+    """The encoded identity prefix of one stream: magic, version, then the
+    qualified name, service id and probe id strings, constant across the
+    stream's packets."""
+    return (_HEADER_PREFIX
+            + encode_value(qualified_name, AttributeType.STRING)
+            + encode_value(service_id, AttributeType.STRING)
+            + encode_value(probe_id, AttributeType.STRING))
+
+
 class PacketEncoder:
     """Per-probe encoder caching the constant header prefix.
 
@@ -327,12 +343,7 @@ class PacketEncoder:
         self.qualified_name = qualified_name
         self.service_id = service_id
         self.probe_id = probe_id
-        self._prefix = (
-            _HEADER_PREFIX
-            + encode_value(qualified_name, AttributeType.STRING)
-            + encode_value(service_id, AttributeType.STRING)
-            + encode_value(probe_id, AttributeType.STRING)
-        )
+        self._prefix = _identity_prefix(qualified_name, service_id, probe_id)
 
     def encode(self, m: Measurement) -> bytes:
         if (m.qualified_name != self.qualified_name
@@ -364,28 +375,17 @@ class PacketEncoder:
         return b"".join(parts)
 
 
-def _decode_tail_fast(buf: bytes, offset: int):
-    """Inline parse of the canonical packet tail (string probe id, hyper
-    seqno, double timestamp) — the layout :func:`encode_measurement` always
-    produces. Returns ``None`` on any other layout or irregularity so the
-    caller can fall back to the strict per-value dispatch."""
+def _decode_field(buf: bytes, offset: int, tag: int, field: str):
+    """Decode one tail field that the encoder always writes as ``tag``;
+    any other wire type is a :class:`CodecError` naming the field."""
     try:
-        if buf[offset] != _STR_TAG:
-            return None
-        (length,) = _U32.unpack_from(buf, offset + 1)
-        start = offset + 5
-        end = start + length
-        offset = end + (-length % 4)
-        # 18 = two tag bytes + 8-byte hyper + 8-byte double
-        if (offset + 18 > len(buf) or buf[offset] != _LONG_TAG
-                or buf[offset + 9] != _DOUBLE_TAG):
-            return None
-        probe_id = buf[start:end].decode("utf-8")
-        (seqno,) = _I64.unpack_from(buf, offset + 1)
-        (timestamp,) = _F64.unpack_from(buf, offset + 10)
-        return probe_id, seqno, timestamp, offset + 18
-    except (struct.error, UnicodeDecodeError, IndexError):
-        return None
+        found = buf[offset]
+    except IndexError:
+        raise CodecError(f"truncated buffer: no {field}") from None
+    if found != tag:
+        raise CodecError(f"malformed {field}: expected a {_TYPES[tag].value}"
+                         f" (tag {tag:#x}), found tag {found:#x}")
+    return _DECODERS[tag](buf, offset + 1)
 
 
 def decode_measurement(buf: bytes, *,
@@ -394,21 +394,16 @@ def decode_measurement(buf: bytes, *,
 
     A caller that already routed the packet via :func:`peek_header` can pass
     that header back to resume the decode at ``body_offset`` instead of
-    re-parsing the preamble and routing strings.
+    re-parsing the preamble and routing strings. The probe id, seqno and
+    timestamp must carry the wire types the encoder writes (string, hyper,
+    double).
     """
     if header is None:
-        _check_preamble(buf)
-        qname, offset = decode_value(buf, 8)
-        service_id, offset = decode_value(buf, offset)
-    else:
-        qname, service_id, offset = header
-    tail = _decode_tail_fast(buf, offset)
-    if tail is not None:
-        probe_id, seqno, timestamp, offset = tail
-    else:
-        probe_id, offset = decode_value(buf, offset)
-        seqno, offset = decode_value(buf, offset)
-        timestamp, offset = decode_value(buf, offset)
+        header = peek_header(buf)
+    qname, service_id, offset = header
+    probe_id, offset = _decode_field(buf, offset, _STR_TAG, "probe id")
+    seqno, offset = _decode_field(buf, offset, _LONG_TAG, "seqno")
+    timestamp, offset = _decode_field(buf, offset, _DOUBLE_TAG, "timestamp")
     try:
         (count,) = _U32.unpack_from(buf, offset)
     except struct.error as exc:
@@ -425,6 +420,53 @@ def decode_measurement(buf: bytes, *,
         )
     except (TypeError, ValueError) as exc:
         raise CodecError(f"malformed measurement fields: {exc}") from exc
+
+
+_unpack_u32 = _U32.unpack_from
+
+
+def _prefix_end(buf: bytes) -> int:
+    """Offset just past a packet's identity prefix (magic through the probe
+    id string), found from the three string-length words alone; nothing is
+    decoded or checked. Raises ``struct.error`` when a length word lies past
+    the end of ``buf``."""
+    (length,) = _unpack_u32(buf, 9)
+    end = 13 + length + (-length % 4)
+    (length,) = _unpack_u32(buf, end + 1)
+    end += 5 + length + (-length % 4)
+    (length,) = _unpack_u32(buf, end + 1)
+    return end + 5 + length + (-length % 4)
+
+
+_unpack_tail = _TAIL.unpack_from
+_TAIL_SIZE = _TAIL.size
+
+
+def _decode_stream(buf: bytes, end: int, key: tuple[str, str],
+                   probe_id: str) -> Measurement:
+    """Decode a packet whose ``buf[:end]`` is an identity prefix that
+    :func:`decode_measurement` accepted, with routing key ``key`` and probe
+    id ``probe_id``: only the tail is parsed, and the measurement shares the
+    stream's identity strings. A tail the struct cannot take re-runs
+    :func:`decode_measurement`, which raises the precise :class:`CodecError`.
+    """
+    try:
+        seqno_tag, seqno, stamp_tag, timestamp, count = _unpack_tail(buf, end)
+    except struct.error:
+        seqno_tag = stamp_tag = None
+    if seqno_tag != _LONG_TAG or stamp_tag != _DOUBLE_TAG:
+        return decode_measurement(buf)
+    offset = end + _TAIL_SIZE
+    if count == 1:
+        values = (decode_value(buf, offset)[0],)
+    else:
+        values = []
+        for _ in range(count):
+            value, offset = decode_value(buf, offset)
+            values.append(value)
+        values = tuple(values)
+    return _build_measurement(key[1], key[0], probe_id, timestamp, values,
+                              seqno)
 
 
 def naive_json_size(m: Measurement, attribute_names: list[str],

@@ -35,13 +35,19 @@ class MeasurementStore:
         self.notifications = 0
         self._listeners: list[Callable[[Measurement], None]] = []
 
-    def notify(self, measurement: Measurement) -> None:
-        """Record an incoming monitoring event (OCL: append to records)."""
+    def notify(self, measurement: Measurement) -> Optional[Measurement]:
+        """Record an incoming monitoring event (OCL: append to records).
+
+        Returns the sample it replaces as the latest of its stream, or
+        ``None`` for the stream's first."""
         key = (measurement.service_id, measurement.qualified_name)
-        self._latest[key] = measurement
+        latest = self._latest
+        previous = latest.get(key)
+        latest[key] = measurement
         self.notifications += 1
         for listener in self._listeners:
             listener(measurement)
+        return previous
 
     def subscribe_to(self, network: DistributionFramework, *,
                      service_id: Optional[str] = None,

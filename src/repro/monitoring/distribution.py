@@ -27,13 +27,22 @@ Data-plane fast path
 The fabric is the firehose feeding every elasticity decision, so the hot
 path is engineered:
 
-* **One route cache** — :class:`DistributionFramework` peeks a packet's
-  routing fields (:func:`repro.monitoring.codec.peek_header`) and looks the
-  ``(service id, qualified name)`` key up in a route cache that fronts both
-  fabrics. The cache holds the matched subscriptions in registration order
-  and is cleared whenever the subscription set changes. A fabric says only
-  how a miss is computed (:meth:`DistributionFramework._match`) and how
-  delivered bytes are charged (:meth:`DistributionFramework._charge`): the
+* **One stream cache** — a packet's identity prefix (magic through the
+  probe id) is the same on every packet of one stream.
+  :class:`DistributionFramework` finds where it ends from the three
+  string-length words and looks its bytes up among the prefixes whose
+  packet the strict decoder accepted; a hit yields the routing key and
+  probe id with nothing re-parsed or re-validated, and only the tail is
+  decoded. A miss takes the strict path below and, once the packet decodes,
+  caches its prefix (one entry per probe identity).
+* **One route cache** — the ``(service id, qualified name)`` key, from
+  the stream cache or, for a new stream, from the routing fields
+  (:func:`repro.monitoring.codec.peek_header`), is looked up in a route
+  cache that fronts both fabrics. The cache holds the matched subscriptions
+  in registration order and is cleared whenever the subscription set
+  changes. A fabric says only how a miss is computed
+  (:meth:`DistributionFramework._match`) and how delivered bytes are
+  charged (:meth:`DistributionFramework._charge`): the
   multicast channel scans its members once per key and charges every
   member; the broker consults its index and charges matched members.
 * **Lazy decode** — a full
@@ -64,11 +73,19 @@ import abc
 import fnmatch
 import itertools
 import re
+import struct
 from collections import deque
 from typing import Callable, Optional, Sequence
 
 from ..sim import Environment
-from .codec import decode_measurement, encode_measurement, peek_header
+from .codec import (
+    _decode_stream,
+    _identity_prefix,
+    _prefix_end,
+    decode_measurement,
+    encode_measurement,
+    peek_header,
+)
 from .measurements import Measurement
 
 __all__ = [
@@ -186,6 +203,10 @@ class DistributionFramework(abc.ABC):
         self._route_cache: dict[tuple[str, str], tuple[Subscription, ...]] = {}
         self.route_cache_hits = 0
         self.route_cache_misses = 0
+        #: identity prefix -> ((service id, qualified name), probe id) of
+        #: every stream whose packet the strict decoder accepted here: one
+        #: entry per distinct probe identity, never evicted
+        self._streams: dict[bytes, tuple[tuple[str, str], str]] = {}
         #: FIFO of (due time, [packets]) batches awaiting the latency edge
         self._pending: deque[tuple[float, list[bytes]]] = deque()
         self._drain = None
@@ -298,8 +319,17 @@ class DistributionFramework(abc.ABC):
     # -- delivery ------------------------------------------------------------
     def _deliver(self, packet: bytes) -> None:
         """Route an encoded packet to the consumers that asked for it."""
-        header = peek_header(packet)
-        key = (header.service_id, header.qualified_name)
+        try:
+            end = _prefix_end(packet)
+            stream = self._streams.get(packet[:end])
+        except (struct.error, TypeError):  # too short, or not bytes
+            stream = None
+        if stream is None:
+            # a new (or irregular) stream: the strict path
+            header = peek_header(packet)
+            key = (header.service_id, header.qualified_name)
+        else:
+            key = stream[0]
         route = self._route_cache.get(key)
         if route is None:
             self.route_cache_misses += 1
@@ -309,7 +339,18 @@ class DistributionFramework(abc.ABC):
         self.bytes_delivered += self._charge(len(packet), route)
         if not route:
             return  # nobody asked: the packet is never fully decoded
-        measurement = decode_measurement(packet, header=header)
+        if stream is None:
+            measurement = decode_measurement(packet, header=header)
+            # Accepted: remember its identity prefix, if it is the one the
+            # encoder writes (zero padding), so the stream's later packets
+            # skip the header parse and the identity checks.
+            prefix = _identity_prefix(measurement.qualified_name,
+                                      measurement.service_id,
+                                      measurement.probe_id)
+            if packet.startswith(prefix):
+                self._streams[prefix] = (key, measurement.probe_id)
+        else:
+            measurement = _decode_stream(packet, end, key, stream[1])
         self.packets_decoded += 1
         for sub in route:
             # a callback may have cancelled a later member of this route

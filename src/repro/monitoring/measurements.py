@@ -189,11 +189,7 @@ class Measurement:
     seqno: int = 0
 
     def __post_init__(self) -> None:
-        validate_qualified_name(self.qualified_name)
-        if not self.service_id:
-            raise ValueError("service_id must be non-empty")
-        if not self.probe_id:
-            raise ValueError("probe_id must be non-empty")
+        _check_identity(self.qualified_name, self.service_id, self.probe_id)
 
     @property
     def value(self) -> Any:
@@ -201,3 +197,48 @@ class Measurement:
         if not self.values:
             raise ValueError("measurement carries no values")
         return self.values[0]
+
+
+def _check_identity(qualified_name: str, service_id: str,
+                    probe_id: str) -> None:
+    """Every check the public :class:`Measurement` constructor makes."""
+    validate_qualified_name(qualified_name)
+    if not service_id:
+        raise ValueError("service_id must be non-empty")
+    if not probe_id:
+        raise ValueError("probe_id must be non-empty")
+
+
+def _make_measurement_builder():
+    """Build ``_build_measurement(qualified_name, service_id, probe_id,
+    timestamp, values, seqno)``: it writes the frozen, slotted dataclass's
+    slots through their member descriptors instead of running the keyword
+    ``__init__`` (≈0.7 µs against ≈2 µs). It runs none of the constructor's
+    checks: the probe runs :func:`_check_identity` per sample, and the
+    fabric's stream cache holds only identities a strict decode accepted.
+    """
+    new = object.__new__
+    slot = Measurement.__dict__
+    set_qualified_name = slot["qualified_name"].__set__
+    set_service_id = slot["service_id"].__set__
+    set_probe_id = slot["probe_id"].__set__
+    set_timestamp = slot["timestamp"].__set__
+    set_values = slot["values"].__set__
+    set_seqno = slot["seqno"].__set__
+
+    def build(qualified_name: str, service_id: str, probe_id: str,
+              timestamp: float, values: tuple[Any, ...],
+              seqno: int) -> Measurement:
+        m = new(Measurement)
+        set_qualified_name(m, qualified_name)
+        set_service_id(m, service_id)
+        set_probe_id(m, probe_id)
+        set_timestamp(m, timestamp)
+        set_values(m, values)
+        set_seqno(m, seqno)
+        return m
+
+    return build
+
+
+_build_measurement = _make_measurement_builder()

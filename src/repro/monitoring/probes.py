@@ -27,6 +27,8 @@ from .measurements import (
     DataDictionary,
     Measurement,
     ProbeAttribute,
+    _build_measurement,
+    _check_identity,
     validate_qualified_name,
 )
 
@@ -72,14 +74,11 @@ class Probe:
             return None
         values = tuple(values)
         self.dictionary.validate_values(values)
-        return Measurement(
-            qualified_name=self.qualified_name,
-            service_id=service_id,
-            probe_id=self.probe_id,
-            timestamp=env.now,
-            values=values,
-            seqno=next(self._seq),
-        )
+        # the public constructor's checks, then its slots written directly
+        _check_identity(self.qualified_name, service_id, self.probe_id)
+        return _build_measurement(self.qualified_name, service_id,
+                                  self.probe_id, env.now, values,
+                                  next(self._seq))
 
     def encode_packet(self, measurement: Measurement) -> bytes:
         """Wire bytes for one of this probe's measurements.

@@ -11,8 +11,13 @@ same simulated clock:
 Whatever the sequence — sparse churn, unmeasured KPIs, error rules, window
 aggregations, cooldowns, refusing executors — both engines must produce
 identical :class:`RuleFiring` journals and identical per-rule statistics.
+Most samples repeat their stream's previous values, which the optimised
+engine does not count as a change, so the streams also carry the values
+where equality and the condition's float view could part: NaN, 0.0 then
+-0.0, 1 then 1.0 then ``True``, and a string no condition can read.
 """
 
+import math
 import random
 import zlib
 
@@ -21,7 +26,7 @@ import pytest
 from repro.core.manifest import ElasticityRule
 from repro.core.service_manager import RuleInterpreter
 from repro.monitoring import Measurement
-from repro.sim import Environment
+from repro.sim import Environment, TraceLog
 
 
 DEFAULTS = {"k.a": 0.0, "k.b": 5.0, "k.t": 1.0}  # k.c deliberately missing
@@ -65,9 +70,39 @@ def make_executor(env, journal):
     return executor
 
 
+#: value runs a stream switches to now and then, one value per sample
+EDGE_RUNS = [
+    [float("nan"), float("nan")],
+    [0.0, -0.0, 0.0],
+    [1, 1.0, True],
+    ["busy"],
+]
+
+
+def sample_stream(rng):
+    """Next value per KPI: mostly a repeat of the previous one, sometimes a
+    fresh draw, sometimes an edge run played out over the next samples."""
+    last, queued = {}, {}
+
+    def next_value(name):
+        if queued.get(name):
+            value = queued[name].pop(0)
+        elif name in last and rng.random() < 0.7:
+            value = last[name]
+        elif rng.random() < 0.2:
+            queued[name] = list(rng.choice(EDGE_RUNS))
+            value = queued[name].pop(0)
+        else:
+            value = round(rng.uniform(-2.0, 15.0), 3)
+        last[name] = value
+        return value
+    return next_value
+
+
 def run_differential(seed, steps=120):
     rng = random.Random(seed)
     env = Environment()
+    publisher = TraceLog(env)
     optimised_log, reference_log = [], []
     optimised = RuleInterpreter(
         env, "svc", executor=make_executor(env, optimised_log),
@@ -78,16 +113,22 @@ def run_differential(seed, steps=120):
     for rule in build_rules():
         optimised.install(rule)
         reference.install(rule)
+    next_value = sample_stream(rng)
 
     def driver(env):
         for _ in range(steps):
             roll = rng.random()
             if roll < 0.55:
                 name = rng.choice(["k.a", "k.b", "k.c", "k.t", "k.unused"])
-                m = Measurement(name, "svc", "probe-1", env.now,
-                                (round(rng.uniform(-2.0, 15.0), 3),))
-                optimised.notify(m)
-                reference.notify(m)
+                value = next_value(name)
+                # one publication span, the parent of the firings it
+                # enables; each engine gets its own sample, as each decodes
+                # its own packet
+                with publisher.span_scope("monitoring", "kpi.publish",
+                                          kpi=name):
+                    for engine in (optimised, reference):
+                        engine.notify(Measurement(name, "svc", "probe-1",
+                                                  env.now, (value,)))
             else:
                 assert optimised.evaluate_rules() == reference.evaluate_rules()
             yield env.timeout(rng.choice([0.0, 0.5, 1.5, 4.0, 7.0]))
@@ -96,6 +137,19 @@ def run_differential(seed, steps=120):
     env.process(driver(env))
     env.run()
     return optimised, reference, optimised_log, reference_log
+
+
+def trace_view(trace):
+    """A trace with its own span ids replaced by their order of opening
+    (the two engines draw ids from one counter); a parent outside the
+    trace, a publication span, keeps its id."""
+    order = {span_id: i for i, span_id in enumerate(trace.spans)}
+    spans = [(s.source, s.kind, s.start, s.end, s.status, s.details,
+              order.get(s.parent_id, s.parent_id))
+             for s in trace.spans.values()]
+    records = [(r.time, r.source, r.kind, r.details,
+                order.get(r.span_id, r.span_id)) for r in trace.records]
+    return spans, records
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -108,6 +162,43 @@ def test_firing_journals_identical(seed):
     for name in ref_stats:
         for key in ("firings", "suppressed", "last_fired"):
             assert opt_stats[name][key] == ref_stats[name][key], (name, key)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_traces_and_stats_identical(seed):
+    optimised, reference, _, _ = run_differential(seed)
+    assert optimised.stats() == reference.stats()
+    assert trace_view(optimised.trace) == trace_view(reference.trace)
+
+
+def test_differential_streams_repeat_and_reach_the_edges():
+    """The streams exercise what they claim to: repeats that dirty nothing,
+    firings that parent under a publication, errors, and every edge run."""
+    seen = {kind: 0 for kind in ("nan", "signed-zero", "bool", "string")}
+    followers = repeats = firings = errors = 0
+    for seed in range(8):
+        optimised, _, _, _ = run_differential(seed)
+        last = {}
+        for m in optimised.journal:
+            if m.qualified_name in last:
+                followers += 1
+                repeats += last[m.qualified_name] == m.values
+            last[m.qualified_name] = m.values
+            v = m.value
+            if isinstance(v, float) and math.isnan(v):
+                seen["nan"] += 1
+            elif v == 0.0 and math.copysign(1.0, v) < 0:
+                seen["signed-zero"] += 1
+            elif v is True:
+                seen["bool"] += 1
+            elif isinstance(v, str):
+                seen["string"] += 1
+        spans = optimised.trace.find_spans(kind="rule.firing")
+        firings += sum(s.parent_id is not None for s in spans)
+        errors += len(optimised.trace.query(kind="rule.error"))
+    assert all(seen.values()), seen
+    assert repeats > followers / 2   # most samples repeat their predecessor
+    assert firings > 0 and errors > 0
 
 
 def test_incremental_engine_actually_skips():
@@ -142,6 +233,70 @@ def test_sparse_churn_evaluates_only_dirty_rules():
     # Its condition now holds (executor refuses) → stays hot next pass.
     interp.evaluate_rules()
     assert interp.last_pass["evaluated"] == 1
+
+
+def test_only_a_changed_value_dirties_its_kpi():
+    env = Environment()
+    interp = RuleInterpreter(env, "svc", executor=lambda a, r: False)
+    interp.install(ElasticityRule.from_text(
+        "up", "@a.b > 5", "notify()", defaults={"a.b": 0.0}))
+    interp.notify(Measurement("a.b", "svc", "p", 0.0, (3,)))
+    interp.evaluate_rules()   # the first sample dirties, the rule goes cold
+    assert interp.last_pass["dirty_kpis"] == 1
+    for value in (3, 3.0):    # equal values, each a new sample
+        interp.notify(Measurement("a.b", "svc", "p", 1.0, (value,)))
+        interp.evaluate_rules()
+        assert interp.last_pass["dirty_kpis"] == 0
+        assert interp.last_pass["evaluated"] == 0
+    interp.notify(Measurement("a.b", "svc", "p", 2.0, (4,)))
+    interp.evaluate_rules()
+    assert interp.last_pass["dirty_kpis"] == 1
+    assert interp.last_pass["evaluated"] == 1
+    assert len(interp.journal) == 4   # every sample is still recorded
+
+
+def test_refused_rule_is_still_evaluated_on_a_repeat():
+    env = Environment()
+    refusals = []
+
+    def refuse(action, rule):
+        refusals.append(env.now)
+        return False
+
+    interp = RuleInterpreter(env, "svc", executor=refuse)
+    interp.install(ElasticityRule.from_text(
+        "up", "@a.b > 5", "deployVM(x)", defaults={"a.b": 0.0}))
+    for _ in range(3):
+        interp.notify(Measurement("a.b", "svc", "p", 0.0, (9,)))
+        interp.evaluate_rules()
+        assert interp.last_pass["evaluated"] == 1
+    assert interp.last_pass["dirty_kpis"] == 0
+    assert len(refusals) == 3
+
+
+def test_firing_after_cooldown_parents_under_the_latest_publication():
+    env = Environment()
+    publisher = TraceLog(env)
+    interp = RuleInterpreter(env, "svc", executor=lambda a, r: True)
+    interp.install(ElasticityRule.from_text(
+        "up", "@a.b > 4", "deployVM(x)", defaults={"a.b": 0},
+        time_constraint_ms=5000))
+    publications = []
+
+    def drive(env):
+        for _ in range(7):   # the same value every second
+            with publisher.span_scope("monitoring", "kpi.publish") as span:
+                interp.notify(Measurement("a.b", "svc", "p", env.now, (10,)))
+            publications.append(span)
+            interp.evaluate_rules()
+            yield env.timeout(1)
+
+    env.process(drive(env))
+    env.run()
+    firings = interp.trace.find_spans(kind="rule.firing")
+    assert [f.start for f in firings] == [0.0, 5.0]
+    assert firings[0].parent_id == publications[0].span_id
+    assert firings[1].parent_id == publications[5].span_id
 
 
 def test_sustained_condition_refires_after_cooldown_without_new_events():

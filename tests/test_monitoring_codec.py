@@ -404,6 +404,50 @@ def test_packet_encoder_byte_identical_property(values, seqno, timestamp):
 
 
 # ---------------------------------------------------------------------------
+# Mistyped tail fields: the encoder writes the probe id as a string, the
+# seqno as a hyper and the timestamp as a double, and nothing else decodes.
+# ---------------------------------------------------------------------------
+
+_PROBE_ID = encode_value("probe-1")
+_SEQNO = encode_value(3, AttributeType.LONG)
+_STAMP = encode_value(12.5, AttributeType.DOUBLE)
+
+
+def hand_built_packet(probe_id=_PROBE_ID, seqno=_SEQNO, timestamp=_STAMP):
+    """A packet assembled field by field, each field already encoded."""
+    return (b"RMON" + struct.pack(">I", 1)
+            + encode_value("uk.ucl.condor.schedd.queuesize")
+            + encode_value("svc-1") + probe_id + seqno + timestamp
+            + struct.pack(">I", 1) + encode_value(7))
+
+
+def test_hand_built_packet_matches_encoder():
+    m = make_measurement(seqno=3, timestamp=12.5)
+    assert hand_built_packet() == encode_measurement(m)
+    assert decode_measurement(hand_built_packet()) == m
+
+
+def test_mistyped_probe_id_is_codec_error():
+    with pytest.raises(CodecError, match="probe id"):
+        decode_measurement(hand_built_packet(probe_id=encode_value(5)))
+
+
+@pytest.mark.parametrize("seqno", ["seq", True, 3.0, 3],
+                         ids=["string", "bool", "double", "integer"])
+def test_mistyped_seqno_is_codec_error(seqno):
+    with pytest.raises(CodecError, match="seqno"):
+        decode_measurement(hand_built_packet(seqno=encode_value(seqno)))
+
+
+@pytest.mark.parametrize("timestamp", ["noon", False, 12, 2**40],
+                         ids=["string", "bool", "integer", "hyper"])
+def test_mistyped_timestamp_is_codec_error(timestamp):
+    with pytest.raises(CodecError, match="timestamp"):
+        decode_measurement(hand_built_packet(
+            timestamp=encode_value(timestamp)))
+
+
+# ---------------------------------------------------------------------------
 # Truncation / corruption fuzz: malformed wire data must always surface as
 # CodecError, never struct.error / IndexError / UnicodeDecodeError.
 # ---------------------------------------------------------------------------
