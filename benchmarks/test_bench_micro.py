@@ -27,6 +27,9 @@ from repro.monitoring import (
     peek_header,
 )
 from repro.sim import Environment
+from tests.oracles.broker import ReferenceBroker
+from tests.oracles.kernel import HeapEnvironment
+from tests.oracles.rules import FullPassInterpreter
 
 
 def test_kernel_event_throughput(benchmark):
@@ -97,13 +100,13 @@ def test_codec_encode_cached_prefix(benchmark):
 # Distribution fabric: broker fan-out at 1k subscriptions, probe emission
 # ---------------------------------------------------------------------------
 
-def _fanout_broker(reference):
-    """A broker with 1 000 exact subscriptions (50 services × 20 streams)
-    plus a sprinkle of glob subscribers, and 100 steady-state packets —
-    pre-encoded by the producers' cached-prefix PacketEncoder, each
-    matching exactly one exact subscription and one glob."""
+def _fanout_broker(broker):
+    """A ``broker`` with 1 000 exact subscriptions (50 services × 20
+    streams) plus a sprinkle of glob subscribers, and 100 steady-state
+    packets — pre-encoded by the producers' cached-prefix PacketEncoder,
+    each matching exactly one exact subscription and one glob."""
     env = Environment()
-    net = PubSubBroker(env, reference=reference)
+    net = broker(env)
 
     def sink(m):
         pass
@@ -133,15 +136,16 @@ def _publish_all(net, traffic):
 def test_broker_fanout_indexed_1k(benchmark):
     """Routed delivery of 100 packets through 1k+ subscriptions, indexed
     routing (exact-topic dict + compiled globs + route cache)."""
-    net, traffic = _fanout_broker(reference=False)
+    net, traffic = _fanout_broker(PubSubBroker)
     benchmark(_publish_all, net, traffic)
     assert net.bytes_delivered > 0
 
 
 def test_broker_fanout_reference_1k(benchmark):
-    """Same traffic through the seed's linear-scan reference mode — the
-    baseline the ≥5× indexed speedup is measured against."""
-    net, traffic = _fanout_broker(reference=True)
+    """Same traffic through the seed's linear-scan broker (the oracle in
+    ``tests/oracles/broker.py``) — the baseline the ≥5× indexed speedup is
+    measured against."""
+    net, traffic = _fanout_broker(ReferenceBroker)
     benchmark(_publish_all, net, traffic)
     assert net.bytes_delivered > 0
 
@@ -316,11 +320,10 @@ def test_rule_engine_full_pass_compiled(benchmark):
     """The non-incremental baseline with compiled conditions: isolates the
     expression-compilation win from the dirty-set win."""
     from repro.core.manifest import ElasticityRule
-    from repro.core.service_manager import RuleInterpreter
 
     env = Environment()
-    interp = RuleInterpreter(env, "svc", executor=lambda a, r: False,
-                             incremental=False)
+    interp = FullPassInterpreter(env, "svc", executor=lambda a, r: False,
+                                 compiled=True)
     for i in range(20):
         interp.install(ElasticityRule.from_text(
             f"rule-{i}", f"(@kpi.stream{i} > {i * 10}) && (@kpi.other < 5)",
@@ -378,7 +381,7 @@ def test_control_plane_churn(benchmark):
             for request in control.active_requests():
                 control.release(request)
             env.run(until=env.now + 500)
-        return control.counters["released"]
+        return control.stats()["released"]
 
     assert benchmark(churn) == 8
 
@@ -468,8 +471,8 @@ def test_kernel_10m_events(benchmark):
     import gc
     from time import perf_counter
 
-    def churn(reference, waves, per_wave):
-        env = Environment(reference=reference)
+    def churn(kernel, waves, per_wave):
+        env = kernel()
         state = {"wave": 0, "create_s": 0.0}
         timeout = env.timeout
 
@@ -502,12 +505,12 @@ def test_kernel_10m_events(benchmark):
         return env.events_processed, wall, state["create_s"]
 
     def wheel_churn():
-        return churn(False, waves=10, per_wave=1_000_000)
+        return churn(Environment, waves=10, per_wave=1_000_000)
 
     events, wall, create_s = benchmark.pedantic(
         wheel_churn, rounds=1, iterations=1)
     heap_events, heap_wall, heap_create_s = churn(
-        True, waves=1, per_wave=1_000_000)
+        HeapEnvironment, waves=1, per_wave=1_000_000)
 
     drain_eps = events / (wall - create_s)
     heap_drain_eps = heap_events / (heap_wall - heap_create_s)

@@ -32,15 +32,13 @@ Commands
     rest fairly, and drains the queue as services are released. A second
     phase deploys an elastic service and shows the causal span chain from
     a KPI publication to the VEE it caused, plus the time-constraint audit.
-``scale [--sites N] [--services M] [--hours H] [--procs P] [--reference]``
+``scale [--sites N] [--services M] [--hours H] [--procs P]``
     Run the federation scale harness: an N-site federation under the
     control plane, M services with SAP-style session tides, H simulated
     hours; prints events/sec, wall-clock per simulated hour, and peak RSS
     per 1k VMs (summed over all workers). ``--procs P`` shards the sites
     across P worker processes with epoch barriers; ``--verify-oracle``
     re-runs single-process and fails on any decision divergence.
-    ``--reference`` runs the same workload on the heap oracle kernel for
-    comparison.
 ``experiment <name> [--sweep k=v1,v2 ...] [--seed N] [--procs P]``
     Run a named scenario (workload generator + optional chaos schedule)
     across a parameter sweep; every cell runs through the real control
@@ -78,20 +76,23 @@ from .core.manifest import (
 __all__ = ["main"]
 
 
+class _LoadError(Exception):
+    """A manifest that could not be read or parsed; :func:`main` reports
+    it as ``parse error: <message>`` and exits 1."""
+
+
 def _load_manifest(path: str):
-    text = Path(path).read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("<"):
-        return manifest_from_xml(text)
-    return manifest_from_text(text)
+    try:
+        text = Path(path).read_text()
+        if text.lstrip().startswith("<"):
+            return manifest_from_xml(text)
+        return manifest_from_text(text)
+    except Exception as exc:
+        raise _LoadError(exc) from exc
 
 
 def _cmd_validate(args) -> int:
-    try:
-        manifest = _load_manifest(args.manifest)
-    except Exception as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 1
+    manifest = _load_manifest(args.manifest)
     issues = validate_manifest(manifest)
     for issue in issues:
         print(issue)
@@ -396,7 +397,7 @@ def _cmd_scale(args) -> int:
     try:
         cfg = ScaleConfig(
             sites=args.sites, services=args.services, hours=args.hours,
-            tenants=args.tenants, reference=args.reference,
+            tenants=args.tenants,
             random_seed=args.seed, monitor_period_s=args.monitor_period,
             elastic_fraction=args.elastic_fraction,
             procs=args.procs, epoch_s=args.epoch,
@@ -611,8 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elastic-fraction", type=float, default=0.25,
                    help="fraction of services whose burst trips scale-up")
     p.add_argument("--seed", type=int, default=2010)
-    p.add_argument("--reference", action="store_true",
-                   help="run on the heap oracle kernel instead of the wheel")
     p.add_argument("--procs", type=int, default=1,
                    help="worker processes; >1 shards the federation's "
                         "sites across a spawn pool with epoch barriers")
@@ -687,7 +686,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _LoadError as exc:
+        print(f"parse error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -139,9 +139,6 @@ class Host:
         d.cpu, d.memory_mb = new_cpu, new_mem
 
     # -- image cache -----------------------------------------------------------
-    def has_image(self, image_id: str) -> bool:
-        return image_id in self._image_cache
-
     def prestage(self, image_id: str) -> None:
         """Mark an image as already present (ablation: avoid replication)."""
         self._image_cache.add(image_id)

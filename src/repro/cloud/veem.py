@@ -16,7 +16,7 @@ customisation disk so the Activation Engine can configure the guest.
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..sim import Environment, Event, Process, TraceLog
 from .errors import LifecycleError, PlacementError
@@ -88,10 +88,6 @@ class VEEM:
         self.hosts.append(host)
         return host
 
-    def add_hosts(self, hosts: Sequence[Host]) -> None:
-        for host in hosts:
-            self.add_host(host)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -112,11 +108,6 @@ class VEEM:
     def active_vm_count(self) -> int:
         """Live fleet size, O(1) off the table's incremental counter."""
         return self.table.active_count
-
-    @property
-    def total_capacity(self) -> tuple[float, float]:
-        return (sum(h.cpu_cores for h in self.hosts),
-                sum(h.memory_mb for h in self.hosts))
 
     # ------------------------------------------------------------------
     # Operations (the interface elasticity actions are expressed against)

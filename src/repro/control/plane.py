@@ -140,8 +140,8 @@ class ControlPlane:
         self.scheduler = FairScheduler()
         self.requests: dict[str, ProvisioningRequest] = {}
         # The request flow counters are registry-owned (these are admission
-        # decisions, not hot-path work); ``counters`` stays readable as a
-        # dict view under the pre-registry key names.
+        # decisions, not hot-path work); ``stats()`` reads them under their
+        # short names.
         metrics = env.metrics
         plane = f"plane{next(_plane_ids)}"
         self._plane_label = plane
@@ -152,8 +152,7 @@ class ControlPlane:
         }
         self._m_queue_wait = metrics.histogram("control.plane.queue_wait_s",
                                                plane=plane)
-        # Kept out of ``_m_counters`` so the ``counters`` compatibility view
-        # (and ``stats()``) keeps its historical shape.
+        # Kept out of ``_m_counters`` so ``stats()`` keeps its shape.
         self._m_solver_rescued = metrics.counter(
             "control.plane.solver_rescued", plane=plane)
         metrics.register_view("control.plane.queue_depth",
@@ -209,12 +208,6 @@ class ControlPlane:
                 self._on_undeploy(cs, service, termination))
         self.sites.append(controlled)
         return controlled
-
-    @property
-    def counters(self) -> dict[str, int]:
-        """Snapshot of the registry-owned request-flow counters, keyed by
-        the pre-registry names (compatibility read view)."""
-        return {name: int(c.value) for name, c in self._m_counters.items()}
 
     def register_tenant(self, name: str, *,
                         quota: Optional[TenantQuota] = None,
@@ -371,10 +364,6 @@ class ControlPlane:
     def queue_depth(self) -> int:
         return self.scheduler.depth
 
-    def pending(self, tenant: Optional[str] = None
-                ) -> list[ProvisioningRequest]:
-        return self.scheduler.pending(tenant)
-
     def active_requests(self, tenant: Optional[str] = None
                         ) -> list[ProvisioningRequest]:
         return [r for r in self.requests.values()
@@ -388,8 +377,8 @@ class ControlPlane:
                 if r.service is not None]
 
     def stats(self) -> dict:
-        """Counters plus the live queue/commitment picture."""
-        out = dict(self.counters)
+        """Request-flow counters plus the live queue/commitment picture."""
+        out = {name: int(c.value) for name, c in self._m_counters.items()}
         out["queue_depth"] = self.scheduler.depth
         out["sites"] = {
             s.name: {"pool_hosts": s.admission.pool_hosts,

@@ -70,11 +70,6 @@ class RequestState(enum.Enum):
     RELEASED = "released"      # was active; undeployed, capacity freed
 
 
-#: States in which the admission decision is final.
-DECIDED = frozenset({RequestState.DEPLOYING, RequestState.ACTIVE,
-                     RequestState.REJECTED, RequestState.RELEASED})
-
-
 @dataclass
 class ProvisioningRequest:
     """One tenant's manifest submission, tracked end to end."""
@@ -104,15 +99,6 @@ class ProvisioningRequest:
     #: submit, closed at the terminal state) — every service/VEE span the
     #: request causes descends from it
     span: Optional[object] = field(default=None, repr=False)
-
-    @property
-    def is_decided(self) -> bool:
-        return self.state in DECIDED
-
-    @property
-    def is_admitted(self) -> bool:
-        return self.state in (RequestState.DEPLOYING, RequestState.ACTIVE,
-                              RequestState.RELEASED)
 
     @property
     def wait_time(self) -> Optional[float]:

@@ -21,7 +21,7 @@ the scheduler just orchestrates *who gets asked next*.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterator, Optional
+from typing import Callable
 
 from .requests import ProvisioningRequest
 
@@ -54,14 +54,6 @@ class FairScheduler:
         queue.append(request)
         return len(queue)
 
-    def remove(self, request: ProvisioningRequest) -> bool:
-        """Withdraw a queued request (e.g. a cancellation); True if found."""
-        queue = self._queues.get(request.tenant)
-        if queue is None or request not in queue:
-            return False
-        queue.remove(request)
-        return True
-
     # ------------------------------------------------------------------
     @property
     def depth(self) -> int:
@@ -69,18 +61,6 @@ class FairScheduler:
 
     def depth_of(self, tenant: str) -> int:
         return len(self._queues[tenant])
-
-    def pending(self, tenant: Optional[str] = None
-                ) -> list[ProvisioningRequest]:
-        if tenant is not None:
-            return list(self._queues[tenant])
-        return [r for name in self._ring for r in self._queues[name]]
-
-    def __iter__(self) -> Iterator[ProvisioningRequest]:
-        return iter(self.pending())
-
-    def __len__(self) -> int:
-        return self.depth
 
     # ------------------------------------------------------------------
     def drain(self, try_admit: Callable[[ProvisioningRequest], bool]) -> int:

@@ -258,6 +258,14 @@ def _expect_block_open(tokens: list[str], lineno: int) -> list[str]:
     return tokens[:-1]
 
 
+def _value(tokens: list[str], lineno: int) -> str:
+    """The single value after a line's keyword."""
+    if len(tokens) < 2:
+        raise HutnSyntaxError(
+            f"line {lineno}: expected a value after {tokens[0]!r}")
+    return tokens[1]
+
+
 def _parse_float(text: str, lineno: int, what: str) -> float:
     try:
         return float(text)
@@ -456,9 +464,9 @@ def _parse_system(system_id: str, lines: _Lines) -> VirtualSystem:
         if key == "info":
             info = tokens[1] if len(tokens) > 1 else ""
         elif key == "cpu":
-            cpu = _parse_float(tokens[1], lineno, "cpu")
+            cpu = _parse_float(_value(tokens, lineno), lineno, "cpu")
         elif key == "memory":
-            memory = _parse_float(tokens[1], lineno, "memory")
+            memory = _parse_float(_value(tokens, lineno), lineno, "memory")
         elif key == "disks":
             disk_refs = tuple(tokens[1:])
         elif key == "networks":
@@ -474,7 +482,8 @@ def _parse_system(system_id: str, lines: _Lines) -> VirtualSystem:
             match = re.match(r"^(\d+)\.\.(\d+)$", tokens[1]) \
                 if len(tokens) >= 2 else None
             if (match is None or len(tokens) != 4
-                    or tokens[2] != "initial"):
+                    or tokens[2] != "initial"
+                    or not re.match(r"^\d+$", tokens[3])):
                 raise HutnSyntaxError(
                     f"line {lineno}: expected "
                     f"'instances <min>..<max> initial <n>'"

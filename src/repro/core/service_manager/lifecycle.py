@@ -117,10 +117,6 @@ class ManagedComponent:
         releasing = self.releasing
         return sum(1 for vm in self._live() if vm.vm_id not in releasing)
 
-    @property
-    def running_count(self) -> int:
-        return sum(1 for vm in self.vms if vm.state is VMState.RUNNING)
-
 
 _PLACEHOLDER_RE = re.compile(r"\$\{ip\.([A-Za-z0-9_\-]+)\.([A-Za-z0-9_\-]+)\}")
 

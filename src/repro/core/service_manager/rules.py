@@ -41,12 +41,12 @@ A rule whose last evaluation was false and whose KPIs' values are
 unchanged is provably still false (conditions are pure functions of
 ``float(latest.value)`` per KPI for non-periodic rules, and equal values
 give equal floats), so skipping it cannot change the firing journal.
-``RuleInterpreter(..., incremental=False, compiled=False)`` restores the
-evaluate-everything tree-walking engine for differential validation. A
-compiled condition may skip an operand that is total for numeric values;
+The evaluate-everything tree-walking engine this must match is the
+differential oracle ``FullPassInterpreter`` in ``tests/oracles/rules.py``.
+A compiled condition may skip an operand that is total for numeric values;
 a rule reading a KPI whose latest value is not numeric (a string, say) is
 therefore evaluated by the interpreter, which reads every KPI and raises
-as the reference engine does.
+as the full pass does.
 
 Idle ticks
 ----------
@@ -107,7 +107,7 @@ class _InstalledRule:
     seq: int
     #: the rule's KPI reference list, resolved once at install time
     refs: frozenset[str]
-    #: compiled condition closure (or the interpreted fallback)
+    #: compiled condition closure
     cond: Callable[[Bindings], float]
     #: re-evaluated every pass: window ops / time KPIs / no refs at all
     periodic: bool
@@ -125,9 +125,7 @@ class RuleInterpreter:
                  executor: ActionExecutor,
                  trace: Optional[TraceLog] = None,
                  eval_period_s: Optional[float] = None,
-                 kpi_defaults: Optional[dict[str, float]] = None,
-                 incremental: bool = True,
-                 compiled: bool = True):
+                 kpi_defaults: Optional[dict[str, float]] = None):
         self.env = env
         self.service_id = service_id
         self.executor = executor
@@ -140,8 +138,6 @@ class RuleInterpreter:
         # Sets ``_period``, the evaluation period in force: recomputed when
         # the rule set changes, read on every pass of the evaluation loop.
         self._refresh_period()
-        self._incremental = incremental
-        self._compiled = compiled
         self._loop = None
         self._seq = 0
         #: KPI qualified name → installed rules referencing it
@@ -204,7 +200,7 @@ class RuleInterpreter:
             self._register_views()
         refs = rule.kpi_references()
         expression = rule.trigger.expression
-        cond = expression.compile() if self._compiled else expression.interpret
+        cond = expression.compile()
         periodic = (
             not refs
             or not refs.isdisjoint((self.TIME_NOW, self.TIME_OF_DAY))
@@ -343,10 +339,6 @@ class RuleInterpreter:
                                                  since, until)))
         raise ValueError(f"unknown window operation {op!r}")
 
-    def evaluation_context(self) -> EvaluationContext:
-        """Window-capable bindings over the live store and journal."""
-        return self._context
-
     def _set_hot(self, installed: _InstalledRule, flag: bool) -> None:
         if flag:
             if not installed.hot:
@@ -406,17 +398,14 @@ class RuleInterpreter:
         }
 
     def evaluate_rules(self) -> list[RuleFiring]:
-        """One evaluation pass; incremental unless configured otherwise."""
+        """One incremental evaluation pass."""
         now = self.env.now
-        if self._incremental and not self._dirty and now < self._due():
+        if not self._dirty and now < self._due():
             self._charge_idle(1)
             return []
         self.evaluations += 1
         context = self._context
-        if self._incremental:
-            work = self._candidates()
-        else:
-            work = list(self._rules.values())
+        work = self._candidates()
         dirty_kpis = len(self._dirty)
         self._dirty.clear()
         unreadable = self._unreadable
@@ -547,7 +536,7 @@ class RuleInterpreter:
         now = self.env.now
         bound = min(self.env.quiet_until, self._due())
         tick = now + period
-        if not self._incremental or not now < tick < bound or bound == inf:
+        if not now < tick < bound or bound == inf:
             return period
         skipped = 0
         while tick < bound:

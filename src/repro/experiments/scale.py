@@ -19,8 +19,7 @@ report what the run cost:
   fleet size (summed across every worker process under ``--procs``).
 
 Everything is deterministic under ``random_seed``: session profiles come
-from :class:`~repro.sim.RandomStreams`, and the kernel replays identically
-(``reference=True`` runs the same workload on the heap oracle kernel).
+from :class:`~repro.sim.RandomStreams`, and the kernel replays identically.
 
 One :class:`FederationRun` simulates the federation's stack over a set of
 sites. With ``procs=1`` it runs over every site and admits live: that run
@@ -93,8 +92,6 @@ class ScaleConfig:
     services: int = 10_000
     hours: float = 1.0
     tenants: int = 8
-    #: run the workload on the heap oracle kernel instead of the wheel
-    reference: bool = False
     random_seed: int = 2010
 
     #: worker processes; 1 = the in-process oracle path
@@ -214,7 +211,6 @@ class ScaleReport:
     sites: int
     services: int
     hours: float
-    reference: bool
     admitted: int
     queued: int
     rejected: int
@@ -273,13 +269,11 @@ class ScaleReport:
         }
 
     def render(self) -> str:
-        kernel = "heap (reference)" if self.reference else "timer wheel"
         mode = (f"{self.procs} worker process(es)" if self.procs > 1
                 else "single process")
         lines = [
             f"federation:        {self.sites} site(s), "
             f"{self.services} service(s), {self.hours:g} simulated hour(s)",
-            f"kernel:            {kernel}",
             f"execution:         {mode}",
             f"admitted:          {self.admitted} "
             f"(queued {self.queued}, rejected {self.rejected})",
@@ -487,7 +481,7 @@ class FederationRun:
         self.shard = shard
         self.site_names = tuple(site_names)
         self._say = say
-        env = self.env = Environment(reference=cfg.reference)
+        env = self.env = Environment()
         if profiler is not None:
             profiler.attach(env)
         control = self.control = ControlPlane(env)
@@ -693,7 +687,6 @@ def _fold(cfg: ScaleConfig, control: ControlPlane, tally: tuple,
     wall_s = time.perf_counter() - wall_start
     return ScaleReport(
         sites=cfg.sites, services=cfg.services, hours=cfg.hours,
-        reference=cfg.reference,
         admitted=admitted, queued=queued, rejected=rejected,
         peak_vms=max(merged.values(), default=0),
         peak_queue_depth=int(control.series["queue.depth"].maximum()),

@@ -129,10 +129,6 @@ class MonitoringAgent:
         for name in list(self.datasource.probes):
             self.datasource.stop_probe(name)
 
-    def emit_all_now(self) -> None:
-        """Sample every exposed KPI immediately and publish as one batch."""
-        self.datasource.emit_all_now()
-
 
 #: declared wire type -> Python conversion, resolved once per exposed KPI
 _COERCERS: dict[AttributeType, Any] = {

@@ -60,10 +60,6 @@ class MeasurementStore:
         """Called on every notification — used to trigger rule evaluation."""
         self._listeners.append(listener)
 
-    def latest(self, service_id: str, qualified_name: str
-               ) -> Optional[Measurement]:
-        return self._latest.get((service_id, qualified_name))
-
     def value(self, service_id: str, qualified_name: str,
               default: Any = None) -> Any:
         """OCL ``evaluate(qe: QualifiedElement)``: latest value or default."""

@@ -52,8 +52,8 @@ path is engineered:
 * **Indexed routing** — :class:`PubSubBroker` keys exact subscriptions in a
   dict on the canonical :func:`topic_for` string and compiles glob
   subscriptions once (``fnmatch.translate`` → ``re.compile``). The seed's
-  linear scan survives as ``PubSubBroker(env, reference=True)`` — the
-  differential-test oracle.
+  linear scan is the differential-test oracle, ``ReferenceBroker`` in
+  ``tests/oracles/broker.py``.
 * **Coalesced delayed delivery** — packets published into a latency edge are
   queued per due-time and drained by one long-lived process, so N packets
   sharing an edge cost one kernel event (``delivery_events``), not N.
@@ -137,8 +137,8 @@ class Subscription:
         self.callback = callback
         self.service_id = service_id
         self.qualified_name = qualified_name
-        #: registration order; routing preserves it so indexed and reference
-        #: modes invoke callbacks in the same sequence
+        #: registration order; routing invokes matched callbacks in it, as
+        #: a linear scan of the subscriptions would
         self.seq = seq
         self.active = True
         if qualified_name is not None and _GLOB_RE.search(qualified_name):
@@ -395,18 +395,13 @@ class PubSubBroker(DistributionFramework):
     The default routing mode is indexed: exact subscriptions live in dicts
     keyed on :func:`topic_for` / qualified name / service id and globs are
     compiled once; the index answers route-cache misses, so the steady
-    state is a single dict lookup. ``reference=True`` keeps the seed's
-    O(subscriptions) linear scan with per-packet ``fnmatch`` — functionally
-    identical (the differential tests assert it) and used as the benchmark
-    baseline.
+    state is a single dict lookup. The differential tests assert it routes
+    exactly as the seed's O(subscriptions) linear scan with per-packet
+    ``fnmatch`` (``tests/oracles/broker.py``).
     """
 
-    def __init__(self, env: Environment, *, latency_s: float = 0.0,
-                 reference: bool = False):
+    def __init__(self, env: Environment, *, latency_s: float = 0.0):
         super().__init__(env, latency_s=latency_s)
-        self.reference = reference
-        if reference:
-            self._deliver = self._deliver_reference
         #: subscriptions pinning service id + exact qualified name,
         #: keyed on the canonical topic string
         self._exact: dict[str, list[Subscription]] = {}
@@ -433,12 +428,10 @@ class PubSubBroker(DistributionFramework):
             topic_for(sub.service_id, sub.qualified_name), [])
 
     def _on_subscribed(self, sub: Subscription) -> None:
-        if not self.reference:
-            self._bucket(sub).append(sub)
+        self._bucket(sub).append(sub)
 
     def _on_unsubscribed(self, sub: Subscription) -> None:
-        if not self.reference:
-            self._bucket(sub).remove(sub)
+        self._bucket(sub).remove(sub)
 
     # -- routing -------------------------------------------------------------
     def _match(self, service_id: str,
@@ -451,27 +444,10 @@ class PubSubBroker(DistributionFramework):
         for sub in self._globs:
             if sub.matches(service_id, qualified_name):
                 matched.append(sub)
-        # callbacks must fire in registration order, exactly as the
-        # reference linear scan would invoke them
+        # callbacks must fire in registration order, exactly as a linear
+        # scan of the subscriptions would invoke them
         matched.sort(key=lambda s: s.seq)
         return tuple(matched)
 
     def _charge(self, size: int, route: tuple[Subscription, ...]) -> int:
         return size * len(route)  # only matched deliveries
-
-    def _deliver_reference(self, packet: bytes) -> None:
-        # The seed's routing path, preserved as the differential oracle:
-        # unconditional full decode, then a linear scan with per-packet
-        # fnmatch on every glob.
-        measurement = decode_measurement(packet)
-        self.packets_decoded += 1
-        size = len(packet)
-        for sub in self._subs:
-            if (sub.service_id is not None
-                    and measurement.service_id != sub.service_id):
-                continue
-            if (sub.qualified_name is not None and not fnmatch.fnmatchcase(
-                    measurement.qualified_name, sub.qualified_name)):
-                continue
-            self.bytes_delivered += size
-            sub.callback(measurement)

@@ -236,8 +236,9 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are get-or-create on the
     (name, labels) key — two components asking for the same stream share the
     instrument. ``register_view`` replaces on re-registration so a component
-    rebuilt mid-run (a reference-mode rule interpreter over the same
-    service, say) re-binds its stream instead of erroring.
+    rebuilt mid-run (a second rule interpreter over the same service — the
+    full-pass oracle in ``tests/oracles/rules.py``, say) re-binds its
+    stream instead of erroring.
     """
 
     def __init__(self) -> None:

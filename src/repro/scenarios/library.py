@@ -204,9 +204,3 @@ def two_web_tenants(env, n_hosts: int = 4) -> SimpleNamespace:
     b = sm.deploy(web_tenant_manifest(), service_id="tenant-B")
     env.run(until=env.all_of([a.deployment, b.deployment]))
     return SimpleNamespace(sm=sm, a=a, b=b)
-
-
-@_setup("condor-cluster")
-def condor_cluster(env, n_hosts: int = 2) -> SimpleNamespace:
-    veem, sched, cluster = build_cluster(env, n_hosts)
-    return SimpleNamespace(veem=veem, scheduler=sched, cluster=cluster)

@@ -25,8 +25,8 @@ Design notes
   ordered by ``(time, priority, seq)``: buckets are split per priority
   (URGENT drains before NORMAL at each timestamp) and appends happen in
   creation order, so FIFO bucket order *is* seq order without materialising a
-  sequence number. ``Environment(reference=True)`` builds the original heap
-  kernel — kept as a differential oracle; seeded runs replay identically on
+  sequence number. The original heap kernel lives on as the differential
+  oracle in ``tests/oracles/kernel.py``; seeded runs replay identically on
   both.
 * Cancellation is lazy: an abandoned event (an interrupted process's old
   timeout, an ``AnyOf`` loser) is marked ``dead`` and skipped when its bucket
@@ -36,7 +36,6 @@ Design notes
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from heapq import heappop, heappush
 from time import perf_counter
@@ -159,12 +158,6 @@ class Event:
         self.env._schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Chain: trigger this event with the state of another event."""
-        self._ok = event._ok
-        self._value = event._value
-        self.env._schedule(self)
-
     def cancel(self) -> None:
         """Abandon the event: mark it dead so the drain loop can skip it.
 
@@ -188,9 +181,9 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    The constructor hand-inlines both :meth:`Event.__init__` and the default
-    kernel's bucket insert: timeout creation is the single hottest allocation
-    site in the harness (one per probe tick, per retry, per rule cooldown).
+    ``env.timeout`` builds these without calling the constructor (see
+    :func:`_make_timeout_factory`); the constructor is the plain path,
+    scheduling through the environment's ``_schedule``.
     """
 
     __slots__ = ("delay",)
@@ -205,20 +198,7 @@ class Timeout(Event):
         self.defused = False
         self.dead = False
         self.delay = delay
-        if env.__class__ is Environment:
-            if not delay and env._draining:
-                env._live_n.append(self)
-            else:
-                t = env._now + delay
-                buckets = env._buckets
-                bucket = buckets.get(t)
-                if bucket is not None:
-                    bucket.append(self)
-                else:
-                    buckets[t] = [self]
-                    heappush(env._times, t)
-        else:
-            env._schedule(self, delay)
+        env._schedule(self, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -228,53 +208,37 @@ def _make_timeout_factory(env: "Environment") -> Callable[..., Timeout]:
     """Build the environment's ``timeout(delay, value=None)`` factory.
 
     A plain closure over the environment rather than a bound method: it
-    allocates the Timeout with ``object.__new__`` and writes the slots
-    directly, skipping both the ``type.__call__`` dispatch and the
-    ``__init__`` wrapper frame — timeout creation is the hottest call in
-    the harness, and this shaves the constant per-call machinery off it.
-    The closure is specialised at environment construction: the default
-    kernel gets the inlined bucket insert, any other kernel routes through
-    its ``_schedule``.
+    allocates the Timeout with ``object.__new__``, writes the slots
+    directly and inlines the bucket insert of :meth:`Environment._schedule`,
+    skipping the ``type.__call__`` dispatch, the ``__init__`` frame and the
+    ``_schedule`` call — timeout creation is the hottest call in the
+    harness, and this shaves the constant per-call machinery off it.
     """
     new = object.__new__
-    if env.__class__ is Environment:
-        def timeout(delay: float, value: Any = None) -> Timeout:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            self = new(Timeout)
-            self.env = env
-            self.callbacks = []
-            self._value = value
-            self._ok = True
-            self.defused = False
-            self.dead = False
-            self.delay = delay
-            if not delay and env._draining:
-                env._live_n.append(self)
+
+    def timeout(delay: float, value: Any = None) -> Timeout:
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        self = new(Timeout)
+        self.env = env
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self.defused = False
+        self.dead = False
+        self.delay = delay
+        if not delay and env._draining:
+            env._live_n.append(self)
+        else:
+            t = env._now + delay
+            buckets = env._buckets
+            bucket = buckets.get(t)
+            if bucket is not None:
+                bucket.append(self)
             else:
-                t = env._now + delay
-                buckets = env._buckets
-                bucket = buckets.get(t)
-                if bucket is not None:
-                    bucket.append(self)
-                else:
-                    buckets[t] = [self]
-                    heappush(env._times, t)
-            return self
-    else:
-        def timeout(delay: float, value: Any = None) -> Timeout:
-            if delay < 0:
-                raise ValueError(f"negative delay {delay}")
-            self = new(Timeout)
-            self.env = env
-            self.callbacks = []
-            self._value = value
-            self._ok = True
-            self.defused = False
-            self.dead = False
-            self.delay = delay
-            env._schedule(self, delay)
-            return self
+                buckets[t] = [self]
+                heappush(env._times, t)
+        return self
     return timeout
 
 
@@ -373,8 +337,6 @@ class Process(Event):
             if not event._ok:
                 event.defused = True
             return
-        env = self.env
-        env._active_process = self
         while True:
             try:
                 if event._ok:
@@ -414,8 +376,6 @@ class Process(Event):
                 break
             # Event already processed: loop and deliver its value at once.
             event = next_event
-
-        env._active_process = None
 
     def _finish(self, ok: bool, value: Any) -> None:
         self._target = None
@@ -525,19 +485,10 @@ class AllOf(_Condition):
 # Environment
 # ---------------------------------------------------------------------------
 
-#: Reference-kernel heap entries are plain ``(time, priority, seq, event)``
-#: tuples — tuple comparison is implemented in C and ``seq`` is unique, so
-#: ordering never reaches the (incomparable) event and heap ops stay cheap.
-_QueueEntry = tuple[float, int, int, Event]
-
-
 class Environment:
     """The simulation environment: clock plus event queue.
 
-    The default scheduler is a calendar queue (see the module docstring);
-    ``Environment(reference=True)`` builds the original binary-heap kernel
-    instead — bit-identical event ordering, kept as the differential oracle
-    the Hypothesis suite replays seeded runs against.
+    The scheduler is a calendar queue (see the module docstring).
 
     Example
     -------
@@ -556,17 +507,18 @@ class Environment:
     URGENT = 0
     NORMAL = 1
 
+    #: True only on the heap kernel kept as the differential oracle in
+    #: ``tests/oracles/kernel.py``. A class attribute, not a switch: tools
+    #: that hook every environment (``perfbench/ledger.py``) read it to
+    #: leave the oracle unprofiled.
+    reference = False
+
     __slots__ = ("_now", "_buckets", "_urgent", "_times", "_live_n",
                  "_live_u", "_draining", "_events_done", "_dead_skipped",
-                 "_active_process", "_metrics", "_obs_scope", "_profile_cb",
-                 "_until", "timeout")
+                 "_metrics", "_obs_scope", "_profile_cb", "_until",
+                 "timeout")
 
-    def __new__(cls, initial_time: float = 0.0, reference: bool = False):
-        if reference and cls is Environment:
-            return object.__new__(_ReferenceEnvironment)
-        return object.__new__(cls)
-
-    def __init__(self, initial_time: float = 0.0, reference: bool = False):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         # Calendar queue state. ``_buckets``/``_urgent`` map an exact
         # timestamp to the FIFO list of events due then (split per priority);
@@ -586,7 +538,6 @@ class Environment:
         #: Events dispatched so far; flushed per batch during a drain.
         self._events_done = 0
         self._dead_skipped = 0
-        self._active_process: Optional[Process] = None
         #: Lazily-built metrics registry (one per environment); see
         #: :attr:`metrics`.
         self._metrics: Optional[Any] = None
@@ -609,15 +560,6 @@ class Environment:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
-    @property
-    def reference(self) -> bool:
-        """True on the heap-based differential-oracle kernel."""
-        return False
 
     @property
     def events_processed(self) -> int:
@@ -772,12 +714,8 @@ class Environment:
         dispatched with (``None`` for a lazily-cancelled dead skip), and
         the wall-clock seconds the dispatch took. Event *order* is
         identical to the unprofiled drain; only wall-clock changes, which
-        is invisible to the simulation. Refused on the reference kernel —
-        it is the differential oracle and stays verbatim.
+        is invisible to the simulation.
         """
-        if callback is not None and self.reference:
-            raise SimError("profiling is not supported on the reference "
-                           "(differential-oracle) kernel")
         self._profile_cb = callback
 
     def run(self, until: Optional[float | Event] = None) -> Any:
@@ -882,112 +820,6 @@ class Environment:
                     hook(event, None, 0.0)
         finally:
             self._draining = False
-            self._until = None
-            self._events_done += done
-            self._dead_skipped += dead_skipped
-
-        if stop_event is not None:
-            if stop_event.processed:
-                if not stop_event._ok:
-                    raise stop_event._value
-                return stop_event._value
-            raise SimError("simulation ended before the awaited event fired")
-        if stop_time != float("inf"):
-            self._now = stop_time
-        return None
-
-
-class _ReferenceEnvironment(Environment):
-    """The original binary-heap kernel, kept verbatim as an oracle.
-
-    Selected via ``Environment(reference=True)``. Heap entries carry an
-    explicit ``(time, priority, seq)`` key; the differential suite asserts
-    the calendar queue replays its exact event order.
-    """
-
-    __slots__ = ("_queue", "_seq")
-
-    def __init__(self, initial_time: float = 0.0, reference: bool = True):
-        super().__init__(initial_time)
-        self._queue: list[_QueueEntry] = []
-        self._seq = itertools.count().__next__
-
-    @property
-    def reference(self) -> bool:
-        return True
-
-    def _schedule(self, event: Event, delay: float = 0.0,
-                  priority: int = Environment.NORMAL) -> None:
-        heappush(self._queue,
-                 (self._now + delay, priority, self._seq(), event))
-
-    def peek(self) -> float:
-        return self._queue[0][0] if self._queue else float("inf")
-
-    @property
-    def quiet_until(self) -> float:
-        until = self._until
-        if until is None:
-            return self._now
-        queue = self._queue
-        if queue and queue[0][0] < until:
-            return queue[0][0]
-        return until
-
-    def step(self) -> None:
-        if not self._queue:
-            raise SimError("empty event queue")
-        self._now, _, _, event = heappop(self._queue)
-        self._events_done += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                raise event._value
-        elif event.dead:
-            self._dead_skipped += 1
-        elif not event._ok and not event.defused:
-            raise event._value
-
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        stop_event: Optional[Event] = None
-        stop_time = float("inf")
-        if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
-                )
-
-        queue = self._queue
-        done = 0
-        dead_skipped = 0
-        self._until = stop_time
-        try:
-            while queue:
-                if stop_event is not None and stop_event.processed:
-                    if not stop_event._ok:
-                        raise stop_event._value
-                    return stop_event._value
-                if queue[0][0] > stop_time:
-                    self._now = stop_time
-                    return None
-                self._now, _, _, event = heappop(queue)
-                done += 1
-                callbacks, event.callbacks = event.callbacks, None
-                if callbacks:
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event.defused:
-                        raise event._value
-                elif event.dead:
-                    dead_skipped += 1
-                elif not event._ok and not event.defused:
-                    raise event._value
-        finally:
             self._until = None
             self._events_done += done
             self._dead_skipped += dead_skipped

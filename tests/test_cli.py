@@ -52,6 +52,38 @@ def test_validate_unparseable_file(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+#: every subcommand that loads a manifest, with the arguments after it
+MANIFEST_COMMANDS = {
+    "validate": [],
+    "convert": ["--to", "xml"],
+    "generate-agent": ["GridMgmtService"],
+    "generate-validator": ["svc-1"],
+    "capacity": [],
+    "plan": [],
+}
+BAD_MANIFESTS = {
+    "missing": None,
+    "hutn": "service s {\n  system a {\n    cpu\n  }\n}\n",
+    "xml": "<<< not a manifest",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_MANIFESTS))
+@pytest.mark.parametrize("command", sorted(MANIFEST_COMMANDS))
+def test_manifest_command_reports_parse_error(command, bad, tmp_path,
+                                              capsys):
+    """A missing file, malformed HUTN or malformed XML is one line on
+    stderr and exit 1 from every manifest subcommand, never a traceback."""
+    path = tmp_path / "service.rsm"
+    if BAD_MANIFESTS[bad] is not None:
+        path.write_text(BAD_MANIFESTS[bad])
+    assert main([command, str(path), *MANIFEST_COMMANDS[command]]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("parse error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_convert_round_trips(xml_path, tmp_path, capsys):
     assert main(["convert", xml_path, "--to", "text"]) == 0
     text = capsys.readouterr().out

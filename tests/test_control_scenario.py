@@ -87,11 +87,12 @@ def test_eight_tenants_forty_services_queue_and_drain():
 
     # --- every request reached a terminal state ---------------------------
     assert all(o.request.state is RequestState.RELEASED for o in outcomes)
-    assert control.counters["submitted"] == 40
-    assert control.counters["admitted"] == 40
-    assert control.counters["released"] == 40
-    assert control.counters["rejected"] == 0
-    assert control.counters["queued"] == 15
+    stats = control.stats()
+    assert stats["submitted"] == 40
+    assert stats["admitted"] == 40
+    assert stats["released"] == 40
+    assert stats["rejected"] == 0
+    assert stats["queued"] == 15
 
     # --- quotas were enforced *throughout*, not just at the end -----------
     # Replay the trace: concurrent admissions per tenant never pass 4.

@@ -5,7 +5,7 @@ same simulated clock:
 
 * the optimised engine (KPI-indexed incremental passes, compiled
   conditions) — the production default;
-* the reference engine (``incremental=False, compiled=False``): the
+* the reference engine (``tests.oracles.rules.FullPassInterpreter``): the
   evaluate-everything tree-walking interpreter transcribed from §4.2.2.
 
 Whatever the sequence — sparse churn, unmeasured KPIs, error rules, window
@@ -27,6 +27,7 @@ from repro.core.manifest import ElasticityRule
 from repro.core.service_manager import RuleInterpreter
 from repro.monitoring import Measurement
 from repro.sim import Environment, TraceLog
+from tests.oracles.rules import FullPassInterpreter
 
 
 DEFAULTS = {"k.a": 0.0, "k.b": 5.0, "k.t": 1.0}  # k.c deliberately missing
@@ -107,9 +108,9 @@ def run_differential(seed, steps=120):
     optimised = RuleInterpreter(
         env, "svc", executor=make_executor(env, optimised_log),
         kpi_defaults=DEFAULTS)
-    reference = RuleInterpreter(
+    reference = FullPassInterpreter(
         env, "svc", executor=make_executor(env, reference_log),
-        kpi_defaults=DEFAULTS, incremental=False, compiled=False)
+        kpi_defaults=DEFAULTS)
     for rule in build_rules():
         optimised.install(rule)
         reference.install(rule)

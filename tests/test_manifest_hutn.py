@@ -131,6 +131,12 @@ service demo {
      "lacks a 'must'"),
     ("service s {\n", "unexpected end of input"),
     ("service s {\n  system a\n}", "expected '{'"),
+    ("service s {\n  system a {\n    cpu\n  }\n}",
+     "line 3: expected a value after 'cpu'"),
+    ("service s {\n  system a {\n    memory\n  }\n}",
+     "line 3: expected a value after 'memory'"),
+    ("service s {\n  system a {\n    instances 1..3 initial x\n  }\n}",
+     "line 3: expected 'instances"),
 ])
 def test_malformed_text_rejected(text, match):
     with pytest.raises(HutnSyntaxError, match=match):

@@ -2,7 +2,7 @@
 
 The PubSubBroker's indexed mode (exact-topic dict + compiled globs + route
 cache) must be observationally identical to the seed's O(subscriptions)
-linear scan, which survives as ``PubSubBroker(env, reference=True)``. These
+linear scan, kept as ``tests.oracles.broker.ReferenceBroker``. These
 tests drive both with identical randomized subscribe/unsubscribe/publish
 traffic and assert identical callback sequences and byte accounting. The
 multicast channel shares the route cache; its byte accounting is checked
@@ -20,6 +20,7 @@ from repro.monitoring import (
     encode_measurement,
 )
 from repro.sim import Environment
+from tests.oracles.broker import ReferenceBroker
 
 QNAMES = [
     "uk.ucl.condor.schedd.queuesize",
@@ -118,7 +119,7 @@ def _run_traffic(seed, indexed, reference, env_i, env_r, *,
 def test_indexed_routing_matches_reference(seed):
     env_i, env_r = Environment(), Environment()
     indexed = PubSubBroker(env_i)
-    reference = PubSubBroker(env_r, reference=True)
+    reference = ReferenceBroker(env_r)
     log_i, log_r = _run_traffic(seed, indexed, reference, env_i, env_r)
     assert log_i == log_r
     assert indexed.bytes_published == reference.bytes_published
@@ -134,7 +135,7 @@ def test_indexed_routing_matches_reference_with_latency(seed):
     drain loop: delivery order and accounting must still be identical."""
     env_i, env_r = Environment(), Environment()
     indexed = PubSubBroker(env_i, latency_s=1.0)
-    reference = PubSubBroker(env_r, latency_s=1.0, reference=True)
+    reference = ReferenceBroker(env_r, latency_s=1.0)
     log_i, log_r = _run_traffic(seed, indexed, reference, env_i, env_r,
                                 latency=True, n_ops=200)
     assert log_i == log_r
@@ -149,7 +150,7 @@ def test_multicast_matches_reference_broker_callbacks(seed):
     lazy-decode refactor must not change who sees what."""
     env_m, env_r = Environment(), Environment()
     multicast = MulticastChannel(env_m)
-    reference = PubSubBroker(env_r, reference=True)
+    reference = ReferenceBroker(env_r)
     log_m, log_r = _run_traffic(seed, multicast, reference, env_m, env_r,
                                 n_ops=250)
     assert log_m == log_r

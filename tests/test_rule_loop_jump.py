@@ -24,6 +24,7 @@ from repro.core.manifest import ElasticityRule
 from repro.core.service_manager import RuleInterpreter
 from repro.monitoring import Measurement
 from repro.sim import Environment, Interrupt
+from tests.oracles.kernel import HeapEnvironment
 
 
 class TickingInterpreter(RuleInterpreter):
@@ -158,7 +159,7 @@ def apply(interp: RuleInterpreter, rules: list, action: tuple) -> None:
 
 
 def replay(script: tuple, cls: type, kernel: str) -> dict:
-    env = Environment(reference=kernel == "reference")
+    env = HeapEnvironment() if kernel == "reference" else Environment()
     if kernel == "profiled":
         env.profile(lambda event, callbacks, wall_s: None)
     log = []
@@ -254,7 +255,7 @@ def probe_run(cls: type, kernel: str, period: float, offset: float,
     """The plain 2.5 s rule and a probe with a shorter period of its own:
     at the instants they share, the probe's report was queued after the
     ticking loop's timeout, so that tick runs before the report."""
-    env = Environment(reference=kernel == "reference")
+    env = HeapEnvironment() if kernel == "reference" else Environment()
     calls = []
 
     def executor(action, rule):

@@ -10,6 +10,12 @@ from repro.sim import (
     SimError,
     StopProcess,
 )
+from tests.oracles.kernel import HeapEnvironment
+
+
+def make_env(reference: bool) -> Environment:
+    """The calendar-queue kernel, or with ``reference`` the heap oracle."""
+    return HeapEnvironment() if reference else Environment()
 
 
 def test_clock_starts_at_zero():
@@ -424,7 +430,7 @@ def test_processes_start_before_same_time_events():
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_cancelled_timeout_is_skipped_dead(reference):
-    env = Environment(reference=reference)
+    env = make_env(reference)
     doomed = env.timeout(5)
     env.timeout(7)
     doomed.cancel()
@@ -437,7 +443,7 @@ def test_cancelled_timeout_is_skipped_dead(reference):
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_anyof_loser_timeout_is_dead_marked(reference):
-    env = Environment(reference=reference)
+    env = make_env(reference)
     fired_at = []
 
     def proc(env):
@@ -456,7 +462,7 @@ def test_anyof_loser_timeout_is_dead_marked(reference):
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_interrupt_dead_marks_abandoned_timeout(reference):
-    env = Environment(reference=reference)
+    env = make_env(reference)
     log = []
 
     def sleeper(env):
@@ -486,7 +492,7 @@ def test_interrupt_before_start_detaches_first_wait(reference):
     interrupt *delivery* time, after the process has parked on its first
     target -- a stale resume from that target would re-enter the generator
     at the wrong yield."""
-    env = Environment(reference=reference)
+    env = make_env(reference)
     log = []
 
     def guarded(env):
@@ -511,7 +517,7 @@ def test_interrupt_before_start_detaches_first_wait(reference):
 def test_attaching_callback_revives_cancelled_event(reference):
     """cancel() is lazy, never destructive: a callback attached afterwards
     still runs, and the pop is not counted as a dead skip."""
-    env = Environment(reference=reference)
+    env = make_env(reference)
     fired = []
     t = env.timeout(1, value="v")
     t.cancel()
@@ -523,7 +529,7 @@ def test_attaching_callback_revives_cancelled_event(reference):
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_events_processed_counts_every_pop(reference):
-    env = Environment(reference=reference)
+    env = make_env(reference)
     for i in range(10):
         env.timeout(i)
     env.run()
@@ -544,7 +550,7 @@ def test_kernel_counters_exposed_as_metrics_views():
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_step_is_not_reentrant(reference):
-    env = Environment(reference=reference)
+    env = make_env(reference)
 
     def bad(env):
         yield env.timeout(1)
@@ -557,7 +563,7 @@ def test_step_is_not_reentrant(reference):
 
 def test_reference_and_wheel_step_peek_parity():
     def build(reference):
-        env = Environment(reference=reference)
+        env = make_env(reference)
         seen = []
 
         def proc(env):

@@ -1,7 +1,7 @@
 """Differential tests: timer-wheel kernel vs the heap oracle kernel.
 
 The calendar-queue kernel (`Environment()`) must be *observationally
-identical* to the reference heap kernel (`Environment(reference=True)`):
+identical* to the reference heap kernel (`tests.oracles.kernel`):
 same event orderings, same clock, same final states, same event counts —
 byte-identical logs on any seeded workload. So must its drain with a
 profiling hook installed (`Environment.profile`). These tests run
@@ -26,6 +26,7 @@ from repro.sim import (  # noqa: E402
     Resource,
     Store,
 )
+from tests.oracles.kernel import HeapEnvironment  # noqa: E402
 
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.5, 7.0)
 KERNELS = ("calendar", "profiled", "reference")
@@ -35,7 +36,7 @@ def _run_mix(seed: int, n_workers: int, *, kernel: str) -> str:
     """One seeded multi-process scenario on ``kernel`` (one of
     :data:`KERNELS`); returns a serialized transcript of everything
     observable (event order, clock, counters, final state)."""
-    env = Environment(reference=kernel == "reference")
+    env = HeapEnvironment() if kernel == "reference" else Environment()
     hooked: list = []
     if kernel == "profiled":
         env.profile(lambda event, callbacks, wall_s: hooked.append(event))
@@ -122,11 +123,6 @@ def _run_mix(seed: int, n_workers: int, *, kernel: str) -> str:
         "resource_queue": len(resource.queue),
         "log": log,
     })
-
-
-def test_reference_flag_selects_heap_kernel():
-    assert Environment().reference is False
-    assert Environment(reference=True).reference is True
 
 
 @settings(max_examples=40, deadline=None)

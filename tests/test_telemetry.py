@@ -21,6 +21,7 @@ from repro.obs import (
 )
 from repro.obs.audit import audit_violation_strings
 from repro.sim import Environment, EpochReport, SimError, TraceLog
+from tests.oracles.kernel import HeapEnvironment
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +285,7 @@ def test_dump_flight_module_function(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_profiler_refused_on_reference_kernel():
-    env = Environment(reference=True)
+    env = HeapEnvironment()
     with pytest.raises(SimError, match="reference"):
         SimProfiler().attach(env)
 
