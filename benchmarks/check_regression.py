@@ -38,7 +38,6 @@ HEADLINE = (
     "test_whatif_federation_probe",
     "test_obs_overhead",
     "test_kernel_10m_events",
-    "test_vm_table_capacity_scan",
     "test_scenario_runner_overhead",
     "test_metrics_merge_overhead",
 )

@@ -557,47 +557,6 @@ def test_scale_rss_per_1k_vms(benchmark):
     assert rss_mb_per_1k > 0
 
 
-def test_vm_table_capacity_scan(benchmark):
-    """Struct-of-arrays fleet scans: census + filtered scans + capacity
-    aggregation over a 20k-VM table with a third of the fleet terminal.
-
-    This is the per-tick introspection work of the scale harness
-    (active counts, per-service scans, reserved-capacity sums) on the
-    dense ``array`` columns instead of VM object chains.
-    """
-    from repro.cloud.vm import DeploymentDescriptor, VirtualMachine, VMState
-    from repro.cloud.vmtable import VMTable
-
-    env = Environment()
-    table = VMTable()
-    vms = []
-    for i in range(20_000):
-        vm = VirtualMachine(env, f"vm-{i}", DeploymentDescriptor(
-            name=f"vm-{i}", memory_mb=1024.0, cpu=1.0,
-            disk_source="img://app",
-            service_id=f"svc-{i % 400}", component_id="app"))
-        table.add(vm)
-        vms.append(vm)
-    for i, vm in enumerate(vms):
-        vm.transition(VMState.STAGING)
-        vm.transition(VMState.BOOTING)
-        vm.transition(VMState.RUNNING)
-        if i % 3 == 0:
-            vm.transition(VMState.SHUTTING_DOWN)
-            vm.transition(VMState.STOPPED)
-
-    def scan():
-        active = table.active_count
-        cpu, mem = table.active_capacity()
-        matches = len(table.active_indices(service_id="svc-7"))
-        return active, cpu, matches
-
-    active, cpu, matches = benchmark(scan)
-    assert active == 20_000 - (20_000 + 2) // 3
-    assert cpu == float(active)
-    assert matches > 0
-
-
 def test_scale_parallel_speedup(benchmark):
     """Sharded scale harness speedup: `--procs 4` vs `--procs 1`, each in
     a fresh interpreter, on a federation big enough for the per-site

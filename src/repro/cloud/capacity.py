@@ -20,7 +20,7 @@ from __future__ import annotations
 import weakref
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from ..core.manifest.model import ServiceManifest
@@ -113,45 +113,6 @@ class HostType:
             raise ValueError("host capacity must be positive")
 
 
-@dataclass
-class _Bin:
-    cpu_free: float
-    mem_free: float
-    per_component: dict[str, int] = field(default_factory=dict)
-
-    def fits(self, d: InstanceDemand) -> bool:
-        if d.cpu > self.cpu_free + 1e-9 or d.memory_mb > self.mem_free + 1e-9:
-            return False
-        if d.per_host_cap is not None:
-            if self.per_component.get(d.component, 0) >= d.per_host_cap:
-                return False
-        return True
-
-    def place(self, d: InstanceDemand) -> None:
-        self.cpu_free -= d.cpu
-        self.mem_free -= d.memory_mb
-        self.per_component[d.component] = \
-            self.per_component.get(d.component, 0) + 1
-
-
-def _pack(instances: list[InstanceDemand], host: HostType) -> int:
-    """First-fit-decreasing by memory; returns hosts used."""
-    for d in instances:
-        if d.cpu > host.cpu_cores or d.memory_mb > host.memory_mb:
-            raise CapacityError(
-                f"instance of {d.component!r} (cpu={d.cpu}, "
-                f"mem={d.memory_mb}) exceeds the host type"
-            )
-    bins: list[_Bin] = []
-    for d in sorted(instances, key=lambda d: (-d.memory_mb, -d.cpu)):
-        target = next((b for b in bins if b.fits(d)), None)
-        if target is None:
-            target = _Bin(host.cpu_cores, host.memory_mb)
-            bins.append(target)
-        target.place(d)
-    return len(bins)
-
-
 @dataclass(frozen=True)
 class CapacityPlan:
     """Host counts for a workload mix on one host type."""
@@ -188,8 +149,8 @@ def plan_capacity(manifests: list[ServiceManifest],
     ceiling = [d for e in envelopes for d in e.ceiling]
     return CapacityPlan(
         host=host,
-        hosts_for_floor=_pack(floor, host) if floor else 0,
-        hosts_for_ceiling=_pack(ceiling, host) if ceiling else 0,
+        hosts_for_floor=_pack_rows(_ffd_rows(floor), host),
+        hosts_for_ceiling=_pack_rows(_ffd_rows(ceiling), host),
         floor_cpu=sum(d.cpu for d in floor),
         floor_memory_mb=sum(d.memory_mb for d in floor),
         ceiling_cpu=sum(d.cpu for d in ceiling),
@@ -202,18 +163,28 @@ def _ffd_key(d: InstanceDemand) -> tuple[float, float]:
     return (-d.memory_mb, -d.cpu)
 
 
+def _ffd_rows(demands: Iterable[InstanceDemand]
+              ) -> list[tuple[float, float, int, str]]:
+    """The ``(cpu, mem, cap, component)`` rows :func:`_pack_rows` packs,
+    in first-fit-decreasing order (``-1`` = no per-host cap)."""
+    return [(d.cpu, d.memory_mb,
+             -1 if d.per_host_cap is None else d.per_host_cap, d.component)
+            for d in sorted(demands, key=_ffd_key)]
+
+
 def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
                host: HostType, limit: Optional[int] = None,
                track_counts: bool = True) -> int:
     """First-fit-decreasing over pre-sorted ``(cpu, mem, cap, component)``
     rows, bins as parallel free-capacity lists; returns bins used.
 
-    Verdict-identical to :func:`_pack` on the same row order (the
-    Hypothesis differential suite holds the two together), with two wins
-    the object packer can't have:
+    Verdict-identical to the object packer kept as the test oracle
+    (``tests/oracles/packer.py``, one object per bin; the Hypothesis
+    differential suites hold the two together), with two wins that packer
+    can't have:
 
     * **struct-of-arrays bins** — the inner first-fit scan compares floats
-      in two lists instead of loading ``_Bin`` attributes; per-bin
+      in two lists instead of loading bin attributes; per-bin
       component tallies are only kept when a per-host cap is present;
     * **monotone skip-start** — bins never regain capacity (or shed
       component count) during one pack, so a bin that rejected a demand
@@ -226,8 +197,8 @@ def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
     ``limit`` bins are open the caller's answer is already "no", so the
     pack stops and returns ``limit + 1``.
 
-    ``track_counts=False`` skips per-bin component tallies entirely. The
-    object packer counts *every* placed instance (capped or not — and
+    ``track_counts=False`` skips per-bin component tallies entirely. A
+    tallying pack counts *every* placed instance (capped or not — and
     same-named components of different services share a bin's tally), so
     this is only sound when the caller knows **no row in the whole pack**
     carries a cap; :class:`_DemandTable` tracks exactly that.
@@ -289,7 +260,8 @@ class _DemandTable:
     component name and owner token as lists. New demands bisect into FFD
     position (equal keys land *after* existing rows), so the table's row
     order is exactly what ``sorted(admitted-expansion, key=FFD)`` would
-    produce — :func:`_pack_rows` over it matches :func:`_pack` bin for bin.
+    produce: :func:`_pack_rows` over it packs as a repack of the admitted
+    manifests would.
     """
 
     __slots__ = ("cpu", "mem", "cap", "comp", "owner", "keys",

@@ -25,7 +25,6 @@ from .network import NetworkFabric
 from .placement import Placer
 from .veeh import Host
 from .vm import DeploymentDescriptor, VirtualMachine, VMState
-from .vmtable import VMTable
 
 __all__ = ["VEEM"]
 
@@ -53,10 +52,10 @@ class VEEM:
         self.networks = NetworkFabric()
         self._vm_seq = itertools.count(1)
         self.vms: dict[str, VirtualMachine] = {}
-        #: struct-of-arrays fleet bookkeeping (cpu/memory/state columns
-        #: keyed by dense VM index) — census and component scans read the
-        #: columns instead of chasing VM objects
-        self.table = VMTable()
+        #: the VMs of ``vms`` not yet seen STOPPED or FAILED, in submission
+        #: order; both states are terminal, so reads prune it and cost the
+        #: live fleet, not every VM the site ever had
+        self._live: list[VirtualMachine] = []
         # Registry-owned operation counters (these paths are not hot — a VM
         # operation costs simulated seconds) plus views over the placer's
         # plain tallies.
@@ -91,23 +90,14 @@ class VEEM:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def active_vms(self, *, service_id: Optional[str] = None,
-                   component_id: Optional[str] = None
-                   ) -> list[VirtualMachine]:
-        return self.table.active_vms(service_id=service_id,
-                                     component_id=component_id)
-
-    def running_vms(self, *, service_id: Optional[str] = None,
-                    component_id: Optional[str] = None
-                    ) -> list[VirtualMachine]:
-        return self.table.active_vms(service_id=service_id,
-                                     component_id=component_id,
-                                     running_only=True)
+    def _live_vms(self) -> list[VirtualMachine]:
+        live = self._live = [vm for vm in self._live if vm.is_active]
+        return live
 
     @property
     def active_vm_count(self) -> int:
-        """Live fleet size, O(1) off the table's incremental counter."""
-        return self.table.active_count
+        """Live fleet size: VMs submitted and not yet STOPPED or FAILED."""
+        return len(self._live_vms())
 
     # ------------------------------------------------------------------
     # Operations (the interface elasticity actions are expressed against)
@@ -143,7 +133,7 @@ class VEEM:
         span.details["host"] = host.name
         self._m_submitted.inc()
         self.vms[vm_id] = vm
-        self.table.add(vm)
+        self._live.append(vm)
         self.trace.emit_in(span, self.name, "vm.submit", vm=vm_id,
                            component=descriptor.component_id,
                            service=descriptor.service_id, host=host.name)
@@ -269,10 +259,8 @@ class VEEM:
         """
         if count < 0:
             raise ValueError("preempt count must be non-negative")
-        active = [vm for vm in self.vms.values() if vm.is_active]
-        if newest_first:
-            active.reverse()
-        victims = active[:count]
+        active = self._live_vms()
+        victims = (active[::-1] if newest_first else active)[:count]
         for vm in victims:
             self.trace.emit(self.name, "vm.preempted", vm=vm.vm_id,
                             component=vm.descriptor.component_id,
@@ -389,4 +377,4 @@ class VEEM:
 
     def __repr__(self) -> str:
         return (f"<VEEM {self.name} hosts={len(self.hosts)} "
-                f"active_vms={self.table.active_count}>")
+                f"active_vms={self.active_vm_count}>")

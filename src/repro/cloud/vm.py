@@ -65,6 +65,11 @@ _TRANSITIONS: dict[VMState, frozenset[VMState]] = {
     VMState.FAILED: frozenset(),
 }
 
+#: The terminal states. Bound once here: an enum member read through its
+#: class costs more than the membership test, and live-fleet counts run
+#: this test for every live VM on every read.
+_ENDED = (VMState.STOPPED, VMState.FAILED)
+
 
 @dataclass
 class DeploymentDescriptor:
@@ -127,11 +132,6 @@ class VirtualMachine:
         #: VEE back to whatever caused it (a rule firing, a control-plane
         #: request, or nothing when deployed directly)
         self.span: Optional[Any] = None
-        #: struct-of-arrays fleet table this VM is a row of (set by
-        #: :meth:`repro.cloud.vmtable.VMTable.add`); transitions mirror the
-        #: state into the table's ``state`` column
-        self._table: Optional[Any] = None
-        self._table_index: int = -1
         self.on_running: Event = env.event()
         self.on_stopped: Event = env.event()
 
@@ -144,19 +144,17 @@ class VirtualMachine:
             )
         self.state = new_state
         self.state_history.append((self.env.now, new_state))
-        if self._table is not None:
-            self._table.note_transition(self._table_index, new_state)
         if new_state is VMState.RUNNING and self.running_at is None:
             self.running_at = self.env.now
             self.on_running.succeed(self)
-        elif new_state in (VMState.STOPPED, VMState.FAILED):
+        elif new_state in _ENDED:
             self.stopped_at = self.env.now
             self.on_stopped.succeed(self)
 
     @property
     def is_active(self) -> bool:
         """True while the VM holds (or is acquiring) host capacity."""
-        return self.state not in (VMState.STOPPED, VMState.FAILED)
+        return self.state not in _ENDED
 
     @property
     def provisioning_time(self) -> Optional[float]:

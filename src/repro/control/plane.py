@@ -68,7 +68,7 @@ from ..core.manifest.model import ServiceManifest
 from ..core.service_manager.lifecycle import ScaleError
 from ..core.service_manager.manager import ManagedService, ServiceManager
 from ..sim import Environment, Process, SeriesRecorder, TraceLog
-from ..solver import SearchBudget, Solution, encode_service, solve
+from ..solver import Solution, encode_service, solve
 from ..solver import what_if as _solver_what_if
 from .backpressure import RetryPolicy
 from .requests import (
@@ -120,8 +120,7 @@ class ControlPlane:
                  trace: Optional[TraceLog] = None,
                  retry: Optional[RetryPolicy] = None,
                  max_queue_depth: Optional[int] = None,
-                 solver_fallback: bool = True,
-                 solver_budget: Optional[SearchBudget] = None):
+                 solver_fallback: bool = True):
         self.env = env
         self.trace = trace if trace is not None else TraceLog(env)
         self.retry = retry if retry is not None else RetryPolicy()
@@ -131,7 +130,6 @@ class ControlPlane:
         #: after a greedy CapacityError, re-plan the whole instance set with
         #: the exact solver before burning a backoff interval
         self.solver_fallback = solver_fallback
-        self.solver_budget = solver_budget or SearchBudget()
         self.sites: list[ControlledSite] = []
         #: federation members currently cut off by a network partition —
         #: ineligible for every placement until the partition heals
@@ -405,8 +403,7 @@ class ControlPlane:
         ``exact=True`` asks the constraint solver for a second opinion on
         sites the FFD packer refuses.
         """
-        return _solver_what_if(self, manifest, tenant=tenant, exact=exact,
-                               budget=self.solver_budget)
+        return _solver_what_if(self, manifest, tenant=tenant, exact=exact)
 
     # ------------------------------------------------------------------
     # Admission machinery
@@ -633,11 +630,11 @@ class ControlPlane:
 
         Encodes the manifest's full initial instance set against the site's
         live hosts (with the placer's installed constraints) and solves
-        within ``solver_budget``. SAT returns per-instance pins keyed
-        ``(system_id, instance_index)`` for the retry deploy; UNSAT returns
-        the solver's explanation for the eventual terminal reason. Any
-        encoding surprise (an unsupported constraint type, say) falls back
-        to the plain greedy retry path.
+        within the default :class:`~repro.solver.SearchBudget`. SAT returns
+        per-instance pins keyed ``(system_id, instance_index)`` for the
+        retry deploy; UNSAT returns the solver's explanation for the
+        eventual terminal reason. Any encoding surprise (an unsupported
+        constraint type, say) falls back to the plain greedy retry path.
         """
         try:
             veem = site.site.veem
@@ -645,7 +642,7 @@ class ControlPlane:
                 request.manifest, veem.hosts,
                 service_id=request.service_id,
                 constraints=veem.placer.constraints)
-            result = solve(model, self.solver_budget)
+            result = solve(model)
         except Exception:
             return None, None
         if not isinstance(result, Solution):

@@ -88,7 +88,7 @@ __all__ = ["manifest_to_text", "manifest_from_text", "HutnSyntaxError"]
 
 
 class HutnSyntaxError(Exception):
-    """Malformed textual manifest."""
+    """Malformed textual manifest, or a value the manifest model rejects."""
 
 
 def _quote(text: str) -> str:
@@ -241,6 +241,11 @@ class _Lines:
         self.index += 1
         return item
 
+    @property
+    def lineno(self) -> int:
+        """Number of the line read last."""
+        return self.lines[self.index - 1][0] if self.index else 0
+
 
 def _tokens(line: str, lineno: int) -> list[str]:
     try:
@@ -278,6 +283,16 @@ def _parse_float(text: str, lineno: int, what: str) -> float:
 def manifest_from_text(text: str) -> ServiceManifest:
     """Parse the textual notation back into the abstract syntax."""
     lines = _Lines(text)
+    try:
+        return _parse_service(lines)
+    except (ValueError, OverflowError) as exc:
+        # The model's own checks (bounds out of order, a rule with no
+        # action, an infinite count), named by the line read last: the
+        # offending line, or the closing brace of the block it ends.
+        raise HutnSyntaxError(f"line {lines.lineno}: {exc}") from exc
+
+
+def _parse_service(lines: _Lines) -> ServiceManifest:
     lineno, header = lines.next()
     tokens = _expect_block_open(_tokens(header, lineno), lineno)
     if len(tokens) != 2 or tokens[0] != "service":

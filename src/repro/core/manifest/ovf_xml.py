@@ -47,7 +47,7 @@ __all__ = ["manifest_to_xml", "manifest_from_xml", "ManifestSyntaxError"]
 
 
 class ManifestSyntaxError(Exception):
-    """Malformed manifest XML."""
+    """Malformed manifest XML, or a value the manifest model rejects."""
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +217,27 @@ def _parse_bool(text: str) -> bool:
     return text == "true"
 
 
+def _number(text: str, where: str, kind: type = float):
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ManifestSyntaxError(
+            f"{where}: expected {expected}, got {text!r}") from None
+
+
+_REQUIRED = object()
+
+
+def _num(el: ET.Element, attr: str, kind: type = float, default=_REQUIRED):
+    """Numeric attribute ``attr`` of ``el``; required unless a default is
+    given."""
+    text = _req(el, attr) if default is _REQUIRED else el.get(attr)
+    if text is None:
+        return default
+    return _number(text, f"<{el.tag}> attribute {attr!r}", kind)
+
+
 def manifest_from_xml(text: str) -> ServiceManifest:
     """Parse the concrete XML syntax back into the abstract syntax."""
     try:
@@ -225,15 +246,21 @@ def manifest_from_xml(text: str) -> ServiceManifest:
         raise ManifestSyntaxError(f"not well-formed XML: {exc}") from exc
     if root.tag != "Envelope":
         raise ManifestSyntaxError(f"expected <Envelope>, got <{root.tag}>")
+    try:
+        return _from_envelope(root)
+    except ValueError as exc:   # the model's own checks, e.g. bounds order
+        raise ManifestSyntaxError(str(exc)) from exc
 
+
+def _from_envelope(root: ET.Element) -> ServiceManifest:
     references = tuple(
-        FileReference(_req(f, "id"), _req(f, "href"), float(_req(f, "size")))
+        FileReference(_req(f, "id"), _req(f, "href"), _num(f, "size"))
         for f in root.findall("./References/File")
     )
     disks = tuple(
         VirtualDisk(
             _req(d, "diskId"), _req(d, "fileRef"),
-            float(d.get("capacity")) if d.get("capacity") else None,
+            _num(d, "capacity") if d.get("capacity") else None,
         )
         for d in root.findall("./DiskSection/Disk")
     )
@@ -248,24 +275,24 @@ def manifest_from_xml(text: str) -> ServiceManifest:
 
     systems = []
     for vs in root.findall("./VirtualSystem"):
+        where = f"virtual system {_req(vs, 'id')!r}"
         cpu_text = vs.findtext("./VirtualHardwareSection/CPU")
         mem_text = vs.findtext("./VirtualHardwareSection/Memory")
         if cpu_text is None or mem_text is None:
             raise ManifestSyntaxError(
-                f"virtual system {_req(vs, 'id')!r} lacks a complete "
-                f"VirtualHardwareSection"
-            )
+                f"{where} lacks a complete VirtualHardwareSection")
         bounds_el = vs.find("ElasticityBounds")
         bounds = InstanceBounds() if bounds_el is None else InstanceBounds(
-            initial=int(_req(bounds_el, "initial")),
-            minimum=int(_req(bounds_el, "min")),
-            maximum=int(_req(bounds_el, "max")),
+            initial=_num(bounds_el, "initial", int),
+            minimum=_num(bounds_el, "min", int),
+            maximum=_num(bounds_el, "max", int),
         )
         systems.append(VirtualSystem(
             system_id=_req(vs, "id"),
             info=vs.findtext("Info") or "",
-            hardware=VirtualHardware(cpu=float(cpu_text),
-                                     memory_mb=float(mem_text)),
+            hardware=VirtualHardware(
+                cpu=_number(cpu_text, f"<CPU> of {where}"),
+                memory_mb=_number(mem_text, f"<Memory> of {where}")),
             disk_refs=tuple(_req(d, "diskId")
                             for d in vs.findall("DiskRef")),
             network_refs=tuple(_req(n, "name")
@@ -281,7 +308,7 @@ def manifest_from_xml(text: str) -> ServiceManifest:
     startup = tuple(
         StartupEntry(
             system_id=_req(item, "id"),
-            order=int(_req(item, "order")),
+            order=_num(item, "order", int),
             wait_for_guest=_parse_bool(item.get("waitingForGuest", "true")),
         )
         for item in root.findall("./StartupSection/Item")
@@ -313,7 +340,7 @@ def manifest_from_xml(text: str) -> ServiceManifest:
                 for sp in pl_el.findall("SitePlacement")
             ),
             per_host_caps=tuple(
-                (_req(c, "id"), int(_req(c, "cap")))
+                (_req(c, "id"), _num(c, "cap", int))
                 for c in pl_el.findall("PerHostCap")
             ),
         )
@@ -328,16 +355,15 @@ def manifest_from_xml(text: str) -> ServiceManifest:
                 qname = kpi_el.findtext("QName")
                 if qname is None:
                     raise ManifestSyntaxError("KPI without <QName>")
-                default_text = kpi_el.get("default")
                 kpis.append(KeyPerformanceIndicator(
                     qualified_name=qname.strip(),
                     type=KeyPerformanceIndicator.type_from_name(
                         kpi_el.get("type", "int")),
-                    frequency_s=float(kpi_el.findtext("Frequency") or 30.0),
+                    frequency_s=_number(kpi_el.findtext("Frequency") or "30",
+                                        f"<Frequency> of KPI {qname!r}"),
                     category=kpi_el.get("category", "Agent"),
                     units=kpi_el.get("units", ""),
-                    default=(float(default_text)
-                             if default_text is not None else None),
+                    default=_num(kpi_el, "default", default=None),
                 ))
             components.append(ComponentDescription(
                 name=_req(comp_el, "name"),
@@ -351,30 +377,26 @@ def manifest_from_xml(text: str) -> ServiceManifest:
     defaults = application.kpi_defaults() if application is not None else {}
     rules = []
     for rule_el in root.findall("ElasticityRule"):
+        name = _req(rule_el, "name")
         trigger_el = rule_el.find("Trigger")
         if trigger_el is None:
-            raise ManifestSyntaxError(
-                f"rule {_req(rule_el, 'name')!r} lacks a <Trigger>"
-            )
+            raise ManifestSyntaxError(f"rule {name!r} lacks a <Trigger>")
         expr_text = trigger_el.findtext("Expression")
         if expr_text is None:
-            raise ManifestSyntaxError(
-                f"rule {_req(rule_el, 'name')!r} lacks an <Expression>"
-            )
-        tc_text = trigger_el.findtext("TimeConstraint")
-        cooldown_text = rule_el.get("cooldown")
+            raise ManifestSyntaxError(f"rule {name!r} lacks an <Expression>")
         rules.append(ElasticityRule(
-            name=_req(rule_el, "name"),
+            name=name,
             trigger=Trigger(
                 expression=parse_expression(expr_text, defaults),
-                time_constraint_ms=float(tc_text) if tc_text else 5000.0,
+                time_constraint_ms=_number(
+                    trigger_el.findtext("TimeConstraint") or "5000",
+                    f"<TimeConstraint> of rule {name!r}"),
             ),
             actions=tuple(
                 parse_action(_req(a, "run"))
                 for a in rule_el.findall("Action")
             ),
-            cooldown_s=(float(cooldown_text)
-                        if cooldown_text is not None else None),
+            cooldown_s=_num(rule_el, "cooldown", default=None),
         ))
 
     sla_el = root.find("SLASection")
@@ -391,10 +413,10 @@ def manifest_from_xml(text: str) -> ServiceManifest:
             objectives.append(ServiceLevelObjective(
                 name=_req(slo_el, "name"),
                 expression=parse_expression(expr_text, defaults),
-                evaluation_period_s=float(slo_el.get("period", 30.0)),
-                target_compliance=float(slo_el.get("target", 0.95)),
-                assessment_window_s=float(slo_el.get("window", 3600.0)),
-                penalty_per_breach=float(slo_el.get("penalty", 1.0)),
+                evaluation_period_s=_num(slo_el, "period", default=30.0),
+                target_compliance=_num(slo_el, "target", default=0.95),
+                assessment_window_s=_num(slo_el, "window", default=3600.0),
+                penalty_per_breach=_num(slo_el, "penalty", default=1.0),
             ))
         sla = SLASection(tuple(objectives))
 

@@ -375,15 +375,15 @@ def _vm_census(env, veems, samples: list, period_s: float):
     fall *between* event instants (VM transitions cluster on the monitor
     grid): the count at each sample time is then independent of
     same-instant event ordering, which is what lets sharded and
-    single-process runs agree sample-for-sample. The count itself is the
-    O(1) :attr:`~repro.cloud.vmtable.VMTable.active_count` column
-    aggregate, not a fleet scan.
+    single-process runs agree sample-for-sample. Each site's count is
+    :attr:`~repro.cloud.veem.VEEM.active_vm_count`, which costs its live
+    VMs, not every VM the site ever had.
     """
     yield env.timeout(period_s / 2.0)
     while True:
         total = 0
         for veem in veems:
-            total += veem.table.active_count
+            total += veem.active_vm_count
         samples.append((env.now, total))
         yield env.timeout(period_s)
 
@@ -629,7 +629,7 @@ class FederationRun:
             payload = {
                 "samples": self.samples,
                 "site_fleets": [
-                    (name, veem.table.active_count)
+                    (name, veem.active_vm_count)
                     for name, veem in zip(self.site_names, self.veems)],
                 "dead_skipped": self.env.dead_skipped,
                 "violations": violations,

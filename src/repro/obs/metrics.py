@@ -393,8 +393,7 @@ class SnapshotCursor:
         return out
 
 
-def canonical_view(registry: MetricsRegistry, *,
-                   strip: tuple = ("plane",)) -> dict[str, Any]:
+def canonical_view(registry: MetricsRegistry) -> dict[str, Any]:
     """The federation-wide metric view used for oracle comparison.
 
     Owned instruments only (views read process-local attributes and are
@@ -411,7 +410,7 @@ def canonical_view(registry: MetricsRegistry, *,
     hists: dict[tuple[str, LabelKey], Histogram] = {}
     for (name, labels), instrument in sorted(
             registry._instruments.items(), key=lambda item: item[0]):
-        stripped = tuple(kv for kv in labels if kv[0] not in strip)
+        stripped = tuple(kv for kv in labels if kv[0] != "plane")
         key = (name, stripped)
         if isinstance(instrument, Counter):
             counters[key] = counters.get(key, 0.0) + instrument.value

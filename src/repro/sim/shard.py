@@ -165,8 +165,8 @@ class ShardPool:
     """
 
     def __init__(self, factory: Callable[[Any], Any],
-                 specs: Sequence[Any], *, start_method: str = "spawn"):
-        ctx = mp.get_context(start_method)
+                 specs: Sequence[Any]):
+        ctx = mp.get_context("spawn")
         self.processes: list[Any] = []
         self.pipes: list[Any] = []
         self._stopped = False

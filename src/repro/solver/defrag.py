@@ -20,9 +20,9 @@ against live state (and aborts loudly) in case the world moved on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..cloud.capacity import HostType, _ffd_key, _pack_rows
+from ..cloud.capacity import HostType, _ffd_key, _ffd_rows, _pack_rows
 from ..cloud.capacity import InstanceDemand
 from ..cloud.vm import VMState
 from .encode import UnsupportedConstraintError, compile_constraints
@@ -96,11 +96,9 @@ def fragmentation_score(hosts: Sequence) -> float:
     if not used:
         return 0.0
     shape = HostType(live[0].cpu_cores, live[0].memory_mb)
-    demands = [InstanceDemand(vm.descriptor.component_id or "vm",
-                              vm.descriptor.cpu, vm.descriptor.memory_mb)
-               for h in used for vm in h.vms]
-    rows = ((d.cpu, d.memory_mb, -1, d.component)
-            for d in sorted(demands, key=_ffd_key))
+    rows = _ffd_rows(InstanceDemand(vm.descriptor.component_id or "vm",
+                                    vm.descriptor.cpu, vm.descriptor.memory_mb)
+                     for h in used for vm in h.vms)
     ideal = _pack_rows(rows, shape, track_counts=False)
     return max(0.0, (len(used) - ideal) / len(used))
 
@@ -177,7 +175,7 @@ def _admits(cons: ModelConstraints, sim_target: _SimHost, vm,
     return True
 
 
-def plan_defrag(veem, *, max_steps: Optional[int] = None) -> MigrationPlan:
+def plan_defrag(veem) -> MigrationPlan:
     """Build a consolidation plan for one site's fleet.
 
     Drain candidates are visited emptiest-first; each is drained
@@ -227,8 +225,7 @@ def plan_defrag(veem, *, max_steps: Optional[int] = None) -> MigrationPlan:
                          key=lambda t: (t.mem_free, t.cpu_free, t.index))
             _sim_move(source, target, vm)
             tentative.append((vm, target))
-        if ok and tentative and (max_steps is None
-                                 or len(steps) + len(tentative) <= max_steps):
+        if ok and tentative:
             for vm, target in tentative:
                 steps.append(MigrationStep(
                     vm_id=vm.vm_id, from_host=source.name,
@@ -266,15 +263,12 @@ def _sim_score(sims, hosts) -> float:
         return 0.0
     live = [h for h in hosts if not h.failed]
     shape = HostType(live[0].cpu_cores, live[0].memory_mb)
-    demands = sorted(
-        (InstanceDemand(vm.descriptor.component_id or "vm",
-                        vm.descriptor.cpu, vm.descriptor.memory_mb)
-         for s in sims for vm in s.movable),
-        key=_ffd_key)
+    rows = _ffd_rows(InstanceDemand(vm.descriptor.component_id or "vm",
+                                    vm.descriptor.cpu, vm.descriptor.memory_mb)
+                     for s in sims for vm in s.movable)
     # Pinned (non-RUNNING) VMs are invisible to the movable scan above;
     # fall back to counting their hosts as irreducible.
-    rows = ((d.cpu, d.memory_mb, -1, d.component) for d in demands)
-    ideal = _pack_rows(rows, shape, track_counts=False) if demands else 0
+    ideal = _pack_rows(rows, shape, track_counts=False)
     ideal += sum(1 for s in sims if s.pinned and not s.movable)
     return max(0.0, (len(used) - ideal) / len(used))
 

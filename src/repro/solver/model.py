@@ -141,20 +141,14 @@ class PlacementModel:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds on one solve. ``max_nodes`` counts assignment attempts and is
-    the budget every *decision-affecting* caller uses — it is deterministic,
-    so sharded replays reach identical verdicts. ``max_seconds`` (wall
-    clock) is opt-in for interactive probes only; never set it on a path a
-    determinism contract covers."""
+    """Bounds on one solve. ``max_nodes`` counts assignment attempts; it is
+    deterministic, so sharded replays reach identical verdicts."""
 
     max_nodes: int = 4096
-    max_seconds: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ValueError("max_seconds must be positive")
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ set jointly. The search is classic CSP machinery, tuned for placement:
   excluded: placing a future anchor can only *add* candidates, so
   pruning on it would be unsound).
 * **deterministic budget** — nodes are assignment attempts; identical
-  models reach identical verdicts on every run and every shard. An
-  optional wall-clock bound exists for interactive probes only.
+  models reach identical verdicts on every run and every shard.
 
 Every dead end records which constraint pruned the last candidate; the
 deepest failure becomes the :class:`~.explain.Explanation` on UNSAT.
@@ -31,7 +30,6 @@ deepest failure becomes the :class:`~.explain.Explanation` on UNSAT.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Union
 
 from .explain import Explanation, PruneCode, from_tallies
@@ -92,8 +90,6 @@ def solve(model: PlacementModel,
     n_items = len(items)
     assignment: list[Optional[int]] = [None] * n_items
     nodes = 0
-    deadline = (time.monotonic() + budget.max_seconds
-                if budget.max_seconds is not None else None)
     # deepest dead end seen: (depth, item name, prune tallies)
     failure: Optional[tuple[int, str, dict]] = None
 
@@ -158,8 +154,6 @@ def solve(model: PlacementModel,
         nonlocal nodes, failure
         if depth == n_items:
             return True
-        if deadline is not None and time.monotonic() > deadline:
-            raise _Exhausted
         min_stage = min(stage[i] for i in range(n_items)
                         if assignment[i] is None)
         chosen = None           # (mrv key, item index, candidate hosts)

@@ -18,7 +18,7 @@ from typing import Optional
 from ..cloud.capacity import demand_envelope
 from .encode import encode_admission
 from .explain import Explanation, PruneCode
-from .model import SearchBudget, Solution
+from .model import Solution
 from .search import solve
 
 __all__ = ["SiteVerdict", "WhatIfReport", "what_if"]
@@ -104,8 +104,7 @@ class WhatIfReport:
 
 
 def what_if(plane, manifest, *, tenant: Optional[str] = None,
-            exact: bool = True,
-            budget: Optional[SearchBudget] = None) -> WhatIfReport:
+            exact: bool = True) -> WhatIfReport:
     """Probe every federation member without mutating any of them.
 
     ``tenant`` (optional) adds the quota screens ``submit()`` would apply;
@@ -157,7 +156,7 @@ def what_if(plane, manifest, *, tenant: Optional[str] = None,
         solver_fits: Optional[bool] = None
         explanation: Optional[Explanation] = None
         if not admits_now and exact:
-            result = solve(encode_admission(admission, manifest), budget)
+            result = solve(encode_admission(admission, manifest))
             solver_fits = isinstance(result, Solution)
             if not solver_fits:
                 explanation = result.explanation

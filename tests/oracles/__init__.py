@@ -9,7 +9,9 @@ behaviour, kept beside the tests rather than inside the shipping package:
   broker that decodes every packet and scans every subscription;
 * :class:`~tests.oracles.rules.FullPassInterpreter` — the rule engine that
   evaluates every installed rule on every pass with tree-walking
-  conditions (the §4.2.2 ``evaluateRules()`` transcription).
+  conditions (the §4.2.2 ``evaluateRules()`` transcription);
+* :func:`~tests.oracles.packer.pack` — first-fit-decreasing with one
+  object per bin, the packer capacity planning and admission must match.
 
 The production implementations must be observationally identical to them
 on any seeded workload; the suites replay the same inputs through both.

@@ -10,6 +10,7 @@ from repro.cloud import (
     plan_capacity,
 )
 from repro.core.manifest import ManifestBuilder
+from tests.oracles.packer import reference_plan
 
 
 def polymorph_like():
@@ -187,13 +188,13 @@ _manifests = st.lists(
 @given(specs=_manifests, pool=st.integers(1, 12),
        data=st.data())
 def test_incremental_admission_matches_repack_oracle(specs, pool, data):
-    """The table-backed controller must agree with a from-scratch
-    ``plan_capacity`` repack after every admit/release — same verdicts,
-    same committed plan."""
+    """The table-backed controller must agree with a from-scratch repack
+    by the object packer after every admit/release — same verdicts, same
+    committed plan — and so must ``plan_capacity``."""
     host = HostType(4, 8192)
     controller = AdmissionController(pool_hosts=pool, host=host)
     for manifest in specs:
-        oracle = plan_capacity(controller.admitted + [manifest], host)
+        oracle = reference_plan(controller.admitted + [manifest], host)
         expected = oracle.hosts_for_ceiling <= pool
         assert controller.can_admit(manifest) is expected
         if expected:
@@ -202,7 +203,8 @@ def test_incremental_admission_matches_repack_oracle(specs, pool, data):
             victim = data.draw(st.sampled_from(controller.admitted))
             controller.release(victim)
         plan = controller.committed_plan
-        truth = plan_capacity(controller.admitted, host)
+        truth = reference_plan(controller.admitted, host)
+        assert plan_capacity(controller.admitted, host) == truth
         assert plan.hosts_for_ceiling == truth.hosts_for_ceiling
         assert plan.hosts_for_floor == truth.hosts_for_floor
         assert plan.ceiling_cpu == pytest.approx(truth.ceiling_cpu)

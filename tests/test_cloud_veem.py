@@ -1,8 +1,11 @@
 """Integration tests for the VEEM: deployment, shutdown, migration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud import (
+    CapacityError,
     ComponentCap,
     DeploymentDescriptor,
     Host,
@@ -193,19 +196,6 @@ def test_reconfigure_non_running_raises():
         veem.reconfigure(vm, cpu=2)
 
 
-def test_active_and_running_filters():
-    env = Environment()
-    veem = make_veem(env)
-    a = veem.submit(make_desc(component="exec"))
-    b = veem.submit(make_desc(component="dbms"))
-    assert len(veem.active_vms()) == 2
-    assert veem.running_vms() == []
-    env.run(until=env.all_of([a.on_running, b.on_running]))
-    assert len(veem.running_vms(component_id="exec")) == 1
-    assert len(veem.running_vms(service_id="svc")) == 2
-    assert veem.running_vms(service_id="other") == []
-
-
 def test_placement_constraints_enforced_by_veem():
     env = Environment()
     repo = ImageRepository()
@@ -326,3 +316,97 @@ def test_resume_does_not_refire_on_running():
     # on_running is a one-shot event; resuming must not try to re-fire it.
     assert vm.running_at == first_running_at
     assert vm.state is VMState.RUNNING
+
+
+# ---------------------------------------------------------------------------
+# The live-fleet census
+# ---------------------------------------------------------------------------
+
+def test_census_counts_submitted_fleet():
+    env = Environment()
+    veem = make_veem(env)
+    vm = veem.submit(make_desc())
+    assert veem.active_vm_count == 1
+    env.run(until=vm.on_running)
+    veem.shutdown(vm)
+    env.run()
+    assert vm.state is VMState.STOPPED
+    assert veem.active_vm_count == 0
+
+
+def _pick(vms, index):
+    return vms[index % len(vms)] if vms else None
+
+
+_operations = st.lists(st.one_of(
+    st.tuples(st.just("submit"), st.integers(0, 1)),
+    st.tuples(st.just("shutdown"), st.integers(0, 63)),
+    st.tuples(st.just("migrate"), st.integers(0, 63), st.integers(0, 2)),
+    st.tuples(st.just("suspend"), st.integers(0, 63)),
+    st.tuples(st.just("resume"), st.integers(0, 63)),
+    st.tuples(st.just("fail_vm"), st.integers(0, 63)),
+    st.tuples(st.just("fail_host"), st.integers(0, 2)),
+    st.tuples(st.just("preempt"), st.integers(0, 3)),
+), min_size=1, max_size=40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=_operations,
+       pauses=st.lists(st.sampled_from([0.5, 4.0, 15.0, 60.0]),
+                       min_size=40, max_size=40))
+def test_census_matches_fleet_under_every_exit(ops, pauses):
+    """However VMs leave — shutdown, VM or host failure, preemption —
+    ``active_vm_count`` equals the live VMs, and ``preempt(k)`` reclaims
+    the ``k`` most recently submitted of them. Each operation is followed
+    by a pause, so the next one can land mid-staging, mid-boot,
+    mid-migration or mid-shutdown."""
+    env = Environment()
+    veem = make_veem(env, n_hosts=3)
+
+    def in_state(state):
+        return [vm for vm in veem.vms.values() if vm.state is state]
+
+    def live():
+        return [vm for vm in veem.vms.values() if vm.is_active]
+
+    for op, pause in zip(ops, pauses):
+        kind = op[0]
+        if kind == "submit":
+            try:
+                veem.submit(make_desc(component=("exec", "dbms")[op[1]]))
+            except CapacityError:
+                pass
+        elif kind == "shutdown":
+            vm = _pick(in_state(VMState.RUNNING), op[1])
+            if vm is not None:
+                veem.shutdown(vm)
+        elif kind == "migrate":
+            vm = _pick(in_state(VMState.RUNNING), op[1])
+            target = veem.hosts[op[2]]
+            if vm is not None and target is not vm.host and target.fits(
+                    vm.descriptor.cpu, vm.descriptor.memory_mb):
+                veem.migrate(vm, target)
+        elif kind == "suspend":
+            vm = _pick(in_state(VMState.RUNNING), op[1])
+            if vm is not None:
+                veem.suspend(vm)
+        elif kind == "resume":
+            vm = _pick(in_state(VMState.SUSPENDED), op[1])
+            if vm is not None:
+                veem.resume(vm)
+        elif kind == "fail_vm":
+            vm = _pick(live(), op[1])
+            if vm is not None:
+                veem.inject_vm_failure(vm)
+        elif kind == "fail_host":
+            host = veem.hosts[op[1]]
+            if host.failed:
+                veem.recover_host(host)
+            else:
+                veem.inject_host_failure(host)
+        else:
+            newest = live()[::-1]
+            assert veem.preempt(op[1]) == newest[:op[1]]
+        assert veem.active_vm_count == len(live())
+        env.run(until=env.now + pause)
+        assert veem.active_vm_count == len(live())

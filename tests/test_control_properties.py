@@ -20,10 +20,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.cloud.capacity import HostType, _pack, demand_envelope
+from repro.cloud.capacity import HostType, demand_envelope
 from repro.control import ControlPlane, RequestState, TenantQuota
 from repro.core.manifest import ManifestBuilder
 from repro.sim import Environment
+from tests.oracles.packer import pack
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
 HOST = HostType(cpu_cores=4.0, memory_mb=8192.0)
@@ -62,7 +63,7 @@ def check_books_balance(control):
         mine = [r for r in live if r.site == site.name]
         # worst case of every live admitted request packs into the pool
         ceiling = [d for r in mine for d in r.envelope.ceiling]
-        hosts_needed = _pack(ceiling, site.admission.host) if ceiling else 0
+        hosts_needed = pack(ceiling, site.admission.host) if ceiling else 0
         assert hosts_needed <= site.admission.pool_hosts, (
             f"oversubscribed: {hosts_needed} hosts needed on "
             f"{site.admission.pool_hosts}-host pool")
@@ -148,7 +149,7 @@ def test_admitted_envelopes_always_pack_into_pool(pool_hosts, sizes):
     admitted = [r for r in control.requests.values() if r.state in LIVE]
     ceiling = [d for r in admitted for d in r.envelope.ceiling]
     if ceiling:
-        assert _pack(ceiling, HOST) <= pool_hosts
+        assert pack(ceiling, HOST) <= pool_hosts
     # everything not admitted is queued or terminally rejected, never lost
     assert len(control.requests) == len(sizes)
     envelopes = [demand_envelope(r.manifest) for r in admitted]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.manifest import (
+    ExpressionError,
     HutnSyntaxError,
     ManifestBuilder,
     manifest_from_text,
@@ -12,6 +13,7 @@ from repro.core.manifest import (
     manifest_to_text,
     manifest_to_xml,
 )
+from repro.experiments.polymorph import TestbedConfig, polymorph_manifest
 from tests.test_manifest_xml import paper_manifest
 
 
@@ -119,6 +121,25 @@ service demo {
     assert sp2.avoid_sites == ("bad-site",)
 
 
+EVALUATION_TEXT = manifest_to_text(polymorph_manifest(TestbedConfig()))
+
+
+def _action_line_emptied(rule):
+    """The paper's manifest with ``rule``'s ``do`` line blanked, and the
+    error it must raise, at the rule's closing brace."""
+    lines = EVALUATION_TEXT.splitlines()
+    header = next(i for i, line in enumerate(lines)
+                  if line.strip().startswith(f"rule {rule} "))
+    do = next(i for i in range(header, len(lines))
+              if lines[i].strip().startswith("do "))
+    assert lines[do + 1].strip() == "}"
+    lines[do] = ""
+    return pytest.param(
+        "\n".join(lines),
+        f"line {do + 2}: rule {rule}: at least one action required",
+        id=f"{rule}-without-action")
+
+
 @pytest.mark.parametrize("text, match", [
     ("network x {", "expected 'service"),
     ("service s {\n  bogus thing\n}", "unknown declaration"),
@@ -137,10 +158,42 @@ service demo {
      "line 3: expected a value after 'memory'"),
     ("service s {\n  system a {\n    instances 1..3 initial x\n  }\n}",
      "line 3: expected 'instances"),
+    ("service s {\n  system a {\n    instances 6..3 initial 5\n  }\n}",
+     "line 3: need minimum <= initial <= maximum"),
+    ("service s {\n  placement {\n    per-host-cap a nan\n  }\n}",
+     "line 3: cannot convert float NaN to integer"),
+    ("service s {\n  startup {\n    a order inf\n  }\n}",
+     "line 3: cannot convert float infinity to integer"),
+    ("service s {\n  rule r within 100 {\n    when @a.b > 1\n  }\n}",
+     "line 4: rule r: at least one action required"),
+    ("service s {\n  rule r within 0 {\n    when @a.b > 1\n"
+     "    do deployVM(a)\n  }\n}",
+     "line 5: time constraint must be positive"),
+    ("service s {\n  application app {\n    component C on a {\n"
+     "      kpi a.b bogus every 30\n    }\n  }\n}",
+     "line 4: unknown KPI type 'bogus'"),
+    _action_line_emptied("AdjustClusterSizeUp"),
+    _action_line_emptied("AdjustClusterSizeDown"),
+    _action_line_emptied("BootstrapCluster"),
 ])
 def test_malformed_text_rejected(text, match):
     with pytest.raises(HutnSyntaxError, match=match):
         manifest_from_text(text)
+
+
+def test_every_line_truncation_raises_only_typed_errors():
+    """Cut each line of the paper's manifest after each of its tokens: the
+    text either still parses or fails with the front end's own error (or
+    a condition's ExpressionError), never the model's bare ValueError."""
+    lines = EVALUATION_TEXT.splitlines()
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for k in range(len(tokens)):
+            cut = lines[:i] + [" ".join(tokens[:k])] + lines[i + 1:]
+            try:
+                manifest_from_text("\n".join(cut))
+            except (HutnSyntaxError, ExpressionError):
+                pass
 
 
 @given(

@@ -1,5 +1,8 @@
 """Round-trip and error tests for the concrete XML syntax."""
 
+import re
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +10,12 @@ from hypothesis import strategies as st
 from repro.core.manifest import (
     ManifestBuilder,
     ManifestSyntaxError,
+    ServiceLevelObjective,
+    SLASection,
     manifest_from_xml,
     manifest_to_xml,
 )
+from repro.experiments.polymorph import TestbedConfig, polymorph_manifest
 
 
 def paper_manifest():
@@ -120,6 +126,48 @@ def test_kpi_defaults_bound_into_parsed_rules():
     assert rule.trigger.expression.holds(lambda name: None) is False
 
 
+# ---------------------------------------------------------------------------
+# Malformed input: only ManifestSyntaxError escapes
+# ---------------------------------------------------------------------------
+
+def evaluation_manifest_xml():
+    """The paper's evaluation manifest (``polymorph_manifest``) in XML, plus
+    the two numeric parts it leaves out: a disk capacity and an SLO."""
+    m = polymorph_manifest(TestbedConfig())
+    m = replace(
+        m,
+        disks=(replace(m.disks[0], capacity_mb=8192.0),) + m.disks[1:],
+        sla=SLASection((ServiceLevelObjective.from_text(
+            "QueueBounded", "@uk.ucl.condor.schedd.queuesize < 100",
+            penalty_per_breach=5.0, defaults=m.kpi_defaults()),)))
+    return manifest_to_xml(m)
+
+
+_NUMERIC = re.compile(
+    r'\b(size|capacity|initial|min|max|order|cap|default|cooldown|period'
+    r'|target|window|penalty)="([^"]*)"'
+    r'|<(CPU|Memory|Frequency|TimeConstraint)\b[^>]*>([^<]*)<')
+
+
+def _numeric_fields(xml):
+    """``(label, start, end)`` of every numeric attribute value and numeric
+    element text; the label is the attribute or element name."""
+    fields = []
+    for m in _NUMERIC.finditer(xml):
+        group = 2 if m.group(1) else 4
+        fields.append((m.group(group - 1),) + m.span(group))
+    return fields
+
+
+EVALUATION_XML = evaluation_manifest_xml()
+NUMERIC_FIELDS = _numeric_fields(EVALUATION_XML)
+
+
+def _evaluation_with(old, new):
+    assert old in EVALUATION_XML
+    return EVALUATION_XML.replace(old, new, 1)
+
+
 @pytest.mark.parametrize("xml, match", [
     ("<NotAnEnvelope/>", "expected <Envelope>"),
     ("<Envelope/>", "missing required attribute"),
@@ -130,10 +178,46 @@ def test_kpi_defaults_bound_into_parsed_rules():
      "lacks a <Trigger>"),
     ('<Envelope name="s"><ElasticityRule name="r"><Trigger/>'
      '</ElasticityRule></Envelope>', "lacks an <Expression>"),
+    # values the manifest model rejects
+    pytest.param(_evaluation_with('initial="0" min="0" max="16"',
+                                  'initial="5" min="6" max="3"'),
+                 "need minimum <= initial <= maximum, got 6/5/3",
+                 id="bounds"),
+    pytest.param(_evaluation_with('size="4096.0" />\n  </References>',
+                                  'size="-1" />\n  </References>'),
+                 "file exec-image: size must be positive", id="size"),
+    pytest.param(_evaluation_with("<CPU>1.0</CPU>", "<CPU>0</CPU>"),
+                 "hardware requirements must be positive", id="cpu"),
+    pytest.param(_evaluation_with('type="int" units="jobs"',
+                                  'type="bogus" units="jobs"'),
+                 "unknown KPI type 'bogus'", id="kpi-type"),
+    pytest.param(_evaluation_with('<TimeConstraint unit="ms">5000.0<',
+                                  '<TimeConstraint unit="ms">-5<'),
+                 "time constraint must be positive", id="time-constraint"),
+    pytest.param(_evaluation_with('penalty="5.0"', 'penalty="-5"'),
+                 "SLO QueueBounded: penalty must be non-negative",
+                 id="penalty"),
 ])
 def test_malformed_xml_rejected(xml, match):
     with pytest.raises(ManifestSyntaxError, match=match):
         manifest_from_xml(xml)
+
+
+def test_numeric_fields_cover_the_evaluation_manifest():
+    # 32 in the paper's manifest, plus the disk capacity and four SLO numbers
+    assert len(NUMERIC_FIELDS) == 32 + 1 + 4
+    assert manifest_from_xml(EVALUATION_XML).sla.objectives
+
+
+@pytest.mark.parametrize(
+    "label, start, end",
+    [pytest.param(*f, id=f"{i}-{f[0]}") for i, f in enumerate(NUMERIC_FIELDS)])
+def test_non_numeric_value_names_element_and_attribute(label, start, end):
+    xml = EVALUATION_XML[:start] + "x" + EVALUATION_XML[end:]
+    with pytest.raises(ManifestSyntaxError,
+                       match="expected (a number|an integer), got 'x'") as exc:
+        manifest_from_xml(xml)
+    assert label in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
