@@ -247,20 +247,17 @@ class VEEM:
                         casualties=len(casualties))
         return casualties
 
-    def preempt(self, count: int = 1, *,
-                newest_first: bool = True) -> list[VirtualMachine]:
+    def preempt(self, count: int = 1) -> list[VirtualMachine]:
         """Spot-market reclamation: fail up to ``count`` active VMs.
 
-        ``newest_first`` (the default) reclaims the most recently submitted
-        instances first — the usual spot semantics, and the gentlest on
-        long-running tenants. Returns the victims, preemption order.
-        Deterministic: victims come from submission order, never from a
-        clock or RNG.
+        Reclaims the most recently submitted instances first — the usual
+        spot semantics, and the gentlest on long-running tenants. Returns
+        the victims, preemption order. Deterministic: victims come from
+        submission order, never from a clock or RNG.
         """
         if count < 0:
             raise ValueError("preempt count must be non-negative")
-        active = self._live_vms()
-        victims = (active[::-1] if newest_first else active)[:count]
+        victims = self._live_vms()[::-1][:count]
         for vm in victims:
             self.trace.emit(self.name, "vm.preempted", vm=vm.vm_id,
                             component=vm.descriptor.component_id,

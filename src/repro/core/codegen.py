@@ -22,13 +22,16 @@ emits Python source from the manifest's abstract syntax. Two artefacts:
   the manifest and prints their reports.
 
 The generated source is self-contained, importable, and tested by executing
-it.
+it. Manifest text reaches it only through ``repr()`` or :func:`_doc`, so a
+quote, backslash or newline in a name can neither change the embedded
+manifest nor end a literal early.
 """
 
 from __future__ import annotations
 
 import keyword
 import re
+from collections import Counter
 
 from .manifest.model import ServiceManifest
 
@@ -45,10 +48,42 @@ def _identifier(text: str) -> str:
     return cleaned
 
 
+def _doc(text: str) -> str:
+    """``text`` escaped for the body of a triple-double-quoted docstring:
+    the docstring reads back as ``text``, and no quote in it can close the
+    literal."""
+    return text.encode("unicode_escape").decode("ascii").replace('"', r'\"')
+
+
+def _collector_names(kpis) -> list[str]:
+    """One distinct ``collect_*`` method name per KPI.
+
+    A KPI whose last name segment is unique in the component keeps
+    ``collect_<last segment>``; KPIs sharing one (``app.web.load`` and
+    ``app.db.load``) are named after their whole qualified name instead,
+    numbered if even that collides once made an identifier.
+    """
+    short = ["collect_" + _identifier(k.qualified_name.split(".")[-1])
+             for k in kpis]
+    counts = Counter(short)
+    taken = {name for name in short if counts[name] == 1}
+    names = []
+    for kpi, name in zip(kpis, short):
+        if counts[name] > 1:
+            base = "collect_" + _identifier(kpi.qualified_name)
+            name, n = base, 1
+            while name in taken:
+                n += 1
+                name = f"{base}_{n}"
+            taken.add(name)
+        names.append(name)
+    return names
+
+
 def _class_name(text: str) -> str:
     parts = re.split(r"[^0-9A-Za-z]+", text)
-    name = "".join(p[:1].upper() + p[1:] for p in parts if p)
-    return name or "Component"
+    name = "".join(p[:1].upper() + p[1:] for p in parts if p) or "Component"
+    return "_" + name if name[0].isdigit() else name
 
 
 def generate_agent_stub(manifest: ServiceManifest, component: str) -> str:
@@ -63,12 +98,14 @@ def generate_agent_stub(manifest: ServiceManifest, component: str) -> str:
         raise ValueError("manifest declares no application description")
     comp = manifest.application.component(component)  # may raise KeyError
     class_name = _class_name(comp.name) + "AgentStub"
+    collectors = _collector_names(comp.kpis)
 
     lines = [
         '"""Monitoring agent stub — GENERATED, edit the collect_* methods.',
         "",
-        f"Service:   {manifest.service_name}",
-        f"Component: {comp.name} (virtual system {comp.ovf_id!r})",
+        f"Service:   {_doc(manifest.service_name)}",
+        f"Component: {_doc(comp.name)} "
+        f"(virtual system {_doc(repr(comp.ovf_id))})",
         "",
         "Generated by repro.core.codegen per the manifest's application",
         "description (§4.2.3). Measurement labelling, packaging and",
@@ -80,15 +117,14 @@ def generate_agent_stub(manifest: ServiceManifest, component: str) -> str:
         "",
         f"class {class_name}:",
         f'    """Publishes the {len(comp.kpis)} KPI(s) declared for '
-        f'{comp.name!r}."""',
+        f'{_doc(repr(comp.name))}."""',
         "",
         "    def __init__(self, env, service_id, network, *, start=True):",
         "        self.agent = MonitoringAgent(",
         "            env, service_id=service_id,",
         f"            component={comp.name!r}, network=network)",
     ]
-    for kpi in comp.kpis:
-        method = "collect_" + _identifier(kpi.qualified_name.split(".")[-1])
+    for kpi, method in zip(comp.kpis, collectors):
         lines += [
             "        self.agent.expose(",
             f"            {kpi.qualified_name!r},",
@@ -100,14 +136,13 @@ def generate_agent_stub(manifest: ServiceManifest, component: str) -> str:
             "        )",
         ]
     lines.append("")
-    for kpi in comp.kpis:
-        method = "collect_" + _identifier(kpi.qualified_name.split(".")[-1])
+    for kpi, method in zip(comp.kpis, collectors):
+        wire = f"wire {kpi.qualified_name} to the application"
         lines += [
             f"    def {method}(self):",
             f'        """Current value of {kpi.qualified_name}'
-            + (f" ({kpi.units})" if kpi.units else "") + '."""',
-            "        raise NotImplementedError(",
-            f"            'wire {kpi.qualified_name} to the application')",
+            + (f" ({_doc(kpi.units)})" if kpi.units else "") + '."""',
+            f"        raise NotImplementedError({wire!r})",
             "",
         ]
     lines += [
@@ -133,15 +168,16 @@ def generate_validation_script(manifest: ServiceManifest,
     lines = [
         '"""Validation instruments — GENERATED (§4.2.3).',
         "",
-        f"Service: {manifest.service_name} (instance {service_id})",
+        f"Service: {_doc(manifest.service_name)} "
+        f"(instance {_doc(service_id)})",
         '"""',
         "",
         "from repro.core.constraints import generate_instruments",
         "from repro.core.manifest import manifest_from_xml",
         "",
-        "MANIFEST_XML = '''",
-        xml.replace("'''", "'\\''"),
-        "'''",
+        "MANIFEST_XML = (",
+        *(f"    {line!r}" for line in xml.splitlines(keepends=True)),
+        ")",
         "",
         f"SERVICE_ID = {service_id!r}",
         "",

@@ -42,9 +42,6 @@ class ManagedService:
     #: ``service.deploy`` causal span (child of the provisioning request's
     #: span when the control plane drove the deployment)
     span: Optional[object] = field(default=None, repr=False)
-    #: records on the shared trace attributed to this service, counted by
-    #: the manager's dispatch listener until undeploy() detaches the service
-    trace_record_count: int = 0
     _suite: object = field(default=None, repr=False)
 
     @property
@@ -78,15 +75,6 @@ class ServiceManager:
         #: the termination completes, whichever layer initiated the undeploy
         self.on_undeploy: list[
             Callable[[ManagedService, Process], None]] = []
-        # Per-service record counting is subscribed *keyed by service id*:
-        # the log dispatches an emit to at most one manager, instead of
-        # every manager sharing the log scanning every record.
-        self._counted: dict[str, ManagedService] = {}
-
-    def _count_record(self, record) -> None:
-        service = self._counted.get(record.details.get("service"))
-        if service is not None:
-            service.trace_record_count += 1
 
     # ------------------------------------------------------------------
     # Deployment interface (§5.1.1)
@@ -142,13 +130,6 @@ class ServiceManager:
             deployment=deployment, tenant=tenant, span=span,
             _suite=deployment_suite(),
         )
-        # Attach the service to the counting listener, keyed by service id:
-        # emits for other services (or other sites sharing this log) never
-        # reach this manager at all. undeploy() detaches the key, so long
-        # simulations churning services don't accumulate dead listeners.
-        self._counted[parsed.service_id] = service
-        self.trace.subscribe_keyed("service", parsed.service_id,
-                                   self._count_record)
         self.services[parsed.service_id] = service
         return service
 
@@ -164,9 +145,6 @@ class ServiceManager:
             return service.termination
         service.interpreter.stop()
         service.interpreter.detach()
-        self._counted.pop(service.service_id, None)
-        self.trace.unsubscribe_keyed("service", service.service_id,
-                                     self._count_record)
         if service.span is not None:
             # The undeploy descends from the deployment it reverses.
             service.lifecycle.term_span = self.trace.span(

@@ -325,7 +325,6 @@ def run_elastic(workload: Optional[PolymorphSearchConfig] = None,
                                 trace=veem.trace)
     cluster = VirtualCluster(
         env, veem, scheduler,
-        descriptor_template=_template_for(manifest, "exec"),
         registration_delay_s=cfg.registration_delay_s,
         trace=veem.trace,
     )
@@ -390,23 +389,6 @@ def run_elastic(workload: Optional[PolymorphSearchConfig] = None,
         trace=sm.trace,
     )
     return result.finalize()
-
-
-def _template_for(manifest: ServiceManifest, system_id: str):
-    """A descriptor template for VirtualCluster's standalone mode (unused
-    when driven through the Service Manager, but required by its API)."""
-    from ..cloud import DeploymentDescriptor
-
-    system = manifest.system(system_id)
-    return DeploymentDescriptor(
-        name=system.system_id,
-        memory_mb=system.hardware.memory_mb,
-        cpu=system.hardware.cpu,
-        disk_source=manifest.image_href(system),
-        networks=tuple(system.network_refs),
-        service_id="polymorph-1",
-        component_id=system_id,
-    )
 
 
 # ---------------------------------------------------------------------------

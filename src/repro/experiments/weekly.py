@@ -40,7 +40,6 @@ from .polymorph import (
     QUEUE_KPI,
     TestbedConfig,
     polymorph_manifest,
-    _template_for,
 )
 
 __all__ = ["WeeklyConfig", "SearchRecord", "WeeklyResult", "run_week"]
@@ -155,7 +154,6 @@ def run_week(cfg: Optional[WeeklyConfig] = None,
                                 trace=veem.trace)
     cluster = VirtualCluster(
         env, veem, scheduler,
-        descriptor_template=_template_for(manifest, "exec"),
         registration_delay_s=testbed.registration_delay_s,
         trace=veem.trace,
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cloud import VEEM, DeploymentDescriptor, VirtualMachine
+from ..cloud import VEEM, VirtualMachine
 from ..sim import Environment, TraceLog
 from .scheduler import CondorScheduler, ExecutionNodeHandle
 
@@ -82,26 +82,24 @@ class ExecutionService:
 class VirtualCluster:
     """The elastic Condor cluster: VMs ↔ execution services glue.
 
-    This is the application-level counterpart of the elasticity actions: the
-    Service Manager invokes :meth:`deploy_instance` / :meth:`release_instance`
-    via the VEEM, and the cluster keeps the scheduler's node set consistent
-    with the VM pool. It also exposes the instance-count KPI
+    This is the application-level counterpart of the elasticity actions:
+    the Service Manager deploys exec VMs through :class:`CondorExecDriver`
+    (submit to the VEEM, then :meth:`attach_vm`) and releases them through
+    :meth:`release_instance`, and the cluster keeps the scheduler's node set
+    consistent with the VM pool. It also exposes the instance-count KPI
     (``uk.ucl.condor.exec.instances.size``) used in the paper's rule.
     """
 
     def __init__(self, env: Environment, veem: VEEM,
-                 scheduler: CondorScheduler,
-                 descriptor_template: DeploymentDescriptor, *,
+                 scheduler: CondorScheduler, *,
                  registration_delay_s: float = 20.0,
                  trace: Optional[TraceLog] = None):
         self.env = env
         self.veem = veem
         self.scheduler = scheduler
-        self.template = descriptor_template
         self.registration_delay_s = registration_delay_s
         self.trace = trace if trace is not None else scheduler.trace
         self.services: list[ExecutionService] = []
-        self._seq = 0
 
     # -- KPI -----------------------------------------------------------------
     @property
@@ -110,10 +108,6 @@ class VirtualCluster:
         counting in-flight deployments keeps the rule from re-firing for the
         same queue spike on every evaluation tick."""
         return sum(1 for s in self.services if s.vm.is_active)
-
-    @property
-    def registered_count(self) -> int:
-        return self.scheduler.node_count
 
     # -- elasticity actions -----------------------------------------------------
     def attach_vm(self, vm: VirtualMachine) -> ExecutionService:
@@ -129,30 +123,6 @@ class VirtualCluster:
             trace=self.trace,
         )
         self.services.append(service)
-        return service
-
-    def deploy_instance(self) -> ExecutionService:
-        """Action ``deployVM(uk.ucl.condor.exec.ref)``: one more exec VM."""
-        self._seq += 1
-        descriptor = DeploymentDescriptor(
-            name=f"{self.template.name}-{self._seq}",
-            memory_mb=self.template.memory_mb,
-            cpu=self.template.cpu,
-            disk_source=self.template.disk_source,
-            networks=self.template.networks,
-            customisation=dict(self.template.customisation),
-            service_id=self.template.service_id,
-            component_id=self.template.component_id,
-        )
-        vm = self.veem.submit(descriptor)
-        service = ExecutionService(
-            self.env, vm, self.scheduler,
-            registration_delay_s=self.registration_delay_s,
-            trace=self.trace,
-        )
-        self.services.append(service)
-        self.trace.emit("cluster", "instance.deploy", vm=vm.vm_id,
-                        instances=self.instance_count)
         return service
 
     def release_instance(self) -> Optional[ExecutionService]:
@@ -191,13 +161,6 @@ class VirtualCluster:
                         instances=self.instance_count)
         return service
 
-    def release_all(self) -> int:
-        """Drain the whole cluster (end-of-service deallocation)."""
-        count = 0
-        while self.release_instance() is not None:
-            count += 1
-        return count
-
     def _teardown(self, service: ExecutionService, drained):
         vm = service.vm
         if drained is not None and not drained.processed:
@@ -208,10 +171,6 @@ class VirtualCluster:
             # VM still provisioning: let it finish booting, then kill it.
             yield vm.on_running
         yield self.veem.shutdown(vm)
-
-    @property
-    def all_stopped(self) -> bool:
-        return self.instance_count == 0 and self.scheduler.node_count == 0
 
 
 class CondorExecDriver:

@@ -88,17 +88,15 @@ class ExecutionNodeHandle:
 class CondorScheduler:
     """Queue, matchmaking loop and execution monitoring."""
 
-    def __init__(self, env: Environment, *, name: str = "schedd",
-                 match_delay_s: float = 1.0,
-                 trace: Optional[TraceLog] = None,
-                 series: Optional[SeriesRecorder] = None):
+    def __init__(self, env: Environment, *, match_delay_s: float = 1.0,
+                 trace: Optional[TraceLog] = None):
         if match_delay_s < 0:
             raise ValueError("match delay must be non-negative")
         self.env = env
-        self.name = name
+        self.name = "schedd"
         self.match_delay_s = match_delay_s
         self.trace = trace if trace is not None else TraceLog(env)
-        self.series = series if series is not None else SeriesRecorder(env)
+        self.series = SeriesRecorder(env)
         self.idle_jobs: deque[Job] = deque()
         self.all_jobs: list[Job] = []
         self.nodes: dict[str, ExecutionNodeHandle] = {}

@@ -55,13 +55,10 @@ class ElaboratedValue:
 class InformationModel:
     """Path-taxonomy metadata store over a DHT."""
 
-    def __init__(self, ring: Optional[DHTRing] = None, *,
-                 initial_nodes: int = 3):
-        if ring is None:
-            ring = DHTRing()
-            for i in range(max(initial_nodes, 1)):
-                ring.join(f"im-node-{i}")
-        self.ring = ring
+    def __init__(self, *, initial_nodes: int = 3):
+        self.ring = DHTRing()
+        for i in range(max(initial_nodes, 1)):
+            self.ring.join(f"im-node-{i}")
 
     # -- registration (producer side) ---------------------------------------
     def register_datasource(self, datasource: "DataSource") -> None:

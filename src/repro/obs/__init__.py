@@ -23,7 +23,6 @@ from .audit import (
 )
 from .exporters import (
     chrome_trace,
-    export_chrome_trace,
     export_jsonl,
     prometheus_text,
     render_span_tree,
@@ -53,7 +52,6 @@ __all__ = [
     "canonical_view",
     "export_jsonl",
     "chrome_trace",
-    "export_chrome_trace",
     "prometheus_text",
     "render_span_tree",
     "AuditFinding",

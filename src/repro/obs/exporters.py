@@ -29,7 +29,6 @@ from .spans import Span
 __all__ = [
     "export_jsonl",
     "chrome_trace",
-    "export_chrome_trace",
     "prometheus_text",
     "render_span_tree",
 ]
@@ -57,7 +56,7 @@ def export_jsonl(trace, fh: Optional[IO[str]] = None) -> str:
     return text
 
 
-def chrome_trace(trace, *, process_name: str = "repro") -> dict[str, Any]:
+def chrome_trace(trace) -> dict[str, Any]:
     """Build a Chrome trace-event dict from a TraceLog.
 
     Simulated seconds map to trace microseconds. Each distinct span/record
@@ -117,16 +116,8 @@ def chrome_trace(trace, *, process_name: str = "repro") -> dict[str, Any]:
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
-        "otherData": {"process": process_name, "sim_now_s": now},
+        "otherData": {"process": "repro", "sim_now_s": now},
     }
-
-
-def export_chrome_trace(trace, fh: Optional[IO[str]] = None, **kwargs: Any
-                        ) -> str:
-    text = json.dumps(chrome_trace(trace, **kwargs), sort_keys=True)
-    if fh is not None:
-        fh.write(text)
-    return text
 
 
 def _prom_name(name: str) -> str:

@@ -103,14 +103,14 @@ class SimProfiler:
                 f"{wall_s * 1e3:>10.2f}{wall_s / total:>7.1%}")
         return "\n".join(lines) + "\n"
 
-    def chrome_trace(self, *, pid: int = 1) -> dict:
+    def chrome_trace(self) -> dict:
         """The timeline as Chrome-trace counter events (open alongside the
         exporters' span dump: same µs timebase, same pid)."""
         events = []
         layers = sorted({layer for _, layer in self.timeline})
         for layer in layers:
             events.append({
-                "name": "thread_name", "ph": "M", "pid": pid,
+                "name": "thread_name", "ph": "M", "pid": 1,
                 "tid": f"profile:{layer}",
                 "args": {"name": f"profile:{layer}"},
             })
@@ -118,7 +118,7 @@ class SimProfiler:
                 self.timeline.items()):
             ts = bucket * self.bucket_s * 1e6
             events.append({
-                "name": f"dispatch:{layer}", "ph": "C", "pid": pid,
+                "name": f"dispatch:{layer}", "ph": "C", "pid": 1,
                 "tid": f"profile:{layer}", "ts": ts,
                 "args": {"events": count,
                          "wall_ms": round(wall_s * 1e3, 6)},

@@ -62,7 +62,6 @@ class SpotPreemption:
     at_s: float
     site: str
     count: int = 1
-    newest_first: bool = True
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ def install_chaos(env, events, *, veems_by_site: dict,
     def preemption(event: SpotPreemption):
         yield env.timeout(event.at_s)
         veem = veems_by_site[event.site]
-        victims = veem.preempt(event.count, newest_first=event.newest_first)
+        victims = veem.preempt(event.count)
         trace.emit("chaos", "chaos.preempt", site=event.site,
                    count=len(victims), vms=[vm.vm_id for vm in victims])
         notify(event, "fired", victims=[vm.vm_id for vm in victims])

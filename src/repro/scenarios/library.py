@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from ..cloud import (
-    DeploymentDescriptor,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    VEEM,
-)
+from ..cloud import Host, HypervisorTimings, ImageRepository, VEEM
 from ..core.manifest import ManifestBuilder
 from ..core.service_manager import ServiceManager
 from ..grid import CondorExecDriver, CondorScheduler, VirtualCluster
@@ -111,17 +105,12 @@ def grid_manifest(max_exec: int = 12):
 
 
 def build_cluster(env, n_hosts: int = 2):
-    """A bare Condor cluster (no service manager): VEEM, scheduler, and
-    a VirtualCluster wired to a stock exec image."""
+    """A bare Condor cluster (no service manager): VEEM with a stock
+    ``condor-exec`` image, scheduler, and a VirtualCluster."""
     veem = make_veem(env, n_hosts)
     veem.repository.add("condor-exec", size_mb=100)
     sched = CondorScheduler(env, match_delay_s=0.5)
-    template = DeploymentDescriptor(
-        name="condor-exec", memory_mb=2048, cpu=1,
-        disk_source="http://sm.internal/images/condor-exec",
-        service_id="polymorph", component_id="CondorExec")
-    cluster = VirtualCluster(env, veem, sched, template,
-                             registration_delay_s=5)
+    cluster = VirtualCluster(env, veem, sched, registration_delay_s=5)
     return veem, sched, cluster
 
 
@@ -176,13 +165,8 @@ def elastic_grid(env, n_hosts: int = 4) -> SimpleNamespace:
     sm.veem.repository.add("exec-img", size_mb=100,
                            href="http://sm.internal/images/exec")
     scheduler = CondorScheduler(env, match_delay_s=0.5, trace=sm.trace)
-    cluster = VirtualCluster(
-        env, sm.veem, scheduler,
-        descriptor_template=DeploymentDescriptor(
-            name="exec", memory_mb=1024, cpu=1,
-            disk_source="http://sm.internal/images/exec",
-            service_id="grid-1", component_id="exec"),
-        registration_delay_s=5)
+    cluster = VirtualCluster(env, sm.veem, scheduler,
+                             registration_delay_s=5)
     service = sm.deploy(grid_manifest(), service_id="grid-1",
                         drivers={"exec": CondorExecDriver(cluster)})
     env.run(until=service.deployment)

@@ -1,10 +1,9 @@
 """Discrete-event simulation substrate.
 
 The kernel on which the whole reproduction runs: event loop and processes
-(:mod:`~repro.sim.kernel`), shared resources (:mod:`~repro.sim.resources`),
-structured tracing and time-series recording (:mod:`~repro.sim.tracing`),
-seeded random streams (:mod:`~repro.sim.rng`), and process-sharded execution
-with epoch barriers (:mod:`~repro.sim.shard`).
+(:mod:`~repro.sim.kernel`), structured tracing and time-series recording
+(:mod:`~repro.sim.tracing`), seeded random streams (:mod:`~repro.sim.rng`),
+and process-sharded execution with epoch barriers (:mod:`~repro.sim.shard`).
 """
 
 from .kernel import (
@@ -15,11 +14,9 @@ from .kernel import (
     Interrupt,
     Process,
     SimError,
-    StopProcess,
     Timeout,
 )
-from .resources import Container, FilterStore, Resource, Store
-from .rng import RandomStreams, lognormal_from_mean_cv, truncated_normal
+from .rng import RandomStreams, lognormal_from_mean_cv
 from .shard import (
     EpochCommand,
     EpochReport,
@@ -46,15 +43,9 @@ __all__ = [
     "Interrupt",
     "Process",
     "SimError",
-    "StopProcess",
     "Timeout",
-    "Container",
-    "FilterStore",
-    "Resource",
-    "Store",
     "RandomStreams",
     "lognormal_from_mean_cv",
-    "truncated_normal",
     "EpochCommand",
     "EpochReport",
     "ShardError",

@@ -10,8 +10,8 @@ Design notes
 * Time is a ``float`` in seconds. The kernel makes no assumption about wall
   clock; experiments run simulated hours in milliseconds of CPU time.
 * Processes are Python generators that ``yield`` *waitables*: :class:`Timeout`,
-  :class:`Event`, :class:`Process` (join), :class:`AnyOf`/:class:`AllOf`
-  combinators, or acquisition requests from :mod:`repro.sim.resources`.
+  :class:`Event`, :class:`Process` (join) or :class:`AnyOf`/:class:`AllOf`
+  combinators.
 * The scheduler is a calendar queue (a degenerate one-level timer wheel keyed
   by exact timestamps): events land in a per-timestamp FIFO bucket and a small
   heap orders only the *distinct* timestamps. Provisioning workloads are
@@ -44,7 +44,6 @@ from typing import Any, Callable, Generator, Iterable, Optional
 __all__ = [
     "SimError",
     "Interrupt",
-    "StopProcess",
     "Event",
     "Timeout",
     "Process",
@@ -70,14 +69,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class StopProcess(Exception):
-    """Raised by a process to terminate itself early with a return value."""
-
-    def __init__(self, value: Any = None):
-        super().__init__(value)
-        self.value = value
-
-
 # ---------------------------------------------------------------------------
 # Events
 # ---------------------------------------------------------------------------
@@ -96,8 +87,6 @@ class Event:
 
     ``__slots__`` on the kernel's event classes keeps per-event memory flat
     and attribute access cheap — simulations allocate millions of these.
-    Subclasses outside the kernel (e.g. :mod:`repro.sim.resources`) declare
-    no slots and so keep an instance ``__dict__`` for their extra fields.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "defused", "dead")
@@ -248,8 +237,8 @@ ProcessGenerator = Generator[Event, Any, Any]
 class Process(Event):
     """A running process; also an event that fires when the process ends.
 
-    The generator's ``return`` value (or :class:`StopProcess` value) becomes
-    the event value, so ``yield some_process`` implements *join*.
+    The generator's ``return`` value becomes the event value, so
+    ``yield some_process`` implements *join*.
     """
 
     __slots__ = ("_generator", "_send", "_resume_cb", "name", "_target",
@@ -346,10 +335,6 @@ class Process(Event):
                     exc = event._value
                     next_event = self._generator.throw(exc)
             except StopIteration as stop:
-                self._finish(True, stop.value)
-                break
-            except StopProcess as stop:
-                self._generator.close()
                 self._finish(True, stop.value)
                 break
             except BaseException as exc:  # noqa: BLE001 - propagate via event
@@ -524,7 +509,7 @@ class Environment:
         # timestamp to the FIFO list of events due then (split per priority);
         # ``_times`` is a heap over the distinct timestamps (it may briefly
         # hold a duplicate when both priority dicts gain the same key — the
-        # advance step dedupes). ``_live_*`` is the batch currently being
+        # drain loop dedupes). ``_live_*`` is the batch currently being
         # drained; same-instant arrivals append straight onto it.
         self._buckets: dict[float, list[Event]] = {}
         self._urgent: dict[float, list[Event]] = {}
@@ -632,34 +617,6 @@ class Environment:
             buckets[t] = [event]
             heappush(self._times, t)
 
-    def _advance(self) -> bool:
-        """Adopt the next distinct timestamp's buckets as the live batch.
-
-        Returns False when the queue is exhausted. Shared by :meth:`step`;
-        :meth:`run` inlines the same logic in its drain loop. Must only be
-        called with the live batch empty.
-        """
-        times = self._times
-        if not times:
-            return False
-        t = heappop(times)
-        while times and times[0] == t:
-            heappop(times)
-        self._now = t
-        bucket = self._buckets.pop(t, None)
-        if bucket is not None:
-            self._live_n.extend(bucket)
-        bucket = self._urgent.pop(t, None) if self._urgent else None
-        if bucket is not None:
-            self._live_u.extend(bucket)
-        return True
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
-        if self._live_u or self._live_n:
-            return self._now
-        return self._times[0] if self._times else float("inf")
-
     @property
     def quiet_until(self) -> float:
         """The first instant at which any dispatch or caller code can act.
@@ -667,7 +624,7 @@ class Environment:
         Inside :meth:`run`, once the current instant has no queued event
         left, that is the earlier of the next queued timestamp and the
         run's stop time: until then the clock only advances. Anywhere else
-        (under :meth:`step`, between runs, mid-instant) it is ``now``. A
+        (between runs, mid-instant) it is ``now``. A
         periodic process may account its ticks strictly before it without
         being woken for them.
         """
@@ -678,33 +635,6 @@ class Environment:
         if times and times[0] < until:
             return times[0]
         return until
-
-    def step(self) -> None:
-        """Process the single next event."""
-        if self._draining:
-            raise SimError("step() is not reentrant with run()")
-        if self._live_u:
-            event = self._live_u.popleft()
-        elif self._live_n:
-            event = self._live_n.popleft()
-        else:
-            if not self._advance():
-                raise SimError("empty event queue")
-            if self._live_u:
-                event = self._live_u.popleft()
-            else:
-                event = self._live_n.popleft()
-        self._events_done += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                raise event._value
-        elif event.dead:
-            self._dead_skipped += 1
-        elif not event._ok and not event.defused:
-            raise event._value
 
     def profile(self, callback) -> None:
         """Install (or with ``None``, remove) a per-event profiling hook.

@@ -9,11 +9,10 @@ a standard trick for variance reduction in simulation studies.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Sequence
 
 import numpy as np
 
-__all__ = ["RandomStreams", "truncated_normal", "lognormal_from_mean_cv"]
+__all__ = ["RandomStreams", "lognormal_from_mean_cv"]
 
 
 class RandomStreams:
@@ -33,32 +32,6 @@ class RandomStreams:
             self._streams[name] = np.random.default_rng(substream_seed)
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """A child family, itself deterministically derived."""
-        digest = hashlib.sha256(f"{self.seed}:spawn:{name}".encode()).digest()
-        return RandomStreams(int.from_bytes(digest[:8], "little"))
-
-
-def truncated_normal(rng: np.random.Generator, mean: float, std: float,
-                     low: float = 0.0,
-                     high: Optional[float] = None) -> float:
-    """A normal draw clipped into [low, high] by rejection (fallback clip).
-
-    Job durations and boot latencies must not be negative; rejection keeps the
-    distribution shape, with a hard clip as a safety net for extreme params.
-    """
-    if std < 0:
-        raise ValueError("std must be non-negative")
-    if high is not None and high < low:
-        raise ValueError("high < low")
-    if std == 0:
-        return float(min(max(mean, low), high if high is not None else mean))
-    for _ in range(64):
-        x = rng.normal(mean, std)
-        if x >= low and (high is None or x <= high):
-            return float(x)
-    return float(min(max(mean, low), high if high is not None else mean))
-
 
 def lognormal_from_mean_cv(rng: np.random.Generator, mean: float,
                            cv: float) -> float:
@@ -73,18 +46,3 @@ def lognormal_from_mean_cv(rng: np.random.Generator, mean: float,
     sigma2 = np.log(1.0 + cv * cv)
     mu = np.log(mean) - sigma2 / 2.0
     return float(rng.lognormal(mu, np.sqrt(sigma2)))
-
-
-def weighted_choice(rng: np.random.Generator, items: Sequence,
-                    weights: Sequence[float]):
-    """Pick one item with the given (unnormalised, non-negative) weights."""
-    if len(items) != len(weights):
-        raise ValueError("items and weights must have the same length")
-    w = np.asarray(weights, dtype=float)
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    idx = rng.choice(len(items), p=w / total)
-    return items[idx]

@@ -163,12 +163,6 @@ class TraceLog:
         self._scope = env._obs_scope
         self.records: list[TraceRecord] = []
         self._listeners: list[Callable[[TraceRecord], None]] = []
-        # Keyed listeners: field -> key -> listeners, dispatched with one
-        # dict probe per registered field. A hundred sites' managers sharing
-        # one log each counting "their" records would otherwise fan every
-        # emit out to every manager.
-        self._keyed: dict[str, dict[Any, list[Callable[[TraceRecord],
-                                                       None]]]] = {}
         #: All spans opened through this log, by id (insertion-ordered).
         self.spans: dict[int, Span] = {}
         # Lazy per-(source, kind) indices over ``records``; ``_idx_pos`` is
@@ -193,12 +187,6 @@ class TraceLog:
         self.records.append(record)
         for listener in self._listeners:
             listener(record)
-        if self._keyed:
-            for field, table in self._keyed.items():
-                listeners = table.get(details.get(field))
-                if listeners:
-                    for listener in listeners:
-                        listener(record)
         return record
 
     def emit_in(self, span: Optional[Span], source: str, kind: str,
@@ -211,46 +199,12 @@ class TraceLog:
         self.records.append(record)
         for listener in self._listeners:
             listener(record)
-        if self._keyed:
-            for field, table in self._keyed.items():
-                listeners = table.get(details.get(field))
-                if listeners:
-                    for listener in listeners:
-                        listener(record)
         return record
 
     def subscribe(self, listener: Callable[[TraceRecord], None]
                   ) -> TraceSubscription:
         self._listeners.append(listener)
         return TraceSubscription(self, listener)
-
-    def subscribe_keyed(self, field: str, key: Any,
-                        listener: Callable[[TraceRecord], None]) -> None:
-        """Subscribe to records whose ``details[field] == key`` only.
-
-        Unlike :meth:`subscribe`, dispatch cost does not grow with the
-        number of keyed listeners: ``emit`` probes one dict per registered
-        field and calls only the listeners registered for that record's
-        key."""
-        self._keyed.setdefault(field, {}).setdefault(key, []).append(listener)
-
-    def unsubscribe_keyed(self, field: str, key: Any,
-                          listener: Callable[[TraceRecord], None]) -> None:
-        """Detach a keyed listener; detaching one not attached is a no-op."""
-        table = self._keyed.get(field)
-        if table is None:
-            return
-        listeners = table.get(key)
-        if not listeners:
-            return
-        try:
-            listeners.remove(listener)
-        except ValueError:
-            return
-        if not listeners:
-            del table[key]
-            if not table:
-                del self._keyed[field]
 
     def unsubscribe(self, handle: Union[TraceSubscription,
                                         Callable[[TraceRecord], None]]
@@ -383,10 +337,6 @@ class TraceLog:
         without closing it on exit — for long-lived spans (a deployment in
         flight) that attribute work across several synchronous bursts."""
         return _Activation(self._scope, span)
-
-    @property
-    def current_span(self) -> Optional[Span]:
-        return self.env.current_span
 
     # -- span queries --------------------------------------------------------
     def get_span(self, span_id: int) -> Optional[Span]:

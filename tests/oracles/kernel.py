@@ -30,7 +30,8 @@ class HeapEnvironment(Environment):
 
     Heap entries carry an explicit ``(time, priority, seq)`` key; the
     differential suite asserts the calendar queue replays its exact event
-    order. Profiling is refused: the oracle stays verbatim.
+    order. Profiling is refused: the oracle stays verbatim. Like the
+    calendar kernel, it refuses a nested ``run()``.
     """
 
     reference = True
@@ -54,9 +55,6 @@ class HeapEnvironment(Environment):
         heappush(self._queue,
                  (self._now + delay, priority, self._seq(), event))
 
-    def peek(self) -> float:
-        return self._queue[0][0] if self._queue else float("inf")
-
     @property
     def quiet_until(self) -> float:
         until = self._until
@@ -67,23 +65,9 @@ class HeapEnvironment(Environment):
             return queue[0][0]
         return until
 
-    def step(self) -> None:
-        if not self._queue:
-            raise SimError("empty event queue")
-        self._now, _, _, event = heappop(self._queue)
-        self._events_done += 1
-        callbacks, event.callbacks = event.callbacks, None
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                raise event._value
-        elif event.dead:
-            self._dead_skipped += 1
-        elif not event._ok and not event.defused:
-            raise event._value
-
     def run(self, until: Optional[float | Event] = None) -> Any:
+        if self._draining:
+            raise SimError("run() is not reentrant")
         stop_event: Optional[Event] = None
         stop_time = float("inf")
         if isinstance(until, Event):
@@ -98,6 +82,7 @@ class HeapEnvironment(Environment):
         queue = self._queue
         done = 0
         dead_skipped = 0
+        self._draining = True
         self._until = stop_time
         try:
             while queue:
@@ -121,6 +106,7 @@ class HeapEnvironment(Environment):
                 elif not event._ok and not event.defused:
                     raise event._value
         finally:
+            self._draining = False
             self._until = None
             self._events_done += done
             self._dead_skipped += dead_skipped

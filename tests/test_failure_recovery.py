@@ -29,6 +29,7 @@ from repro.scenarios.library import (
     simple_manifest,
 )
 from repro.sim import Environment
+from tests.test_grid_execution import deploy_exec
 
 
 def failure_veem(env, n_hosts=3):
@@ -260,8 +261,8 @@ def test_host_failure_heals_whole_service():
 def test_node_failure_requeues_running_job():
     env = Environment()
     veem, sched, cluster = build_cluster(env)
-    s1 = cluster.deploy_instance()
-    s2 = cluster.deploy_instance()
+    s1 = deploy_exec(cluster)
+    s2 = deploy_exec(cluster)
     env.run(until=30)
     assert sched.node_count == 2
     job = sched.submit(Job(duration_s=500, input_mb=0, output_mb=0))
@@ -282,7 +283,7 @@ def test_node_failure_requeues_running_job():
 def test_node_failure_while_idle_just_deregisters():
     env = Environment()
     veem, sched, cluster = build_cluster(env)
-    service = cluster.deploy_instance()
+    service = deploy_exec(cluster)
     env.run(until=30)
     assert sched.node_count == 1
     veem.inject_vm_failure(service.vm)
@@ -295,7 +296,7 @@ def test_node_failure_while_idle_just_deregisters():
 def test_node_failure_before_registration_is_noop():
     env = Environment()
     veem, sched, cluster = build_cluster(env)
-    service = cluster.deploy_instance()
+    service = deploy_exec(cluster)
     env.run(until=2)  # still provisioning
     veem.inject_vm_failure(service.vm)
     env.run(until=60)

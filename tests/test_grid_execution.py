@@ -10,7 +10,13 @@ from repro.cloud import (
     VEEM,
     VMState,
 )
-from repro.grid import CondorScheduler, ExecutionService, Job, VirtualCluster
+from repro.grid import (
+    CondorExecDriver,
+    CondorScheduler,
+    ExecutionService,
+    Job,
+    VirtualCluster,
+)
 from repro.sim import Environment
 
 TIMINGS = HypervisorTimings(define_s=2, boot_s=45, shutdown_s=10)
@@ -24,20 +30,36 @@ def build_stack(env, n_hosts=4, per_host=4):
         veem.add_host(Host(env, f"h{i}", cpu_cores=per_host,
                            memory_mb=per_host * 2048, timings=TIMINGS))
     sched = CondorScheduler(env, match_delay_s=0.5)
-    template = DeploymentDescriptor(
-        name="condor-exec", memory_mb=2048, cpu=1,
+    cluster = VirtualCluster(env, veem, sched, registration_delay_s=20)
+    return veem, sched, cluster
+
+
+def exec_descriptor(instance):
+    """The descriptor of one exec VM, named as the lifecycle manager names
+    a component's instances."""
+    return DeploymentDescriptor(
+        name="condor-exec" if instance == 0 else f"condor-exec-{instance}",
+        memory_mb=2048, cpu=1,
         disk_source="http://sm.internal/images/condor-exec",
         service_id="polymorph", component_id="CondorExec",
     )
-    cluster = VirtualCluster(env, veem, sched, template,
-                             registration_delay_s=20)
-    return veem, sched, cluster
+
+
+def deploy_exec(cluster) -> ExecutionService:
+    """Deploy one exec VM as the paper's runs do: a fresh descriptor
+    through :class:`CondorExecDriver`, which submits it and attaches the
+    VM to the cluster."""
+    vm = CondorExecDriver(cluster).deploy(
+        exec_descriptor(len(cluster.veem.vms)))
+    service = cluster.services[-1]
+    assert service.vm is vm
+    return service
 
 
 def test_execution_service_registers_after_vm_boot():
     env = Environment()
     veem, sched, cluster = build_stack(env)
-    cluster.deploy_instance()
+    deploy_exec(cluster)
     env.run(until=70)
     # 10 staging + 47 boot = 57, +20 registration = 77 → not yet at 70.
     assert sched.node_count == 0
@@ -48,7 +70,7 @@ def test_execution_service_registers_after_vm_boot():
 def test_registration_delay_validation():
     env = Environment()
     veem, sched, cluster = build_stack(env)
-    vm = veem.submit(cluster.template)
+    vm = veem.submit(exec_descriptor(0))
     with pytest.raises(ValueError):
         ExecutionService(env, vm, sched, registration_delay_s=-1)
 
@@ -57,7 +79,7 @@ def test_cluster_runs_jobs_end_to_end():
     env = Environment()
     veem, sched, cluster = build_stack(env)
     for _ in range(2):
-        cluster.deploy_instance()
+        deploy_exec(cluster)
     jobs = [Job(duration_s=100, input_mb=0, output_mb=0) for _ in range(4)]
     sched.submit_many(jobs)
     env.run(until=400)
@@ -69,16 +91,16 @@ def test_cluster_runs_jobs_end_to_end():
 def test_instance_count_includes_provisioning_vms():
     env = Environment()
     veem, sched, cluster = build_stack(env)
-    cluster.deploy_instance()
+    deploy_exec(cluster)
     assert cluster.instance_count == 1  # still PENDING, but counted
-    assert cluster.registered_count == 0
+    assert sched.node_count == 0
 
 
 def test_release_instance_prefers_idle_node():
     env = Environment()
     veem, sched, cluster = build_stack(env)
     for _ in range(2):
-        cluster.deploy_instance()
+        deploy_exec(cluster)
     env.run(until=100)
     assert sched.node_count == 2
     job = sched.submit(Job(duration_s=500, input_mb=0, output_mb=0))
@@ -95,7 +117,7 @@ def test_release_instance_prefers_idle_node():
 def test_release_busy_node_finishes_job_first():
     env = Environment()
     veem, sched, cluster = build_stack(env)
-    cluster.deploy_instance()
+    deploy_exec(cluster)
     env.run(until=100)
     job = sched.submit(Job(duration_s=200, input_mb=0, output_mb=0))
     env.run(until=110)
@@ -106,13 +128,13 @@ def test_release_busy_node_finishes_job_first():
     env.run(until=400)
     # Started ≈ t=100, duration 200 s → completes ≈ t=300.
     assert job.state.value == "completed"
-    assert cluster.all_stopped
+    assert cluster.instance_count == 0 and sched.node_count == 0
 
 
 def test_release_provisioning_instance():
     env = Environment()
     veem, sched, cluster = build_stack(env)
-    cluster.deploy_instance()
+    deploy_exec(cluster)
     env.run(until=30)  # VM still staging/booting
     released = cluster.release_instance()
     assert released is not None
@@ -133,13 +155,15 @@ def test_release_all_deallocates_everything():
     env = Environment()
     veem, sched, cluster = build_stack(env, n_hosts=4)
     for _ in range(6):
-        cluster.deploy_instance()
+        deploy_exec(cluster)
     env.run(until=200)
     assert sched.node_count == 6
-    count = cluster.release_all()
+    count = 0
+    while cluster.release_instance() is not None:
+        count += 1
     assert count == 6
     env.run(until=400)
-    assert cluster.all_stopped
+    assert cluster.instance_count == 0 and sched.node_count == 0
     assert all(not vm.is_active for vm in veem.vms.values())
 
 
@@ -148,7 +172,7 @@ def test_killed_vm_never_registers():
     appear in the scheduler."""
     env = Environment()
     veem, sched, cluster = build_stack(env)
-    service = cluster.deploy_instance()
+    service = deploy_exec(cluster)
     # Let the VM reach RUNNING (t=57) then kill it during the 20 s
     # registration window.
     env.run(until=60)
@@ -166,7 +190,7 @@ def test_cluster_respects_host_capacity():
     env = Environment()
     veem, sched, cluster = build_stack(env, n_hosts=1, per_host=4)
     for _ in range(4):
-        cluster.deploy_instance()
+        deploy_exec(cluster)
     from repro.cloud import PlacementError
     with pytest.raises(PlacementError):
-        cluster.deploy_instance()
+        deploy_exec(cluster)

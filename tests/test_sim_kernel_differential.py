@@ -6,12 +6,13 @@ same event orderings, same clock, same final states, same event counts —
 byte-identical logs on any seeded workload. So must its drain with a
 profiling hook installed (`Environment.profile`). These tests run
 randomized process mixes (timeouts, zero-delay cascades, AnyOf/AllOf races
-with abandoned losers, interrupts, resource and store waits) through all
-three and compare serialized transcripts.
+with abandoned losers, interrupts, hand-off waits) through all three and
+compare serialized transcripts.
 """
 
 import json
 import random
+from collections import deque
 
 import pytest
 
@@ -23,8 +24,6 @@ from repro.sim import (  # noqa: E402
     AnyOf,
     Environment,
     Interrupt,
-    Resource,
-    Store,
 )
 from tests.oracles.kernel import HeapEnvironment  # noqa: E402
 
@@ -41,8 +40,9 @@ def _run_mix(seed: int, n_workers: int, *, kernel: str) -> str:
     if kernel == "profiled":
         env.profile(lambda event, callbacks, wall_s: hooked.append(event))
     log: list = []
-    resource = Resource(env, capacity=max(1, n_workers // 3))
-    store = Store(env)
+    # Hand-off FIFO: op 3 parks a fresh event here, op 4 succeeds the
+    # oldest one.
+    parked: deque = deque()
     gates = [env.event() for _ in range(3)]
     procs: list = []
 
@@ -68,21 +68,16 @@ def _run_mix(seed: int, n_workers: int, *, kernel: str) -> str:
                     yield AllOf(env, pair)
                     log.append((env.now, wid, "all"))
                 elif op == 3:
-                    req = resource.request()
-                    yield req
-                    log.append((env.now, wid, "acquired"))
-                    yield env.timeout(wrng.choice((0.5, 1.5)))
-                    yield resource.release(req)
-                    log.append((env.now, wid, "released"))
+                    handoff = env.event()
+                    parked.append(handoff)
+                    got = yield AnyOf(env, [handoff, env.timeout(2.0)])
+                    log.append((env.now, wid,
+                                f"handoff:{sorted(map(str, got.values()))}"))
                 elif op == 4:
-                    if wrng.random() < 0.5:
-                        yield store.put((wid, step))
-                        log.append((env.now, wid, "put"))
-                    else:
-                        got = yield AnyOf(env, [store.get(),
-                                                env.timeout(2.0)])
-                        log.append((env.now, wid,
-                                    f"get:{len(got)}"))
+                    if parked:
+                        parked.popleft().succeed((wid, step))
+                        log.append((env.now, wid, "handed"))
+                    yield env.timeout(wrng.choice((0.0, 0.5)))
                 else:
                     # op 5: poke another worker; op 6: gate signal/wait.
                     if op == 5:
@@ -119,8 +114,7 @@ def _run_mix(seed: int, n_workers: int, *, kernel: str) -> str:
         "now": env.now,
         "events": env.events_processed,
         "dead_skipped": env.dead_skipped,
-        "store": len(store.items),
-        "resource_queue": len(resource.queue),
+        "parked": len(parked),
         "log": log,
     })
 

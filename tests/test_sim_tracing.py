@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, RandomStreams, TimeSeries, TraceLog
-from repro.sim.rng import lognormal_from_mean_cv, truncated_normal, weighted_choice
+from repro.sim.rng import lognormal_from_mean_cv
 from repro.sim.tracing import SeriesRecorder
 
 
@@ -198,32 +198,6 @@ def test_random_streams_new_stream_does_not_perturb_existing():
     assert first == second
 
 
-def test_spawned_streams_differ_from_parent():
-    rs = RandomStreams(seed=3)
-    child = rs.spawn("run-1")
-    assert rs.stream("x").random() != child.stream("x").random()
-
-
-def test_truncated_normal_respects_bounds():
-    rng = RandomStreams(seed=1).stream("t")
-    draws = [truncated_normal(rng, mean=10, std=20, low=0, high=15)
-             for _ in range(200)]
-    assert all(0 <= d <= 15 for d in draws)
-
-
-def test_truncated_normal_zero_std_is_deterministic():
-    rng = RandomStreams(seed=1).stream("t")
-    assert truncated_normal(rng, mean=5, std=0, low=0) == 5
-
-
-def test_truncated_normal_validation():
-    rng = RandomStreams(seed=1).stream("t")
-    with pytest.raises(ValueError):
-        truncated_normal(rng, 5, -1)
-    with pytest.raises(ValueError):
-        truncated_normal(rng, 5, 1, low=10, high=0)
-
-
 def test_lognormal_mean_cv_statistics():
     rng = RandomStreams(seed=2).stream("ln")
     draws = [lognormal_from_mean_cv(rng, mean=100, cv=0.3)
@@ -244,23 +218,6 @@ def test_lognormal_validation():
         lognormal_from_mean_cv(rng, mean=-1, cv=0.5)
     with pytest.raises(ValueError):
         lognormal_from_mean_cv(rng, mean=1, cv=-0.5)
-
-
-def test_weighted_choice_respects_zero_weights():
-    rng = RandomStreams(seed=4).stream("w")
-    picks = {weighted_choice(rng, ["a", "b", "c"], [0, 1, 0])
-             for _ in range(50)}
-    assert picks == {"b"}
-
-
-def test_weighted_choice_validation():
-    rng = RandomStreams(seed=4).stream("w")
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a"], [1, 2])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a", "b"], [0, 0])
-    with pytest.raises(ValueError):
-        weighted_choice(rng, ["a", "b"], [-1, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -364,59 +321,3 @@ def test_time_series_extrema_match_bruteforce(points, start, width):
     else:
         assert ts.maximum(start, end) == max(candidates)
         assert ts.minimum(start, end) == min(candidates)
-
-
-# ---------------------------------------------------------------------------
-# TraceLog: keyed listeners
-# ---------------------------------------------------------------------------
-
-def test_trace_log_keyed_listeners_dispatch_by_key():
-    env = Environment()
-    log = TraceLog(env)
-    got = []
-    log.subscribe_keyed("service", "a", lambda r: got.append(("a", r.kind)))
-    log.subscribe_keyed("service", "b", lambda r: got.append(("b", r.kind)))
-    log.emit("x", "one", service="a")
-    log.emit("x", "two", service="b")
-    log.emit("x", "three", service="c")   # no listener for this key
-    log.emit("x", "four")                 # field absent entirely
-    assert got == [("a", "one"), ("b", "two")]
-
-
-def test_trace_log_keyed_listeners_fire_on_emit_in():
-    env = Environment()
-    log = TraceLog(env)
-    got = []
-    log.subscribe_keyed("service", "svc", lambda r: got.append(r.kind))
-    span = log.span("src", "op")
-    log.emit_in(span, "src", "step", service="svc")
-    log.emit_in(span, "src", "other", service="nope")
-    assert got == ["step"]
-
-
-def test_trace_log_keyed_unsubscribe_cleans_up():
-    env = Environment()
-    log = TraceLog(env)
-    got = []
-    listener = lambda r: got.append(r.kind)
-    log.subscribe_keyed("service", "svc", listener)
-    log.emit("x", "one", service="svc")
-    log.unsubscribe_keyed("service", "svc", listener)
-    log.emit("x", "two", service="svc")
-    assert got == ["one"]
-    # Tables fully collapse so the emit fast path stays a falsy check.
-    assert log._keyed == {}
-    # Unsubscribing again (or an unknown listener) is a no-op.
-    log.unsubscribe_keyed("service", "svc", listener)
-
-
-def test_trace_log_keyed_and_plain_listeners_coexist():
-    env = Environment()
-    log = TraceLog(env)
-    seen = {"plain": 0, "keyed": 0}
-    log.subscribe(lambda r: seen.__setitem__("plain", seen["plain"] + 1))
-    log.subscribe_keyed("vm", "vm-1",
-                        lambda r: seen.__setitem__("keyed", seen["keyed"] + 1))
-    log.emit("x", "a", vm="vm-1")
-    log.emit("x", "b", vm="vm-2")
-    assert seen == {"plain": 2, "keyed": 1}
