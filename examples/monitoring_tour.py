@@ -65,9 +65,10 @@ def main() -> None:
 
     print("\n=== journal window statistics (§4.2.1 time series ops) ===")
     args = ("polymorph-1", "uk.ucl.condor.schedd.queuesize", 0, env.now)
-    print(f"  events={len(journal)} mean={journal.window_mean(*args):.1f} "
-          f"min={journal.window_min(*args):.0f} "
-          f"max={journal.window_max(*args):.0f}")
+    print(f"  events={len(journal)} "
+          f"mean={journal.aggregate(*args, 'mean'):.1f} "
+          f"min={journal.aggregate(*args, 'min'):.0f} "
+          f"max={journal.aggregate(*args, 'max'):.0f}")
 
     # -- wire format ---------------------------------------------------------
     last = journal.stream("polymorph-1",

@@ -120,7 +120,16 @@ def _cmd_generate_agent(args) -> int:
     from .core.codegen import generate_agent_stub
 
     manifest = _load_manifest(args.manifest)
-    print(generate_agent_stub(manifest, args.component))
+    try:
+        source = generate_agent_stub(manifest, args.component)
+    except (KeyError, ValueError) as exc:
+        message = exc.args[0]
+        if isinstance(exc, KeyError):
+            names = [c.name for c in manifest.application.components]
+            message += f"; components: {', '.join(names)}"
+        print(f"error: {message}", file=sys.stderr)
+        return 1
+    print(source)
     return 0
 
 

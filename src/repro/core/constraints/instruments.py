@@ -188,20 +188,8 @@ class ElasticityEnforcementValidator:
                     continue
 
                 def window(name, window_s, op, _t=t):
-                    values = [
-                        float(m.value)
-                        for m in self.journal.stream(self.service_id, name)
-                        if _t - window_s <= m.timestamp <= _t
-                    ]
-                    if not values:
-                        return None
-                    if op == "mean":
-                        return sum(values) / len(values)
-                    if op == "min":
-                        return min(values)
-                    if op == "max":
-                        return max(values)
-                    return float(len(values))
+                    return self.journal.aggregate(self.service_id, name,
+                                                  _t - window_s, _t, op)
 
                 bindings = EvaluationContext(
                     latest=lambda name: latest.get(name, defaults.get(name)),

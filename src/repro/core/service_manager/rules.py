@@ -3,8 +3,8 @@
 Implements the §4.2.2 OCL contract precisely:
 
 * ``notify(e: Event)`` — incoming monitoring events are appended to the
-  record store (here: latest-value per qualified name plus full journal for
-  the validator);
+  record store (here: latest-value per qualified name, plus a full journal
+  that answers the rule conditions' window operations);
 * ``evaluate(qe: QualifiedElement)`` — the latest record's value, else the
   KPI's declared default;
 * ``evaluateRules()`` — for every installed rule whose condition evaluates
@@ -323,21 +323,9 @@ class RuleInterpreter:
     def _window(self, name: str, window_s: float, op: str) -> Optional[float]:
         """Trailing-window aggregation over the journal, for the §4.2.1
         time-series operations (mean/min/max/count)."""
-        since = self.env.now - window_s
-        until = self.env.now
-        if op == "mean":
-            return self.journal.window_mean(self.service_id, name,
-                                            since, until)
-        if op == "min":
-            return self.journal.window_min(self.service_id, name,
-                                           since, until)
-        if op == "max":
-            return self.journal.window_max(self.service_id, name,
-                                           since, until)
-        if op == "count":
-            return float(len(self.journal.window(self.service_id, name,
-                                                 since, until)))
-        raise ValueError(f"unknown window operation {op!r}")
+        now = self.env.now
+        return self.journal.aggregate(self.service_id, name,
+                                      now - window_s, now, op)
 
     def _set_hot(self, installed: _InstalledRule, flag: bool) -> None:
         if flag:

@@ -145,18 +145,9 @@ class SLAMonitor:
             return float(value)
 
         def window(name: str, window_s: float, op: str) -> Optional[float]:
-            since, until = self.env.now - window_s, self.env.now
-            if op == "mean":
-                return self.journal.window_mean(self.service_id, name,
-                                                since, until)
-            if op == "min":
-                return self.journal.window_min(self.service_id, name,
-                                               since, until)
-            if op == "max":
-                return self.journal.window_max(self.service_id, name,
-                                               since, until)
-            return float(len(self.journal.window(self.service_id, name,
-                                                 since, until)))
+            now = self.env.now
+            return self.journal.aggregate(self.service_id, name,
+                                          now - window_s, now, op)
 
         return EvaluationContext(latest=latest, window=window)
 

@@ -57,7 +57,12 @@ from ..scenarios.chaos import (
     sites_of,
 )
 from ..scenarios.invariants import check_all
-from ..scenarios.workloads import SessionProfile, WORKLOADS, draw_profiles
+from ..scenarios.workloads import (
+    SessionProfile,
+    WORKLOAD_PARAMS,
+    WORKLOADS,
+    draw_profiles,
+)
 from ..sim import (
     Environment,
     EpochReport,
@@ -169,6 +174,14 @@ class ScaleConfig:
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}; "
                              f"have {sorted(WORKLOADS)}")
+        allowed = WORKLOAD_PARAMS[self.workload]
+        unknown = sorted({key for key, _ in self.workload_params}
+                         - set(allowed))
+        if unknown:
+            raise ValueError(
+                f"workload {self.workload!r} has no parameter(s) "
+                f"{', '.join(unknown)}; it takes "
+                f"{', '.join(allowed) if allowed else 'none'}")
         known = {f"site-{s}" for s in range(self.sites)}
         for event in self.chaos:
             if isinstance(event, NetworkPartition) and self.procs > 1:

@@ -5,14 +5,17 @@ OCL semantics (§4.2.2) require it to append incoming events to
 ``monitoringRecords`` and, at evaluation time, read *the latest value for the
 monitoring record with a specific qualified name*, falling back to a KPI's
 declared default when no record exists yet. :class:`MeasurementStore`
-implements exactly that contract; :class:`MeasurementJournal` additionally
-keeps full history for the generated validation instruments (§4.2.3).
+implements exactly that contract. :class:`MeasurementJournal` keeps the full
+history: its :meth:`~MeasurementJournal.aggregate` answers the §4.2.1
+time-series operations for the rule engine, the SLA monitor and the
+enforcement validator, and the generated validation instruments (§4.2.3)
+replay its events.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .distribution import DistributionFramework, Subscription
 from .measurements import Measurement
@@ -28,12 +31,11 @@ class MeasurementStore:
     value for the qualified name, or the supplied default.
     """
 
-    __slots__ = ("_latest", "notifications", "_listeners")
+    __slots__ = ("_latest", "notifications")
 
     def __init__(self) -> None:
         self._latest: dict[tuple[str, str], Measurement] = {}
         self.notifications = 0
-        self._listeners: list[Callable[[Measurement], None]] = []
 
     def notify(self, measurement: Measurement) -> Optional[Measurement]:
         """Record an incoming monitoring event (OCL: append to records).
@@ -45,8 +47,6 @@ class MeasurementStore:
         previous = latest.get(key)
         latest[key] = measurement
         self.notifications += 1
-        for listener in self._listeners:
-            listener(measurement)
         return previous
 
     def subscribe_to(self, network: DistributionFramework, *,
@@ -55,10 +55,6 @@ class MeasurementStore:
         """Attach to a fabric; keep the returned handle to detach later."""
         return network.subscribe(self.notify, service_id=service_id,
                                  qualified_name=qualified_name)
-
-    def add_listener(self, listener: Callable[[Measurement], None]) -> None:
-        """Called on every notification — used to trigger rule evaluation."""
-        self._listeners.append(listener)
 
     def value(self, service_id: str, qualified_name: str,
               default: Any = None) -> Any:
@@ -79,10 +75,13 @@ class MeasurementStore:
 class MeasurementJournal:
     """Full-history consumer: every event kept, queryable by stream/time.
 
-    Feeds the generated elasticity-validation instruments, which must replay
-    "incoming monitoring events and [verify] where appropriate that suitable
-    adjustment operations were invoked by matching entries and time frames in
-    infrastructural logs" (§4.2.3).
+    :meth:`aggregate` is the one trailing-window aggregator: the rule
+    interpreter, the SLA monitor and the enforcement validator each keep a
+    journal and read their window operations through it. The validator also
+    replays the events, as the generated elasticity-validation instruments
+    must: they replay "incoming monitoring events and [verify] where
+    appropriate that suitable adjustment operations were invoked by matching
+    entries and time frames in infrastructural logs" (§4.2.3).
     """
 
     __slots__ = ("_events", "_by_stream")
@@ -122,26 +121,28 @@ class MeasurementJournal:
             return []
         return [m for m in events if since <= m.timestamp <= until]
 
-    # -- window statistics (§4.2.1 time-series operations) --------------------
-    def _window_values(self, service_id: str, qualified_name: str,
-                       since: float, until: float) -> list[float]:
-        return [float(m.value)
-                for m in self.window(service_id, qualified_name, since, until)]
+    def aggregate(self, service_id: str, qualified_name: str,
+                  since: float, until: float, op: str) -> Optional[float]:
+        """The §4.2.1 time-series operation ``op`` over the stream's events
+        with ``since <= timestamp <= until``.
 
-    def window_mean(self, service_id: str, qualified_name: str,
-                    since: float, until: float) -> Optional[float]:
-        values = self._window_values(service_id, qualified_name, since, until)
-        return sum(values) / len(values) if values else None
-
-    def window_min(self, service_id: str, qualified_name: str,
-                   since: float, until: float) -> Optional[float]:
-        values = self._window_values(service_id, qualified_name, since, until)
-        return min(values) if values else None
-
-    def window_max(self, service_id: str, qualified_name: str,
-                   since: float, until: float) -> Optional[float]:
-        values = self._window_values(service_id, qualified_name, since, until)
-        return max(values) if values else None
+        ``count`` is the number of events (their values are not read);
+        ``mean``, ``min`` and ``max`` aggregate the values as floats and are
+        ``None`` over an empty window.
+        """
+        events = self.window(service_id, qualified_name, since, until)
+        if op == "count":
+            return float(len(events))
+        if not events:
+            return None
+        values = [float(m.value) for m in events]
+        if op == "mean":
+            return sum(values) / len(values)
+        if op == "min":
+            return min(values)
+        if op == "max":
+            return max(values)
+        raise ValueError(f"unknown window operation {op!r}")
 
     def gaps_exceeding(self, service_id: str, qualified_name: str,
                        max_gap_s: float) -> list[tuple[float, float]]:

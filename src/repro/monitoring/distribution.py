@@ -54,9 +54,10 @@ path is engineered:
   subscriptions once (``fnmatch.translate`` → ``re.compile``). The seed's
   linear scan is the differential-test oracle, ``ReferenceBroker`` in
   ``tests/oracles/broker.py``.
-* **Coalesced delayed delivery** — packets published into a latency edge are
-  queued per due-time and drained by one long-lived process, so N packets
-  sharing an edge cost one kernel event (``delivery_events``), not N.
+
+Delivery is synchronous: :meth:`DistributionFramework.publish` returns once
+every matched consumer has run, so a consumer sees the publisher's ambient
+trace span and can adopt it as its parent (DESIGN §12).
 
 Subscriptions are first-class: :meth:`DistributionFramework.subscribe`
 returns a :class:`Subscription` handle that
@@ -74,7 +75,6 @@ import fnmatch
 import itertools
 import re
 import struct
-from collections import deque
 from typing import Callable, Optional, Sequence
 
 from ..sim import Environment
@@ -180,11 +180,8 @@ class DistributionFramework(abc.ABC):
     miss) and :meth:`_charge` (the byte accounting).
     """
 
-    def __init__(self, env: Environment, *, latency_s: float = 0.0):
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
+    def __init__(self, env: Environment):
         self.env = env
-        self.latency_s = latency_s
         #: delivered volume accounting (bytes that reached consumers)
         self.bytes_delivered = 0
         #: injected volume accounting (bytes sent by producers)
@@ -193,9 +190,6 @@ class DistributionFramework(abc.ABC):
         #: full Measurement decodes performed (lazy-decode observability:
         #: unmatched packets never increment this)
         self.packets_decoded = 0
-        #: kernel wakeups spent draining delayed deliveries; with batching,
-        #: N same-instant packets share one
-        self.delivery_events = 0
         self._subs: list[Subscription] = []
         self._sub_seq = itertools.count().__next__
         #: (service id, qualified name) -> matched subscriptions, in
@@ -207,9 +201,6 @@ class DistributionFramework(abc.ABC):
         #: every stream whose packet the strict decoder accepted here: one
         #: entry per distinct probe identity, never evicted
         self._streams: dict[bytes, tuple[tuple[str, str], str]] = {}
-        #: FIFO of (due time, [packets]) batches awaiting the latency edge
-        self._pending: deque[tuple[float, list[bytes]]] = deque()
-        self._drain = None
         # The counters above stay plain ints (the delivery loop is the
         # hottest path in the system); the unified registry sees them
         # through zero-cost views instead.
@@ -217,8 +208,7 @@ class DistributionFramework(abc.ABC):
         metrics = env.metrics
         for attr in ("bytes_published", "bytes_delivered",
                      "packets_published", "packets_decoded",
-                     "delivery_events", "route_cache_hits",
-                     "route_cache_misses"):
+                     "route_cache_hits", "route_cache_misses"):
             metrics.register_view(
                 f"monitoring.fabric.{attr}",
                 (lambda _a=attr: getattr(self, _a)),
@@ -238,15 +228,12 @@ class DistributionFramework(abc.ABC):
             packet = encode_measurement(measurement)
         self.bytes_published += len(packet)
         self.packets_published += 1
-        if self.latency_s == 0.0:
-            self._deliver(packet)
-        else:
-            self._enqueue(packet)
+        self._deliver(packet)
 
     def publish_many(self, measurements: Sequence[Measurement], *,
                      packets: Optional[Sequence[bytes]] = None) -> None:
-        """Publish a batch; packets sharing the latency edge coalesce into
-        one kernel event instead of one process per packet."""
+        """Publish a batch, in order, one :meth:`publish` per measurement."""
+        # Nothing in the package calls it; perfbench/ledger.py wraps it.
         if packets is None:
             for m in measurements:
                 self.publish(m)
@@ -255,29 +242,6 @@ class DistributionFramework(abc.ABC):
                 raise ValueError("packets must align with measurements")
             for m, p in zip(measurements, packets):
                 self.publish(m, packet=p)
-
-    def _enqueue(self, packet: bytes) -> None:
-        due = self.env.now + self.latency_s
-        pending = self._pending
-        # latency_s is fixed, so due times arrive non-decreasing: same-instant
-        # publishes land in the tail batch and share its wakeup.
-        if pending and pending[-1][0] == due:
-            pending[-1][1].append(packet)
-        else:
-            pending.append((due, [packet]))
-        if self._drain is None or not self._drain.is_alive:
-            self._drain = self.env.process(self._drain_loop(),
-                                           name="mon-delivery")
-
-    def _drain_loop(self):
-        pending = self._pending
-        while pending:
-            due = pending[0][0]
-            if due > self.env.now:
-                self.delivery_events += 1
-                yield self.env.timeout(due - self.env.now)
-            for packet in pending.popleft()[1]:
-                self._deliver(packet)
 
     # -- subscribing ---------------------------------------------------------
     def subscribe(self, callback: ConsumerCallback, *,
@@ -400,8 +364,8 @@ class PubSubBroker(DistributionFramework):
     ``fnmatch`` (``tests/oracles/broker.py``).
     """
 
-    def __init__(self, env: Environment, *, latency_s: float = 0.0):
-        super().__init__(env, latency_s=latency_s)
+    def __init__(self, env: Environment):
+        super().__init__(env)
         #: subscriptions pinning service id + exact qualified name,
         #: keyed on the canonical topic string
         self._exact: dict[str, list[Subscription]] = {}

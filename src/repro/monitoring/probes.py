@@ -129,8 +129,8 @@ class DataSource:
         #: Optional TraceLog: when set, every publication runs inside a
         #: ``kpi.publish`` span — the root of the causal chain that links a
         #: measurement to the elasticity actions it eventually causes.
-        #: Delivery at latency 0 is synchronous, so consumers notified during
-        #: the publish see the span as ambient and can adopt it as a parent.
+        #: Delivery is synchronous, so consumers notified during the publish
+        #: see the span as ambient and can adopt it as a parent.
         self.trace = trace
         self.probes: dict[str, Probe] = {}
         self._loops: dict[str, Any] = {}
@@ -197,41 +197,6 @@ class DataSource:
         if measurement is not None:
             self._publish(probe, measurement)
         return measurement
-
-    def emit_all_now(self) -> list[Measurement]:
-        """Collect every ``on`` probe once and publish the results as one
-        batch — packets sharing the fabric's latency edge cost a single
-        kernel event (see ``DistributionFramework.publish_many``).
-
-        With tracing enabled each measurement needs its own ``kpi.publish``
-        span (causal attribution is per-KPI), so the batch degrades to
-        per-probe publishes — attribution over coalescing.
-        """
-        if self.trace is not None:
-            out: list[Measurement] = []
-            for probe in self.probes.values():
-                if not probe.on:
-                    continue
-                measurement = probe.take_measurement(self.env,
-                                                     self.service_id)
-                if measurement is None:
-                    continue
-                self._publish(probe, measurement)
-                out.append(measurement)
-            return out
-        measurements: list[Measurement] = []
-        packets: list[bytes] = []
-        for probe in self.probes.values():
-            if not probe.on:
-                continue
-            measurement = probe.take_measurement(self.env, self.service_id)
-            if measurement is None:
-                continue
-            measurements.append(measurement)
-            packets.append(probe.encode_packet(measurement))
-            probe.measurements_sent += 1
-        self.network.publish_many(measurements, packets=packets)
-        return measurements
 
     # -- internals -----------------------------------------------------------
     def _emission_loop(self, probe: Probe):

@@ -29,7 +29,6 @@ from .exporters import (
 )
 from .metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricError,
     MetricsRegistry,
@@ -44,7 +43,6 @@ __all__ = [
     "Span",
     "SpanError",
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricError",
     "MetricsRegistry",

@@ -1,4 +1,4 @@
-"""The unified metrics layer: Counter / Gauge / Histogram behind one registry.
+"""The unified metrics layer: Counter / Histogram / views behind one registry.
 
 Before this module, operational counters were scattered: the rule engine kept
 ``evaluations``/``rules_skipped`` ints, the distribution fabric kept
@@ -12,15 +12,16 @@ with optional labels for per-instance streams (``service="sap-1"``).
 
 Two kinds of instruments coexist deliberately:
 
-* **owned** instruments (:class:`Counter`, :class:`Gauge`,
-  :class:`Histogram`) — the registry is the canonical store; components that
-  previously kept their own tallies (control plane, VEEM) now increment
-  these, and any legacy attribute is a *view* over the registry.
+* **owned** instruments (:class:`Counter`, :class:`Histogram`) — the
+  registry is the canonical store; components that previously kept their
+  own tallies (control plane, VEEM) now increment these, and any legacy
+  attribute is a *view* over the registry.
 * **view** instruments (:meth:`MetricsRegistry.register_view`) — a callable
-  sampled at collection time. Hot-path counters (per-packet byte accounting,
-  per-pass rule-engine tallies) stay as the plain attributes they always
-  were — zero added cost on the fast path, gated at <10 % on the headline
-  benches — and the registry reads them on demand.
+  sampled at collection time, reported as kind ``gauge``. Hot-path counters
+  (per-packet byte accounting, per-pass rule-engine tallies) stay as the
+  plain attributes they always were — zero added cost on the fast path,
+  gated at <10 % on the headline benches — and the registry reads them on
+  demand.
 
 Either way every number is reachable through :meth:`MetricsRegistry.collect`
 and the Prometheus-style dump in :mod:`repro.obs.exporters`.
@@ -35,7 +36,7 @@ import math
 import re
 from typing import Any, Callable, Iterator, Optional, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "MetricError",
+__all__ = ["Counter", "Histogram", "MetricsRegistry", "MetricError",
            "SnapshotCursor", "canonical_view"]
 
 #: ``layer.component.metric`` — at least three lowercase dotted segments.
@@ -97,31 +98,6 @@ class Counter:
 
     def __repr__(self) -> str:
         return f"<Counter {self.name} {self.value:g}>"
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, live instances)."""
-
-    __slots__ = ("name", "labels", "value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelKey = ()):
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
-    def __repr__(self) -> str:
-        return f"<Gauge {self.name} {self.value:g}>"
 
 
 class Histogram:
@@ -227,13 +203,13 @@ class _View:
         return f"<View {self.name}>"
 
 
-Instrument = Union[Counter, Gauge, Histogram, _View]
+Instrument = Union[Counter, Histogram, _View]
 
 
 class MetricsRegistry:
     """One registry per :class:`~repro.sim.kernel.Environment`.
 
-    ``counter``/``gauge``/``histogram`` are get-or-create on the
+    ``counter``/``histogram`` are get-or-create on the
     (name, labels) key — two components asking for the same stream share the
     instrument. ``register_view`` replaces on re-registration so a component
     rebuilt mid-run (a second rule interpreter over the same service — the
@@ -260,9 +236,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: Any) -> Counter:
         return self._get_or_create(Counter, name, labels)
-
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get_or_create(Gauge, name, labels)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get_or_create(Histogram, name, labels)
@@ -297,14 +270,12 @@ class MetricsRegistry:
 
     def merge_snapshot(self, snapshot: dict) -> None:
         """Fold a :meth:`SnapshotCursor.snapshot` payload from another
-        process into this registry: counter deltas add, gauges adopt the
-        shipped final, histogram tails append in arrival order. Instruments
-        absent here are created; a kind conflict raises."""
+        process into this registry: counter deltas add, histogram tails
+        append in arrival order. Instruments absent here are created; a kind
+        conflict raises."""
         for (name, label_key), (kind, payload) in sorted(snapshot.items()):
             if kind == "counter":
                 self._merge_target(Counter, name, label_key).value += payload
-            elif kind == "gauge":
-                self._merge_target(Gauge, name, label_key).value = payload
             elif kind == "histogram":
                 self._merge_target(Histogram, name, label_key).merge(payload)
             else:
@@ -355,12 +326,11 @@ class SnapshotCursor:
     """Incremental, picklable snapshots of a registry's *owned* instruments.
 
     Each :meth:`snapshot` call returns only what changed since the last one:
-    counter deltas, gauge finals (when moved), and histogram observation
-    tails in arrival order. The payload format is
-    ``{(name, LabelKey): (kind, delta | final | tuple_of_values)}`` — plain
-    builtins, safe to ship over a multiprocessing pipe. Views are excluded
-    (they read process-local attributes that cannot travel), as are zero
-    deltas and empty tails, keeping epoch payloads compact.
+    counter deltas and histogram observation tails in arrival order. The
+    payload format is ``{(name, LabelKey): (kind, delta | tuple_of_values)}``
+    — plain builtins, safe to ship over a multiprocessing pipe. Views are
+    excluded (they read process-local attributes that cannot travel), as
+    are zero deltas and empty tails, keeping epoch payloads compact.
 
     Workers take one discarded baseline snapshot right after replaying the
     coordinator's pinned submissions, so the replay's counter increments —
@@ -369,7 +339,6 @@ class SnapshotCursor:
 
     def __init__(self) -> None:
         self._counters: dict[tuple[str, LabelKey], float] = {}
-        self._gauges: dict[tuple[str, LabelKey], float] = {}
         self._hist_counts: dict[tuple[str, LabelKey], int] = {}
 
     def snapshot(self, registry: MetricsRegistry) -> dict:
@@ -380,10 +349,6 @@ class SnapshotCursor:
                 if delta:
                     out[key] = ("counter", delta)
                     self._counters[key] = instrument.value
-            elif isinstance(instrument, Gauge):
-                if instrument.value != self._gauges.get(key):
-                    out[key] = ("gauge", instrument.value)
-                    self._gauges[key] = instrument.value
             elif isinstance(instrument, Histogram):
                 seen = self._hist_counts.get(key, 0)
                 tail = instrument._values[seen:]
@@ -401,12 +366,11 @@ def canonical_view(registry: MetricsRegistry) -> dict[str, Any]:
     ``ControlPlane`` numbers its metric streams with a module-level counter,
     so ``plane1`` in the coordinator is ``plane3`` in a test that built two
     earlier planes. Counters summed across stripped keys (zero counters
-    dropped), gauges kept as-is, histograms summarised after a
+    dropped), histograms summarised after a
     sorted-instrument-order merge (empty ones dropped). Keys render as
     ``name`` or ``name{k=v,...}``, sorted.
     """
     counters: dict[tuple[str, LabelKey], float] = {}
-    gauges: dict[tuple[str, LabelKey], float] = {}
     hists: dict[tuple[str, LabelKey], Histogram] = {}
     for (name, labels), instrument in sorted(
             registry._instruments.items(), key=lambda item: item[0]):
@@ -414,8 +378,6 @@ def canonical_view(registry: MetricsRegistry) -> dict[str, Any]:
         key = (name, stripped)
         if isinstance(instrument, Counter):
             counters[key] = counters.get(key, 0.0) + instrument.value
-        elif isinstance(instrument, Gauge):
-            gauges[key] = instrument.value
         elif isinstance(instrument, Histogram):
             target = hists.get(key)
             if target is None:
@@ -424,7 +386,6 @@ def canonical_view(registry: MetricsRegistry) -> dict[str, Any]:
     out: dict[str, Any] = {}
     entries: list[tuple[tuple[str, LabelKey], Any]] = []
     entries.extend((k, v) for k, v in counters.items() if v)
-    entries.extend(gauges.items())
     entries.extend((k, h.summary()) for k, h in hists.items() if h.count)
     for (name, labels), value in sorted(entries, key=lambda item: item[0]):
         if labels:

@@ -1,6 +1,6 @@
 """Scenario factory: workloads, chaos, invariants, experiments (§16).
 
-Three cooperating parts:
+Four cooperating parts:
 
 * :mod:`.workloads` — composable, seeded workload generators (diurnal
   curves, flash crowds, heavy-tailed session lengths, tenant mixes)
@@ -11,13 +11,11 @@ Three cooperating parts:
 * :mod:`.invariants` — the post-cell system checks (no oversubscription,
   requests settled, accounting consistent, no orphan spans);
 * :mod:`.runner` — the sweep-driven experiment runner behind
-  ``python -m repro experiment``;
-* :mod:`.library` — the named integration setups the chaos/failure test
-  suites are thin wrappers over.
+  ``python -m repro experiment``.
 
-``runner`` and ``library`` are imported lazily: they depend on
+This package does not import ``runner``: it depends on
 :mod:`repro.experiments`, which itself imports this package's generators —
-the eager surface here must stay dependency-light to keep that one-way.
+import :mod:`repro.scenarios.runner` directly.
 """
 
 from .chaos import (
@@ -45,9 +43,6 @@ from .workloads import (
     WorkloadError,
     WORKLOADS,
     draw_profiles,
-    hill_estimator,
-    offered_load,
-    schedule_mean,
     workload,
     workload_names,
 )
@@ -73,32 +68,7 @@ __all__ = [
     "WorkloadError",
     "WORKLOADS",
     "draw_profiles",
-    "hill_estimator",
-    "offered_load",
-    "schedule_mean",
     "workload",
     "workload_names",
-    # lazy (import on attribute access):
-    "Scenario",
-    "SCENARIOS",
-    "run_experiment",
-    "parse_sweep",
 ]
 
-
-def __getattr__(name: str):
-    # importlib (not ``from . import``): the from-import form re-enters
-    # this hook while resolving the submodule attribute and recurses.
-    if name in ("Scenario", "SCENARIOS", "run_experiment", "parse_sweep",
-                "runner"):
-        import importlib
-
-        runner = importlib.import_module(".runner", __name__)
-        if name == "runner":
-            return runner
-        return getattr(runner, name)
-    if name == "library":
-        import importlib
-
-        return importlib.import_module(".library", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

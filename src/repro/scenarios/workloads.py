@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from ..sim import RandomStreams
 
@@ -34,12 +34,10 @@ __all__ = [
     "SessionProfile",
     "WorkloadError",
     "WORKLOADS",
+    "WORKLOAD_PARAMS",
     "workload",
     "workload_names",
     "draw_profiles",
-    "offered_load",
-    "schedule_mean",
-    "hill_estimator",
 ]
 
 #: Nominal sessions-per-service at ``load=1.0``. Sits above the scale-up
@@ -91,14 +89,19 @@ class SessionProfile:
 
 #: name -> generator(rng, cfg, requests, params) -> list[SessionProfile]
 WORKLOADS: dict[str, Callable] = {}
+#: name -> the parameter names its generator reads; any other key in a
+#: config's ``workload_params`` is an error, not a silently ignored value
+WORKLOAD_PARAMS: dict[str, tuple[str, ...]] = {}
 
 
-def workload(name: str):
-    """Register a generator under ``name`` (sweep/CLI facing)."""
+def workload(name: str, *params: str):
+    """Register a generator under ``name`` (sweep/CLI facing) that reads the
+    ``params`` keys of its parameter dict."""
     def register(fn):
         if name in WORKLOADS:
             raise WorkloadError(f"duplicate workload {name!r}")
         WORKLOADS[name] = fn
+        WORKLOAD_PARAMS[name] = params
         return fn
     return register
 
@@ -161,7 +164,7 @@ def _baseline(rng, cfg, requests, params) -> list[SessionProfile]:
     return profiles
 
 
-@workload("diurnal")
+@workload("diurnal", "load", "cycles", "steps", "jitter")
 def _diurnal(rng, cfg, requests, params) -> list[SessionProfile]:
     """Day-curve sessions: a clipped sinusoid over a quiet base, with
     per-service phase and amplitude jitter. ``load`` fixes the time-averaged
@@ -199,7 +202,7 @@ def _diurnal(rng, cfg, requests, params) -> list[SessionProfile]:
     return profiles
 
 
-@workload("flash-crowd")
+@workload("flash-crowd", "load", "crowd_fraction", "at", "spread")
 def _flash_crowd(rng, cfg, requests, params) -> list[SessionProfile]:
     """A sudden synchronized spike: a seeded fraction of services jumps
     from the quiet baseline to well past the scale-up threshold at nearly
@@ -245,7 +248,7 @@ def _flash_crowd(rng, cfg, requests, params) -> list[SessionProfile]:
     return profiles
 
 
-@workload("heavy-tail")
+@workload("heavy-tail", "load", "alpha", "sigma")
 def _heavy_tail(rng, cfg, requests, params) -> list[SessionProfile]:
     """Heavy-tailed session lengths: each service runs one active period
     whose duration is Pareto(``alpha``) (the untruncated draw is kept in
@@ -289,7 +292,7 @@ def _heavy_tail(rng, cfg, requests, params) -> list[SessionProfile]:
     return profiles
 
 
-@workload("tenant-mix")
+@workload("tenant-mix", "heavy_tenants", "load")
 def _tenant_mix(rng, cfg, requests, params) -> list[SessionProfile]:
     """Asymmetric tenants: the first ``heavy_tenants`` tenants run bursty
     elastic tides (the baseline's elastic branch), the rest hold a flat
@@ -323,65 +326,3 @@ def _tenant_mix(rng, cfg, requests, params) -> list[SessionProfile]:
                 peak_sessions=quiet, start_s=0.0, hold_s=0.0,
                 drain_level=quiet, schedule=((0.0, quiet),)))
     return profiles
-
-
-# ---------------------------------------------------------------------------
-# Analysis helpers (rate conservation, tail index)
-# ---------------------------------------------------------------------------
-
-def schedule_mean(schedule, duration_s: float) -> float:
-    """Time-weighted mean session level of a piecewise schedule over
-    ``[0, duration_s]`` (the last level holds to the end)."""
-    if not schedule or duration_s <= 0:
-        return 0.0
-    total = 0.0
-    for index, (at_s, level) in enumerate(schedule):
-        if at_s >= duration_s:
-            break
-        next_at = (schedule[index + 1][0] if index + 1 < len(schedule)
-                   else duration_s)
-        total += level * (min(next_at, duration_s) - at_s)
-    return total / duration_s
-
-
-def offered_load(profiles, duration_s: float, *,
-                 quiet_s: float = 360.0) -> float:
-    """Federation-wide mean concurrent sessions implied by ``profiles``.
-
-    Schedule profiles integrate exactly; tide profiles integrate the
-    piecewise shape the session driver replays (baseline 30 until
-    ``start_s``, half-peak then peak over ``hold_s``, ``drain_level`` for
-    ``quiet_s``, baseline 30 after).
-    """
-    total = 0.0
-    for profile in profiles:
-        if profile.schedule:
-            total += schedule_mean(profile.schedule, duration_s)
-            continue
-        points = ((0.0, 30),
-                  (profile.start_s, profile.ramp[0]),
-                  (profile.start_s + profile.hold_s / 2.0, profile.ramp[1]),
-                  (profile.start_s + profile.hold_s, profile.drain_level),
-                  (profile.start_s + profile.hold_s + quiet_s, 30))
-        total += schedule_mean(points, duration_s)
-    return total
-
-
-def hill_estimator(samples, k: Optional[int] = None) -> float:
-    """Hill estimate of the tail index alpha from the ``k`` largest order
-    statistics (default ``k = max(10, n // 10)``). Larger alpha = lighter
-    tail; a Pareto(alpha) sample estimates ~alpha."""
-    xs = sorted((float(x) for x in samples), reverse=True)
-    n = len(xs)
-    if n < 3:
-        raise WorkloadError("hill_estimator: need at least 3 samples")
-    if k is None:
-        k = max(10, n // 10)
-    k = min(k, n - 1)
-    pivot = xs[k]
-    if pivot <= 0:
-        raise WorkloadError("hill_estimator: samples must be positive")
-    mean_log = sum(math.log(x / pivot) for x in xs[:k]) / k
-    if mean_log <= 0:
-        raise WorkloadError("hill_estimator: degenerate sample")
-    return 1.0 / mean_log

@@ -96,8 +96,8 @@ class EpochReport:
 
     ``metrics`` carries the shard's incremental telemetry snapshot (a
     :meth:`repro.obs.metrics.SnapshotCursor.snapshot` payload: counter
-    deltas, gauge finals, histogram tails) for the coordinator to fold
-    into its federation-wide registry; ``findings`` carries this epoch's
+    deltas and histogram tails) for the coordinator to fold into its
+    federation-wide registry; ``findings`` carries this epoch's
     newly-closed :class:`~repro.obs.audit.AuditFinding` records. Both
     default empty so experiments that predate telemetry merging keep
     working unchanged.

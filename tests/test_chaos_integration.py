@@ -6,20 +6,20 @@ resource which moves from one physical host to another is monitored
 correctly"), the elastic application rides through host failures, and the
 system converges back to a consistent, constraint-clean state.
 
-Topologies come from the named setups in :mod:`repro.scenarios.library`;
-each test only injects its fault and asserts.
+Topologies come from the stage builders in :mod:`tests.setups`; each test
+only injects its fault and asserts.
 """
 
 from repro.cloud import VMState
 from repro.grid import Job, JobState
-from repro.scenarios import library
 from repro.sim import Environment, RandomStreams
+from tests.setups import elastic_grid, monitored_web, two_web_tenants
 
 
 def test_monitoring_survives_migration():
     """A migrated VM's agent keeps publishing without interruption."""
     env = Environment()
-    stage = library.build("monitored-web", env)
+    stage = monitored_web(env)
     sm, vm, journal = stage.sm, stage.vm, stage.journal
 
     env.run(until=env.now + 35)
@@ -45,7 +45,7 @@ def test_elastic_grid_rides_through_host_failure():
     """Jobs complete despite a mid-run host failure killing several exec
     VMs; the elasticity rules rebuild the cluster and the queue drains."""
     env = Environment()
-    stage = library.build("elastic-grid", env)
+    stage = elastic_grid(env)
     sm, scheduler, service = stage.sm, stage.scheduler, stage.service
 
     rng = RandomStreams(5).stream("jobs")
@@ -75,7 +75,7 @@ def test_elastic_grid_rides_through_host_failure():
 
 def test_two_tenants_with_failures_stay_isolated():
     env = Environment()
-    stage = library.build("two-web-tenants", env)
+    stage = two_web_tenants(env)
     sm, a, b_svc = stage.sm, stage.a, stage.b
 
     # Kill one VM of tenant A; only A heals, B is untouched.

@@ -103,6 +103,30 @@ def test_generate_agent(xml_path, capsys):
     compile(source, "<cli>", "exec")  # must be valid Python
 
 
+def test_generate_agent_unknown_component(xml_path, capsys):
+    """The virtual-system id is not an ADL component name: one error line
+    naming the components, not a KeyError traceback."""
+    assert main(["generate-agent", xml_path, "GridMgmt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: no component 'GridMgmt'; components: GridMgmtService, "
+        "Cluster, ClusterIdle\n")
+
+
+def test_generate_agent_without_application(tmp_path, capsys):
+    import dataclasses
+
+    path = tmp_path / "bare.xml"
+    path.write_text(manifest_to_xml(
+        dataclasses.replace(paper_manifest(), application=None)))
+    assert main(["generate-agent", str(path), "GridMgmtService"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "error: manifest declares no application description\n")
+    assert "Traceback" not in captured.err
+
+
 def test_generate_validator(xml_path, capsys):
     assert main(["generate-validator", xml_path, "svc-1"]) == 0
     source = capsys.readouterr().out

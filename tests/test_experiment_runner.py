@@ -199,10 +199,11 @@ def test_cli_experiment_smoke(tmp_path, capsys):
     assert (tmp_path / "flash-crowd-seed7.jsonl").exists()
 
 
-@pytest.mark.parametrize("axis", ["sample_period_s=0", "vm_cpu=0"])
+@pytest.mark.parametrize("axis", ["sample_period_s=0", "vm_cpu=0", "site=2"])
 def test_cli_bad_cell_config_exits_2(axis, tmp_path, capsys):
     """Values that once hung the census or divided by zero while sizing
-    the sites now fail up front with a typed error."""
+    the sites, and a misspelled key that once ran silently at the default,
+    now fail up front with a typed error."""
     t0 = perf_counter()
     assert main(["experiment", "baseline", "--sweep", axis,
                  "--out", str(tmp_path)]) == 2

@@ -183,6 +183,46 @@ def test_rule_engine_count_guard():
     assert calls == [30.0]
 
 
+def _firing_times(condition, samples, evaluate_at):
+    """When a one-rule interpreter fires ``condition``, fed the ``samples``
+    ({time: q.size}) and evaluated at each time of ``evaluate_at``."""
+    from repro.core.manifest import ElasticityRule
+
+    env = Environment()
+    calls = []
+    interp = RuleInterpreter(
+        env, "svc-1", executor=lambda a, r: calls.append(env.now) or True)
+    interp.install(ElasticityRule.from_text(
+        "windowed", condition, "deployVM(x)", defaults={"q.size": 0}))
+
+    def drive(env):
+        for t in evaluate_at:
+            yield env.timeout(t - env.now)
+            if t in samples:
+                interp.notify(measurement("q.size", samples[t], env.now))
+            interp.evaluate_rules()
+
+    env.process(drive(env))
+    env.run()
+    return calls
+
+
+def test_rule_engine_min_floor():
+    """min() acts only once every sample in the window clears the floor;
+    the low sample at t=10 still counts at t=35, on the window's edge."""
+    samples = {10: 5, 20: 50, 30: 50}
+    assert _firing_times("min(@q.size, 25) > 10", samples,
+                         (10, 20, 30, 35, 36)) == [36.0]
+
+
+def test_rule_engine_max_peak():
+    """max() scales down only once the window's peak is low; the spike at
+    t=10 still counts at t=35, on the window's edge."""
+    samples = {10: 50, 20: 5, 30: 5}
+    assert _firing_times("max(@q.size, 25) < 20", samples,
+                         (10, 20, 30, 35, 36)) == [36.0]
+
+
 def test_validator_replays_window_rules():
     """The enforcement validator evaluates window rules over the journal."""
     from repro.core.constraints import ElasticityEnforcementValidator

@@ -6,8 +6,8 @@ crash VMs and whole hosts and verify the stack heals: the lifecycle manager
 redeploys below-minimum components, the scheduler requeues interrupted jobs,
 and placement avoids failed hosts.
 
-Topologies and manifests come from :mod:`repro.scenarios.library`; the
-tests here only inject faults and assert.
+Topologies and manifests come from :mod:`tests.setups`; the tests here only
+inject faults and assert.
 """
 
 import pytest
@@ -22,13 +22,13 @@ from repro.cloud import (
 from repro.core.manifest import ManifestBuilder
 from repro.core.service_manager import ServiceManager
 from repro.grid import Job, JobState
-from repro.scenarios.library import (
+from repro.sim import Environment
+from tests.setups import (
     FAILURE_TIMINGS,
     build_cluster,
     make_veem,
     simple_manifest,
 )
-from repro.sim import Environment
 from tests.test_grid_execution import deploy_exec
 
 

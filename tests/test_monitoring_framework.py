@@ -225,24 +225,6 @@ def test_service_id_filtering():
     assert other.notifications == 0
 
 
-def test_distribution_latency_delays_delivery():
-    env = Environment()
-    net = MulticastChannel(env, latency_s=5.0)
-    store = MeasurementStore()
-    store.subscribe_to(net)
-    _emit(env, net)
-    env.run(until=12)
-    assert store.notifications == 0  # sent at t=10, arrives at t=15
-    env.run(until=16)
-    assert store.notifications == 1
-
-
-def test_negative_latency_rejected():
-    env = Environment()
-    with pytest.raises(ValueError):
-        MulticastChannel(env, latency_s=-1)
-
-
 # ---------------------------------------------------------------------------
 # Unsubscribe / subscription lifecycle
 # ---------------------------------------------------------------------------
@@ -391,55 +373,18 @@ def test_multicast_counts_bytes_without_decoding_unmatched():
     assert net.packets_decoded == 0                    # but never decoded
 
 
-def test_same_instant_packets_share_one_delivery_event():
-    env = Environment()
-    net = PubSubBroker(env, latency_s=2.0)
-    store = MeasurementStore()
-    store.subscribe_to(net)
-    ms = [Measurement("uk.ucl.a.b", "svc-1", "p-1", 0.0, (i,), seqno=i)
-          for i in range(50)]
-    for m in ms:
-        net.publish(m)
-    env.run(until=1.5)
-    assert store.notifications == 0  # still in flight
-    env.run(until=2.5)
-    assert store.notifications == 50
-    assert net.delivery_events == 1  # coalesced, not one process per packet
-
-
-def test_delayed_batches_preserve_order_across_instants():
-    env = Environment()
-    net = PubSubBroker(env, latency_s=1.0)
-    seen = []
-    net.subscribe(lambda m: seen.append((env.now, m.seqno)))
-
-    def producer(env):
-        for i in range(3):
-            net.publish(Measurement("uk.ucl.a.b", "svc-1", "p-1",
-                                    env.now, (i,), seqno=i))
-            net.publish(Measurement("uk.ucl.a.b", "svc-1", "p-1",
-                                    env.now, (i,), seqno=100 + i))
-            yield env.timeout(5)
-
-    env.process(producer(env))
-    env.run()
-    assert seen == [(1.0, 0), (1.0, 100), (6.0, 1), (6.0, 101),
-                    (11.0, 2), (11.0, 102)]
-    assert net.delivery_events == 3
-
-
 def test_publish_many_batches_delivery():
     env = Environment()
-    net = PubSubBroker(env, latency_s=3.0)
-    store = MeasurementStore()
-    store.subscribe_to(net)
+    net = PubSubBroker(env)
+    seen = []
+    net.subscribe(lambda m: seen.append(m.seqno))
     ms = [Measurement("uk.ucl.a.b", "svc-1", "p-1", 0.0, (i,), seqno=i)
           for i in range(10)]
     net.publish_many(ms)
+    # synchronous: every packet has arrived, in order, before the clock moves
     assert net.packets_published == 10
-    env.run()
-    assert store.notifications == 10
-    assert net.delivery_events == 1
+    assert seen == list(range(10))
+    assert env.now == 0.0
 
 
 def test_publish_many_packet_alignment_checked():
@@ -448,29 +393,6 @@ def test_publish_many_packet_alignment_checked():
     m = Measurement("uk.ucl.a.b", "svc-1", "p-1", 0.0, (1,))
     with pytest.raises(ValueError):
         net.publish_many([m], packets=[])
-
-
-def test_datasource_emit_all_now_publishes_batch():
-    env = Environment()
-    net = PubSubBroker(env, latency_s=1.0)
-    store = MeasurementStore()
-    store.subscribe_to(net)
-    ds = DataSource(env, "ds", "svc-1", net)
-    values = {"a.b.x": 1, "a.b.y": 2, "a.b.z": 3}
-    for qname, v in values.items():
-        probe = Probe(
-            name=qname, qualified_name=qname,
-            attributes=[ProbeAttribute("v", AttributeType.INTEGER)],
-            collector=(lambda v=v: (v,)),
-        )
-        ds.add_probe(probe, start=False)
-    ds.probes["a.b.y"].turn_off()
-    emitted = ds.emit_all_now()
-    assert [m.qualified_name for m in emitted] == ["a.b.x", "a.b.z"]
-    env.run()
-    assert store.notifications == 2
-    assert net.delivery_events == 1
-    assert store.value("svc-1", "a.b.z") == 3
 
 
 def test_probe_emission_packets_byte_identical_to_reference_codec():
@@ -519,16 +441,6 @@ def test_store_latest_value_semantics():
     assert store.known_names("svc-1") == ["uk.ucl.test.kpi"]
 
 
-def test_store_listener_fires_per_notification():
-    store = MeasurementStore()
-    seen = []
-    store.add_listener(lambda m: seen.append(m.value))
-    from repro.monitoring import Measurement
-    store.notify(Measurement("a.b", "svc", "p", 0.0, (1,)))
-    store.notify(Measurement("a.b", "svc", "p", 1.0, (2,)))
-    assert seen == [1, 2]
-
-
 def test_journal_window_statistics():
     env = Environment()
     net = MulticastChannel(env)
@@ -539,11 +451,56 @@ def test_journal_window_statistics():
     ds = DataSource(env, "ds", "svc-1", net)
     ds.add_probe(make_probe(lambda: (next(values),), rate=10))
     env.run(until=45)
-    assert journal.window_mean("svc-1", "uk.ucl.test.kpi", 0, 45) == 5.0
-    assert journal.window_max("svc-1", "uk.ucl.test.kpi", 0, 25) == 8
-    assert journal.window_min("svc-1", "uk.ucl.test.kpi", 15, 45) == 2
-    assert journal.window_mean("svc-1", "uk.ucl.test.kpi", 100, 200) is None
+    kpi = ("svc-1", "uk.ucl.test.kpi")
+    assert journal.aggregate(*kpi, 0, 45, "mean") == 5.0
+    assert journal.aggregate(*kpi, 0, 25, "max") == 8
+    assert journal.aggregate(*kpi, 15, 45, "min") == 2
+    assert journal.aggregate(*kpi, 0, 45, "count") == 4.0
+    assert journal.aggregate(*kpi, 100, 200, "mean") is None
     assert len(journal) == 4
+
+
+def _journal(values, service="svc", kpi="a.b"):
+    """A journal holding one sample of ``values[i]`` at t = 10 * (i + 1)."""
+    journal = MeasurementJournal()
+    for i, value in enumerate(values):
+        journal.notify(Measurement(kpi, service, "p", 10.0 * (i + 1),
+                                   (value,), seqno=i))
+    return journal
+
+
+@pytest.mark.parametrize("since, until, op, expected", [
+    # samples: 4 @ t=10, 8 @ t=20, 6 @ t=30, 2 @ t=40
+    (20, 35, "mean", 7.0),      # lower edge on a sample: included
+    (20, 35, "min", 6.0),
+    (20, 35, "count", 2.0),
+    (0, 20, "max", 8.0),        # upper edge on a sample: included
+    (0, 20, "mean", 6.0),
+    (0, 20, "count", 2.0),
+    (20, 20, "count", 1.0),     # a zero-width window on a sample holds it
+    (11, 19, "mean", None),     # empty window
+    (11, 19, "min", None),
+    (11, 19, "max", None),
+    (11, 19, "count", 0.0),
+])
+def test_journal_aggregate_window_edges(since, until, op, expected):
+    journal = _journal([4, 8, 6, 2])
+    assert journal.aggregate("svc", "a.b", since, until, op) == expected
+    # another service's or KPI's stream is never read
+    assert journal.aggregate("other", "a.b", since, until, op) == (
+        0.0 if op == "count" else None)
+
+
+def test_journal_aggregate_count_does_not_read_values():
+    journal = _journal(["up", "down", "up"])
+    assert journal.aggregate("svc", "a.b", 0, 100, "count") == 3.0
+    with pytest.raises(ValueError):
+        journal.aggregate("svc", "a.b", 0, 100, "mean")
+
+
+def test_journal_aggregate_rejects_unknown_operation():
+    with pytest.raises(ValueError, match="median"):
+        _journal([1]).aggregate("svc", "a.b", 0, 100, "median")
 
 
 def test_journal_gap_detection():

@@ -40,12 +40,6 @@ def test_counter_gauge_histogram_basics():
     with pytest.raises(MetricError):
         c.inc(-1)
 
-    g = reg.gauge("layer.comp.depth")
-    g.set(5)
-    g.inc()
-    g.dec(3)
-    assert g.value == 3
-
     h = reg.histogram("layer.comp.latency_s")
     for v in (3.0, 1.0, 2.0, 4.0, 5.0):
         h.observe(v)
@@ -113,7 +107,7 @@ def test_registry_get_or_create_shares_and_checks_kind():
     other = reg.counter("x.y.z", service="s2")
     assert a is b and a is not other
     with pytest.raises(MetricError):
-        reg.gauge("x.y.z", service="s1")
+        reg.histogram("x.y.z", service="s1")
 
 
 def test_registry_views_replace_but_never_shadow_owned():

@@ -223,8 +223,8 @@ def test_sharded_run_matches_oracle_decision_for_decision():
 
 def test_sharded_metrics_merge_matches_oracle():
     """Merged worker telemetry must reproduce the single-process registry
-    exactly on the CI smoke shape: every counter total, gauge final and
-    histogram summary in the canonical view, plus the §4.2.3 audit tallies
+    exactly on the CI smoke shape: every counter total and histogram
+    summary in the canonical view, plus the §4.2.3 audit tallies
     — and the report's RSS must aggregate the worker processes."""
     cfg = ScaleConfig(sites=4, services=40, hours=0.5, tenants=4,
                       random_seed=7, procs=2, epoch_s=600.0,

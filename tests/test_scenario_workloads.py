@@ -6,7 +6,9 @@ conserved at the configured level, and heavy-tailed draws actually carry
 the configured tail index.
 """
 
+import math
 from types import SimpleNamespace
+from typing import Optional
 
 import pytest
 
@@ -16,9 +18,6 @@ from repro.scenarios.workloads import (
     LOAD_UNIT,
     WorkloadError,
     draw_profiles,
-    hill_estimator,
-    offered_load,
-    schedule_mean,
     workload_names,
 )
 from repro.sim import RandomStreams
@@ -41,6 +40,68 @@ def stub_requests(n=64, tenants=8, sites=4):
                             tenant=f"tenant-{i % tenants}",
                             site=f"site-{i % sites}")
             for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Analysis helpers (rate conservation, tail index)
+# ---------------------------------------------------------------------------
+
+def schedule_mean(schedule, duration_s: float) -> float:
+    """Time-weighted mean session level of a piecewise schedule over
+    ``[0, duration_s]`` (the last level holds to the end)."""
+    if not schedule or duration_s <= 0:
+        return 0.0
+    total = 0.0
+    for index, (at_s, level) in enumerate(schedule):
+        if at_s >= duration_s:
+            break
+        next_at = (schedule[index + 1][0] if index + 1 < len(schedule)
+                   else duration_s)
+        total += level * (min(next_at, duration_s) - at_s)
+    return total / duration_s
+
+
+def offered_load(profiles, duration_s: float, *,
+                 quiet_s: float = 360.0) -> float:
+    """Federation-wide mean concurrent sessions implied by ``profiles``.
+
+    Schedule profiles integrate exactly; tide profiles integrate the
+    piecewise shape the session driver replays (baseline 30 until
+    ``start_s``, half-peak then peak over ``hold_s``, ``drain_level`` for
+    ``quiet_s``, baseline 30 after).
+    """
+    total = 0.0
+    for profile in profiles:
+        if profile.schedule:
+            total += schedule_mean(profile.schedule, duration_s)
+            continue
+        points = ((0.0, 30),
+                  (profile.start_s, profile.ramp[0]),
+                  (profile.start_s + profile.hold_s / 2.0, profile.ramp[1]),
+                  (profile.start_s + profile.hold_s, profile.drain_level),
+                  (profile.start_s + profile.hold_s + quiet_s, 30))
+        total += schedule_mean(points, duration_s)
+    return total
+
+
+def hill_estimator(samples, k: Optional[int] = None) -> float:
+    """Hill estimate of the tail index alpha from the ``k`` largest order
+    statistics (default ``k = max(10, n // 10)``). Larger alpha = lighter
+    tail; a Pareto(alpha) sample estimates ~alpha."""
+    xs = sorted((float(x) for x in samples), reverse=True)
+    n = len(xs)
+    if n < 3:
+        raise WorkloadError("hill_estimator: need at least 3 samples")
+    if k is None:
+        k = max(10, n // 10)
+    k = min(k, n - 1)
+    pivot = xs[k]
+    if pivot <= 0:
+        raise WorkloadError("hill_estimator: samples must be positive")
+    mean_log = sum(math.log(x / pivot) for x in xs[:k]) / k
+    if mean_log <= 0:
+        raise WorkloadError("hill_estimator: degenerate sample")
+    return 1.0 / mean_log
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +253,16 @@ def test_unknown_workload_rejected():
         draw_profiles(stub_cfg("no-such-workload"), stub_requests(n=1))
     with pytest.raises(ValueError):
         ScaleConfig(workload="no-such-workload")
+
+
+def test_unknown_workload_parameter_rejected():
+    """A misspelled parameter once fell through to the generator's
+    default; the error now names the keys the workload reads."""
+    with pytest.raises(ValueError, match="lod.*load, cycles, steps, jitter"):
+        ScaleConfig(workload="diurnal", workload_params=(("lod", 0.5),))
+    with pytest.raises(ValueError, match="takes none"):
+        ScaleConfig(workload_params=(("site", 2),))
+    ScaleConfig(workload="diurnal", workload_params=(("load", 0.5),))
 
 
 def test_schedule_mean():

@@ -658,7 +658,7 @@ def drive_random_lifecycle(seed: int) -> set:
     took effect."""
     import random
     from repro.cloud import PlacementError
-    from repro.scenarios.library import (
+    from tests.setups import (
         CHAOS_TIMINGS,
         make_veem as make_site,
         simple_manifest,

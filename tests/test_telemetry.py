@@ -40,20 +40,6 @@ def test_cursor_counter_deltas_only():
     assert cur.snapshot(reg) == {("a.b.c", ()): ("counter", 2.0)}
 
 
-def test_cursor_gauge_ships_finals_on_change():
-    reg = MetricsRegistry()
-    cur = SnapshotCursor()
-    g = reg.gauge("a.b.g", site="s0")
-    g.set(7.0)
-    key = ("a.b.g", (("site", "s0"),))
-    assert cur.snapshot(reg) == {key: ("gauge", 7.0)}
-    assert cur.snapshot(reg) == {}
-    g.set(7.0)                       # same value: still nothing to ship
-    assert cur.snapshot(reg) == {}
-    g.dec(2.0)
-    assert cur.snapshot(reg) == {key: ("gauge", 5.0)}
-
-
 def test_cursor_histogram_ships_tails_in_order():
     reg = MetricsRegistry()
     cur = SnapshotCursor()
@@ -101,12 +87,10 @@ def test_snapshot_payload_is_picklable():
 def test_merge_snapshot_folds_all_kinds():
     src, dst = MetricsRegistry(), MetricsRegistry()
     src.counter("a.b.c").inc(3)
-    src.gauge("a.b.g").set(9.0)
     src.histogram("a.b.h", site="s0").observe(2.5)
     dst.counter("a.b.c").inc(4)      # pre-existing value adds up
     dst.merge_snapshot(SnapshotCursor().snapshot(src))
     assert dst.counter("a.b.c").value == 7.0
-    assert dst.gauge("a.b.g").value == 9.0
     assert dst.histogram("a.b.h", site="s0").count == 1
     assert dst.histogram("a.b.h", site="s0").sum == 2.5
 
@@ -114,7 +98,7 @@ def test_merge_snapshot_folds_all_kinds():
 def test_merge_snapshot_kind_conflict_raises():
     src, dst = MetricsRegistry(), MetricsRegistry()
     src.counter("a.b.c").inc()
-    dst.gauge("a.b.c")
+    dst.histogram("a.b.c")
     with pytest.raises(MetricError, match="already registered"):
         dst.merge_snapshot(SnapshotCursor().snapshot(src))
     with pytest.raises(MetricError, match="unknown snapshot kind"):
@@ -144,11 +128,9 @@ def test_canonical_view_strips_plane_and_sums():
     reg.register_view("c.p.depth", lambda: 5.0)        # dropped: view
     reg.histogram("c.p.empty")                         # dropped: empty
     reg.histogram("c.p.wait", plane="plane2").observe(1.0)
-    reg.gauge("c.p.level", site="s0").set(2.0)
     view = canonical_view(reg)
     assert view == {
         "c.p.admitted": 7.0,
-        "c.p.level{site=s0}": 2.0,
         "c.p.wait": reg.histogram("c.p.wait", plane="plane2").summary(),
     }
 
@@ -169,10 +151,9 @@ def test_canonical_view_is_deterministic_under_plane_renumbering():
 #: Disjoint name pools per kind — same (name, labels) key as two kinds is
 #: a registration error, not a merge case.
 _NAMES = {"counter": ("w.x.ca", "w.x.cb", "w.x.cc"),
-          "gauge": ("w.x.ga", "w.x.gb"),
           "hist": ("w.x.ha", "w.x.hb")}
 
-_op = st.sampled_from(("counter", "gauge", "hist")).flatmap(
+_op = st.sampled_from(("counter", "hist")).flatmap(
     lambda kind: st.tuples(
         st.integers(min_value=0, max_value=2),        # worker
         st.just(kind),
@@ -186,8 +167,6 @@ def _apply(reg, worker, kind, name, value):
         # shared across workers: float addition of small ints is exact,
         # so any merge order reproduces the oracle total
         reg.counter(name).inc(float(value))
-    elif kind == "gauge":
-        reg.gauge(name, shard=f"w{worker}").set(float(value))
     else:
         # per-worker instruments, like the harness's site-labelled ones:
         # shipped tails replay in the owner's observation order
