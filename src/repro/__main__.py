@@ -91,6 +91,27 @@ def _load_manifest(path: str):
         raise _LoadError(exc) from exc
 
 
+class _UsageError(Exception):
+    """An argument the command refuses before building anything;
+    :func:`main` reports it as ``error: <message>`` and exits 2."""
+
+
+def _require_positive(args, *flags: str) -> None:
+    """Refuse a count flag below 1 (``None`` means the flag is unset)."""
+    for flag in flags:
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise _UsageError(f"--{flag} must be at least 1, got {value}")
+
+
+def _positive_int(text: str) -> int:
+    """An ``argparse`` type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _cmd_validate(args) -> int:
     manifest = _load_manifest(args.manifest)
     issues = validate_manifest(manifest)
@@ -197,6 +218,7 @@ def _cmd_weekly(args) -> int:
 def _cmd_capacity(args) -> int:
     from .cloud import AdmissionController, CapacityError, HostType, plan_capacity
 
+    _require_positive(args, "hosts")
     manifests = [_load_manifest(path) for path in args.manifests]
     host = HostType(cpu_cores=args.host_cpu, memory_mb=args.host_memory)
     plan = plan_capacity(manifests, host)
@@ -224,6 +246,7 @@ def _cmd_plan(args) -> int:
     from .control import ControlPlane
     from .sim import Environment
 
+    _require_positive(args, "hosts")
     manifest = _load_manifest(args.manifest)
     env = Environment()
     control = ControlPlane(env)
@@ -386,6 +409,7 @@ def _demo_elasticity_phase(env, trace, control, emit):
 def _cmd_control_demo(args) -> int:
     from .sim import Environment, TraceLog
 
+    _require_positive(args, "tenants", "hosts", "quota")
     env = Environment()
     trace = TraceLog(env)
     control = _build_demo_plane(env, trace, args)
@@ -505,6 +529,7 @@ def _cmd_obs_report(args) -> int:
     )
     from .sim import Environment, TraceLog
 
+    _require_positive(args, "tenants", "hosts", "quota")
     env = Environment()
     trace = TraceLog(env)
     control = _build_demo_plane(env, trace, args)
@@ -567,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig11", help="regenerate Fig. 11 text charts")
     p.add_argument("--small", action="store_true")
-    p.add_argument("--width", type=int, default=72)
+    p.add_argument("--width", type=_positive_int, default=72)
     p.set_defaults(func=_cmd_fig11)
 
     p = sub.add_parser("weekly", help="run the §6.1.4 weekly estimate")
@@ -700,6 +725,9 @@ def main(argv=None) -> int:
     except _LoadError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

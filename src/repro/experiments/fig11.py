@@ -53,6 +53,8 @@ def render_ascii_chart(series: TimeSeries, start: float, end: float, *,
     """A small text plot of a step series (down-sampled to ``width`` cols)."""
     if end <= start:
         raise ValueError("need end > start")
+    if width < 1:
+        raise ValueError(f"width must be at least 1, got {width}")
     period = (end - start) / width
     samples = [series.value_at(min(start + i * period, end))
                for i in range(width)]

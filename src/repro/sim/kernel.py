@@ -332,12 +332,24 @@ class Process(Event):
                     next_event = self._send(event._value)
                 else:
                     event.defused = True
-                    exc = event._value
-                    next_event = self._generator.throw(exc)
+                    failure = event._value
+                    tb = failure.__traceback__
+                    # A failure the generator handles keeps the traceback
+                    # it came with: the generator's frame may hold the
+                    # failed process, which holds the failure.
+                    try:
+                        next_event = self._generator.throw(failure)
+                    except StopIteration:
+                        failure.__traceback__ = tb
+                        raise
+                    failure.__traceback__ = tb
             except StopIteration as stop:
                 self._finish(True, stop.value)
                 break
             except BaseException as exc:  # noqa: BLE001 - propagate via event
+                # The process keeps its exception; this frame (which holds
+                # ``self``) leaves the traceback so they form no cycle.
+                exc.__traceback__ = exc.__traceback__.tb_next
                 self._finish(False, exc)
                 break
 
@@ -363,7 +375,11 @@ class Process(Event):
             event = next_event
 
     def _finish(self, ok: bool, value: Any) -> None:
-        self._target = None
+        # Drop the generator and every reference back to this process
+        # (``_resume_cb`` is a bound method of it), so a finished process
+        # is freed by reference counting, not by the cycle collector.
+        self._generator = self._send = self._resume_cb = None
+        self._init_event = self._target = None
         self._ok = ok
         self._value = value
         if not ok and isinstance(value, BaseException):

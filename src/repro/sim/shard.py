@@ -136,10 +136,22 @@ def _shard_main(factory: Callable[[Any], Any], conn: Any, spec: Any) -> None:
     Any exception is shipped back as ``("error", traceback)`` so the
     coordinator can re-raise with the remote context instead of hanging
     on a dead pipe.
+
+    The worker lives as long as its shard, so it tunes its own cycle
+    collector (DESIGN §14): off while the factory builds, which allocates
+    the shard's long-lived objects and frees almost nothing; then the
+    built shard is frozen out of the collector's reach, so the epochs'
+    collections walk only what the epochs allocate; and after the last
+    reply everything is frozen, so the interpreter's exit (which still
+    runs ``atexit`` hooks) leaves the heap to the OS instead of walking it.
     """
+    import gc
     import traceback
     try:
+        gc.disable()
         shard = factory(spec)
+        gc.freeze()
+        gc.enable()
         while True:
             command = conn.recv()
             if command.stop:
@@ -153,6 +165,7 @@ def _shard_main(factory: Callable[[Any], Any], conn: Any, spec: Any) -> None:
             pass
     finally:
         conn.close()
+        gc.freeze()
 
 
 class ShardPool:

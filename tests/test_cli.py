@@ -148,6 +148,30 @@ def test_fig11_small(capsys):
     assert out.count("execution instances") == 2
 
 
+@pytest.mark.parametrize("width", ["0", "-5"])
+def test_fig11_rejects_width_below_one(width, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fig11", "--small", "--width", width])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --width: must be at least 1, got {width}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("control-demo", "--tenants"), ("control-demo", "--hosts"),
+    ("control-demo", "--quota"), ("obs-report", "--tenants"),
+    ("obs-report", "--hosts"), ("obs-report", "--quota"),
+    ("capacity", "--hosts"), ("plan", "--hosts")])
+def test_count_below_one_is_refused_before_building(command, flag, xml_path,
+                                                    capsys):
+    manifest = [xml_path] if command in ("capacity", "plan") else []
+    assert main([command, *manifest, flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be at least 1, got 0\n"
+    assert captured.out == ""
+
+
 def test_capacity_plan(xml_path, capsys):
     assert main(["capacity", xml_path]) == 0
     out = capsys.readouterr().out

@@ -138,6 +138,10 @@ def test_render_run_text(small_runs):
     assert "█" in text
     with pytest.raises(ValueError):
         render_ascii_chart(elastic.queue_series, 10, 10)
+    for width in (0, -5):
+        with pytest.raises(ValueError, match=f"width must be at least 1, "
+                                             f"got {width}"):
+            render_ascii_chart(elastic.queue_series, 0, 10, width=width)
 
 
 def test_table3_arithmetic():

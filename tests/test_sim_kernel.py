@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -7,6 +9,7 @@ from repro.sim import (
     AnyOf,
     Environment,
     Interrupt,
+    Process,
     SimError,
 )
 from tests.oracles.kernel import HeapEnvironment
@@ -537,3 +540,113 @@ def test_step_is_not_reentrant(reference):
     env.timeout(5)
     with pytest.raises(SimError, match="not reentrant"):
         env.run()
+
+
+# ---------------------------------------------------------------------------
+# Process lifetime: a finished process is freed by reference counting
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def saved_garbage():
+    """``gc.garbage`` with every unreachable object the collector finds
+    kept in it (``DEBUG_SAVEALL``); the debug flags and the list's previous
+    content are restored afterwards."""
+    flags = gc.get_debug()
+    previous = gc.garbage[:]
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield gc.garbage
+    finally:
+        gc.set_debug(flags)
+        gc.garbage[:] = previous
+
+
+def _run_and_drop(reference: bool, ending: str) -> list:
+    """Run processes that end one way; return what they observed. Nothing
+    of the environment outlives the call except through cycles."""
+    env = make_env(reference)
+    seen = []
+
+    def returns(env):
+        yield env.timeout(1)
+        return "done"
+
+    def raises(env):
+        yield env.timeout(1)
+        raise ValueError("boom")
+
+    def waiter(env, failing, then_wait):
+        try:
+            yield failing
+        except ValueError as exc:
+            seen.append(str(exc))
+        if then_wait:
+            yield env.timeout(1)
+
+    def sleeper(env):
+        try:
+            yield env.timeout(10)
+        except Interrupt as intr:
+            seen.append(intr.cause)
+
+    def poker(env, victim):
+        yield env.timeout(1)
+        victim.interrupt("wake")
+
+    def joiner(env, other):
+        seen.append((yield other))
+
+    if ending == "return":
+        env.process(returns(env))
+    elif ending == "raise":
+        failing = env.process(raises(env))
+        env.process(waiter(env, failing, False))
+        env.process(waiter(env, failing, True))
+    elif ending == "interrupt":
+        env.process(poker(env, env.process(sleeper(env))))
+    else:
+        env.process(joiner(env, env.process(returns(env))))
+    env.run()
+    return seen
+
+
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("ending, seen", [
+    ("return", []), ("raise", ["boom", "boom"]), ("interrupt", ["wake"]),
+    ("join", ["done"])])
+def test_finished_process_is_not_cyclic_garbage(reference, ending, seen,
+                                                saved_garbage):
+    """A finished process drops its generator and every reference back to
+    itself, and its failure's traceback keeps neither the kernel's frame
+    nor the frame of a waiter that handled it: no process is left for
+    the cycle collector to find."""
+    assert _run_and_drop(reference, ending) == seen
+    gc.collect()
+    assert [obj for obj in saved_garbage if isinstance(obj, Process)] == []
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_interrupt_delivered_after_its_target_finished_is_a_noop(reference):
+    """An interrupt raised while its target is alive but delivered after
+    the target finished in the same instant is dropped, although the
+    finished process no longer holds its generator or resume callback."""
+    env = make_env(reference)
+    seen = []
+
+    def poker(env, victim):
+        yield env.timeout(5)
+        victim.interrupt("late")       # the victim wakes later this instant
+        seen.append(victim.is_alive)
+
+    def victim(env):
+        yield env.timeout(2)
+        yield env.timeout(3)           # queued behind the poker's wake-up
+        return "done"
+
+    target = env.process(victim(env))
+    env.process(poker(env, target))
+    env.run()
+    assert seen == [True]
+    assert target.ok and target.value == "done"
