@@ -61,6 +61,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -91,24 +92,20 @@ def _load_manifest(path: str):
         raise _LoadError(exc) from exc
 
 
-class _UsageError(Exception):
-    """An argument the command refuses before building anything;
-    :func:`main` reports it as ``error: <message>`` and exits 2."""
-
-
-def _require_positive(args, *flags: str) -> None:
-    """Refuse a count flag below 1 (``None`` means the flag is unset)."""
-    for flag in flags:
-        value = getattr(args, flag)
-        if value is not None and value < 1:
-            raise _UsageError(f"--{flag} must be at least 1, got {value}")
-
-
 def _positive_int(text: str) -> int:
     """An ``argparse`` type: an integer of at least 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """An ``argparse`` type: a finite number above zero."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number above 0, got {value:g}")
     return value
 
 
@@ -218,7 +215,6 @@ def _cmd_weekly(args) -> int:
 def _cmd_capacity(args) -> int:
     from .cloud import AdmissionController, CapacityError, HostType, plan_capacity
 
-    _require_positive(args, "hosts")
     manifests = [_load_manifest(path) for path in args.manifests]
     host = HostType(cpu_cores=args.host_cpu, memory_mb=args.host_memory)
     plan = plan_capacity(manifests, host)
@@ -246,7 +242,6 @@ def _cmd_plan(args) -> int:
     from .control import ControlPlane
     from .sim import Environment
 
-    _require_positive(args, "hosts")
     manifest = _load_manifest(args.manifest)
     env = Environment()
     control = ControlPlane(env)
@@ -343,13 +338,10 @@ def _demo_churn_phase(env, control, args, emit) -> None:
         emit(f"  {key:<10} {stats[key]}")
     depth = control.series["queue.depth"]
     emit(f"peak queue depth: {depth.maximum():.0f}")
-    if "queue.wait_s" in control.series:
-        waits = [r.wait_time for r in control.requests.values()
-                 if r.wait_time]
-        if waits:
-            emit(f"queue wait: mean {sum(waits) / len(waits):.1f}s, "
-                 f"max {max(waits):.1f}s over {len(waits)} queued "
-                 f"request(s)")
+    waits = [r.wait_time for r in control.requests.values() if r.wait_time]
+    if waits:
+        emit(f"queue wait: mean {sum(waits) / len(waits):.1f}s, "
+             f"max {max(waits):.1f}s over {len(waits)} queued request(s)")
     for name, row in stats["tenants"].items():
         emit(f"  {name:<10} services={row['services']} "
              f"queued={row['queued']}")
@@ -409,7 +401,6 @@ def _demo_elasticity_phase(env, trace, control, emit):
 def _cmd_control_demo(args) -> int:
     from .sim import Environment, TraceLog
 
-    _require_positive(args, "tenants", "hosts", "quota")
     env = Environment()
     trace = TraceLog(env)
     control = _build_demo_plane(env, trace, args)
@@ -529,7 +520,6 @@ def _cmd_obs_report(args) -> int:
     )
     from .sim import Environment, TraceLog
 
-    _require_positive(args, "tenants", "hosts", "quota")
     env = Environment()
     trace = TraceLog(env)
     control = _build_demo_plane(env, trace, args)
@@ -601,10 +591,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity",
                        help="plan provider capacity for a workload mix (§8)")
     p.add_argument("manifests", nargs="+")
-    p.add_argument("--hosts", type=int, default=None,
+    p.add_argument("--hosts", type=_positive_int, default=None,
                    help="pool size for admission control")
-    p.add_argument("--host-cpu", type=float, default=4.0)
-    p.add_argument("--host-memory", type=float, default=8192.0)
+    p.add_argument("--host-cpu", type=_positive_float, default=4.0)
+    p.add_argument("--host-memory", type=_positive_float, default=8192.0)
     p.set_defaults(func=_cmd_capacity)
 
     p = sub.add_parser("plan",
@@ -612,10 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "where, at what committed cost? (DESIGN §15)")
     p.add_argument("manifest")
     p.add_argument("--sites", type=int, default=2)
-    p.add_argument("--hosts", type=int, default=4,
+    p.add_argument("--hosts", type=_positive_int, default=4,
                    help="hosts per site")
-    p.add_argument("--host-cpu", type=float, default=4.0)
-    p.add_argument("--host-memory", type=float, default=8192.0)
+    p.add_argument("--host-cpu", type=_positive_float, default=4.0)
+    p.add_argument("--host-memory", type=_positive_float, default=8192.0)
     p.add_argument("--admitted", type=int, default=0,
                    help="pre-admit this many copies of the manifest "
                         "before probing")
@@ -625,12 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("control-demo",
                        help="multi-tenant control-plane demo (DESIGN §11)")
-    p.add_argument("--tenants", type=int, default=4)
+    p.add_argument("--tenants", type=_positive_int, default=4)
     p.add_argument("--services", type=int, default=4,
                    help="services submitted per tenant")
-    p.add_argument("--hosts", type=int, default=6,
+    p.add_argument("--hosts", type=_positive_int, default=6,
                    help="hosts at the larger site")
-    p.add_argument("--quota", type=int, default=3,
+    p.add_argument("--quota", type=_positive_int, default=3,
                    help="max concurrent services per tenant")
     p.set_defaults(func=_cmd_control_demo)
 
@@ -700,12 +690,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="observability report over the control-demo "
                             "scenario (span tree, metrics, audit — "
                             "DESIGN §12)")
-    p.add_argument("--tenants", type=int, default=2)
+    p.add_argument("--tenants", type=_positive_int, default=2)
     p.add_argument("--services", type=int, default=2,
                    help="services submitted per tenant")
-    p.add_argument("--hosts", type=int, default=3,
+    p.add_argument("--hosts", type=_positive_int, default=3,
                    help="hosts at the larger site")
-    p.add_argument("--quota", type=int, default=2,
+    p.add_argument("--quota", type=_positive_int, default=2,
                    help="max concurrent services per tenant")
     p.add_argument("--depth", type=int, default=6,
                    help="max span-tree depth to print")
@@ -725,9 +715,6 @@ def main(argv=None) -> int:
     except _LoadError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ Architectural constraints reproduced from §3:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -149,13 +148,6 @@ class WebDispatcher:
     @property
     def capacity(self) -> int:
         return len(self.dialog_instances) * self.cfg.sessions_per_di
-
-    @property
-    def load_ratio(self) -> float:
-        """Sessions per unit of capacity; >1 means overload (degraded QoS)."""
-        if self.capacity == 0:
-            return math.inf if self.active_sessions else 0.0
-        return self.active_sessions / self.capacity
 
     def open_session(self) -> bool:
         """Admit a session; hard-reject at 2× capacity (connection errors)."""

@@ -249,14 +249,6 @@ class Placer:
     def add_constraint(self, constraint: PlacementConstraint) -> None:
         self.constraints.append(constraint)
 
-    def feasible(self, hosts: Sequence[Host],
-                 descriptor: DeploymentDescriptor) -> list[Host]:
-        return [
-            h for h in hosts
-            if h.fits(descriptor.cpu, descriptor.memory_mb)
-            and all(c.admits(h, descriptor, hosts) for c in self.constraints)
-        ]
-
     def select(self, hosts: Sequence[Host],
                descriptor: DeploymentDescriptor) -> Host:
         """Pick a host, distinguishing *why* selection fails.

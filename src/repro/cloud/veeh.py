@@ -188,10 +188,6 @@ class Host:
         self._image_cache.clear()
 
     # -- introspection ---------------------------------------------------------
-    def vms_of_component(self, component_id: str) -> list[VirtualMachine]:
-        return [vm for vm in self.vms
-                if vm.descriptor.component_id == component_id]
-
     def __repr__(self) -> str:
         return (f"<Host {self.name} cpu {self._cpu_used:.1f}/{self.cpu_cores} "
                 f"mem {self._mem_used:.0f}/{self.memory_mb:.0f} "

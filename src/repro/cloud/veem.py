@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..sim import Environment, Event, Process, TraceLog
+from ..sim import Environment, Process, TraceLog
 from .errors import LifecycleError, PlacementError
 from .images import ImageRepository
 from .network import NetworkFabric
@@ -368,10 +368,6 @@ class VEEM:
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------
-    def deploy_and_wait(self, descriptor: DeploymentDescriptor) -> Event:
-        """Submit and return the VM's ``on_running`` event for joining."""
-        return self.submit(descriptor).on_running
-
     def __repr__(self) -> str:
         return (f"<VEEM {self.name} hosts={len(self.hosts)} "
                 f"active_vms={self.active_vm_count}>")

@@ -163,18 +163,6 @@ class VirtualMachine:
             return None
         return self.running_at - self.submitted_at
 
-    def time_in_state(self, state: VMState) -> float:
-        """Total simulated seconds spent in ``state`` so far."""
-        total = 0.0
-        for (t0, s0), (t1, _s1) in zip(self.state_history,
-                                       self.state_history[1:]):
-            if s0 is state:
-                total += t1 - t0
-        last_t, last_s = self.state_history[-1]
-        if last_s is state:
-            total += self.env.now - last_t
-        return total
-
     def __repr__(self) -> str:
         return (f"<VM {self.vm_id} [{self.descriptor.component_id or '-'}] "
                 f"{self.state.value}>")

@@ -44,9 +44,10 @@ what committed cost?" without mutating any site — the probe behind
 ``python -m repro plan``.
 
 Observability: counters (``admitted``/``queued``/``rejected``/``retried``/
-``released``), a ``queue.depth`` step series plus per-admission
-``queue.wait_s`` on a :class:`~repro.sim.SeriesRecorder`, and structured
-``control``-source records on the DES trace for every transition.
+``released``), a ``control.plane.queue_wait_s`` histogram observed once
+per admission, a ``queue.depth`` step series on a
+:class:`~repro.sim.SeriesRecorder`, and structured ``control``-source
+records on the DES trace for every transition.
 """
 
 from __future__ import annotations
@@ -119,17 +120,13 @@ class ControlPlane:
     def __init__(self, env: Environment, *,
                  trace: Optional[TraceLog] = None,
                  retry: Optional[RetryPolicy] = None,
-                 max_queue_depth: Optional[int] = None,
-                 solver_fallback: bool = True):
+                 max_queue_depth: Optional[int] = None):
         self.env = env
         self.trace = trace if trace is not None else TraceLog(env)
         self.retry = retry if retry is not None else RetryPolicy()
         #: queued requests beyond this are shed with a typed rejection;
         #: None = unbounded queue
         self.max_queue_depth = max_queue_depth
-        #: after a greedy CapacityError, re-plan the whole instance set with
-        #: the exact solver before burning a backoff interval
-        self.solver_fallback = solver_fallback
         self.sites: list[ControlledSite] = []
         #: federation members currently cut off by a network partition —
         #: ineligible for every placement until the partition heals
@@ -368,12 +365,6 @@ class ControlPlane:
                 if r.state is RequestState.ACTIVE
                 and (tenant is None or r.tenant == tenant)]
 
-    def tenant_services(self, tenant: str) -> list[ManagedService]:
-        """The tenant's live services across all sites (accounting
-        attribution: each carries a tenant-tagged ServiceAccountant)."""
-        return [r.service for r in self.active_requests(tenant)
-                if r.service is not None]
-
     def stats(self) -> dict:
         """Request-flow counters plus the live queue/commitment picture."""
         out = {name: int(c.value) for name, c in self._m_counters.items()}
@@ -504,7 +495,6 @@ class ControlPlane:
         request.admitted_at = self.env.now
         self._m_counters["admitted"].inc()
         waited = request.wait_time
-        self.series.record("queue.wait_s", waited)
         self._m_queue_wait.observe(waited)
         self.trace.emit_in(request.span, "control", "request.admitted",
                            request=request.request_id, tenant=request.tenant,
@@ -584,8 +574,7 @@ class ControlPlane:
                                    service=request.service_id,
                                    attempts=request.attempts)
                 return
-            if (self.solver_fallback and pins is None
-                    and isinstance(failure, CapacityError)
+            if (pins is None and isinstance(failure, CapacityError)
                     and request.attempts < self.retry.max_attempts):
                 # Greedy one-at-a-time placement ran out of room; the
                 # teardown above has already returned any partial reserve,

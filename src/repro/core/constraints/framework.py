@@ -65,9 +65,6 @@ class CheckReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def by_constraint(self, name: str) -> list[Violation]:
-        return [v for v in self.violations if v.constraint == name]
-
     def summary(self) -> str:
         status = "OK" if self.ok else f"{len(self.violations)} violation(s)"
         return f"{len(self.checked)} constraint(s) checked: {status}"
@@ -78,10 +75,6 @@ class ConstraintSuite:
 
     def __init__(self, constraints: Optional[list[Constraint]] = None):
         self.constraints: list[Constraint] = list(constraints or [])
-
-    def add(self, constraint: Constraint) -> "ConstraintSuite":
-        self.constraints.append(constraint)
-        return self
 
     def check(self, domain: Any) -> CheckReport:
         report = CheckReport()

@@ -46,12 +46,12 @@ class KPIReport:
     def silent(self) -> bool:
         return self.events == 0
 
-    def frequency_ok(self, tolerance: float = 0.5) -> bool:
-        """Observed publication period within ±tolerance of declared."""
+    def frequency_ok(self) -> bool:
+        """Observed publication period within ±50% of declared."""
         if self.mean_interval_s is None:
             return not self.silent
         declared = self.declared_frequency_s
-        return abs(self.mean_interval_s - declared) <= tolerance * declared
+        return abs(self.mean_interval_s - declared) <= 0.5 * declared
 
 
 class KPIReporter:
@@ -104,9 +104,6 @@ class KPIReporter:
                     last_value=None, mean_interval_s=None,
                 ))
         return reports
-
-    def silent_kpis(self) -> list[str]:
-        return [r.qualified_name for r in self.report() if r.silent]
 
 
 @dataclass(frozen=True)

@@ -72,11 +72,6 @@ class ServiceAccountant:
             self.released_total.get(component, 0) + 1
 
     # -- queries -----------------------------------------------------------------
-    def current_instances(self, component: str) -> int:
-        if component not in self._series:
-            return 0
-        return int(self._series[component].current)
-
     def series(self, component: str) -> Optional[TimeSeries]:
         return self._series.get(component)
 

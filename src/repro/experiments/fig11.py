@@ -16,6 +16,9 @@ from .polymorph import RunResult
 __all__ = ["Fig11Series", "extract_series", "render_ascii_chart",
            "render_run"]
 
+#: Rows of bars in a text chart.
+_CHART_ROWS = 12
+
 
 @dataclass(frozen=True)
 class Fig11Series:
@@ -48,8 +51,7 @@ def extract_series(result: RunResult, *, period_s: float = 60.0
 
 
 def render_ascii_chart(series: TimeSeries, start: float, end: float, *,
-                       width: int = 72, height: int = 12,
-                       label: str = "") -> str:
+                       width: int = 72, label: str = "") -> str:
     """A small text plot of a step series (down-sampled to ``width`` cols)."""
     if end <= start:
         raise ValueError("need end > start")
@@ -60,10 +62,10 @@ def render_ascii_chart(series: TimeSeries, start: float, end: float, *,
                for i in range(width)]
     top = max(max(samples), 1.0)
     rows = []
-    for level in range(height, 0, -1):
-        threshold = top * (level - 0.5) / height
+    for level in range(_CHART_ROWS, 0, -1):
+        threshold = top * (level - 0.5) / _CHART_ROWS
         row = "".join("█" if v >= threshold else " " for v in samples)
-        rows.append(f"{top * level / height:8.0f} |{row}")
+        rows.append(f"{top * level / _CHART_ROWS:8.0f} |{row}")
     rows.append(" " * 9 + "+" + "-" * width)
     rows.append(" " * 10 + f"0 s{' ' * (width - 12)}{end - start:7.0f} s")
     title = f"{label or series.name} (max {max(samples):.0f})"

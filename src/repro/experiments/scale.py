@@ -88,6 +88,18 @@ SESSIONS_KPI = "scale.app.sessions"
 #: agents attach and the census starts (the same in every run).
 WARMUP_S = 60.0
 
+#: Live-VM census period (peak-fleet tracking), simulated seconds.
+SAMPLE_PERIOD_S = 60.0
+
+#: Homogeneous host and VM shapes: the §6.1.2 testbed host, a 1-core VM
+#: and a ceiling of two instances per service.
+HOST_CPU = 4.0
+HOST_MEMORY_MB = 8192.0
+VM_CPU = 1.0
+VM_MEMORY_MB = 1024.0
+IMAGE_MB = 64.0
+MAX_INSTANCES = 2
+
 
 @dataclass(frozen=True)
 class ScaleConfig:
@@ -106,21 +118,11 @@ class ScaleConfig:
 
     #: session-KPI publication period (per service)
     monitor_period_s: float = 60.0
-    #: live-VM census period (peak-fleet tracking)
-    sample_period_s: float = 60.0
     #: fraction of services whose burst exceeds the scale-up threshold
     elastic_fraction: float = 0.25
     #: run a defragmenting migration pass (repro.solver.defrag) per site
     #: every this many simulated hours; 0 = off
     defrag_every_h: float = 0.0
-
-    #: homogeneous host/VM shapes (the §6.1.2 testbed host by default)
-    host_cpu: float = 4.0
-    host_memory_mb: float = 8192.0
-    vm_cpu: float = 1.0
-    vm_memory_mb: float = 1024.0
-    image_mb: float = 64.0
-    max_instances: int = 2
 
     #: named workload generator (repro.scenarios.workloads registry) and
     #: its parameters as sorted (key, value) pairs — tuples so the config
@@ -160,17 +162,8 @@ class ScaleConfig:
         if self.duration_s + self.settle_s <= WARMUP_S:
             raise ValueError(f"the run must outlast the {WARMUP_S:g} s "
                              f"warm-up")
-        if self.monitor_period_s <= 0 or self.sample_period_s <= 0:
-            raise ValueError(
-                "monitor_period_s and sample_period_s must be positive")
-        if min(self.host_cpu, self.host_memory_mb,
-               self.vm_cpu, self.vm_memory_mb) <= 0:
-            raise ValueError("host and VM shapes must be positive")
-        if (self.vm_cpu > self.host_cpu
-                or self.vm_memory_mb > self.host_memory_mb):
-            raise ValueError("VM shape exceeds the host shape")
-        if self.max_instances < 1:
-            raise ValueError("max_instances must be >= 1")
+        if self.monitor_period_s <= 0:
+            raise ValueError("monitor_period_s must be positive")
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}; "
                              f"have {sorted(WORKLOADS)}")
@@ -206,15 +199,15 @@ class ScaleConfig:
     @property
     def hosts_per_site(self) -> int:
         """Size each pool so the whole submission's *ceiling* is admissible
-        (guaranteed capacity): every service may reach ``max_instances``."""
-        per_host = min(int(self.host_cpu // self.vm_cpu),
-                       int(self.host_memory_mb // self.vm_memory_mb))
-        ceiling = self.services_per_site * self.max_instances
+        (guaranteed capacity): every service may reach ``MAX_INSTANCES``."""
+        per_host = min(int(HOST_CPU // VM_CPU),
+                       int(HOST_MEMORY_MB // VM_MEMORY_MB))
+        ceiling = self.services_per_site * MAX_INSTANCES
         return math.ceil(ceiling / per_host) + 1
 
     @property
     def host_type(self) -> HostType:
-        return HostType(self.host_cpu, self.host_memory_mb)
+        return HostType(HOST_CPU, HOST_MEMORY_MB)
 
 
 @dataclass
@@ -324,9 +317,8 @@ def _scale_manifest(cfg: ScaleConfig):
     across submissions is deliberate — admission memoisation keys on
     manifest identity."""
     b = ManifestBuilder("sap-session-svc")
-    b.component("app", image_mb=cfg.image_mb, cpu=cfg.vm_cpu,
-                memory_mb=cfg.vm_memory_mb,
-                initial=1, minimum=1, maximum=cfg.max_instances)
+    b.component("app", image_mb=IMAGE_MB, cpu=VM_CPU, memory_mb=VM_MEMORY_MB,
+                initial=1, minimum=1, maximum=MAX_INSTANCES)
     b.kpi("app", "app", SESSIONS_KPI,
           frequency_s=cfg.monitor_period_s, default=30)
     b.rule("up", f"@{SESSIONS_KPI} > 80", "deployVM(app)",
@@ -348,8 +340,8 @@ def _build_site_veem(env: Environment, cfg: ScaleConfig, name: str,
                 repository=ImageRepository(bandwidth_mb_per_s=1000.0))
     for h in range(cfg.hosts_per_site):
         veem.add_host(Host(env, f"{name}-h{h}",
-                           cpu_cores=cfg.host_cpu,
-                           memory_mb=cfg.host_memory_mb,
+                           cpu_cores=HOST_CPU,
+                           memory_mb=HOST_MEMORY_MB,
                            timings=timings))
     return veem
 
@@ -418,7 +410,7 @@ def _defrag_passes(env, cfg: ScaleConfig, veems):
     # scale event whose ordering could differ between the oracle's
     # all-site environment and a shard's subset environment.
     period_s = cfg.defrag_every_h * 3600.0
-    yield env.timeout(cfg.sample_period_s / 4.0)
+    yield env.timeout(SAMPLE_PERIOD_S / 4.0)
     while True:
         yield env.timeout(period_s)
         # Plan every site at this same instant (planning is synchronous,
@@ -563,7 +555,7 @@ class FederationRun:
                          frequency_s=cfg.monitor_period_s, units="sessions")
         self.samples: list = []
         env.process(_vm_census(env, self.veems, self.samples,
-                               cfg.sample_period_s), name="vm-census")
+                               SAMPLE_PERIOD_S), name="vm-census")
         if cfg.defrag_every_h > 0:
             env.process(_defrag_passes(env, cfg, self.veems),
                         name="defrag-pass")

@@ -14,8 +14,6 @@ from .polymorph import PolymorphSearchConfig, build_polymorph_workflow
 from .scheduler import CondorScheduler, ExecutionNodeHandle
 from .workflow import (
     Activity,
-    Delay,
-    Flow,
     ForEachCompletion,
     Invoke,
     Sequence,
@@ -36,8 +34,6 @@ __all__ = [
     "CondorScheduler",
     "ExecutionNodeHandle",
     "Activity",
-    "Delay",
-    "Flow",
     "ForEachCompletion",
     "Invoke",
     "Sequence",

@@ -94,12 +94,6 @@ class Job:
 
     # -- metrics ---------------------------------------------------------------
     @property
-    def queue_wait(self) -> Optional[float]:
-        if self.started_at is None or self.submitted_at is None:
-            return None
-        return self.started_at - self.submitted_at
-
-    @property
     def turnaround(self) -> Optional[float]:
         if self.completed_at is None or self.submitted_at is None:
             return None

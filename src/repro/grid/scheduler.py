@@ -307,14 +307,3 @@ class CondorScheduler:
     # ------------------------------------------------------------------
     def completed_jobs(self) -> list[Job]:
         return [j for j in self.all_jobs if j.state is JobState.COMPLETED]
-
-    @property
-    def all_done(self) -> bool:
-        return all(j.state in (JobState.COMPLETED, JobState.FAILED,
-                               JobState.REMOVED)
-                   for j in self.all_jobs)
-
-    def mean_queue_wait(self) -> Optional[float]:
-        waits = [j.queue_wait for j in self.completed_jobs()
-                 if j.queue_wait is not None]
-        return sum(waits) / len(waits) if waits else None

@@ -5,12 +5,11 @@ the overall execution of the polymorph search, relying on external services
 to generate batch jobs, submit the jobs for execution, process the results
 and trigger new computations if required."
 
-The engine executes an activity tree — sequences, parallel flows (BPEL
-``<flow>``), service invocations with processing delays, job submissions,
-joins on job completion, and callback-driven fan-out ("trigger new
-computations") — on the simulation kernel. It is intentionally small but
-structured like the real thing, so example applications read like BPEL
-process definitions.
+The engine executes an activity tree — sequences, service invocations
+with processing delays, job submissions, joins on job completion, and
+callback-driven fan-out ("trigger new computations") — on the simulation
+kernel. It is intentionally small but structured like the real thing, so
+example applications read like BPEL process definitions.
 """
 
 from __future__ import annotations
@@ -26,11 +25,9 @@ __all__ = [
     "WorkflowContext",
     "Activity",
     "Invoke",
-    "Delay",
     "SubmitJobs",
     "WaitForJobs",
     "Sequence",
-    "Flow",
     "ForEachCompletion",
     "Workflow",
 ]
@@ -89,18 +86,6 @@ class Invoke(Activity):
         return result
 
 
-class Delay(Activity):
-    """BPEL ``<wait>``."""
-
-    def __init__(self, duration_s: float):
-        if duration_s < 0:
-            raise ValueError("duration must be non-negative")
-        self.duration_s = duration_s
-
-    def execute(self, ctx: WorkflowContext):
-        yield ctx.env.timeout(self.duration_s)
-
-
 class SubmitJobs(Activity):
     """Generate and submit a batch of jobs; stores them in a variable."""
 
@@ -146,21 +131,6 @@ class Sequence(Activity):
             result = yield ctx.env.process(
                 activity.execute(ctx), name=type(activity).__name__)
         return result
-
-
-class Flow(Activity):
-    """Run child activities in parallel; completes when all complete."""
-
-    def __init__(self, *activities: Activity):
-        self.activities = list(activities)
-
-    def execute(self, ctx: WorkflowContext):
-        branches = [
-            ctx.env.process(a.execute(ctx), name=type(a).__name__)
-            for a in self.activities
-        ]
-        if branches:
-            yield ctx.env.all_of(branches)
 
 
 class ForEachCompletion(Activity):

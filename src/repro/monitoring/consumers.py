@@ -68,9 +68,6 @@ class MeasurementStore:
         m = self._latest.get((service_id, qualified_name))
         return (now - m.timestamp) if m is not None else None
 
-    def known_names(self, service_id: str) -> list[str]:
-        return sorted(q for (s, q) in self._latest if s == service_id)
-
 
 class MeasurementJournal:
     """Full-history consumer: every event kept, queryable by stream/time.
@@ -143,14 +140,3 @@ class MeasurementJournal:
         if op == "max":
             return max(values)
         raise ValueError(f"unknown window operation {op!r}")
-
-    def gaps_exceeding(self, service_id: str, qualified_name: str,
-                       max_gap_s: float) -> list[tuple[float, float]]:
-        """Intervals where consecutive events were further apart than
-        ``max_gap_s`` — a probe-health diagnostic."""
-        events = self.stream(service_id, qualified_name)
-        out = []
-        for a, b in zip(events, events[1:]):
-            if b.timestamp - a.timestamp > max_gap_s:
-                out.append((a.timestamp, b.timestamp))
-        return out

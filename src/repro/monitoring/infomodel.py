@@ -41,6 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["ElaboratedValue", "InformationModel"]
 
+#: DHT nodes the model's ring starts with.
+_INITIAL_NODES = 3
+
 
 @dataclass(frozen=True)
 class ElaboratedValue:
@@ -55,9 +58,9 @@ class ElaboratedValue:
 class InformationModel:
     """Path-taxonomy metadata store over a DHT."""
 
-    def __init__(self, *, initial_nodes: int = 3):
+    def __init__(self):
         self.ring = DHTRing()
-        for i in range(max(initial_nodes, 1)):
+        for i in range(_INITIAL_NODES):
             self.ring.join(f"im-node-{i}")
 
     # -- registration (producer side) ---------------------------------------
@@ -87,20 +90,7 @@ class InformationModel:
         self.ring.put(f"/probe/{pid}/on", probe.on)
         self.ring.put(f"/probe/{pid}/active", probe.active)
 
-    def unregister_probe(self, probe: "Probe") -> None:
-        pid = probe.probe_id
-        for key in self.ring.keys_with_prefix(f"/probe/{pid}/"):
-            self.ring.delete(key)
-        for key in self.ring.keys_with_prefix(f"/schema/{pid}/"):
-            self.ring.delete(key)
-
     # -- lookup (consumer side) ------------------------------------------------
-    def datasource_of(self, probe_id: str) -> Optional[str]:
-        return self.ring.get(f"/probe/{probe_id}/datasource")
-
-    def probe_name(self, probe_id: str) -> Optional[str]:
-        return self.ring.get(f"/probe/{probe_id}/name")
-
     def probe_state(self, probe_id: str) -> dict[str, Any]:
         return {
             "datarate": self.ring.get(f"/probe/{probe_id}/datarate"),
@@ -141,10 +131,3 @@ class InformationModel:
                             value=value)
             for attr, value in zip(schema, measurement.values)
         ]
-
-    def known_probes(self) -> list[str]:
-        """All registered probe ids (scatter/gather over the ring)."""
-        ids = set()
-        for key in self.ring.keys_with_prefix("/probe/"):
-            ids.add(key.split("/")[2])
-        return sorted(ids)

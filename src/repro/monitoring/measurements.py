@@ -148,12 +148,6 @@ class DataDictionary:
     def __iter__(self):
         return iter(self.attributes)
 
-    def index_of(self, name: str) -> int:
-        for i, attr in enumerate(self.attributes):
-            if attr.name == name:
-                return i
-        raise KeyError(f"no attribute {name!r} in data dictionary")
-
     def validate_values(self, values: Sequence[Any]) -> None:
         """Check a value tuple against the schema; raises on mismatch."""
         if len(values) != len(self.attributes):

@@ -310,17 +310,6 @@ class MetricsRegistry:
             else:
                 yield name, dict(labels), instrument.kind, instrument.value
 
-    def as_dict(self) -> dict[str, Any]:
-        """Flat ``{name{labels}: value}`` snapshot, for tests and reports."""
-        out: dict[str, Any] = {}
-        for name, labels, _kind, value in self.collect():
-            if labels:
-                rendered = ",".join(f"{k}={v}" for k, v in labels.items())
-                out[f"{name}{{{rendered}}}"] = value
-            else:
-                out[name] = value
-        return out
-
 
 class SnapshotCursor:
     """Incremental, picklable snapshots of a registry's *owned* instruments.

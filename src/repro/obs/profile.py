@@ -22,6 +22,9 @@ from __future__ import annotations
 
 __all__ = ["SimProfiler"]
 
+#: Width of one timeline bucket, in simulated seconds.
+_BUCKET_S = 60.0
+
 
 def _classify(callbacks) -> str:
     """Layer label for one dispatch: dead skips and bare events belong to
@@ -43,10 +46,7 @@ def _classify(callbacks) -> str:
 class SimProfiler:
     """Attributable kernel profile: wall-clock and counts per layer/kind."""
 
-    def __init__(self, bucket_s: float = 60.0):
-        if bucket_s <= 0:
-            raise ValueError("bucket_s must be positive")
-        self.bucket_s = bucket_s
+    def __init__(self):
         #: (layer, event kind) -> [events, wall_s]
         self.by_key: dict[tuple[str, str], list] = {}
         #: (bucket index, layer) -> [events, wall_s]
@@ -59,11 +59,6 @@ class SimProfiler:
         self._env = env
         return self
 
-    def detach(self) -> None:
-        if self._env is not None:
-            self._env.profile(None)
-            self._env = None
-
     def _hook(self, event, callbacks, wall_s: float) -> None:
         layer = _classify(callbacks)
         key = (layer, type(event).__name__)
@@ -72,7 +67,7 @@ class SimProfiler:
             cell = self.by_key[key] = [0, 0.0]
         cell[0] += 1
         cell[1] += wall_s
-        bucket = (int(self._env._now // self.bucket_s), layer)
+        bucket = (int(self._env._now // _BUCKET_S), layer)
         cell = self.timeline.get(bucket)
         if cell is None:
             cell = self.timeline[bucket] = [0, 0.0]
@@ -116,7 +111,7 @@ class SimProfiler:
             })
         for (bucket, layer), (count, wall_s) in sorted(
                 self.timeline.items()):
-            ts = bucket * self.bucket_s * 1e6
+            ts = bucket * _BUCKET_S * 1e6
             events.append({
                 "name": f"dispatch:{layer}", "ph": "C", "pid": 1,
                 "tid": f"profile:{layer}", "ts": ts,

@@ -41,6 +41,7 @@ class ReportError(Exception):
 
 
 def _parse_value(text: str):
+    """A sweep or filter value: an int, else a float, else the string."""
     for cast in (int, float):
         try:
             return cast(text)

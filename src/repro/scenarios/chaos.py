@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 __all__ = [
     "HostCrash",
@@ -137,14 +137,14 @@ def event_to_dict(event: ChaosEvent) -> dict:
 
 def install_chaos(env, events, *, veems_by_site: dict,
                   control=None, managers_by_site: Optional[dict] = None,
-                  trace=None, on_event: Optional[Callable] = None) -> list:
+                  trace=None) -> list:
     """Schedule ``events`` against the given infrastructure.
 
     ``veems_by_site`` maps site name -> :class:`~repro.cloud.veem.VEEM`;
     ``managers_by_site`` (optional) maps site name -> ``ServiceManager`` so
     recoveries can re-floor the affected services; ``control`` is required
-    for :class:`NetworkPartition`. ``on_event(event, phase, detail)`` is the
-    recovery-hook callback — ``phase`` is ``"fired"`` or ``"recovered"``.
+    for :class:`NetworkPartition`. Every fired and recovered phase is a
+    ``chaos``-source trace record.
 
     Returns the spawned processes (one per event), in event order.
     """
@@ -152,10 +152,6 @@ def install_chaos(env, events, *, veems_by_site: dict,
         trace = (control.trace if control is not None
                  else next(iter(veems_by_site.values())).trace)
     managers_by_site = managers_by_site or {}
-
-    def notify(event, phase, **detail):
-        if on_event is not None:
-            on_event(event, phase, detail)
 
     def refloor(site_name):
         """Recovery hook: give every service on the site a second chance
@@ -178,7 +174,7 @@ def install_chaos(env, events, *, veems_by_site: dict,
             downed.append(host)
         trace.emit("chaos", kind, site=site_name,
                    hosts=len(downed), casualties=casualties)
-        return downed, casualties
+        return downed
 
     def recover_site(site_name, downed, kind):
         veem = veems_by_site[site_name]
@@ -187,7 +183,6 @@ def install_chaos(env, events, *, veems_by_site: dict,
         healed = refloor(site_name)
         trace.emit("chaos", kind, site=site_name,
                    hosts=len(downed), healed=healed)
-        return healed
 
     def host_crash(event: HostCrash):
         yield env.timeout(event.at_s)
@@ -198,7 +193,6 @@ def install_chaos(env, events, *, veems_by_site: dict,
         casualties = veem.inject_host_failure(host)
         trace.emit("chaos", "chaos.host.crash", site=event.site,
                    host=host.name, casualties=len(casualties))
-        notify(event, "fired", host=host.name, casualties=len(casualties))
         if event.recover_after_s <= 0:
             return
         yield env.timeout(event.recover_after_s)
@@ -206,7 +200,6 @@ def install_chaos(env, events, *, veems_by_site: dict,
         healed = refloor(event.site)
         trace.emit("chaos", "chaos.host.recover", site=event.site,
                    host=host.name, healed=healed)
-        notify(event, "recovered", host=host.name, healed=healed)
 
     def preemption(event: SpotPreemption):
         yield env.timeout(event.at_s)
@@ -214,33 +207,28 @@ def install_chaos(env, events, *, veems_by_site: dict,
         victims = veem.preempt(event.count)
         trace.emit("chaos", "chaos.preempt", site=event.site,
                    count=len(victims), vms=[vm.vm_id for vm in victims])
-        notify(event, "fired", victims=[vm.vm_id for vm in victims])
 
     def site_outage(event: SiteOutage):
         yield env.timeout(event.at_s)
         downed_by_site = {}
         for site_name in event.sites:
-            downed_by_site[site_name], _ = fail_site(
+            downed_by_site[site_name] = fail_site(
                 site_name, "chaos.site.outage")
-        notify(event, "fired", sites=list(event.sites))
         if event.recover_after_s <= 0:
             return
         yield env.timeout(event.recover_after_s)
         for site_name, downed in downed_by_site.items():
             recover_site(site_name, downed, "chaos.site.recover")
-        notify(event, "recovered", sites=list(event.sites))
 
     def partition(event: NetworkPartition):
         yield env.timeout(event.at_s)
         control.partition(event.sites)
         trace.emit("chaos", "chaos.partition", sites=sorted(event.sites))
-        notify(event, "fired", sites=list(event.sites))
         if event.heal_after_s <= 0:
             return
         yield env.timeout(event.heal_after_s)
         control.heal_partition(event.sites)
         trace.emit("chaos", "chaos.heal", sites=sorted(event.sites))
-        notify(event, "recovered", sites=list(event.sites))
 
     def oversubscribe(event: Oversubscribe):
         yield env.timeout(event.at_s)
@@ -250,7 +238,6 @@ def install_chaos(env, events, *, veems_by_site: dict,
         host._cpu_used = host.cpu_cores + event.extra_cpu
         trace.emit("chaos", "chaos.oversubscribe", site=event.site,
                    host=host.name, extra_cpu=event.extra_cpu)
-        notify(event, "fired", host=host.name)
 
     runners = {
         HostCrash: host_crash,

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 from ..experiments.scale import ScaleConfig, ScaleReport, run_scale
 from ..obs.recorder import dump_flight
+from ..obs.report import _parse_value
 from .chaos import (
     ChaosEvent,
     HostCrash,
@@ -183,15 +184,6 @@ def scenario_names() -> list[str]:
 # ---------------------------------------------------------------------------
 # Sweep grammar
 # ---------------------------------------------------------------------------
-
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
 
 def parse_sweep(tokens) -> list[dict]:
     """Expand ``["sites=4,16", "load=0.5,0.9"]`` into the grid's cells,

@@ -170,24 +170,12 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay.
 
-    ``env.timeout`` builds these without calling the constructor (see
-    :func:`_make_timeout_factory`); the constructor is the plain path,
-    scheduling through the environment's ``_schedule``.
+    ``env.timeout(delay, value=None)`` is the one way to make one: the
+    factory :func:`_make_timeout_factory` writes the slots and schedules
+    it.
     """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self.defused = False
-        self.dead = False
-        self.delay = delay
-        env._schedule(self, delay)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"

@@ -557,9 +557,6 @@ class SeriesRecorder:
     def record(self, name: str, value: float) -> None:
         self.get(name).record(self.env.now, value)
 
-    def increment(self, name: str, delta: float = 1.0) -> None:
-        self.get(name).increment(self.env.now, delta)
-
     def __getitem__(self, name: str) -> TimeSeries:
         return self.series[name]
 

@@ -12,9 +12,8 @@ of host state and committed **all-or-nothing per source host**, applying
 each step to the simulation in plan order. Because the simulation applies
 steps sequentially with the same release-then-reserve bookkeeping the
 VEEM uses at migration start, a plan that was buildable never
-oversubscribes any intermediate state — :meth:`MigrationPlan.replay_safe`
-re-checks that from scratch, and the executor re-validates every step
-against live state (and aborts loudly) in case the world moved on.
+oversubscribes any intermediate state. The executor re-validates every
+step against live state (and aborts loudly) in case the world moved on.
 """
 
 from __future__ import annotations
@@ -57,31 +56,6 @@ class MigrationPlan:
 
     def __bool__(self) -> bool:
         return bool(self.steps)
-
-    def replay_safe(self, hosts: Sequence) -> list[str]:
-        """Replay the steps against a host-state snapshot, checking that no
-        intermediate state oversubscribes any host; returns the list of
-        violations (empty = safe). Independent of the planner's own
-        bookkeeping, so tests can hold the two together."""
-        free = {h.name: [h.cpu_free, h.memory_free] for h in hosts}
-        problems: list[str] = []
-        for i, step in enumerate(self.steps):
-            if step.to_host not in free:
-                problems.append(f"step {i}: unknown target {step.to_host!r}")
-                continue
-            target = free[step.to_host]
-            if step.cpu > target[0] + _EPS or step.memory_mb > target[1] + _EPS:
-                problems.append(
-                    f"step {i}: {step.vm_id} oversubscribes {step.to_host} "
-                    f"(cpu_free={target[0]:.3f}, mem_free={target[1]:.1f})")
-            # Mirror the VEEM: release on the source and reserve on the
-            # target both happen at migration *start*.
-            if step.from_host in free:
-                free[step.from_host][0] += step.cpu
-                free[step.from_host][1] += step.memory_mb
-            target[0] -= step.cpu
-            target[1] -= step.memory_mb
-        return problems
 
 
 def fragmentation_score(hosts: Sequence) -> float:

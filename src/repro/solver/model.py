@@ -81,63 +81,6 @@ class PlacementModel:
     hosts: list
     constraints: ModelConstraints = field(default_factory=ModelConstraints)
 
-    def validate_assignment(self, assignment) -> list[str]:
-        """Independent check of a finished assignment (host index per item):
-        returns violation descriptions (empty = sound). Used by tests and
-        the defrag safety replay — deliberately a from-scratch evaluation,
-        not the search's incremental bookkeeping."""
-        problems: list[str] = []
-        free = {h.index: [h.cpu_free, h.mem_free] for h in self.hosts}
-        resident = {h.index: dict(h.resident) for h in self.hosts}
-        hosts_by_index = {h.index: h for h in self.hosts}
-        for item, j in zip(self.items, assignment):
-            host = hosts_by_index[j]
-            free[j][0] -= item.cpu
-            free[j][1] -= item.memory_mb
-            key = (item.service_id, item.component)
-            resident[j][key] = resident[j].get(key, 0) + 1
-            for comp, attr, value in self.constraints.attribute_requirements:
-                if comp == item.component \
-                        and host.attributes.get(attr) != value:
-                    problems.append(f"{item.name}: attribute {attr}!={value!r}"
-                                    f" on {host.name}")
-        eps = 1e-9
-        for j, (cpu, mem) in free.items():
-            if cpu < -eps or mem < -eps:
-                problems.append(f"{hosts_by_index[j].name}: oversubscribed "
-                                f"(cpu_free={cpu:.3f}, mem_free={mem:.1f})")
-        for j, counts in resident.items():
-            for comp, cap in self.constraints.caps:
-                # Live ComponentCap counts same-service instances only.
-                per_service: dict = {}
-                for (svc, c), n in counts.items():
-                    if c == comp and svc is not None:
-                        per_service[svc] = per_service.get(svc, 0) + n
-                for svc, placed in sorted(per_service.items()):
-                    if placed > cap:
-                        problems.append(
-                            f"{hosts_by_index[j].name}: {placed} × {comp} "
-                            f"(service {svc}) exceeds cap {cap}")
-            for a, avoid in self.constraints.anti_affinities:
-                services = {svc for (svc, c), n in counts.items()
-                            if n > 0 and c == a and svc is not None}
-                for svc in sorted(services):
-                    if counts.get((svc, avoid), 0) > 0:
-                        problems.append(
-                            f"{hosts_by_index[j].name}: {a} co-resident "
-                            f"with {avoid} (service {svc})")
-        for a, with_comp in self.constraints.affinities:
-            for item, j in zip(self.items, assignment):
-                if item.component != a or item.service_id is None:
-                    continue
-                anchor = (item.service_id, with_comp)
-                anywhere = any(counts.get(anchor, 0) > 0
-                               for counts in resident.values())
-                if anywhere and resident[j].get(anchor, 0) <= 0:
-                    problems.append(f"{item.name}: not co-located with "
-                                    f"{with_comp}")
-        return problems
-
 
 @dataclass(frozen=True)
 class SearchBudget:

@@ -69,12 +69,6 @@ class WhatIfReport:
     def fits(self) -> bool:
         return self.chosen is not None or self.solver_only is not None
 
-    def verdict_for(self, site: str) -> SiteVerdict:
-        for v in self.verdicts:
-            if v.site == site:
-                return v
-        raise KeyError(f"no verdict for site {site!r}")
-
     def render(self) -> str:
         lines = [f"what-if: {self.service_name}"
                  + (f" (tenant {self.tenant})" if self.tenant else "")]

@@ -15,4 +15,7 @@ behaviour, kept beside the tests rather than inside the shipping package:
 
 The production implementations must be observationally identical to them
 on any seeded workload; the suites replay the same inputs through both.
+:mod:`~tests.oracles.solver` holds the independent checks of what the
+solver and the defrag planner produce (``validate_assignment``,
+``replay_safe``).
 """

@@ -10,7 +10,6 @@ against it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from heapq import heappop, heappush
 from typing import Any, Optional
@@ -42,8 +41,23 @@ class HeapEnvironment(Environment):
         super().__init__(initial_time)
         self._queue: list[_QueueEntry] = []
         self._seq = itertools.count().__next__
-        # The plain constructor schedules through ``_schedule``, i.e. here.
-        self.timeout = functools.partial(Timeout, self)
+        self.timeout = self._timeout
+
+    def _timeout(self, delay: float, value: Any = None) -> Timeout:
+        """``env.timeout`` on the oracle: a Timeout with its slots written
+        one by one, scheduled through the heap's ``_schedule``."""
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        event = object.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event.defused = False
+        event.dead = False
+        event.delay = delay
+        self._schedule(event, delay)
+        return event
 
     def profile(self, callback) -> None:
         if callback is not None:

@@ -60,12 +60,12 @@ def test_sap_config_validation():
 def test_dispatcher_sessions_and_capacity():
     env = Environment()
     d = WebDispatcher(env, SAPConfig(sessions_per_di=10))
-    assert d.load_ratio == 0.0
+    assert d.capacity == 0 and d.active_sessions == 0
     d.register_di("di-1")
     assert d.capacity == 10
     for _ in range(10):
         assert d.open_session()
-    assert d.load_ratio == 1.0
+    assert d.active_sessions == d.capacity
     # Hard rejection only at 2× capacity.
     for _ in range(10):
         assert d.open_session()

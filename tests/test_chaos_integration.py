@@ -36,8 +36,9 @@ def test_monitoring_survives_migration():
     assert vm.host is target
     assert vm.state is VMState.RUNNING
     # No gap larger than ~2 publication periods across the migration window.
-    gaps = journal.gaps_exceeding("svc-1", "svc.app.heartbeat", max_gap_s=20)
-    assert gaps == []
+    stamps = [m.timestamp
+              for m in journal.stream("svc-1", "svc.app.heartbeat")]
+    assert all(b - a <= 20 for a, b in zip(stamps, stamps[1:]))
     assert len(journal) >= before + 5
 
 

@@ -158,17 +158,34 @@ def test_fig11_rejects_width_below_one(width, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command, flag", [
+_COUNT_FLAGS = [
     ("control-demo", "--tenants"), ("control-demo", "--hosts"),
     ("control-demo", "--quota"), ("obs-report", "--tenants"),
     ("obs-report", "--hosts"), ("obs-report", "--quota"),
-    ("capacity", "--hosts"), ("plan", "--hosts")])
-def test_count_below_one_is_refused_before_building(command, flag, xml_path,
+    ("capacity", "--hosts"), ("plan", "--hosts")]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param(command, flag, "0", "must be at least 1, got 0",
+                 id=f"{command}-{flag}")
+    for command, flag in _COUNT_FLAGS] + [
+    pytest.param(command, flag, value,
+                 f"must be a finite number above 0, got {value}",
+                 id=f"{command}-{flag}-{value}")
+    for command, flag, value in (("capacity", "--host-cpu", "0"),
+                                 ("capacity", "--host-memory", "-1"),
+                                 ("plan", "--host-cpu", "0"),
+                                 ("plan", "--host-memory", "inf"))])
+def test_count_below_one_is_refused_before_building(command, flag, value,
+                                                    message, xml_path,
                                                     capsys):
     manifest = [xml_path] if command in ("capacity", "plan") else []
-    assert main([command, *manifest, flag, "0"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *manifest, flag, value])
+    assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {flag} must be at least 1, got 0\n"
+    assert captured.err.endswith(f"error: argument {flag}: {message}\n")
+    assert "Traceback" not in captured.err
     assert captured.out == ""
 
 

@@ -96,25 +96,6 @@ def test_vm_on_running_event_fires():
     assert vm.provisioning_time == 40.0
 
 
-def test_vm_time_in_state():
-    env = Environment()
-    vm = VirtualMachine(env, "vm1", make_descriptor())
-
-    def driver(env):
-        vm.transition(VMState.STAGING)
-        yield env.timeout(20)
-        vm.transition(VMState.BOOTING)
-        yield env.timeout(45)
-        vm.transition(VMState.RUNNING)
-        yield env.timeout(100)
-
-    env.process(driver(env))
-    env.run()
-    assert vm.time_in_state(VMState.STAGING) == 20
-    assert vm.time_in_state(VMState.BOOTING) == 45
-    assert vm.time_in_state(VMState.RUNNING) == 100  # still running: until now
-
-
 def test_vm_failure_from_any_live_state():
     env = Environment()
     vm = VirtualMachine(env, "vm1", make_descriptor())
@@ -243,17 +224,3 @@ def test_host_prestage_skips_transfer():
     env.run()
     assert env.now == 0.0
     assert repo.bytes_served_mb == 0
-
-
-def test_host_vms_of_component():
-    env = Environment()
-    host = Host(env, "h1", cpu_cores=16, memory_mb=65536)
-    for i in range(3):
-        vm = VirtualMachine(env, f"e{i}", make_descriptor(
-            name=f"e{i}", component_id="exec"))
-        host.reserve(vm)
-    other = VirtualMachine(env, "db", make_descriptor(
-        name="db", component_id="dbms"))
-    host.reserve(other)
-    assert len(host.vms_of_component("exec")) == 3
-    assert len(host.vms_of_component("dbms")) == 1

@@ -62,8 +62,11 @@ def test_provisioning_breakdown_matches_components():
     veem = make_veem(env, bandwidth=50.0)  # 20 s transfer
     vm = veem.submit(make_desc())
     env.run(until=vm.on_running)
-    assert vm.time_in_state(VMState.STAGING) == pytest.approx(20.0)
-    assert vm.time_in_state(VMState.BOOTING) == pytest.approx(47.0)
+    entered = {state: t for t, state in vm.state_history}
+    assert entered[VMState.BOOTING] - entered[VMState.STAGING] \
+        == pytest.approx(20.0)
+    assert entered[VMState.RUNNING] - entered[VMState.BOOTING] \
+        == pytest.approx(47.0)
 
 
 def test_submit_infeasible_fails_fast():

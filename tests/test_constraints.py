@@ -88,7 +88,8 @@ def test_suite_reports_checked_and_violations():
     report = suite.check(None)
     assert not report.ok
     assert report.checked == ["always"]
-    assert report.by_constraint("always")[0].context == {"detail": 1}
+    assert [v.context for v in report.violations
+            if v.constraint == "always"] == [{"detail": 1}]
     assert "1 violation" in report.summary()
 
 
@@ -158,7 +159,8 @@ def test_colocation_constraint_enforced_and_checked():
     dbms = service.lifecycle.components["DBMS"].vms[0]
     assert ci.host is dbms.host  # placement actually co-located them
     report = service.check_constraints()
-    assert report.by_constraint("colocation") == []
+    assert [v for v in report.violations if v.constraint == "colocation"] \
+        == []
 
 
 def test_colocation_violation_detected_after_bad_migration():
@@ -227,7 +229,8 @@ def test_kpi_reporter_tracks_streams():
     assert sessions.events == 3
     assert sessions.last_value == 42
     assert sessions.frequency_ok()
-    assert instruments.reporter.silent_kpis() == ["com.sap.di.instances"]
+    assert [name for name, r in reports.items() if r.silent] \
+        == ["com.sap.di.instances"]
 
 
 def test_reporter_requires_application_description():

@@ -347,8 +347,11 @@ def test_counters_series_and_trace_tell_the_story():
     assert control.queue_depth == 0
     depth = control.series["queue.depth"]
     assert depth.maximum() == 1 and depth.current == 0
-    waits = control.series["queue.wait_s"]
-    assert waits.current > 0            # the drained request waited
+    (waits,) = [summary for name, _labels, _kind, summary
+                in env.metrics.collect()
+                if name == "control.plane.queue_wait_s"]
+    assert waits["count"] == 2
+    assert waits["max"] > 0             # the drained request waited
     kinds = {r.kind for r in control.trace.query(source="control")}
     assert {"request.submitted", "request.queued", "request.admitted",
             "request.rejected", "request.active",
@@ -366,10 +369,14 @@ def test_tenant_services_are_attributed():
     control.submit("acme", host_filler("a"))
     control.submit("globex", host_filler("g"))
     drain_all(env, 100)
-    acme = control.tenant_services("acme")
+    def services(tenant):
+        return [r.service for r in control.active_requests(tenant)
+                if r.service is not None]
+
+    acme = services("acme")
     assert [s.tenant for s in acme] == ["acme"]
     assert acme[0].lifecycle.accountant.tenant == "acme"
-    assert len(control.tenant_services("globex")) == 1
+    assert len(services("globex")) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -115,13 +115,17 @@ def test_eight_tenants_forty_services_queue_and_drain():
     assert all(admitted_per_tenant[t] == SERVICES_PER_TENANT
                for t in TENANTS)
 
-    # --- queue depth and wait time are visible on the recorder ------------
+    # --- queue depth on the recorder, wait time in the registry ----------
     depth = control.series["queue.depth"]
     assert depth.maximum() == 15
     assert depth.current == 0
     waits = [o.request.wait_time for o in queued]
     assert all(w is not None and w > 0 for w in waits)
-    assert "queue.wait_s" in control.series
+    (wait_summary,) = [summary for name, _labels, _kind, summary
+                       in env.metrics.collect()
+                       if name == "control.plane.queue_wait_s"]
+    assert wait_summary["count"] == 40
+    assert wait_summary["max"] == max(waits)
     # wait-time detail rides on the admission trace records too
     waited = [r.details["waited"]
               for r in control.trace.query(source="control",

@@ -165,25 +165,6 @@ def test_invoice_for_component_with_no_usage_window():
 
 
 # ---------------------------------------------------------------------------
-# VEEM: deploy_and_wait convenience
-# ---------------------------------------------------------------------------
-
-def test_deploy_and_wait_event():
-    from repro.cloud import DeploymentDescriptor, Host, ImageRepository, VEEM
-
-    env = Environment()
-    repo = ImageRepository()
-    repo.add("img", size_mb=10)
-    veem = VEEM(env, repository=repo)
-    veem.add_host(Host(env, "h0"))
-    event = veem.deploy_and_wait(DeploymentDescriptor(
-        name="x", memory_mb=512, cpu=1, disk_source=repo.get("img").href,
-        service_id="s", component_id="c"))
-    vm = env.run(until=event)
-    assert vm.state.value == "running"
-
-
-# ---------------------------------------------------------------------------
 # Weekly: search records carry scales and days
 # ---------------------------------------------------------------------------
 

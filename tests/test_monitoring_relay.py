@@ -51,8 +51,8 @@ def test_relay_filters_by_service():
     emit_probe(env, site_b, service="managed-svc", qname="a.b")
     emit_probe(env, site_b, service="other-svc", qname="c.d")
     env.run(until=15)
-    assert store.known_names("managed-svc") == ["a.b"]
-    assert store.known_names("other-svc") == []
+    assert store.value("managed-svc", "a.b") is not None
+    assert store.value("other-svc", "c.d") is None
 
 
 def test_bidirectional_bridge_suppresses_echo():

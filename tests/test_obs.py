@@ -128,8 +128,7 @@ def test_registry_collect_and_as_dict():
     rows = list(reg.collect())
     assert [r[0] for r in rows] == ["a.a.h", "b.b.n"]   # name-sorted
     assert rows[0][2] == "histogram" and rows[0][3]["count"] == 1
-    flat = reg.as_dict()
-    assert flat["b.b.n{site=s}"] == 2.0
+    assert rows[1][1:] == ({"site": "s"}, "counter", 2.0)
 
 
 def test_environment_metrics_is_lazy_and_cached():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,16 @@ from tests.oracles.kernel import HeapEnvironment
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def cli_env() -> dict:
+    """The CLI subprocesses' environment: the source path and nothing
+    else, except ``PYTHONDONTWRITEBYTECODE`` when it is set, so that they
+    leave no bytecode in the source tree either."""
+    env = {"PYTHONPATH": SRC, "PATH": ""}
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+    return env
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -35,12 +46,8 @@ def test_config_validation():
         ScaleConfig(tenants=0)
     with pytest.raises(ValueError):
         ScaleConfig(elastic_fraction=1.5)
-    for field in ("monitor_period_s", "sample_period_s", "host_cpu",
-                  "host_memory_mb", "vm_cpu", "vm_memory_mb"):
-        with pytest.raises(ValueError):
-            ScaleConfig(**{field: 0.0})
     with pytest.raises(ValueError):
-        ScaleConfig(max_instances=0)
+        ScaleConfig(monitor_period_s=0.0)
     with pytest.raises(ValueError, match="warm-up"):
         ScaleConfig(hours=0.01)
 
@@ -51,11 +58,6 @@ def test_config_pool_sizing_admits_whole_ceiling():
     assert cfg.services_per_site == 10
     assert cfg.hosts_per_site == 6
     assert cfg.duration_s == 3600.0
-
-
-def test_config_rejects_vm_larger_than_host():
-    with pytest.raises(ValueError):
-        ScaleConfig(vm_cpu=8.0).hosts_per_site
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +140,7 @@ def test_cli_scale_smoke():
     out = subprocess.run(
         [sys.executable, "-m", "repro", "scale", "--sites", "2",
          "--services", "8", "--hours", "0.25", "--seed", "5"],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": ""},
+        capture_output=True, text=True, env=cli_env(),
         check=True)
     assert "events/sec" in out.stdout
     assert "per 1k VMs" in out.stdout
@@ -280,6 +282,6 @@ def test_cli_scale_verify_oracle_smoke():
         [sys.executable, "-m", "repro", "scale", "--sites", "2",
          "--services", "8", "--hours", "0.25", "--seed", "5",
          "--procs", "2", "--verify-oracle"],
-        capture_output=True, text=True, env={"PYTHONPATH": SRC, "PATH": ""},
+        capture_output=True, text=True, env=cli_env(),
         check=True)
     assert "oracle agreement" in out.stdout

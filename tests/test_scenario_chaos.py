@@ -68,17 +68,14 @@ def test_host_crash_fires_and_recovers():
     control, veems = make_plane(env)
     out = control.submit("t0", web_manifest(), site="site-0")
     assert isinstance(out, Admitted)
-    phases = []
     install_chaos(
         env, (HostCrash(at_s=60.0, site="site-0", recover_after_s=120.0),),
         veems_by_site=veems, control=control,
-        managers_by_site=managers_of(control),
-        on_event=lambda e, phase, d: phases.append(phase))
+        managers_by_site=managers_of(control))
     env.run(until=400)
-    assert phases == ["fired", "recovered"]
+    assert [r.kind for r in control.trace.query(source="chaos")] \
+        == ["chaos.host.crash", "chaos.host.recover"]
     assert not veems["site-0"].hosts[0].failed
-    assert control.trace.query(kind="chaos.host.crash")
-    assert control.trace.query(kind="chaos.host.recover")
     # the service healed back to its floor after the crash
     assert out.request.service.instance_count("web") == 2
 

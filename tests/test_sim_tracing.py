@@ -165,7 +165,7 @@ def test_series_recorder_creates_on_demand():
     env = Environment()
     rec = SeriesRecorder(env)
     rec.record("queue", 5)
-    rec.increment("queue")
+    rec.get("queue").increment(env.now)
     assert rec["queue"].current == 6
     assert "queue" in rec
     assert "other" not in rec

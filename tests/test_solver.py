@@ -46,6 +46,7 @@ from repro.solver import (
     snapshot_hosts,
     solve,
 )
+from tests.oracles.solver import replay_safe, validate_assignment
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=5, shutdown_s=1)
 
@@ -70,6 +71,12 @@ def make_veem(env, host_shapes, name="veem"):
         veem.add_host(Host(env, f"{name}-h{i}", cpu_cores=cpu,
                            memory_mb=mem, timings=TIMINGS))
     return veem
+
+
+def verdict(report, site):
+    """The what-if report's verdict for one site."""
+    (found,) = [v for v in report.verdicts if v.site == site]
+    return found
 
 
 def ragged_manifest():
@@ -109,7 +116,7 @@ def test_solve_finds_joint_packing_greedy_misses():
     )
     out = solve(model)
     assert isinstance(out, Solution)
-    assert model.validate_assignment(out.assignment) == []
+    assert validate_assignment(model, out.assignment) == []
     loads = {}
     for item, host in zip(model.items, out.assignment):
         loads[host] = loads.get(host, 0) + item.cpu
@@ -209,10 +216,10 @@ def test_validate_assignment_flags_oversubscription_and_violations():
     model = make_model(
         [("a", "a", "svc", 3, 1024.0), ("b", "b", "svc", 2, 1024.0)],
         [(4, 4096, {})], cons)
-    problems = model.validate_assignment((0, 0))
+    problems = validate_assignment(model, (0, 0))
     assert any("oversubscribed" in p for p in problems)
     assert any("co-resident" in p for p in problems)
-    assert model.validate_assignment((0,)) == []   # b unplaced: only item a
+    assert validate_assignment(model, (0,)) == []   # b unplaced: only item a
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +321,6 @@ def test_solver_rescue_admits_what_greedy_cannot_place():
     assert sorted(h.cpu_free for h in veem.hosts) == [0, 0]
 
 
-def test_solver_fallback_can_be_disabled():
-    env = Environment()
-    control = ControlPlane(env, solver_fallback=False)
-    control.add_site("s", make_veem(env, [(10, 16384), (10, 16384)]))
-    control.register_tenant("acme")
-    out = control.submit("acme", ragged_manifest())
-    assert isinstance(out, Admitted)
-    env.run(until=10_000)
-    assert out.request.state is RequestState.REJECTED
-    assert int(control._m_solver_rescued.value) == 0
-
-
 def test_terminal_rejection_carries_typed_reason_and_explanation():
     env = Environment()
     # 1 real host, admission believes 2: the second deploy can never land
@@ -405,8 +400,8 @@ def test_what_if_reports_the_site_submit_would_choose():
     b.component("app", image_mb=64, cpu=4, memory_mb=8192)
     report = control.what_if(b.build())
     assert report.fits and report.chosen == "large"
-    assert report.verdict_for("small").admits_now
-    assert report.verdict_for("large").committed_cost == 1
+    assert verdict(report, "small").admits_now
+    assert verdict(report, "large").committed_cost == 1
     out = control.submit("acme", b.build())
     assert isinstance(out, Admitted) and out.site == "large"
 
@@ -430,14 +425,14 @@ def test_what_if_solver_only_when_ffd_refuses_a_joint_fit():
     env = Environment()
     control = build_federation(env, {"s": [(10, 16384), (10, 16384)]})
     report = control.what_if(ffd_pessimal_manifest())
-    verdict = report.verdict_for("s")
-    assert not verdict.admits_now and verdict.solver_fits
+    site = verdict(report, "s")
+    assert not site.admits_now and site.solver_fits
     assert report.chosen is None and report.solver_only == "s"
     assert "joint repack" in report.render()
     # greedy-only probe reports the FFD refusal instead
     greedy = control.what_if(ffd_pessimal_manifest(), exact=False)
     assert not greedy.fits
-    assert greedy.verdict_for("s").explanation.code is PruneCode.CAPACITY
+    assert verdict(greedy, "s").explanation.code is PruneCode.CAPACITY
 
 
 def test_what_if_quota_screens():
@@ -464,7 +459,7 @@ def test_what_if_site_eligibility():
     b.site_placement("app", avoid=["s"])
     report = control.what_if(b.build())
     assert not report.fits
-    assert not report.verdict_for("s").eligible
+    assert not verdict(report, "s").eligible
     assert "ineligible" in report.render()
 
 
@@ -493,7 +488,7 @@ def test_defrag_consolidates_and_replays_safely():
     plan = plan_defrag(veem)
     assert plan and plan.hosts_before == 3 and plan.hosts_after == 2
     assert plan.score_after < plan.score_before
-    assert plan.replay_safe(veem.hosts) == []
+    assert replay_safe(plan, veem.hosts) == []
     execute_plan(veem, plan)
     env.run(until=10_000)
     assert sum(1 for h in veem.hosts if h.vms) == 2
@@ -572,7 +567,7 @@ def test_migration_plan_replay_catches_oversubscription():
         steps=(MigrationStep("veem-vm0", "site-h0", "site-h1",
                              2.0, 2048.0),),
         score_before=0.5, score_after=0.0, hosts_before=2, hosts_after=1)
-    problems = bogus.replay_safe(veem.hosts)
+    problems = replay_safe(bogus, veem.hosts)
     assert problems and "oversubscribes" in problems[0]
 
 

@@ -7,9 +7,9 @@ Two contracts:
    solver must also find a solution (the solver strictly dominates the
    fast path: it only ever runs *after* greedy failed, so it may never be
    the reason an admissible service is refused). And every
-   :class:`~repro.solver.Solution` must pass the model's independent
-   ``validate_assignment`` oracle: no oversubscription, no constraint
-   violations.
+   :class:`~repro.solver.Solution` must pass the independent
+   :func:`~tests.oracles.solver.validate_assignment` oracle: no
+   oversubscription, no constraint violations.
 
 2. **What-if purity** — ``ControlPlane.what_if`` never mutates any site:
    admission ledgers, headroom and host free-capacity fingerprints are
@@ -57,6 +57,7 @@ from repro.solver import (  # noqa: E402
     solve,
 )
 from repro.solver.encode import ItemSpec, compile_constraints  # noqa: E402
+from tests.oracles.solver import validate_assignment  # noqa: E402
 
 COMPONENTS = ("a", "b", "c")
 
@@ -126,8 +127,8 @@ def test_solver_dominates_greedy_and_never_violates(instance):
     out = solve(model, SearchBudget(max_nodes=50_000))
 
     if isinstance(out, Solution):
-        assert model.validate_assignment(out.assignment) == [], \
-            model.validate_assignment(out.assignment)
+        problems = validate_assignment(model, out.assignment)
+        assert problems == [], problems
 
     greedy_ok = run_greedy(env, host_shapes, item_rows, constraints)
     if greedy_ok and not (isinstance(out, Unsolved) and out.exhausted):

@@ -292,7 +292,7 @@ def test_profiler_does_not_change_outcomes():
 
 def test_profiler_chrome_trace_shape():
     cfg = ScaleConfig(sites=2, services=8, hours=0.25)
-    profiler = SimProfiler(bucket_s=300.0)
+    profiler = SimProfiler()
     run_scale(cfg, profiler=profiler)
     doc = profiler.chrome_trace()
     counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
