@@ -8,7 +8,7 @@ a multi-second simulation dozens of times.
 
 import pytest
 
-from repro.experiments import run_dedicated, run_elastic
+from repro.experiments.polymorph import run_dedicated, run_elastic
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ structure: 2 staggered seeds, refinement batches) and prints the sweep.
 
 import pytest
 
-from repro.experiments import TestbedConfig, run_elastic
+from repro.experiments.polymorph import TestbedConfig, run_elastic
 from repro.grid import PolymorphSearchConfig
 from repro.monitoring import Measurement, encode_measurement, naive_json_size
 

@@ -11,7 +11,7 @@ as text charts, and assert the qualitative features the paper calls out:
   "a complete deallocation as these jobs complete".
 """
 
-from repro.experiments import extract_series, render_run
+from repro.experiments.fig11 import extract_series, render_run
 
 
 def _spike_starts(series, jump=100.0, window_s=120.0, spacing_s=600.0):

@@ -336,7 +336,7 @@ def test_rule_engine_full_pass_compiled(benchmark):
 
 
 def test_manifest_xml_round_trip(benchmark):
-    from repro.experiments import TestbedConfig, polymorph_manifest
+    from repro.experiments.polymorph import TestbedConfig, polymorph_manifest
     from repro.core.manifest import manifest_from_xml, manifest_to_xml
 
     manifest = polymorph_manifest(TestbedConfig())

@@ -18,7 +18,7 @@ Acceptance bands check the *shape*: who wins, by roughly what factor.
 
 import pytest
 
-from repro.experiments import run_dedicated, table3
+from repro.experiments.polymorph import run_dedicated, table3
 
 from conftest import paper_row
 

@@ -7,7 +7,7 @@ follows that description; the dedicated baseline holds 16 nodes continuously.
 
 import pytest
 
-from repro.experiments import run_week
+from repro.experiments.weekly import run_week
 
 from conftest import paper_row
 

@@ -12,12 +12,8 @@ Run:  python examples/polymorph_grid.py          (full size, ~20 s)
 
 import sys
 
-from repro.experiments import (
-    render_run,
-    run_dedicated,
-    run_elastic,
-    table3,
-)
+from repro.experiments.fig11 import render_run
+from repro.experiments.polymorph import run_dedicated, run_elastic, table3
 from repro.grid import PolymorphSearchConfig
 
 PAPER = {

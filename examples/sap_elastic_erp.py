@@ -19,7 +19,7 @@ Run:  python examples/sap_elastic_erp.py
 from repro.apps import SAPConfig, SessionWorkload, deploy_sap, drive_sessions
 from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
 from repro.core.service_manager import ScaleError, ServiceManager
-from repro.experiments import render_ascii_chart
+from repro.experiments.fig11 import render_ascii_chart
 from repro.sim import Environment
 
 

@@ -30,6 +30,9 @@ Package map
 ``repro.sim``
     The discrete-event simulation kernel everything runs on.
 
+Importing ``repro`` loads none of these: import each name from the module
+that defines it, so a process loads only what it runs (DESIGN §3).
+
 Quickstart
 ----------
 >>> from repro.sim import Environment
@@ -49,8 +52,3 @@ Quickstart
 """
 
 __version__ = "1.0.0"
-
-from . import apps, cloud, control, core, experiments, grid, monitoring, sim
-
-__all__ = ["apps", "cloud", "control", "core", "experiments", "grid",
-           "monitoring", "sim", "__version__"]

@@ -170,7 +170,7 @@ def _workload(small: bool):
 
 
 def _cmd_table3(args) -> int:
-    from .experiments import run_dedicated, run_elastic, table3
+    from .experiments.polymorph import run_dedicated, run_elastic, table3
 
     workload = _workload(args.small)
     print("running dedicated baseline ...", file=sys.stderr)
@@ -189,7 +189,8 @@ def _cmd_table3(args) -> int:
 
 
 def _cmd_fig11(args) -> int:
-    from .experiments import render_run, run_dedicated, run_elastic
+    from .experiments.fig11 import render_run
+    from .experiments.polymorph import run_dedicated, run_elastic
 
     workload = _workload(args.small)
     for run in (run_dedicated(workload), run_elastic(workload)):
@@ -199,7 +200,7 @@ def _cmd_fig11(args) -> int:
 
 
 def _cmd_weekly(args) -> int:
-    from .experiments import run_week
+    from .experiments.weekly import run_week
 
     result = run_week()
     print(f"searches:        {result.search_count}")

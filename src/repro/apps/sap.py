@@ -26,7 +26,8 @@ from ..cloud import VEEM, DeploymentDescriptor, VirtualMachine
 from ..core.manifest import ManifestBuilder, ServiceManifest
 from ..core.service_manager import ComponentDriver, ManagedService, ServiceManager
 from ..monitoring import MonitoringAgent
-from ..sim import Environment, RandomStreams, SeriesRecorder
+from ..sim import Environment, SeriesRecorder
+from ..sim.rng import RandomStreams
 
 __all__ = [
     "SAPConfig",

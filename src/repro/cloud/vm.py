@@ -125,9 +125,6 @@ class VirtualMachine:
         self.submitted_at = env.now
         self.running_at: Optional[float] = None
         self.stopped_at: Optional[float] = None
-        self.state_history: list[tuple[float, VMState]] = [
-            (env.now, VMState.PENDING)
-        ]
         #: causal ``vm.deploy`` span, set by the VEEM at submit — links this
         #: VEE back to whatever caused it (a rule firing, a control-plane
         #: request, or nothing when deployed directly)
@@ -143,7 +140,6 @@ class VirtualMachine:
                 f"{self.state.value} → {new_state.value}"
             )
         self.state = new_state
-        self.state_history.append((self.env.now, new_state))
         if new_state is VMState.RUNNING and self.running_at is None:
             self.running_at = self.env.now
             self.on_running.succeed(self)

@@ -69,8 +69,6 @@ from ..core.manifest.model import ServiceManifest
 from ..core.service_manager.lifecycle import ScaleError
 from ..core.service_manager.manager import ManagedService, ServiceManager
 from ..sim import Environment, Process, SeriesRecorder, TraceLog
-from ..solver import Solution, encode_service, solve
-from ..solver import what_if as _solver_what_if
 from .backpressure import RetryPolicy
 from .requests import (
     Admitted,
@@ -394,7 +392,8 @@ class ControlPlane:
         ``exact=True`` asks the constraint solver for a second opinion on
         sites the FFD packer refuses.
         """
-        return _solver_what_if(self, manifest, tenant=tenant, exact=exact)
+        from ..solver import what_if
+        return what_if(self, manifest, tenant=tenant, exact=exact)
 
     # ------------------------------------------------------------------
     # Admission machinery
@@ -625,6 +624,9 @@ class ControlPlane:
         eventual terminal reason. Any encoding surprise (an unsupported
         constraint type, say) falls back to the plain greedy retry path.
         """
+        # The solver is imported by its two callers, this and what_if, so
+        # a run whose greedy placement never fails never loads it.
+        from ..solver import Solution, encode_service, solve
         try:
             veem = site.site.veem
             model = encode_service(

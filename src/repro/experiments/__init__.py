@@ -7,42 +7,8 @@
 * :mod:`~repro.experiments.weekly` — the §6.1.4 weekly-usage estimate;
 * :mod:`~repro.experiments.scale` — the federation scale harness
   (``python -m repro scale``).
+
+The package re-exports nothing: import from the module, so that a shard
+worker, which unpickles :mod:`~repro.experiments.scale`, loads none of the
+other three.
 """
-
-from .fig11 import Fig11Series, extract_series, render_ascii_chart, render_run
-from .polymorph import (
-    IDLE_KPI,
-    INSTANCES_KPI,
-    QUEUE_KPI,
-    RunResult,
-    TestbedConfig,
-    polymorph_manifest,
-    run_dedicated,
-    run_elastic,
-    table3,
-)
-from .scale import ScaleConfig, ScaleReport, run_scale
-from .weekly import SearchRecord, WeeklyConfig, WeeklyResult, run_week
-
-__all__ = [
-    "Fig11Series",
-    "extract_series",
-    "render_ascii_chart",
-    "render_run",
-    "IDLE_KPI",
-    "INSTANCES_KPI",
-    "QUEUE_KPI",
-    "RunResult",
-    "TestbedConfig",
-    "polymorph_manifest",
-    "run_dedicated",
-    "run_elastic",
-    "table3",
-    "ScaleConfig",
-    "ScaleReport",
-    "run_scale",
-    "SearchRecord",
-    "WeeklyConfig",
-    "WeeklyResult",
-    "run_week",
-]

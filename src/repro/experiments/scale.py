@@ -19,7 +19,8 @@ report what the run cost:
   fleet size (summed across every worker process under ``--procs``).
 
 Everything is deterministic under ``random_seed``: session profiles come
-from :class:`~repro.sim.RandomStreams`, and the kernel replays identically.
+from :class:`~repro.sim.rng.RandomStreams`, and the kernel replays
+identically.
 
 One :class:`FederationRun` simulates the federation's stack over a set of
 sites. With ``procs=1`` it runs over every site and admits live: that run

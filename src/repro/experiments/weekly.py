@@ -33,7 +33,8 @@ from ..grid import (
     build_polymorph_workflow,
 )
 from ..monitoring import MonitoringAgent
-from ..sim import Environment, RandomStreams
+from ..sim import Environment
+from ..sim.rng import RandomStreams
 from .polymorph import (
     IDLE_KPI,
     INSTANCES_KPI,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim import RandomStreams, lognormal_from_mean_cv
+from ..sim.rng import RandomStreams, lognormal_from_mean_cv
 from .jobs import Job
 from .workflow import (
     ForEachCompletion,

@@ -14,8 +14,8 @@ Four cooperating parts:
   ``python -m repro experiment``.
 
 This package does not import ``runner``: it depends on
-:mod:`repro.experiments`, which itself imports this package's generators —
-import :mod:`repro.scenarios.runner` directly.
+:mod:`repro.experiments.scale`, which itself imports this package's
+generators — import :mod:`repro.scenarios.runner` directly.
 """
 
 from .chaos import (

@@ -9,7 +9,7 @@ this module existed, so ``workload="baseline"`` replays the historical
 behaviour byte-for-byte.
 
 Determinism contract: profiles are drawn **centrally** (by the coordinator,
-before any sharding) from one named :class:`~repro.sim.RandomStreams`
+before any sharding) from one named :class:`~repro.sim.rng.RandomStreams`
 stream, in admission order, with a *fixed number of draws per service* per
 generator. That is what makes ``--procs N`` runs replay the identical
 workload: workers receive finished profiles, never the RNG.
@@ -26,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
-
-from ..sim import RandomStreams
 
 __all__ = [
     "LOAD_UNIT",
@@ -129,6 +127,9 @@ def draw_profiles(cfg, admitted_requests) -> list[SessionProfile]:
             f"unknown workload {name!r}; have {workload_names()}")
     params = dict(getattr(cfg, "workload_params", ()) or ())
     stream = "scale" if name == "baseline" else f"workload:{name}"
+    # Imported here, not at module level: a shard worker unpickles this
+    # module's profiles but never draws, so it need not load numpy.
+    from ..sim.rng import RandomStreams
     rng = RandomStreams(cfg.random_seed).stream(stream)
     return gen(rng, cfg, list(admitted_requests), params)
 

@@ -4,6 +4,9 @@ The kernel on which the whole reproduction runs: event loop and processes
 (:mod:`~repro.sim.kernel`), structured tracing and time-series recording
 (:mod:`~repro.sim.tracing`), seeded random streams (:mod:`~repro.sim.rng`),
 and process-sharded execution with epoch barriers (:mod:`~repro.sim.shard`).
+
+The random streams are not re-exported: :mod:`~repro.sim.rng` imports
+numpy, and only the modules that draw random numbers should load it.
 """
 
 from .kernel import (
@@ -16,7 +19,6 @@ from .kernel import (
     SimError,
     Timeout,
 )
-from .rng import RandomStreams, lognormal_from_mean_cv
 from .shard import (
     EpochCommand,
     EpochReport,
@@ -44,8 +46,6 @@ __all__ = [
     "Process",
     "SimError",
     "Timeout",
-    "RandomStreams",
-    "lognormal_from_mean_cv",
     "EpochCommand",
     "EpochReport",
     "ShardError",

@@ -11,6 +11,10 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+# numpy loads its random package on first attribute access: importing it by
+# name lands that cost where this module is imported (set-up), not at a
+# run's first draw.
+from numpy.random import Generator, default_rng
 
 __all__ = ["RandomStreams", "lognormal_from_mean_cv"]
 
@@ -20,20 +24,20 @@ class RandomStreams:
 
     def __init__(self, seed: int = 0):
         self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
+        self._streams: dict[str, Generator] = {}
 
-    def stream(self, name: str) -> np.random.Generator:
+    def stream(self, name: str) -> Generator:
         """Return (creating on first use) the generator for ``name``."""
         if name not in self._streams:
             digest = hashlib.sha256(
                 f"{self.seed}:{name}".encode()
             ).digest()
             substream_seed = int.from_bytes(digest[:8], "little")
-            self._streams[name] = np.random.default_rng(substream_seed)
+            self._streams[name] = default_rng(substream_seed)
         return self._streams[name]
 
 
-def lognormal_from_mean_cv(rng: np.random.Generator, mean: float,
+def lognormal_from_mean_cv(rng: Generator, mean: float,
                            cv: float) -> float:
     """Lognormal draw parameterised by target mean and coefficient of
     variation — natural for heavy-ish-tailed batch-job durations."""

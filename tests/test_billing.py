@@ -137,7 +137,7 @@ def test_credits_never_make_total_negative():
 
 def test_end_to_end_billing_of_polymorph_run():
     """Bill the paper's elastic Table 3 run: the exec tier dominates."""
-    from repro.experiments import TestbedConfig, run_elastic
+    from repro.experiments.polymorph import TestbedConfig, run_elastic
     from repro.grid import PolymorphSearchConfig
 
     small = PolymorphSearchConfig(

@@ -12,7 +12,8 @@ only injects its fault and asserts.
 
 from repro.cloud import VMState
 from repro.grid import Job, JobState
-from repro.sim import Environment, RandomStreams
+from repro.sim import Environment
+from repro.sim.rng import RandomStreams
 from tests.setups import elastic_grid, monitored_web, two_web_tenants
 
 

@@ -61,8 +61,15 @@ def test_provisioning_breakdown_matches_components():
     env = Environment()
     veem = make_veem(env, bandwidth=50.0)  # 20 s transfer
     vm = veem.submit(make_desc())
+    entered = {}
+    transition = vm.transition
+
+    def record(new_state):
+        entered[new_state] = env.now
+        transition(new_state)
+
+    vm.transition = record
     env.run(until=vm.on_running)
-    entered = {state: t for t, state in vm.state_history}
     assert entered[VMState.BOOTING] - entered[VMState.STAGING] \
         == pytest.approx(20.0)
     assert entered[VMState.RUNNING] - entered[VMState.BOOTING] \

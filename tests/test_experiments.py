@@ -7,12 +7,10 @@ and the qualitative shape of the results on small, fast workloads.
 import pytest
 
 from repro.core.manifest import ensure_valid
-from repro.experiments import (
+from repro.experiments.fig11 import extract_series, render_ascii_chart, render_run
+from repro.experiments.polymorph import (
     TestbedConfig,
-    extract_series,
     polymorph_manifest,
-    render_ascii_chart,
-    render_run,
     run_dedicated,
     run_elastic,
     table3,

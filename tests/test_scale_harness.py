@@ -12,9 +12,13 @@ from time import perf_counter
 import pytest
 
 from repro.__main__ import main
-from repro.experiments import ScaleConfig, run_scale
 from repro.experiments import scale
-from repro.experiments.scale import SESSIONS_KPI, verify_against_oracle
+from repro.experiments.scale import (
+    SESSIONS_KPI,
+    ScaleConfig,
+    run_scale,
+    verify_against_oracle,
+)
 from repro.sim import read_peak_rss_kb
 from tests.oracles.kernel import HeapEnvironment
 

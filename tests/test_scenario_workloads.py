@@ -20,7 +20,7 @@ from repro.scenarios.workloads import (
     draw_profiles,
     workload_names,
 )
-from repro.sim import RandomStreams
+from repro.sim.rng import RandomStreams
 
 DURATION = 3600.0
 

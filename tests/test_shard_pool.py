@@ -1,5 +1,6 @@
-"""Shard worker lifetime: the worker's cycle-collector policy, its exit,
-and a coordinator (or any single process) left as it was found.
+"""Shard worker lifetime: what the worker imports, its cycle-collector
+policy, its exit, and a coordinator (or any single process) left as it was
+found.
 
 The factories are module-level so the spawn pickler ships them by
 reference; each worker imports this module to find them.
@@ -7,12 +8,25 @@ reference; each worker imports this module to find them.
 
 import atexit
 import gc
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.experiments import ScaleConfig, run_scale
+from repro.experiments.scale import (
+    ScaleConfig,
+    SessionProfile,
+    make_shard,
+    run_scale,
+)
 from repro.sim import EpochReport, ShardError, ShardPool
+
+#: Modules a federation worker never runs: it replays the coordinator's
+#: drawn profiles (no numpy), and no pinned replay needs the solver, the
+#: grid, the SAP model or the paper harness.
+NOT_IN_A_WORKER = ("numpy", "repro.apps", "repro.grid", "repro.solver",
+                   "repro.experiments.polymorph", "repro.experiments.weekly",
+                   "repro.experiments.fig11")
 
 
 class _GcProbe:
@@ -36,6 +50,27 @@ class _GcProbe:
 
 def gc_probe(spec: dict) -> _GcProbe:
     return _GcProbe(spec)
+
+
+class _ImportProbe:
+    """A pinned federation shard whose epoch reports name the modules of
+    ``NOT_IN_A_WORKER`` its worker has loaded."""
+
+    def __init__(self, spec: dict):
+        self.run = make_shard(spec)
+
+    def run_epoch(self, until: float) -> EpochReport:
+        report = self.run.run_epoch(until)
+        report.payload = {"loaded": [name for name in NOT_IN_A_WORKER
+                                     if name in sys.modules]}
+        return report
+
+    def finish(self) -> EpochReport:
+        return self.run.finish()
+
+
+def import_probe(spec: dict) -> _ImportProbe:
+    return _ImportProbe(spec)
 
 
 def failing_factory(spec: dict):
@@ -78,6 +113,26 @@ def test_worker_exit_still_runs_atexit_hooks(probed_pool):
 
 def test_pool_leaves_the_coordinator_collector_alone(probed_pool):
     assert probed_pool["after"] == probed_pool["before"]
+
+
+def test_worker_imports_only_what_it_runs():
+    """A worker built and run through a whole pinned replay, one service
+    bursting past its scale-up threshold, loads none of the modules only
+    the coordinator or the paper harness runs."""
+    cfg = ScaleConfig(sites=1, services=1, hours=0.25)
+    profile = SessionProfile(service_index=0, service_id="svc-0",
+                             tenant="tenant-0", site="site-0",
+                             peak_sessions=120, start_s=60.0, hold_s=240.0,
+                             drain_level=10)
+    spec = {"cfg": cfg, "site_names": ("site-0",), "shard": 0,
+            "profiles": (profile,)}
+    with ShardPool(import_probe, [spec]) as pool:
+        epochs = pool.epoch(cfg.duration_s)
+        finals = pool.stop()
+    assert [r.payload["loaded"] for r in epochs] == [[]]
+    # The service scaled up to its ceiling and back down in the worker.
+    assert max(n for _t, n in finals[0].payload["samples"]) == 2
+    assert finals[0].payload["site_fleets"] == [("site-0", 1)]
 
 
 def test_factory_error_surfaces_as_shard_error():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, RandomStreams, TimeSeries, TraceLog
-from repro.sim.rng import lognormal_from_mean_cv
+from repro.sim import Environment, TimeSeries, TraceLog
+from repro.sim.rng import RandomStreams, lognormal_from_mean_cv
 from repro.sim.tracing import SeriesRecorder
 
 
