@@ -7,8 +7,9 @@ structure: 2 staggered seeds, refinement batches) and prints the sweep.
 import pytest
 
 from repro.experiments.polymorph import TestbedConfig, run_elastic
-from repro.grid import PolymorphSearchConfig
-from repro.monitoring import Measurement, encode_measurement, naive_json_size
+from repro.grid.polymorph import PolymorphSearchConfig
+from repro.monitoring.codec import encode_measurement, naive_json_size
+from repro.monitoring.measurements import Measurement
 
 SMALL = PolymorphSearchConfig(
     seed_durations_s=(600.0, 900.0),
@@ -107,11 +108,12 @@ def test_placement_policies(benchmark):
     WorstFit spreads. (On real hardware that changes consolidation/power;
     here we verify the policies drive measurably different placements.)
     """
-    from repro.cloud import (
-        BestFit, ComponentCap, DeploymentDescriptor, Host, ImageRepository,
-        Placer, VEEM, WorstFit,
-    )
-    from repro.sim import Environment
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.placement import BestFit, ComponentCap, Placer, WorstFit
+    from repro.cloud.veeh import Host
+    from repro.cloud.veem import VEEM
+    from repro.cloud.vm import DeploymentDescriptor
+    from repro.sim.kernel import Environment
 
     def used_hosts(policy):
         env = Environment()
@@ -166,10 +168,10 @@ def test_rule_cooldown_prevents_thrashing(benchmark):
     """Design choice: the per-rule cooldown (defaulting to the trigger's
     time constraint). Without it, one sustained queue spike would fire the
     deploy action on every evaluation tick."""
-    from repro.core.manifest import ElasticityRule
-    from repro.core.service_manager import RuleInterpreter
-    from repro.monitoring import Measurement
-    from repro.sim import Environment
+    from repro.core.manifest.elasticity import ElasticityRule
+    from repro.core.service_manager.rules import RuleInterpreter
+    from repro.monitoring.measurements import Measurement
+    from repro.sim.kernel import Environment
 
     def count_firings(cooldown_s):
         env = Environment()
@@ -200,11 +202,11 @@ def test_distribution_framework_utilisation(benchmark):
     """§5.2.5: the distribution framework is interchangeable; the trade-off
     is network utilisation. Multicast delivers every packet to every member;
     topic-routed pub/sub delivers only matches."""
-    from repro.monitoring import (
-        MeasurementStore, MulticastChannel, PubSubBroker, DataSource,
-        Probe, ProbeAttribute, AttributeType,
-    )
-    from repro.sim import Environment
+    from repro.monitoring.consumers import MeasurementStore
+    from repro.monitoring.distribution import MulticastChannel, PubSubBroker
+    from repro.monitoring.measurements import ProbeAttribute, AttributeType
+    from repro.monitoring.probes import DataSource, Probe
+    from repro.sim.kernel import Environment
 
     def run(framework_cls):
         env = Environment()
@@ -239,7 +241,7 @@ def test_distribution_framework_utilisation(benchmark):
 def test_dht_vnode_balance(benchmark):
     """§5.2.7 information model: virtual nodes even out the key
     distribution across DHT nodes."""
-    from repro.monitoring import DHTRing
+    from repro.monitoring.dht import DHTRing
 
     def imbalance(vnodes):
         ring = DHTRing(vnodes=vnodes)
@@ -296,10 +298,11 @@ def test_suspend_pool_vs_cold_deploy(benchmark):
     """VM suspend/resume (§1 "booting, suspending or shutting down systems
     as required") as a warm-standby alternative to cold deployment: resume
     skips image replication, boot and registration."""
-    from repro.cloud import (
-        DeploymentDescriptor, Host, HypervisorTimings, ImageRepository, VEEM,
-    )
-    from repro.sim import Environment
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host, HypervisorTimings
+    from repro.cloud.veem import VEEM
+    from repro.cloud.vm import DeploymentDescriptor
+    from repro.sim.kernel import Environment
 
     def latencies():
         env = Environment()

@@ -11,22 +11,22 @@ import itertools
 
 import pytest
 
-from repro.core.manifest import parse_expression
-from repro.monitoring import (
-    AttributeType,
-    DHTRing,
-    DataSource,
-    Measurement,
-    MulticastChannel,
+from repro.core.manifest.expressions import parse_expression
+from repro.monitoring.codec import (
     PacketEncoder,
-    Probe,
-    ProbeAttribute,
-    PubSubBroker,
     decode_measurement,
     encode_measurement,
     peek_header,
 )
-from repro.sim import Environment
+from repro.monitoring.dht import DHTRing
+from repro.monitoring.distribution import MulticastChannel, PubSubBroker
+from repro.monitoring.measurements import (
+    AttributeType,
+    Measurement,
+    ProbeAttribute,
+)
+from repro.monitoring.probes import DataSource, Probe
+from repro.sim.kernel import Environment
 from tests.oracles.broker import ReferenceBroker
 from tests.oracles.kernel import HeapEnvironment
 from tests.oracles.rules import FullPassInterpreter
@@ -198,7 +198,7 @@ def test_obs_overhead(benchmark):
     """Cost of the observability layer itself: span open → ambient emit →
     close, plus registry counter/histogram updates, ×500. Gated so the
     tracing machinery stays cheap enough to leave on in every run."""
-    from repro.sim import TraceLog
+    from repro.sim.tracing import TraceLog
 
     def run():
         env = Environment()
@@ -268,8 +268,8 @@ def test_expression_parse(benchmark):
 
 def test_rule_engine_evaluation_pass(benchmark):
     """One evaluateRules() pass over 20 installed rules with live records."""
-    from repro.core.manifest import ElasticityRule
-    from repro.core.service_manager import RuleInterpreter
+    from repro.core.manifest.elasticity import ElasticityRule
+    from repro.core.service_manager.rules import RuleInterpreter
 
     env = Environment()
     interp = RuleInterpreter(env, "svc", executor=lambda a, r: False)
@@ -291,8 +291,8 @@ def test_rule_engine_sparse_churn(benchmark):
     value dirties a KPI, so the iterations alternate two values that both
     keep the rule cold.
     """
-    from repro.core.manifest import ElasticityRule
-    from repro.core.service_manager import RuleInterpreter
+    from repro.core.manifest.elasticity import ElasticityRule
+    from repro.core.service_manager.rules import RuleInterpreter
 
     env = Environment()
     interp = RuleInterpreter(env, "svc", executor=lambda a, r: False)
@@ -319,7 +319,7 @@ def test_rule_engine_sparse_churn(benchmark):
 def test_rule_engine_full_pass_compiled(benchmark):
     """The non-incremental baseline with compiled conditions: isolates the
     expression-compilation win from the dirty-set win."""
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
 
     env = Environment()
     interp = FullPassInterpreter(env, "svc", executor=lambda a, r: False,
@@ -336,8 +336,8 @@ def test_rule_engine_full_pass_compiled(benchmark):
 
 
 def test_manifest_xml_round_trip(benchmark):
+    from repro.core.manifest.ovf_xml import manifest_from_xml, manifest_to_xml
     from repro.experiments.polymorph import TestbedConfig, polymorph_manifest
-    from repro.core.manifest import manifest_from_xml, manifest_to_xml
 
     manifest = polymorph_manifest(TestbedConfig())
 
@@ -350,9 +350,12 @@ def test_manifest_xml_round_trip(benchmark):
 def test_control_plane_churn(benchmark):
     """Full control-plane churn round: burst-submit 8 services from 3
     tenants onto a 4-host site, drain the queue through releases."""
-    from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from repro.control import ControlPlane, TenantQuota
-    from repro.core.manifest import ManifestBuilder
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host, HypervisorTimings
+    from repro.cloud.veem import VEEM
+    from repro.control.plane import ControlPlane
+    from repro.control.tenants import TenantQuota
+    from repro.core.manifest.builder import ManifestBuilder
 
     timings = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
     manifests = [
@@ -392,9 +395,12 @@ def test_solver_fallback_admission(benchmark):
     control plane re-plan it with the constraint solver and drive the
     pinned deployment to ACTIVE. Gates the full fallback path — encode,
     search, pin replay — that runs between a CapacityError and a reject."""
-    from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from repro.control import ControlPlane, RequestState
-    from repro.core.manifest import ManifestBuilder
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host, HypervisorTimings
+    from repro.cloud.veem import VEEM
+    from repro.control.plane import ControlPlane
+    from repro.control.requests import RequestState
+    from repro.core.manifest.builder import ManifestBuilder
 
     timings = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
     builder = ManifestBuilder("ragged")
@@ -424,9 +430,11 @@ def test_whatif_federation_probe(benchmark):
     """Exact what-if probe across a partially loaded 4-site federation:
     greedy verdict per site plus the solver's second opinion where FFD
     refuses. what_if is pure, so one federation serves every iteration."""
-    from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from repro.control import ControlPlane
-    from repro.core.manifest import ManifestBuilder
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host, HypervisorTimings
+    from repro.cloud.veem import VEEM
+    from repro.control.plane import ControlPlane
+    from repro.core.manifest.builder import ManifestBuilder
 
     timings = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
     env = Environment()

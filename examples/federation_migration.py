@@ -11,17 +11,12 @@ for business continuity purposes" (§2).
 Run:  python examples/federation_migration.py
 """
 
-from repro.cloud import (
-    DeploymentDescriptor,
-    FederatedCloud,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    Site,
-    SiteConstraint,
-    VEEM,
-)
-from repro.sim import Environment
+from repro.cloud.federation import FederatedCloud, Site, SiteConstraint
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import DeploymentDescriptor
+from repro.sim.kernel import Environment
 
 
 def make_site(env, name, *, trusted=True, hosts=2):

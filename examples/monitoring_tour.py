@@ -9,20 +9,17 @@ received measurements, and probe control (data rate, on/off).
 Run:  python examples/monitoring_tour.py
 """
 
-from repro.monitoring import (
-    AttributeType,
-    DataSource,
-    InformationModel,
-    MeasurementJournal,
-    MeasurementStore,
-    Probe,
-    ProbeAttribute,
-    PubSubBroker,
+from repro.monitoring.codec import (
     decode_measurement,
     encode_measurement,
     naive_json_size,
 )
-from repro.sim import Environment
+from repro.monitoring.consumers import MeasurementJournal, MeasurementStore
+from repro.monitoring.distribution import PubSubBroker
+from repro.monitoring.infomodel import InformationModel
+from repro.monitoring.measurements import AttributeType, ProbeAttribute
+from repro.monitoring.probes import DataSource, Probe
+from repro.sim.kernel import Environment
 
 
 def main() -> None:

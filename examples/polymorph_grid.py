@@ -14,7 +14,7 @@ import sys
 
 from repro.experiments.fig11 import render_run
 from repro.experiments.polymorph import run_dedicated, run_elastic, table3
-from repro.grid import PolymorphSearchConfig
+from repro.grid.polymorph import PolymorphSearchConfig
 
 PAPER = {
     "dedicated_turnaround_s": 8605.0,

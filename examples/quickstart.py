@@ -9,11 +9,14 @@ the elasticity rule add a web instance when the load rises.
 Run:  python examples/quickstart.py
 """
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.core.manifest import ManifestBuilder, manifest_to_xml
-from repro.core.service_manager import ServiceManager
-from repro.monitoring import MonitoringAgent
-from repro.sim import Environment
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.manifest.ovf_xml import manifest_to_xml
+from repro.core.service_manager.manager import ServiceManager
+from repro.monitoring.agents import MonitoringAgent
+from repro.sim.kernel import Environment
 
 
 def build_manifest():

@@ -16,11 +16,19 @@ A business-day session profile (quiet → peak → quiet) drives the system.
 Run:  python examples/sap_elastic_erp.py
 """
 
-from repro.apps import SAPConfig, SessionWorkload, deploy_sap, drive_sessions
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.core.service_manager import ScaleError, ServiceManager
+from repro.apps.sap import (
+    SAPConfig,
+    SessionWorkload,
+    deploy_sap,
+    drive_sessions,
+)
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.core.service_manager.lifecycle import ScaleError
+from repro.core.service_manager.manager import ServiceManager
 from repro.experiments.fig11 import render_ascii_chart
-from repro.sim import Environment
+from repro.sim.kernel import Environment
 
 
 def main() -> None:

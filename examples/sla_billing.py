@@ -14,17 +14,18 @@ rule is too slow to absorb, and shows:
 Run:  python examples/sla_billing.py
 """
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.core.manifest import ManifestBuilder, manifest_to_text
-from repro.core.service_manager import (
-    BillingService,
-    PriceSchedule,
-    ScaleError,
-    ServiceManager,
-)
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.manifest.hutn import manifest_to_text
+from repro.core.service_manager.billing import BillingService, PriceSchedule
+from repro.core.service_manager.lifecycle import ScaleError
+from repro.core.service_manager.manager import ServiceManager
 from repro.core.sla import SLAMonitor
-from repro.monitoring import AttributeType, MonitoringAgent
-from repro.sim import Environment
+from repro.monitoring.agents import MonitoringAgent
+from repro.monitoring.measurements import AttributeType
+from repro.sim.kernel import Environment
 
 
 def build_manifest():

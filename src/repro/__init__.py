@@ -30,15 +30,18 @@ Package map
 ``repro.sim``
     The discrete-event simulation kernel everything runs on.
 
-Importing ``repro`` loads none of these: import each name from the module
-that defines it, so a process loads only what it runs (DESIGN §3).
+Importing ``repro``, or any of these packages, loads none of their
+modules: import each name from the module that defines it, so a process
+loads only what it runs (DESIGN §3).
 
 Quickstart
 ----------
->>> from repro.sim import Environment
->>> from repro.cloud import Host, ImageRepository, VEEM
->>> from repro.core.manifest import ManifestBuilder
->>> from repro.core.service_manager import ServiceManager
+>>> from repro.cloud.images import ImageRepository
+>>> from repro.cloud.veeh import Host
+>>> from repro.cloud.veem import VEEM
+>>> from repro.core.manifest.builder import ManifestBuilder
+>>> from repro.core.service_manager.manager import ServiceManager
+>>> from repro.sim.kernel import Environment
 >>> env = Environment()
 >>> veem = VEEM(env, repository=ImageRepository())
 >>> _ = veem.add_host(Host(env, "h0"))

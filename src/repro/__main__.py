@@ -65,14 +65,9 @@ import math
 import sys
 from pathlib import Path
 
-from .core.manifest import (
-    Severity,
-    manifest_from_text,
-    manifest_from_xml,
-    manifest_to_text,
-    manifest_to_xml,
-    validate_manifest,
-)
+from .core.manifest.hutn import manifest_from_text, manifest_to_text
+from .core.manifest.ovf_xml import manifest_from_xml, manifest_to_xml
+from .core.manifest.validation import Severity, validate_manifest
 
 __all__ = ["main"]
 
@@ -160,7 +155,7 @@ def _cmd_generate_validator(args) -> int:
 
 
 def _workload(small: bool):
-    from .grid import PolymorphSearchConfig
+    from .grid.polymorph import PolymorphSearchConfig
 
     if small:
         return PolymorphSearchConfig(
@@ -214,7 +209,8 @@ def _cmd_weekly(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    from .cloud import AdmissionController, CapacityError, HostType, plan_capacity
+    from .cloud.capacity import AdmissionController, HostType, plan_capacity
+    from .cloud.errors import CapacityError
 
     manifests = [_load_manifest(path) for path in args.manifests]
     host = HostType(cpu_cores=args.host_cpu, memory_mb=args.host_memory)
@@ -239,9 +235,11 @@ def _cmd_capacity(args) -> int:
 
 
 def _cmd_plan(args) -> int:
-    from .cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from .control import ControlPlane
-    from .sim import Environment
+    from .cloud.images import ImageRepository
+    from .cloud.veeh import Host, HypervisorTimings
+    from .cloud.veem import VEEM
+    from .control.plane import ControlPlane
+    from .sim.kernel import Environment
 
     manifest = _load_manifest(args.manifest)
     env = Environment()
@@ -272,8 +270,11 @@ def _build_demo_plane(env, trace, args):
     """A two-site federation sharing one trace log (causal chains cross
     the control plane / VEEM boundary, so every layer must write to the
     same log)."""
-    from .cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from .control import ControlPlane, TenantQuota
+    from .cloud.images import ImageRepository
+    from .cloud.veeh import Host, HypervisorTimings
+    from .cloud.veem import VEEM
+    from .control.plane import ControlPlane
+    from .control.tenants import TenantQuota
 
     control = ControlPlane(env, trace=trace)
     timings = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
@@ -299,8 +300,8 @@ def _build_demo_plane(env, trace, args):
 def _demo_churn_phase(env, control, args, emit) -> None:
     """Phase 1: tenants burst-submit, the plane admits/queues, then the
     demo drains everything by releasing actives in waves."""
-    from .control import Admitted, Queued
-    from .core.manifest import ManifestBuilder
+    from .control.requests import Admitted, Queued
+    from .core.manifest.builder import ManifestBuilder
 
     def service(name):
         return (ManifestBuilder(name)
@@ -352,9 +353,10 @@ def _demo_elasticity_phase(env, trace, control, emit):
     """Phase 2: one elastic service whose KPI stream triggers a scale-up —
     the end-to-end causal chain kpi.publish → rule.firing → vm.deploy,
     audited against the rule's declared time constraint (§4.2.3)."""
-    from .core.manifest import ManifestBuilder
-    from .monitoring import MonitoringAgent
-    from .obs import TimeConstraintAuditor, render_span_tree
+    from .core.manifest.builder import ManifestBuilder
+    from .monitoring.agents import MonitoringAgent
+    from .obs.audit import TimeConstraintAuditor
+    from .obs.exporters import render_span_tree
 
     b = ManifestBuilder("elastic")
     b.component("web", image_mb=128, cpu=1, memory_mb=1024,
@@ -400,7 +402,8 @@ def _demo_elasticity_phase(env, trace, control, emit):
 
 
 def _cmd_control_demo(args) -> int:
-    from .sim import Environment, TraceLog
+    from .sim.kernel import Environment
+    from .sim.tracing import TraceLog
 
     env = Environment()
     trace = TraceLog(env)
@@ -438,7 +441,7 @@ def _cmd_scale(args) -> int:
             print("--profile needs --procs 1 (worker kernels live in "
                   "other processes)", file=sys.stderr)
             return 2
-        from .obs import SimProfiler
+        from .obs.profile import SimProfiler
         profiler = SimProfiler()
     if args.verify_oracle:
         if cfg.procs <= 1:
@@ -512,14 +515,15 @@ def _cmd_obs_report(args) -> int:
     span tree, metrics dump, and the §4.2.3 time-constraint audit."""
     import json
 
-    from .obs import (
-        TimeConstraintAuditor,
+    from .obs.audit import TimeConstraintAuditor
+    from .obs.exporters import (
         chrome_trace,
         export_jsonl,
         prometheus_text,
         render_span_tree,
     )
-    from .sim import Environment, TraceLog
+    from .sim.kernel import Environment
+    from .sim.tracing import TraceLog
 
     env = Environment()
     trace = TraceLog(env)

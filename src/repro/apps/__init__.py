@@ -1,27 +1,1 @@
 """Example application models exercising the manifest language's features."""
-
-from .sap import (
-    DI_INSTANCES_KPI,
-    SESSIONS_KPI,
-    DialogInstanceDriver,
-    SAPConfig,
-    SAPDeployment,
-    SessionWorkload,
-    WebDispatcher,
-    deploy_sap,
-    drive_sessions,
-    sap_manifest,
-)
-
-__all__ = [
-    "DI_INSTANCES_KPI",
-    "SESSIONS_KPI",
-    "DialogInstanceDriver",
-    "SAPConfig",
-    "SAPDeployment",
-    "SessionWorkload",
-    "WebDispatcher",
-    "deploy_sap",
-    "drive_sessions",
-    "sap_manifest",
-]

@@ -22,12 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..cloud import VEEM, DeploymentDescriptor, VirtualMachine
-from ..core.manifest import ManifestBuilder, ServiceManifest
-from ..core.service_manager import ComponentDriver, ManagedService, ServiceManager
-from ..monitoring import MonitoringAgent
-from ..sim import Environment, SeriesRecorder
+from ..cloud.veem import VEEM
+from ..cloud.vm import DeploymentDescriptor, VirtualMachine
+from ..core.manifest.builder import ManifestBuilder
+from ..core.manifest.model import ServiceManifest
+from ..core.service_manager.lifecycle import ComponentDriver
+from ..core.service_manager.manager import ManagedService, ServiceManager
+from ..monitoring.agents import MonitoringAgent
+from ..sim.kernel import Environment
 from ..sim.rng import RandomStreams
+from ..sim.tracing import SeriesRecorder
 
 __all__ = [
     "SAPConfig",

@@ -8,81 +8,3 @@ placement policies and constraints (:mod:`~repro.cloud.placement`), the VEEM
 (:mod:`~repro.cloud.veem`) and cross-site federation
 (:mod:`~repro.cloud.federation`).
 """
-
-from .capacity import (
-    AdmissionController,
-    CapacityPlan,
-    DemandEnvelope,
-    HostType,
-    InstanceDemand,
-    demand_envelope,
-    plan_capacity,
-)
-from .errors import (
-    CapacityError,
-    CloudError,
-    ImageError,
-    LifecycleError,
-    NetworkError,
-    PlacementError,
-)
-from .federation import FederatedCloud, Site, SiteConstraint
-from .images import CustomisationDisk, DiskImage, ImageRepository
-from .network import NetworkFabric, VirtualNetwork
-from .placement import (
-    Affinity,
-    AntiAffinity,
-    AttributeRequirement,
-    BestFit,
-    ComponentCap,
-    FirstFit,
-    Placer,
-    PlacementConstraint,
-    PlacementPolicy,
-    RoundRobin,
-    WorstFit,
-)
-from .veeh import Host, HypervisorTimings
-from .veem import VEEM
-from .vm import DeploymentDescriptor, VirtualMachine, VMState
-
-__all__ = [
-    "AdmissionController",
-    "CapacityPlan",
-    "DemandEnvelope",
-    "HostType",
-    "InstanceDemand",
-    "demand_envelope",
-    "plan_capacity",
-    "CapacityError",
-    "CloudError",
-    "ImageError",
-    "LifecycleError",
-    "NetworkError",
-    "PlacementError",
-    "FederatedCloud",
-    "Site",
-    "SiteConstraint",
-    "CustomisationDisk",
-    "DiskImage",
-    "ImageRepository",
-    "NetworkFabric",
-    "VirtualNetwork",
-    "Affinity",
-    "AntiAffinity",
-    "AttributeRequirement",
-    "BestFit",
-    "ComponentCap",
-    "FirstFit",
-    "Placer",
-    "PlacementConstraint",
-    "PlacementPolicy",
-    "RoundRobin",
-    "WorstFit",
-    "Host",
-    "HypervisorTimings",
-    "VEEM",
-    "DeploymentDescriptor",
-    "VirtualMachine",
-    "VMState",
-]

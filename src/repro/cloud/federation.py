@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..sim import Environment, Process, TraceLog
+from ..sim.kernel import Environment, Process
+from ..sim.tracing import TraceLog
 from .errors import PlacementError
 from .veem import VEEM
 from .vm import DeploymentDescriptor, VirtualMachine, VMState

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim import Environment
+from ..sim.kernel import Environment
 from .errors import CapacityError
 from .images import ImageRepository
 from .vm import VirtualMachine, VMState

@@ -18,7 +18,8 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from ..sim import Environment, Process, TraceLog
+from ..sim.kernel import Environment, Process
+from ..sim.tracing import TraceLog
 from .errors import LifecycleError, PlacementError
 from .images import ImageRepository
 from .network import NetworkFabric

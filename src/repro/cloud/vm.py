@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..sim import Environment, Event
+from ..sim.kernel import Environment, Event
 from .errors import LifecycleError
 from .images import CustomisationDisk
 

@@ -7,36 +7,3 @@ does not fit, drains the queue fairly (weighted round-robin with
 per-tenant quotas), and drives admitted deployments with retry-with-backoff
 instead of the seed's fail-loudly contention.
 """
-
-from .backpressure import RetryPolicy
-from .plane import ControlledSite, ControlPlane
-from .requests import (
-    Admitted,
-    Outcome,
-    ProvisioningRequest,
-    Queued,
-    Rejected,
-    RejectCode,
-    RejectionReason,
-    RequestState,
-)
-from .scheduler import FairScheduler
-from .tenants import Tenant, TenantQuota, TenantUsage
-
-__all__ = [
-    "Admitted",
-    "ControlledSite",
-    "ControlPlane",
-    "FairScheduler",
-    "Outcome",
-    "ProvisioningRequest",
-    "Queued",
-    "Rejected",
-    "RejectCode",
-    "RejectionReason",
-    "RequestState",
-    "RetryPolicy",
-    "Tenant",
-    "TenantQuota",
-    "TenantUsage",
-]

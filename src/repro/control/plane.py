@@ -46,7 +46,7 @@ what committed cost?" without mutating any site — the probe behind
 Observability: counters (``admitted``/``queued``/``rejected``/``retried``/
 ``released``), a ``control.plane.queue_wait_s`` histogram observed once
 per admission, a ``queue.depth`` step series on a
-:class:`~repro.sim.SeriesRecorder`, and structured ``control``-source
+:class:`~repro.sim.tracing.SeriesRecorder`, and structured ``control``-source
 records on the DES trace for every transition.
 """
 
@@ -68,7 +68,8 @@ from ..cloud.veem import VEEM
 from ..core.manifest.model import ServiceManifest
 from ..core.service_manager.lifecycle import ScaleError
 from ..core.service_manager.manager import ManagedService, ServiceManager
-from ..sim import Environment, Process, SeriesRecorder, TraceLog
+from ..sim.kernel import Environment, Process
+from ..sim.tracing import SeriesRecorder, TraceLog
 from .backpressure import RetryPolicy
 from .requests import (
     Admitted,
@@ -385,14 +386,15 @@ class ControlPlane:
                 tenant: Optional[str] = None, exact: bool = True):
         """Would this manifest fit, where, at what committed cost?
 
-        A pure federation-wide probe (:func:`repro.solver.what_if`): replays
-        ``submit()``'s decision pipeline — eligibility, optional tenant
+        A pure federation-wide probe
+        (:func:`repro.solver.whatif.what_if`): replays ``submit()``'s
+        decision pipeline — eligibility, optional tenant
         quota screens, per-site guaranteed-capacity packing, the ranked
         site choice — without reserving, queueing or mutating anything.
         ``exact=True`` asks the constraint solver for a second opinion on
         sites the FFD packer refuses.
         """
-        from ..solver import what_if
+        from ..solver.whatif import what_if
         return what_if(self, manifest, tenant=tenant, exact=exact)
 
     # ------------------------------------------------------------------
@@ -618,15 +620,17 @@ class ControlPlane:
 
         Encodes the manifest's full initial instance set against the site's
         live hosts (with the placer's installed constraints) and solves
-        within the default :class:`~repro.solver.SearchBudget`. SAT returns
-        per-instance pins keyed ``(system_id, instance_index)`` for the
+        within the default :class:`~repro.solver.model.SearchBudget`. SAT
+        returns per-instance pins keyed ``(system_id, instance_index)`` for the
         retry deploy; UNSAT returns the solver's explanation for the
         eventual terminal reason. Any encoding surprise (an unsupported
         constraint type, say) falls back to the plain greedy retry path.
         """
         # The solver is imported by its two callers, this and what_if, so
         # a run whose greedy placement never fails never loads it.
-        from ..solver import Solution, encode_service, solve
+        from ..solver.encode import encode_service
+        from ..solver.model import Solution
+        from ..solver.search import solve
         try:
             veem = site.site.veem
             model = encode_service(

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 
 from ..cloud.capacity import DemandEnvelope
 from ..core.manifest.model import ServiceManifest
-from ..sim import Event
+from ..sim.kernel import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.service_manager.manager import ManagedService

@@ -2,7 +2,3 @@
 (:mod:`~repro.core.manifest`), its behavioural semantics as constraints
 (:mod:`~repro.core.constraints`) and the Service Manager that enforces them
 (:mod:`~repro.core.service_manager`)."""
-
-from . import constraints, manifest, service_manager, sla
-
-__all__ = ["constraints", "manifest", "service_manager", "sla"]

@@ -112,7 +112,8 @@ def generate_agent_stub(manifest: ServiceManifest, component: str) -> str:
         "scheduling are wired; supply the application-level probes.",
         '"""',
         "",
-        "from repro.monitoring import AttributeType, MonitoringAgent",
+        "from repro.monitoring.agents import MonitoringAgent",
+        "from repro.monitoring.measurements import AttributeType",
         "",
         "",
         f"class {class_name}:",
@@ -172,8 +173,8 @@ def generate_validation_script(manifest: ServiceManifest,
         f"(instance {_doc(service_id)})",
         '"""',
         "",
-        "from repro.core.constraints import generate_instruments",
-        "from repro.core.manifest import manifest_from_xml",
+        "from repro.core.constraints.instruments import generate_instruments",
+        "from repro.core.manifest.ovf_xml import manifest_from_xml",
         "",
         "MANIFEST_XML = (",
         *(f"    {line!r}" for line in xml.splitlines(keepends=True)),

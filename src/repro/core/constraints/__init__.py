@@ -1,41 +1,2 @@
 """Behavioural semantics of the manifest language as checkable constraints
 (§4.2.2) and the generated validation instruments (§4.2.3)."""
-
-from .deployment import (
-    AntiColocationInvariant,
-    AssociationInvariant,
-    ColocationInvariant,
-    InstanceBoundsInvariant,
-    PerHostCapInvariant,
-    ProvisioningDomain,
-    StartupOrderPostcondition,
-    deployment_suite,
-)
-from .framework import CheckReport, Constraint, ConstraintSuite, Violation
-from .instruments import (
-    ElasticityEnforcementValidator,
-    EnforcementFinding,
-    KPIReport,
-    KPIReporter,
-    generate_instruments,
-)
-
-__all__ = [
-    "AntiColocationInvariant",
-    "AssociationInvariant",
-    "ColocationInvariant",
-    "InstanceBoundsInvariant",
-    "PerHostCapInvariant",
-    "ProvisioningDomain",
-    "StartupOrderPostcondition",
-    "deployment_suite",
-    "CheckReport",
-    "Constraint",
-    "ConstraintSuite",
-    "Violation",
-    "ElasticityEnforcementValidator",
-    "EnforcementFinding",
-    "KPIReport",
-    "KPIReporter",
-    "generate_instruments",
-]

@@ -2,98 +2,3 @@
 concrete XML syntax (behavioural semantics live in
 :mod:`repro.core.constraints` and are enforced by
 :mod:`repro.core.service_manager`)."""
-
-from .adl import (
-    ApplicationDescription,
-    ComponentDescription,
-    KeyPerformanceIndicator,
-)
-from .builder import ManifestBuilder
-from .elasticity import (
-    ElasticityAction,
-    ElasticityRule,
-    Trigger,
-    VEEMOperation,
-    parse_action,
-)
-from .expressions import (
-    BinaryOp,
-    BooleanOp,
-    Comparison,
-    Expression,
-    ExpressionError,
-    KPIRef,
-    Literal,
-    UnaryOp,
-    parse_expression,
-)
-from .model import (
-    AntiColocationConstraint,
-    ColocationConstraint,
-    FileReference,
-    InstanceBounds,
-    LogicalNetwork,
-    PlacementPolicySection,
-    ServiceManifest,
-    SitePlacement,
-    StartupEntry,
-    VirtualDisk,
-    VirtualHardware,
-    VirtualSystem,
-)
-from .hutn import HutnSyntaxError, manifest_from_text, manifest_to_text
-from .ovf_xml import ManifestSyntaxError, manifest_from_xml, manifest_to_xml
-from .sla import ServiceLevelObjective, SLASection
-from .validation import (
-    ManifestValidationError,
-    Severity,
-    ValidationIssue,
-    ensure_valid,
-    validate_manifest,
-)
-
-__all__ = [
-    "ApplicationDescription",
-    "ComponentDescription",
-    "KeyPerformanceIndicator",
-    "ManifestBuilder",
-    "ElasticityAction",
-    "ElasticityRule",
-    "Trigger",
-    "VEEMOperation",
-    "parse_action",
-    "BinaryOp",
-    "BooleanOp",
-    "Comparison",
-    "Expression",
-    "ExpressionError",
-    "KPIRef",
-    "Literal",
-    "UnaryOp",
-    "parse_expression",
-    "AntiColocationConstraint",
-    "ColocationConstraint",
-    "FileReference",
-    "InstanceBounds",
-    "LogicalNetwork",
-    "PlacementPolicySection",
-    "ServiceManifest",
-    "SitePlacement",
-    "StartupEntry",
-    "VirtualDisk",
-    "VirtualHardware",
-    "VirtualSystem",
-    "HutnSyntaxError",
-    "manifest_from_text",
-    "manifest_to_text",
-    "ManifestSyntaxError",
-    "manifest_from_xml",
-    "manifest_to_xml",
-    "ServiceLevelObjective",
-    "SLASection",
-    "ManifestValidationError",
-    "Severity",
-    "ValidationIssue",
-    "ensure_valid",
-    "validate_manifest",
-]

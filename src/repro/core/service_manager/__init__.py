@@ -1,35 +1,2 @@
 """The Service Manager (§5.1): manifest parser, lifecycle manager, rule
 engine, accounting and the provider-facing facade."""
-
-from .accounting import ServiceAccountant, UsageRecord
-from .billing import BillingService, Invoice, InvoiceLine, PriceSchedule
-from .lifecycle import (
-    ComponentDriver,
-    DefaultDriver,
-    ManagedComponent,
-    ScaleError,
-    ServiceLifecycleManager,
-)
-from .manager import ManagedService, ServiceManager
-from .parser import ManifestParser, ParsedService
-from .rules import RuleFiring, RuleInterpreter
-
-__all__ = [
-    "ServiceAccountant",
-    "UsageRecord",
-    "BillingService",
-    "Invoice",
-    "InvoiceLine",
-    "PriceSchedule",
-    "ComponentDriver",
-    "DefaultDriver",
-    "ManagedComponent",
-    "ScaleError",
-    "ServiceLifecycleManager",
-    "ManagedService",
-    "ServiceManager",
-    "ManifestParser",
-    "ParsedService",
-    "RuleFiring",
-    "RuleInterpreter",
-]

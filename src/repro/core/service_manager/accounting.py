@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ...sim import Environment, TimeSeries
+from ...sim.kernel import Environment
+from ...sim.tracing import TimeSeries
 
 __all__ = ["UsageRecord", "ServiceAccountant"]
 

@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 from ...cloud.veem import VEEM
 from ...cloud.vm import DeploymentDescriptor, VirtualMachine, VMState
-from ...sim import Environment, TraceLog
+from ...sim.kernel import Environment
+from ...sim.tracing import TraceLog
 from ..constraints.deployment import ProvisioningDomain
 from ..manifest.model import VirtualSystem
 from .accounting import ServiceAccountant

@@ -13,7 +13,8 @@ from typing import Callable, Optional, Union
 
 from ...cloud.veem import VEEM
 from ...monitoring.distribution import DistributionFramework, MulticastChannel
-from ...sim import Environment, Process, TraceLog
+from ...sim.kernel import Environment, Process
+from ...sim.tracing import TraceLog
 from ..constraints.deployment import deployment_suite
 from ..constraints.framework import CheckReport
 from ..manifest.elasticity import ElasticityAction, ElasticityRule, VEEMOperation

@@ -22,7 +22,6 @@ from ...cloud.placement import (
 from ...cloud.vm import DeploymentDescriptor
 from ..manifest.elasticity import ElasticityRule
 from ..manifest.model import ServiceManifest, VirtualSystem
-from ..manifest.ovf_xml import manifest_from_xml
 from ..manifest.validation import ValidationIssue, ensure_valid
 
 __all__ = ["ParsedService", "ManifestParser"]
@@ -94,10 +93,15 @@ class ManifestParser:
         """Accept concrete XML or an abstract-syntax manifest.
 
         Validation errors reject the submission
-        (:class:`~repro.core.manifest.ManifestValidationError`); warnings are
-        attached to the parsed service for the provider to review.
+        (:class:`~repro.core.manifest.validation.ManifestValidationError`);
+        warnings are attached to the parsed service for the provider to
+        review.
         """
         if isinstance(manifest, str):
+            # Imported here: runs that build their manifests in code (the
+            # paper harness, a federation and its shard workers) never
+            # load the XML stack.
+            from ..manifest.ovf_xml import manifest_from_xml
             manifest = manifest_from_xml(manifest)
         warnings = ensure_valid(manifest)
         self._seq += 1

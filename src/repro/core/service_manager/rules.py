@@ -68,7 +68,8 @@ from typing import Callable, Optional
 from ...monitoring.consumers import MeasurementJournal, MeasurementStore
 from ...monitoring.distribution import DistributionFramework
 from ...monitoring.measurements import Measurement
-from ...sim import Environment, Interrupt, TraceLog
+from ...sim.kernel import Environment, Interrupt
+from ...sim.tracing import TraceLog
 from ..manifest.elasticity import ElasticityAction, ElasticityRule
 from ..manifest.expressions import Bindings, EvaluationContext, WindowOp
 

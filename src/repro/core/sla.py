@@ -17,7 +17,8 @@ from typing import Callable, Optional
 from ..monitoring.consumers import MeasurementJournal, MeasurementStore
 from ..monitoring.distribution import DistributionFramework
 from ..monitoring.measurements import Measurement
-from ..sim import Environment, Interrupt, TraceLog
+from ..sim.kernel import Environment, Interrupt
+from ..sim.tracing import TraceLog
 from .manifest.expressions import EvaluationContext
 from .manifest.sla import SLASection, ServiceLevelObjective
 

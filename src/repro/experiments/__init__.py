@@ -7,8 +7,4 @@
 * :mod:`~repro.experiments.weekly` — the §6.1.4 weekly-usage estimate;
 * :mod:`~repro.experiments.scale` — the federation scale harness
   (``python -m repro scale``).
-
-The package re-exports nothing: import from the module, so that a shard
-worker, which unpickles :mod:`~repro.experiments.scale`, loads none of the
-other three.
 """

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim import TimeSeries
+from ..sim.tracing import TimeSeries
 from .polymorph import RunResult
 
 __all__ = ["Fig11Series", "extract_series", "render_ascii_chart",

@@ -26,25 +26,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cloud import (
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    VEEM,
-)
-from ..core.manifest import ManifestBuilder, ServiceManifest
-from ..core.service_manager import ServiceManager
-from ..grid import (
-    CondorExecDriver,
-    CondorScheduler,
-    ExecutionNodeHandle,
-    PolymorphSearchConfig,
-    VirtualCluster,
-    build_polymorph_workflow,
-    WorkflowContext,
-)
-from ..monitoring import MonitoringAgent
-from ..sim import Environment, TimeSeries
+from ..cloud.images import ImageRepository
+from ..cloud.veeh import Host, HypervisorTimings
+from ..cloud.veem import VEEM
+from ..core.manifest.builder import ManifestBuilder
+from ..core.manifest.model import ServiceManifest
+from ..core.service_manager.manager import ServiceManager
+from ..grid.execution import CondorExecDriver, VirtualCluster
+from ..grid.polymorph import PolymorphSearchConfig, build_polymorph_workflow
+from ..grid.scheduler import CondorScheduler, ExecutionNodeHandle
+from ..grid.workflow import WorkflowContext
+from ..monitoring.agents import MonitoringAgent
+from ..sim.kernel import Environment
+from ..sim.tracing import TimeSeries
 
 __all__ = [
     "UTIL_KPI",
@@ -343,7 +337,7 @@ def run_elastic(workload: Optional[PolymorphSearchConfig] = None,
     agent.expose(IDLE_KPI, lambda: scheduler.idle_node_count,
                  frequency_s=cfg.monitoring_period_s)
     if cfg.trigger_mode == "infra":
-        from ..monitoring import AttributeType
+        from ..monitoring.measurements import AttributeType
 
         def utilisation() -> float:
             registered = scheduler.node_count

@@ -3,13 +3,14 @@
 The paper pitches the architecture at *on-demand provisioning for large
 federated clouds*; the acceptance scenarios exercise it at a handful of
 sites. This harness is the scale sweep those claims are judged by: stand up
-an N-site federation through the real :class:`~repro.control.ControlPlane`
-(per-site VEEM, ServiceManager and guaranteed-capacity admission), submit
-tens of thousands of services across weighted tenants, drive every service
-with an SAP-style session profile published through its
-:class:`~repro.monitoring.MonitoringAgent` (bursts trip the manifest's
-elasticity rules, so the federation scales VMs up and back down), and
-report what the run cost:
+an N-site federation through the real
+:class:`~repro.control.plane.ControlPlane` (per-site VEEM, ServiceManager
+and guaranteed-capacity admission), submit tens of thousands of services
+across weighted tenants, drive every service with an SAP-style session
+profile published through its
+:class:`~repro.monitoring.agents.MonitoringAgent` (bursts trip the
+manifest's elasticity rules, so the federation scales VMs up and back
+down), and report what the run cost:
 
 * **events/sec** — kernel events processed over wall-clock time;
 * **wall-clock per simulated hour** — how much real time one simulated
@@ -26,7 +27,7 @@ One :class:`FederationRun` simulates the federation's stack over a set of
 sites. With ``procs=1`` it runs over every site and admits live: that run
 is the differential oracle. With ``procs > 1`` the federation is sharded:
 the coordinator runs the *real* control plane to take every admission
-decision, then deals the sites across a :class:`~repro.sim.ShardPool` of
+decision, then deals the sites across a :class:`~repro.sim.shard.ShardPool` of
 worker processes, each a :class:`FederationRun` that replays its sites'
 decisions as pinned submissions, and drives them in parallel through epoch
 barriers. Decision outcomes (admission verdicts, peak/final fleet, per-site
@@ -44,10 +45,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..cloud import Host, HostType, HypervisorTimings, ImageRepository, VEEM
-from ..control import Admitted, ControlPlane, Queued
-from ..core.manifest import ManifestBuilder
-from ..monitoring import MonitoringAgent
+from ..cloud.capacity import HostType
+from ..cloud.images import ImageRepository
+from ..cloud.veeh import Host, HypervisorTimings
+from ..cloud.veem import VEEM
+from ..control.plane import ControlPlane
+from ..control.requests import Admitted, Queued
+from ..core.manifest.builder import ManifestBuilder
+from ..monitoring.agents import MonitoringAgent
 from ..obs.audit import TimeConstraintAuditor, audit_violation_strings
 from ..obs.metrics import SnapshotCursor, canonical_view
 from ..obs.recorder import FlightRecorder
@@ -64,8 +69,8 @@ from ..scenarios.workloads import (
     WORKLOADS,
     draw_profiles,
 )
-from ..sim import (
-    Environment,
+from ..sim.kernel import Environment
+from ..sim.shard import (
     EpochReport,
     ShardPool,
     partition_round_robin,
@@ -76,7 +81,6 @@ __all__ = [
     "FederationRun",
     "ScaleConfig",
     "ScaleReport",
-    "SessionProfile",
     "make_shard",
     "run_scale",
     "verify_against_oracle",
@@ -433,7 +437,7 @@ def _admit(control: ControlPlane, cfg: ScaleConfig, manifest,
     admission order, so every run replays the identical workload. Pinned,
     each profile is re-submitted to its site: per-site admission state
     sees the coordinator's plan restricted to these sites, so anything
-    but :class:`~repro.control.Admitted` is an oracle divergence and
+    but :class:`~repro.control.requests.Admitted` is an oracle divergence and
     raises.
     """
     for t in range(cfg.tenants):
@@ -650,7 +654,7 @@ class FederationRun:
 
 
 def make_shard(spec: dict) -> FederationRun:
-    """The :class:`~repro.sim.ShardPool` factory: ``spec`` holds one
+    """The :class:`~repro.sim.shard.ShardPool` factory: ``spec`` holds one
     worker's :class:`FederationRun` arguments (module-level, so the spawn
     pickler ships it by reference)."""
     return FederationRun(**spec)

@@ -22,18 +22,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from ..core.service_manager import ServiceManager
-from ..grid import (
-    CondorExecDriver,
-    CondorScheduler,
-    PolymorphSearchConfig,
-    VirtualCluster,
-    WorkflowContext,
-    build_polymorph_workflow,
-)
-from ..monitoring import MonitoringAgent
-from ..sim import Environment
+from ..cloud.images import ImageRepository
+from ..cloud.veeh import Host, HypervisorTimings
+from ..cloud.veem import VEEM
+from ..core.service_manager.manager import ServiceManager
+from ..grid.execution import CondorExecDriver, VirtualCluster
+from ..grid.polymorph import PolymorphSearchConfig, build_polymorph_workflow
+from ..grid.scheduler import CondorScheduler
+from ..grid.workflow import WorkflowContext
+from ..monitoring.agents import MonitoringAgent
+from ..sim.kernel import Environment
 from ..sim.rng import RandomStreams
 from .polymorph import (
     IDLE_KPI,

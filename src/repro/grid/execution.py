@@ -20,8 +20,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..cloud import VEEM, VirtualMachine
-from ..sim import Environment, TraceLog
+from ..cloud.veem import VEEM
+from ..cloud.vm import VirtualMachine
+from ..sim.kernel import Environment
+from ..sim.tracing import TraceLog
 from .scheduler import CondorScheduler, ExecutionNodeHandle
 
 __all__ = ["ExecutionService", "VirtualCluster", "CondorExecDriver"]
@@ -67,7 +69,7 @@ class ExecutionService:
         # schedd and any running job is requeued elsewhere.
         if not self.vm.on_stopped.processed:
             yield self.vm.on_stopped
-        from ..cloud import VMState
+        from ..cloud.vm import VMState
         if self.vm.state is VMState.FAILED:
             self.scheduler.node_failed(self.node)
             self.registered = False

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..sim import Environment, Event
+from ..sim.kernel import Environment, Event
 
 __all__ = ["JobState", "Job"]
 
@@ -28,7 +28,6 @@ class JobState(enum.Enum):
     RUNNING = "running"
     COMPLETED = "completed"
     FAILED = "failed"
-    REMOVED = "removed"        # withdrawn from the queue
 
 
 @dataclass

@@ -19,7 +19,8 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Optional
 
-from ..sim import Environment, Interrupt, SeriesRecorder, TraceLog
+from ..sim.kernel import Environment, Interrupt
+from ..sim.tracing import SeriesRecorder, TraceLog
 from .jobs import Job, JobState
 
 __all__ = ["CondorScheduler", "ExecutionNodeHandle"]
@@ -144,16 +145,6 @@ class CondorScheduler:
         for job in jobs:
             self.submit(job)
         return jobs
-
-    def remove(self, job: Job) -> None:
-        """Withdraw an idle job from the queue (condor_rm)."""
-        if job in self.idle_jobs:
-            self.idle_jobs.remove(job)
-            job.state = JobState.REMOVED
-            self.series.record("queue_size", self.queue_size)
-            self.trace.emit(self.name, "job.removed", job=job.job_id)
-        else:
-            raise ValueError(f"job {job.job_id} is not idle")
 
     # ------------------------------------------------------------------
     # Node registration (startd advertising)

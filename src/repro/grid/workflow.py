@@ -15,9 +15,10 @@ example applications read like BPEL process definitions.
 from __future__ import annotations
 
 import abc
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional
 
-from ..sim import Environment, TraceLog
+from ..sim.kernel import Environment
+from ..sim.tracing import TraceLog
 from .jobs import Job
 from .scheduler import CondorScheduler
 
@@ -90,7 +91,7 @@ class SubmitJobs(Activity):
     """Generate and submit a batch of jobs; stores them in a variable."""
 
     def __init__(self, name: str,
-                 job_factory: Callable[[WorkflowContext], Sequence[Job]],
+                 job_factory: Callable[[WorkflowContext], Iterable[Job]],
                  *, result_var: str = "jobs"):
         self.name = name
         self.job_factory = job_factory

@@ -5,74 +5,3 @@ distribution framework; probes describe themselves via data dictionaries held
 in a DHT-backed information model, so measurements travel values-only in a
 compact XDR encoding.
 """
-
-from .adaptive import HIGH, LOW, NORMAL, AdaptiveRateController
-from .agents import AggregatingKPI, MonitoringAgent
-from .codec import (
-    CodecError,
-    PacketEncoder,
-    PacketHeader,
-    decode_measurement,
-    decode_value,
-    encode_measurement,
-    encode_value,
-    naive_json_size,
-    peek_header,
-)
-from .consumers import MeasurementJournal, MeasurementStore
-from .dht import DHTError, DHTNode, DHTRing
-from .distribution import (
-    DistributionFramework,
-    MulticastChannel,
-    PubSubBroker,
-    Subscription,
-    topic_for,
-)
-from .infomodel import ElaboratedValue, InformationModel
-from .measurements import (
-    AttributeType,
-    DataDictionary,
-    Measurement,
-    ProbeAttribute,
-    validate_qualified_name,
-)
-from .probes import DataSource, Probe
-from .relay import MonitoringRelay
-
-__all__ = [
-    "HIGH",
-    "LOW",
-    "NORMAL",
-    "AdaptiveRateController",
-    "AggregatingKPI",
-    "MonitoringAgent",
-    "CodecError",
-    "PacketEncoder",
-    "PacketHeader",
-    "decode_measurement",
-    "decode_value",
-    "encode_measurement",
-    "encode_value",
-    "naive_json_size",
-    "peek_header",
-    "MeasurementJournal",
-    "MeasurementStore",
-    "DHTError",
-    "DHTNode",
-    "DHTRing",
-    "DistributionFramework",
-    "MulticastChannel",
-    "PubSubBroker",
-    "Subscription",
-    "topic_for",
-    "ElaboratedValue",
-    "InformationModel",
-    "AttributeType",
-    "DataDictionary",
-    "Measurement",
-    "ProbeAttribute",
-    "validate_qualified_name",
-    "DataSource",
-    "Probe",
-    "MonitoringRelay",
-]

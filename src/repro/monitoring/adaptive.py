@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..sim import Environment, Interrupt, TraceLog
+from ..sim.kernel import Environment, Interrupt
+from ..sim.tracing import TraceLog
 from .distribution import DistributionFramework
 from .probes import DataSource
 

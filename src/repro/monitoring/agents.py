@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from ..sim import Environment
+from ..sim.kernel import Environment
 from .distribution import DistributionFramework
 from .infomodel import InformationModel
 from .measurements import AttributeType, ProbeAttribute

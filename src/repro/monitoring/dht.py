@@ -136,10 +136,6 @@ class DHTRing:
         node.gets += 1
         return node.store.get(key, default)
 
-    def delete(self, key: str) -> bool:
-        node = self.owner_of(key)
-        return node.store.pop(key, None) is not None
-
     def __contains__(self, key: str) -> bool:
         return key in self.owner_of(key).store
 

@@ -77,7 +77,7 @@ import re
 import struct
 from typing import Callable, Optional, Sequence
 
-from ..sim import Environment
+from ..sim.kernel import Environment
 from .codec import (
     _decode_stream,
     _identity_prefix,

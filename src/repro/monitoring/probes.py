@@ -18,9 +18,9 @@ than flooding the network.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
-from ..sim import Environment, Interrupt
+from ..sim.kernel import Environment, Interrupt
 from .codec import PacketEncoder
 from .distribution import DistributionFramework
 from .measurements import (
@@ -31,6 +31,9 @@ from .measurements import (
     _check_identity,
     validate_qualified_name,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .infomodel import InformationModel
 
 __all__ = ["Probe", "DataSource"]
 
@@ -114,7 +117,7 @@ class DataSource:
 
     def __init__(self, env: Environment, name: str, service_id: str,
                  network: DistributionFramework, *,
-                 infomodel: Optional["InformationModel"] = None,
+                 infomodel: Optional[InformationModel] = None,
                  trace: Optional[Any] = None):
         if not name:
             raise ValueError("data source name must be non-empty")
@@ -217,6 +220,3 @@ class DataSource:
         if self.infomodel is not None:
             self.infomodel.update_probe_state(probe)
 
-
-# Imported late to avoid a cycle (infomodel registers probes/data sources).
-from .infomodel import InformationModel  # noqa: E402  (re-export for typing)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..sim import Environment
+from ..sim.kernel import Environment
 from .distribution import DistributionFramework
 from .measurements import Measurement
 

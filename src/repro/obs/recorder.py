@@ -48,14 +48,14 @@ class FlightRecorder:
             raise ValueError("flight recorder capacity must be positive")
         self.capacity = capacity
         self._ring: deque = deque(maxlen=capacity)
+        self._trace = trace
         self._attached_at = len(trace.records)
-        self._subscription = trace.subscribe(self._ring.append)
+        trace.subscribe(self._ring.append)
 
     @property
     def seen(self) -> int:
         """Records observed since attach (ring holds the last ``capacity``)."""
-        sub = self._subscription
-        return len(sub.log.records) - self._attached_at
+        return len(self._trace.records) - self._attached_at
 
     def snapshot(self) -> tuple:
         """The ring as picklable dicts, oldest first — safe to ship over a
@@ -70,9 +70,6 @@ class FlightRecorder:
         return dump_flight(path, self.snapshot(), reason=reason,
                            meta={"capacity": self.capacity,
                                  "seen": self.seen})
-
-    def close(self) -> None:
-        self._subscription.cancel()
 
 
 def dump_flight(path, records, *, reason: str = "",

@@ -4,14 +4,14 @@ Chaos events are frozen, picklable dataclasses scheduled against the real
 infrastructure objects: host crashes and correlated whole-site outages
 (:meth:`~repro.cloud.veem.VEEM.inject_host_failure` under the hood),
 spot-VM preemption waves (:meth:`~repro.cloud.veem.VEEM.preempt`),
-federation network partitions (:meth:`~repro.control.ControlPlane.
+federation network partitions (:meth:`~repro.control.plane.ControlPlane.
 partition`), and a deliberately-broken :class:`Oversubscribe` hook used to
 prove the invariant checker detects violations.
 
 :func:`install_chaos` spawns one process per event; every action and every
 recovery emits a ``chaos.*`` trace record through the run's
-:class:`~repro.sim.TraceLog`, and recoveries re-run each affected service's
-:meth:`~repro.core.service_manager.lifecycle.ServiceLifecycleManager.
+:class:`~repro.sim.tracing.TraceLog`, and recoveries re-run each affected
+service's :meth:`~repro.core.service_manager.lifecycle.ServiceLifecycleManager.
 ensure_floor` so heals that failed while capacity was down get their
 second chance.
 

@@ -41,6 +41,8 @@ from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from ..obs.metrics import MetricsRegistry
+
 __all__ = [
     "SimError",
     "Interrupt",
@@ -99,8 +101,10 @@ class Event:
         #: If a failed event is never waited on, its exception would be lost;
         #: the kernel re-raises it at the end of the run unless ``defused``.
         self.defused = False
-        #: Lazily cancelled: skipped (and counted) at dispatch if no
-        #: callbacks remain. See :meth:`cancel`.
+        #: Lazily cancelled (an abandoned plain Timeout: an interrupted
+        #: process's old wait or an ``AnyOf`` loser): skipped, and counted,
+        #: at dispatch if no callbacks remain. Attaching a callback
+        #: afterwards revives it.
         self.dead = False
 
     # -- state ---------------------------------------------------------------
@@ -146,17 +150,6 @@ class Event:
         self._value = exception
         self.env._schedule(self)
         return self
-
-    def cancel(self) -> None:
-        """Abandon the event: mark it dead so the drain loop can skip it.
-
-        A dead event stays queued until its timestamp is reached; if no
-        callbacks remain when it pops, the kernel skips the dispatch (counted
-        in ``kernel.events.dead_skipped``). Attaching a callback afterwards
-        revives it — cancellation is lazy, never destructive. A cancelled
-        failed event is treated as defused.
-        """
-        self.dead = True
 
     def __repr__(self) -> str:
         state = (
@@ -569,11 +562,10 @@ class Environment:
         """The environment's :class:`~repro.obs.metrics.MetricsRegistry`.
 
         Built on first access so simulations that never touch observability
-        pay nothing; imported lazily to keep the kernel dependency-free.
-        The kernel's own counters are exposed as views under ``kernel.*``.
+        pay nothing. The kernel's own counters are exposed as views under
+        ``kernel.*``.
         """
         if self._metrics is None:
-            from ..obs.metrics import MetricsRegistry
             registry = MetricsRegistry()
             registry.register_view("kernel.events.processed",
                                    lambda: float(self.events_processed))

@@ -35,9 +35,6 @@ from .kernel import Environment
 __all__ = [
     "TraceRecord",
     "TraceLog",
-    "TraceSubscription",
-    "Span",
-    "SpanError",
     "TimeSeries",
     "SeriesRecorder",
 ]
@@ -86,28 +83,6 @@ class TraceRecord:
         if self.span_id is not None:
             payload["span_id"] = self.span_id
         return json.dumps(payload, sort_keys=True)
-
-
-class TraceSubscription:
-    """Detachable handle for a trace listener (mirrors the monitoring
-    fabric's ``Subscription``). ``cancel()`` is idempotent."""
-
-    __slots__ = ("log", "listener", "active")
-
-    def __init__(self, log: "TraceLog",
-                 listener: Callable[[TraceRecord], None]):
-        self.log = log
-        self.listener = listener
-        self.active = True
-
-    def cancel(self) -> None:
-        if self.active:
-            self.active = False
-            self.log.unsubscribe(self.listener)
-
-    def __repr__(self) -> str:
-        state = "active" if self.active else "cancelled"
-        return f"<TraceSubscription {state} {self.listener!r}>"
 
 
 class _SpanScope:
@@ -201,25 +176,10 @@ class TraceLog:
             listener(record)
         return record
 
-    def subscribe(self, listener: Callable[[TraceRecord], None]
-                  ) -> TraceSubscription:
+    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
+        """Call ``listener`` with every record emitted from now on, for
+        the rest of the log's life."""
         self._listeners.append(listener)
-        return TraceSubscription(self, listener)
-
-    def unsubscribe(self, handle: Union[TraceSubscription,
-                                        Callable[[TraceRecord], None]]
-                    ) -> None:
-        """Detach a listener by handle or by the original callable.
-
-        Detaching something no longer attached is a no-op — undeploy paths
-        race with explicit cancellation and both must be safe.
-        """
-        listener = (handle.listener if isinstance(handle, TraceSubscription)
-                    else handle)
-        try:
-            self._listeners.remove(listener)
-        except ValueError:
-            pass
 
     def __len__(self) -> int:
         return len(self.records)

@@ -21,56 +21,3 @@ top:
 Every verdict carries a structured :class:`~.explain.Explanation` saying
 which constraint pruned the last candidate.
 """
-
-from .defrag import (
-    MigrationPlan,
-    MigrationStep,
-    execute_plan,
-    fragmentation_score,
-    plan_defrag,
-)
-from .encode import (
-    ItemSpec,
-    encode_admission,
-    encode_items,
-    encode_service,
-    snapshot_hosts,
-)
-from .explain import Explanation, PruneCode
-from .model import (
-    HostView,
-    Item,
-    ModelConstraints,
-    PlacementModel,
-    SearchBudget,
-    Solution,
-    Unsolved,
-)
-from .search import solve
-from .whatif import SiteVerdict, WhatIfReport, what_if
-
-__all__ = [
-    "Explanation",
-    "PruneCode",
-    "Item",
-    "HostView",
-    "ModelConstraints",
-    "PlacementModel",
-    "SearchBudget",
-    "Solution",
-    "Unsolved",
-    "solve",
-    "ItemSpec",
-    "encode_items",
-    "encode_service",
-    "encode_admission",
-    "snapshot_hosts",
-    "SiteVerdict",
-    "WhatIfReport",
-    "what_if",
-    "MigrationStep",
-    "MigrationPlan",
-    "fragmentation_score",
-    "plan_defrag",
-    "execute_plan",
-]

@@ -3,7 +3,7 @@
 Every solver verdict — SAT or not — says *why* in a machine-readable way:
 which constraint class pruned the last candidate, over which item, with
 enough detail to act on (retry later, relax a constraint, grow the pool).
-The control plane threads these into :class:`~repro.control.Rejected`
+The control plane threads these into :class:`~repro.control.requests.Rejected`
 outcomes, trace records and metrics instead of free-text strings.
 """
 

@@ -4,7 +4,7 @@
 cache, the topic index and lazy decode: every packet is fully decoded,
 then every subscription is scanned in registration order with a
 per-packet ``fnmatch`` on its qualified-name pattern. The routing
-differential suite asserts :class:`~repro.monitoring.PubSubBroker`
+differential suite asserts :class:`~repro.monitoring.distribution.PubSubBroker`
 delivers the same callbacks and charges the same bytes;
 ``benchmarks/test_bench_micro.py`` measures the indexed fan-out against it.
 """
@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import fnmatch
 
-from repro.monitoring import PubSubBroker, decode_measurement
+from repro.monitoring.codec import decode_measurement
+from repro.monitoring.distribution import PubSubBroker
 
 __all__ = ["ReferenceBroker"]
 

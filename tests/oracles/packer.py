@@ -3,10 +3,11 @@
 :func:`pack` is first-fit-decreasing the plainest way: sort the instance
 demands by memory then CPU, descending, and put each into the first open
 :class:`Bin` that fits it, with per-component tallies on every bin.
-:func:`reference_plan` builds a :class:`~repro.cloud.CapacityPlan` with
-it. The capacity and admission suites assert that
-:func:`~repro.cloud.plan_capacity` and the table-backed
-:class:`~repro.cloud.AdmissionController` (both over
+:func:`reference_plan` builds a
+:class:`~repro.cloud.capacity.CapacityPlan` with it. The capacity and
+admission suites assert that
+:func:`~repro.cloud.capacity.plan_capacity` and the table-backed
+:class:`~repro.cloud.capacity.AdmissionController` (both over
 ``repro.cloud.capacity._pack_rows``) reach the same host counts.
 """
 
@@ -14,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.cloud import (
-    CapacityError,
+from repro.cloud.capacity import (
     CapacityPlan,
     HostType,
     InstanceDemand,
     demand_envelope,
 )
+from repro.cloud.errors import CapacityError
 
 __all__ = ["Bin", "pack", "reference_plan"]
 

@@ -4,7 +4,7 @@
 literally: every pass evaluates every installed rule, and conditions are
 evaluated by walking the expression tree (``Expression.interpret``). The
 rule differential suite replays random measurement streams through it and
-through :class:`~repro.core.service_manager.RuleInterpreter` and compares
+through :class:`~repro.core.service_manager.rules.RuleInterpreter` and compares
 firing journals, traces and per-rule statistics.
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from math import inf
 
-from repro.core.service_manager import RuleInterpreter
+from repro.core.service_manager.rules import RuleInterpreter
 
 __all__ = ["FullPassInterpreter"]
 

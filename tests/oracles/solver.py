@@ -1,7 +1,7 @@
 """Independent checks of what the solver and the defrag planner produce.
 
 :func:`validate_assignment` evaluates a finished assignment of a
-:class:`~repro.solver.PlacementModel` from scratch: capacity, per-host
+:class:`~repro.solver.model.PlacementModel` from scratch: capacity, per-host
 caps, anti-affinity, affinity and host attributes, with none of the
 search's incremental bookkeeping. :func:`replay_safe` replays a
 :class:`~repro.solver.defrag.MigrationPlan` against a host snapshot with

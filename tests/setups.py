@@ -12,11 +12,15 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.core.manifest import ManifestBuilder
-from repro.core.service_manager import ServiceManager
-from repro.grid import CondorExecDriver, CondorScheduler, VirtualCluster
-from repro.monitoring import MeasurementJournal, MonitoringAgent
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.service_manager.manager import ServiceManager
+from repro.grid.execution import CondorExecDriver, VirtualCluster
+from repro.grid.scheduler import CondorScheduler
+from repro.monitoring.agents import MonitoringAgent
+from repro.monitoring.consumers import MeasurementJournal
 
 #: fast-but-nonzero hypervisor latencies the failure suites standardise on
 FAILURE_TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps import (
+from repro.apps.sap import (
     SAPConfig,
     SessionWorkload,
     WebDispatcher,
@@ -10,10 +10,12 @@ from repro.apps import (
     drive_sessions,
     sap_manifest,
 )
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.core.manifest import ensure_valid
-from repro.core.service_manager import ServiceManager
-from repro.sim import Environment
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.core.manifest.validation import ensure_valid
+from repro.core.service_manager.manager import ServiceManager
+from repro.sim.kernel import Environment
 
 
 def make_stack(env, n_hosts=4):
@@ -149,7 +151,7 @@ def test_sap_central_instance_never_replicated():
     sm = make_stack(env)
     dep = deploy_sap(env, sm)
     env.run(until=dep.service.deployment)
-    from repro.core.service_manager import ScaleError
+    from repro.core.service_manager.lifecycle import ScaleError
     with pytest.raises(ScaleError):
         dep.service.lifecycle.scale_up("CentralInstance")
 

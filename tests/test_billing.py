@@ -2,17 +2,17 @@
 
 import pytest
 
-from repro.core.manifest import SLASection, ServiceLevelObjective
-from repro.core.service_manager import (
+from repro.core.manifest.sla import SLASection, ServiceLevelObjective
+from repro.core.service_manager.accounting import ServiceAccountant
+from repro.core.service_manager.billing import (
     BillingService,
     Invoice,
     InvoiceLine,
     PriceSchedule,
-    ServiceAccountant,
 )
 from repro.core.sla import SLAMonitor
-from repro.monitoring import Measurement
-from repro.sim import Environment
+from repro.monitoring.measurements import Measurement
+from repro.sim.kernel import Environment
 
 
 def accountant_with_usage(env):
@@ -138,7 +138,7 @@ def test_credits_never_make_total_negative():
 def test_end_to_end_billing_of_polymorph_run():
     """Bill the paper's elastic Table 3 run: the exec tier dominates."""
     from repro.experiments.polymorph import TestbedConfig, run_elastic
-    from repro.grid import PolymorphSearchConfig
+    from repro.grid.polymorph import PolymorphSearchConfig
 
     small = PolymorphSearchConfig(
         seed_durations_s=(300.0, 450.0), refinements_per_seed=24,

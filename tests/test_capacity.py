@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.cloud import (
+from repro.cloud.capacity import (
     AdmissionController,
-    CapacityError,
     HostType,
     demand_envelope,
     plan_capacity,
 )
-from repro.core.manifest import ManifestBuilder
+from repro.cloud.errors import CapacityError
+from repro.core.manifest.builder import ManifestBuilder
 from tests.oracles.packer import reference_plan
 
 

@@ -10,9 +10,9 @@ Topologies come from the stage builders in :mod:`tests.setups`; each test
 only injects its fault and asserts.
 """
 
-from repro.cloud import VMState
-from repro.grid import Job, JobState
-from repro.sim import Environment
+from repro.cloud.vm import VMState
+from repro.grid.jobs import Job, JobState
+from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams
 from tests.setups import elastic_grid, monitored_web, two_web_tenants
 

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.__main__ import main
-from repro.core.manifest import manifest_to_text, manifest_to_xml
+from repro.core.manifest.hutn import manifest_to_text
+from repro.core.manifest.ovf_xml import manifest_to_xml
 from tests.test_manifest_xml import paper_manifest
 
 
@@ -33,7 +34,7 @@ def test_validate_text_ok(text_path, capsys):
 
 
 def test_validate_invalid_manifest(tmp_path, capsys):
-    from repro.core.manifest import ManifestBuilder
+    from repro.core.manifest.builder import ManifestBuilder
 
     bad = ManifestBuilder("bad")
     bad.component("a", image_mb=1, networks=["ghost"])
@@ -92,7 +93,7 @@ def test_convert_round_trips(xml_path, tmp_path, capsys):
     path.write_text(text)
     assert main(["convert", str(path), "--to", "xml"]) == 0
     xml = capsys.readouterr().out
-    from repro.core.manifest import manifest_from_xml
+    from repro.core.manifest.ovf_xml import manifest_from_xml
     assert manifest_from_xml(xml) == paper_manifest()
 
 

@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.cloud import (
-    DeploymentDescriptor,
-    FederatedCloud,
-    Host,
-    ImageRepository,
-    PlacementError,
-    Site,
-    SiteConstraint,
-    VEEM,
-    VMState,
-)
-from repro.sim import Environment
+from repro.cloud.errors import PlacementError
+from repro.cloud.federation import FederatedCloud, Site, SiteConstraint
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import DeploymentDescriptor, VMState
+from repro.sim.kernel import Environment
 
 
 def make_site(env, name, n_hosts=2, trusted=True):

@@ -2,17 +2,11 @@
 
 import pytest
 
-from repro.cloud import (
-    CapacityError,
-    DeploymentDescriptor,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    LifecycleError,
-    VirtualMachine,
-    VMState,
-)
-from repro.sim import Environment
+from repro.cloud.errors import CapacityError, LifecycleError
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.vm import DeploymentDescriptor, VirtualMachine, VMState
+from repro.sim.kernel import Environment
 
 
 def make_descriptor(name="vm", cpu=1.0, mem=1024.0, **kw):

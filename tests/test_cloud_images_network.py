@@ -6,14 +6,9 @@ import random
 
 import pytest
 
-from repro.cloud import (
-    DiskImage,
-    ImageError,
-    ImageRepository,
-    NetworkError,
-    NetworkFabric,
-    VirtualNetwork,
-)
+from repro.cloud.errors import ImageError, NetworkError
+from repro.cloud.images import DiskImage, ImageRepository
+from repro.cloud.network import NetworkFabric, VirtualNetwork
 
 
 # ---------------------------------------------------------------------------

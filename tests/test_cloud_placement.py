@@ -2,23 +2,21 @@
 
 import pytest
 
-from repro.cloud import (
+from repro.cloud.errors import CapacityError, PlacementError
+from repro.cloud.placement import (
     Affinity,
     AntiAffinity,
     AttributeRequirement,
     BestFit,
-    CapacityError,
     ComponentCap,
-    DeploymentDescriptor,
     FirstFit,
-    Host,
     Placer,
-    PlacementError,
     RoundRobin,
-    VirtualMachine,
     WorstFit,
 )
-from repro.sim import Environment
+from repro.cloud.veeh import Host
+from repro.cloud.vm import DeploymentDescriptor, VirtualMachine
+from repro.sim.kernel import Environment
 
 
 def make_desc(component, service="svc", cpu=1.0, mem=1024.0, name=None):

@@ -4,20 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import (
-    CapacityError,
-    ComponentCap,
-    DeploymentDescriptor,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    LifecycleError,
-    Placer,
-    PlacementError,
-    VEEM,
-    VMState,
-)
-from repro.sim import Environment
+from repro.cloud.errors import CapacityError, LifecycleError, PlacementError
+from repro.cloud.images import ImageRepository
+from repro.cloud.placement import ComponentCap, Placer
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import DeploymentDescriptor, VMState
+from repro.sim.kernel import Environment
 
 
 TIMINGS = HypervisorTimings(define_s=2, boot_s=45, shutdown_s=10,

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.codegen import generate_agent_stub, generate_validation_script
-from repro.core.manifest import ManifestBuilder
-from repro.monitoring import MeasurementStore, MulticastChannel
-from repro.sim import Environment
+from repro.core.manifest.builder import ManifestBuilder
+from repro.monitoring.consumers import MeasurementStore
+from repro.monitoring.distribution import MulticastChannel
+from repro.sim.kernel import Environment
 
 
 def manifest():
@@ -144,9 +145,8 @@ def test_validation_script_round_trips_manifest():
 
 
 def test_validation_script_attach_and_report():
-    from repro.monitoring import Measurement
-    from repro.sim import TraceLog
-    from repro.sim.tracing import TraceRecord
+    from repro.monitoring.measurements import Measurement
+    from repro.sim.tracing import TraceLog, TraceRecord
 
     source = generate_validation_script(manifest(), "svc-9")
     module = exec_module(source)
@@ -180,7 +180,7 @@ ALL_HOSTILE = "".join(HOSTILE)
 
 def _backslash_href_manifest():
     """The paper manifest with a Windows-style exec image href."""
-    from repro.core.manifest import manifest_from_xml, manifest_to_xml
+    from repro.core.manifest.ovf_xml import manifest_from_xml, manifest_to_xml
     from tests.test_manifest_xml import paper_manifest
 
     xml = manifest_to_xml(paper_manifest()).replace(
@@ -189,7 +189,7 @@ def _backslash_href_manifest():
 
 
 def test_validation_script_keeps_backslashes_in_the_manifest():
-    from repro.core.manifest import manifest_to_xml
+    from repro.core.manifest.ovf_xml import manifest_to_xml
 
     parsed = _backslash_href_manifest()
     module = exec_module(generate_validation_script(parsed, "svc-1"))
@@ -201,7 +201,7 @@ def test_validation_script_keeps_backslashes_in_the_manifest():
 
 @pytest.mark.parametrize("text", HOSTILE)
 def test_validation_script_survives_hostile_names(text):
-    from repro.core.manifest import manifest_to_xml
+    from repro.core.manifest.ovf_xml import manifest_to_xml
 
     b = ManifestBuilder(text)
     b.component("a", image_mb=1)
@@ -216,7 +216,7 @@ def test_validation_script_survives_hostile_names(text):
 
 def test_cli_validator_for_a_quoted_service_id(tmp_path, capsys):
     from repro.__main__ import main
-    from repro.core.manifest import manifest_to_xml
+    from repro.core.manifest.ovf_xml import manifest_to_xml
     from tests.test_manifest_xml import paper_manifest
 
     path = tmp_path / "service.xml"

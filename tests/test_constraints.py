@@ -2,26 +2,28 @@
 
 import pytest
 
-from repro.cloud import (
-    DeploymentDescriptor,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    VEEM,
-)
-from repro.core.constraints import (
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import DeploymentDescriptor
+from repro.core.constraints.deployment import (
     AssociationInvariant,
-    ConstraintSuite,
-    ElasticityEnforcementValidator,
     InstanceBoundsInvariant,
-    Violation,
     deployment_suite,
+)
+from repro.core.constraints.framework import ConstraintSuite, Violation
+from repro.core.constraints.instruments import (
+    ElasticityEnforcementValidator,
     generate_instruments,
 )
-from repro.core.manifest import ManifestBuilder
-from repro.core.service_manager import ServiceManager
-from repro.monitoring import Measurement, MeasurementJournal, MonitoringAgent, MulticastChannel
-from repro.sim import Environment, TraceLog
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.service_manager.manager import ServiceManager
+from repro.monitoring.agents import MonitoringAgent
+from repro.monitoring.consumers import MeasurementJournal
+from repro.monitoring.distribution import MulticastChannel
+from repro.monitoring.measurements import Measurement
+from repro.sim.kernel import Environment
+from repro.sim.tracing import TraceLog
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
 

@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.control import (
-    Admitted,
-    ControlPlane,
-    Queued,
-    Rejected,
-    RequestState,
-    RetryPolicy,
-    TenantQuota,
-    TenantUsage,
-)
-from repro.core.manifest import ManifestBuilder
-from repro.sim import Environment
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.control.backpressure import RetryPolicy
+from repro.control.plane import ControlPlane
+from repro.control.requests import Admitted, Queued, Rejected, RequestState
+from repro.control.tenants import TenantQuota, TenantUsage
+from repro.core.manifest.builder import ManifestBuilder
+from repro.sim.kernel import Environment
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
 

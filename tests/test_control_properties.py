@@ -19,11 +19,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
 from repro.cloud.capacity import HostType, demand_envelope
-from repro.control import ControlPlane, RequestState, TenantQuota
-from repro.core.manifest import ManifestBuilder
-from repro.sim import Environment
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.control.plane import ControlPlane
+from repro.control.requests import RequestState
+from repro.control.tenants import TenantQuota
+from repro.core.manifest.builder import ManifestBuilder
+from repro.sim.kernel import Environment
 from tests.oracles.packer import pack
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)

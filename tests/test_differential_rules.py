@@ -23,10 +23,11 @@ import zlib
 
 import pytest
 
-from repro.core.manifest import ElasticityRule
-from repro.core.service_manager import RuleInterpreter
-from repro.monitoring import Measurement
-from repro.sim import Environment, TraceLog
+from repro.core.manifest.elasticity import ElasticityRule
+from repro.core.service_manager.rules import RuleInterpreter
+from repro.monitoring.measurements import Measurement
+from repro.sim.kernel import Environment
+from repro.sim.tracing import TraceLog
 from tests.oracles.rules import FullPassInterpreter
 
 

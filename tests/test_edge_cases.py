@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim.kernel import Environment
 
 
 # ---------------------------------------------------------------------------
@@ -25,7 +25,7 @@ def test_codegen_identifier_sanitisation():
 # ---------------------------------------------------------------------------
 
 def test_aggregating_kpi_last_and_min():
-    from repro.monitoring import AggregatingKPI
+    from repro.monitoring.agents import AggregatingKPI
 
     raw = iter([5, 1, 9])
     last = AggregatingKPI(lambda: next(raw), operation="last", window=2)
@@ -41,10 +41,12 @@ def test_aggregating_kpi_last_and_min():
 # ---------------------------------------------------------------------------
 
 def test_nowait_startup_entry_does_not_block_next_tier():
-    from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from repro.core.manifest import ManifestBuilder
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host, HypervisorTimings
+    from repro.cloud.veem import VEEM
+    from repro.core.manifest.builder import ManifestBuilder
     from repro.core.manifest.model import StartupEntry
-    from repro.core.service_manager import ServiceManager
+    from repro.core.service_manager.manager import ServiceManager
 
     b = ManifestBuilder("svc")
     b.component("slow", image_mb=5000)   # long staging
@@ -79,7 +81,7 @@ def test_nowait_startup_entry_does_not_block_next_tier():
 # ---------------------------------------------------------------------------
 
 def test_startup_order_without_section_is_one_tier():
-    from repro.core.manifest import ManifestBuilder
+    from repro.core.manifest.builder import ManifestBuilder
 
     b = ManifestBuilder("svc")
     b.component("a", image_mb=1)
@@ -93,10 +95,11 @@ def test_startup_order_without_section_is_one_tier():
 # ---------------------------------------------------------------------------
 
 def test_favoured_full_site_spills_to_next():
-    from repro.cloud import (
-        DeploymentDescriptor, FederatedCloud, Host, ImageRepository,
-        Site, SiteConstraint, VEEM,
-    )
+    from repro.cloud.federation import FederatedCloud, Site, SiteConstraint
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host
+    from repro.cloud.veem import VEEM
+    from repro.cloud.vm import DeploymentDescriptor
 
     env = Environment()
     cloud = FederatedCloud(env)
@@ -131,7 +134,7 @@ def test_favoured_full_site_spills_to_next():
 # ---------------------------------------------------------------------------
 
 def test_literal_unparse_float_precision():
-    from repro.core.manifest import parse_expression
+    from repro.core.manifest.expressions import parse_expression
 
     expr = parse_expression("@a.b > 0.3333333333333333",
                             defaults={"a.b": 0})
@@ -145,7 +148,8 @@ def test_literal_unparse_float_precision():
 # ---------------------------------------------------------------------------
 
 def test_invoice_for_component_with_no_usage_window():
-    from repro.core.service_manager import BillingService, ServiceAccountant
+    from repro.core.service_manager.accounting import ServiceAccountant
+    from repro.core.service_manager.billing import BillingService
 
     env = Environment()
     acc = ServiceAccountant(env, "svc")
@@ -181,7 +185,7 @@ def test_weekly_search_record_turnaround():
 # ---------------------------------------------------------------------------
 
 def test_network_owner_of_unknown_is_none():
-    from repro.cloud import VirtualNetwork
+    from repro.cloud.network import VirtualNetwork
 
     net = VirtualNetwork("n", "10.0.0.0/29")
     assert net.owner_of("10.0.0.5") is None

@@ -6,7 +6,7 @@ and the qualitative shape of the results on small, fast workloads.
 
 import pytest
 
-from repro.core.manifest import ensure_valid
+from repro.core.manifest.validation import ensure_valid
 from repro.experiments.fig11 import extract_series, render_ascii_chart, render_run
 from repro.experiments.polymorph import (
     TestbedConfig,
@@ -16,7 +16,7 @@ from repro.experiments.polymorph import (
     table3,
 )
 from repro.experiments.weekly import WeeklyConfig, run_week
-from repro.grid import PolymorphSearchConfig
+from repro.grid.polymorph import PolymorphSearchConfig
 
 SMALL = PolymorphSearchConfig(
     seed_durations_s=(300.0, 450.0),

@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.core.manifest import parse_expression
 from repro.core.manifest.expressions import (
     EvaluationContext,
     ExpressionError,
     WindowOp,
+    parse_expression,
 )
-from repro.core.service_manager import RuleInterpreter
-from repro.monitoring import Measurement
-from repro.sim import Environment
+from repro.core.service_manager.rules import RuleInterpreter
+from repro.monitoring.measurements import Measurement
+from repro.sim.kernel import Environment
 
 
 def ctx_from_samples(samples):
@@ -129,7 +129,7 @@ def test_rule_engine_window_smoothing():
     """A mean-over-window rule ignores a transient spike that a latest-value
     rule would react to — the paper's motivation: 'limit the impact of
     strong fluctuations'."""
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
 
     env = Environment()
     calls = []
@@ -160,7 +160,7 @@ def test_rule_engine_window_smoothing():
 
 def test_rule_engine_count_guard():
     """count() guards against deciding on too few samples."""
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
 
     env = Environment()
     calls = []
@@ -186,7 +186,7 @@ def test_rule_engine_count_guard():
 def _firing_times(condition, samples, evaluate_at):
     """When a one-rule interpreter fires ``condition``, fed the ``samples``
     ({time: q.size}) and evaluated at each time of ``evaluate_at``."""
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
 
     env = Environment()
     calls = []
@@ -225,11 +225,13 @@ def test_rule_engine_max_peak():
 
 def test_validator_replays_window_rules():
     """The enforcement validator evaluates window rules over the journal."""
-    from repro.core.constraints import ElasticityEnforcementValidator
-    from repro.core.manifest import ManifestBuilder
-    from repro.monitoring import MeasurementJournal
-    from repro.sim import Environment, TraceLog
-    from repro.sim.tracing import TraceRecord
+    from repro.core.constraints.instruments import (
+        ElasticityEnforcementValidator,
+    )
+    from repro.core.manifest.builder import ManifestBuilder
+    from repro.monitoring.consumers import MeasurementJournal
+    from repro.sim.kernel import Environment
+    from repro.sim.tracing import TraceLog, TraceRecord
 
     b = ManifestBuilder("svc")
     b.component("exec", image_mb=1, initial=0, minimum=0, maximum=4)

@@ -13,18 +13,15 @@ Three latent bugs, all variations of "a yield raced a failure":
 Each test here fails against the pre-fix code.
 """
 
-from repro.cloud import (
-    DeploymentDescriptor,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    VEEM,
-    VMState,
-)
-from repro.control import Admitted, ControlPlane, Queued, RequestState
-from repro.core.manifest import ManifestBuilder
-from repro.core.service_manager import ServiceManager
-from repro.sim import Environment
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import DeploymentDescriptor, VMState
+from repro.control.plane import ControlPlane
+from repro.control.requests import Admitted, Queued, RequestState
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.service_manager.manager import ServiceManager
+from repro.sim.kernel import Environment
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2,
                             migrate_suspend_s=2)

@@ -12,17 +12,13 @@ inject faults and assert.
 
 import pytest
 
-from repro.cloud import (
-    DeploymentDescriptor,
-    Host,
-    LifecycleError,
-    PlacementError,
-    VMState,
-)
-from repro.core.manifest import ManifestBuilder
-from repro.core.service_manager import ServiceManager
-from repro.grid import Job, JobState
-from repro.sim import Environment
+from repro.cloud.errors import LifecycleError, PlacementError
+from repro.cloud.veeh import Host
+from repro.cloud.vm import DeploymentDescriptor, VMState
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.service_manager.manager import ServiceManager
+from repro.grid.jobs import Job, JobState
+from repro.sim.kernel import Environment
 from tests.setups import (
     FAILURE_TIMINGS,
     build_cluster,

@@ -2,22 +2,18 @@
 
 import pytest
 
-from repro.cloud import (
-    DeploymentDescriptor,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    VEEM,
-    VMState,
-)
-from repro.grid import (
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import DeploymentDescriptor, VMState
+from repro.grid.execution import (
     CondorExecDriver,
-    CondorScheduler,
     ExecutionService,
-    Job,
     VirtualCluster,
 )
-from repro.sim import Environment
+from repro.grid.jobs import Job
+from repro.grid.scheduler import CondorScheduler
+from repro.sim.kernel import Environment
 
 TIMINGS = HypervisorTimings(define_s=2, boot_s=45, shutdown_s=10)
 
@@ -191,6 +187,6 @@ def test_cluster_respects_host_capacity():
     veem, sched, cluster = build_stack(env, n_hosts=1, per_host=4)
     for _ in range(4):
         deploy_exec(cluster)
-    from repro.cloud import PlacementError
+    from repro.cloud.errors import PlacementError
     with pytest.raises(PlacementError):
         deploy_exec(cluster)

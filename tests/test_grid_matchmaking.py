@@ -5,8 +5,9 @@ from collections import deque
 
 import pytest
 
-from repro.grid import CondorScheduler, ExecutionNodeHandle, Job, JobState
-from repro.sim import Environment
+from repro.grid.jobs import Job, JobState
+from repro.grid.scheduler import CondorScheduler, ExecutionNodeHandle
+from repro.sim.kernel import Environment
 
 
 def add_node(sched, name, **attributes):
@@ -202,8 +203,6 @@ def drive_traffic(scheduler_cls, seed: int):
                     sched.node_failed(node)
                     spare.append(node)
                 yield env.timeout(0.5)
-            elif sched.idle_jobs:
-                sched.remove(rng.choice(list(sched.idle_jobs)))
 
     env.process(traffic())
     env.run(until=400)

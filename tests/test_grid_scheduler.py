@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.grid import CondorScheduler, ExecutionNodeHandle, Job, JobState
-from repro.sim import Environment
+from repro.grid.jobs import Job, JobState
+from repro.grid.scheduler import CondorScheduler, ExecutionNodeHandle
+from repro.sim.kernel import Environment
 
 
 def make_sched(env, match_delay=0.0):
@@ -139,17 +140,6 @@ def test_resubmission_of_same_job_rejected():
     job = sched.submit(Job(duration_s=10))
     with pytest.raises(ValueError):
         sched.submit(job)
-
-
-def test_remove_idle_job():
-    env = Environment()
-    sched = make_sched(env)
-    job = sched.submit(Job(duration_s=10))
-    sched.remove(job)
-    assert job.state is JobState.REMOVED
-    assert sched.queue_size == 0
-    with pytest.raises(ValueError):
-        sched.remove(job)
 
 
 def test_duplicate_node_name_rejected():

@@ -1,22 +1,25 @@
 """Tests for the BPEL-like workflow engine and the polymorph workload."""
 
+from typing import get_type_hints
+
 import pytest
 
-from repro.grid import (
-    CondorScheduler,
-    ExecutionNodeHandle,
+from repro.grid.jobs import Job
+from repro.grid.polymorph import (
+    PolymorphSearchConfig,
+    build_polymorph_workflow,
+)
+from repro.grid.scheduler import CondorScheduler, ExecutionNodeHandle
+from repro.grid.workflow import (
     ForEachCompletion,
     Invoke,
-    Job,
     Sequence,
     SubmitJobs,
     WaitForJobs,
     Workflow,
     WorkflowContext,
-    PolymorphSearchConfig,
-    build_polymorph_workflow,
 )
-from repro.sim import Environment
+from repro.sim.kernel import Environment
 
 
 def make_ctx(env, nodes=4):
@@ -76,6 +79,13 @@ def test_submit_and_wait_for_jobs():
     # 4 jobs on 2 nodes → two waves of 50 s.
     assert wf.turnaround == pytest.approx(100.0)
     assert len(ctx.jobs) == 4
+
+
+def test_submit_jobs_annotations_resolve():
+    """The module's ``Sequence`` activity must not shadow a typing name
+    its annotations use."""
+    hints = get_type_hints(SubmitJobs.__init__)
+    assert "job_factory" in hints
 
 
 def test_wait_for_missing_variable_is_noop():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.manifest import (
+from repro.core.manifest.expressions import (
     BinaryOp,
     BooleanOp,
     Comparison,

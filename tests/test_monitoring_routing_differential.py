@@ -13,13 +13,10 @@ import random
 
 import pytest
 
-from repro.monitoring import (
-    Measurement,
-    MulticastChannel,
-    PubSubBroker,
-    encode_measurement,
-)
-from repro.sim import Environment
+from repro.monitoring.codec import encode_measurement
+from repro.monitoring.distribution import MulticastChannel, PubSubBroker
+from repro.monitoring.measurements import Measurement
+from repro.sim.kernel import Environment
 from tests.oracles.broker import ReferenceBroker
 
 QNAMES = [

@@ -15,17 +15,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.monitoring import (
-    AttributeType,
+from repro.monitoring.codec import (
     CodecError,
-    Measurement,
-    MulticastChannel,
-    PubSubBroker,
     decode_measurement,
     encode_measurement,
     encode_value,
 )
-from repro.sim import Environment
+from repro.monitoring.distribution import MulticastChannel, PubSubBroker
+from repro.monitoring.measurements import AttributeType, Measurement
+from repro.sim.kernel import Environment
 
 FABRICS = pytest.mark.parametrize("fabric", [PubSubBroker, MulticastChannel],
                                   ids=["broker", "multicast"])

@@ -8,11 +8,13 @@ service would hence operate independently."
 
 import pytest
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-from repro.core.manifest import ManifestBuilder
-from repro.core.service_manager import ServiceManager
-from repro.monitoring import MonitoringAgent
-from repro.sim import Environment
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.service_manager.manager import ServiceManager
+from repro.monitoring.agents import MonitoringAgent
+from repro.sim.kernel import Environment
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=5, shutdown_s=1)
 
@@ -142,7 +144,7 @@ def test_shared_capacity_contention_fails_loudly():
     env.run(until=env.all_of([tenant_a.deployment, tenant_b.deployment]))
     tenant_a.lifecycle.scale_up("web")   # third slot: host now full
     env.run(until=env.now + 30)
-    from repro.cloud import PlacementError
+    from repro.cloud.errors import PlacementError
     with pytest.raises(PlacementError):
         tenant_b.lifecycle.scale_up("web")
 
@@ -151,7 +153,7 @@ def test_shared_capacity_contention_is_typed_capacity_error():
     """Capacity exhaustion (as opposed to constraint infeasibility) is the
     typed, transient ``CapacityError`` on every submit/scale path — the
     signal the control plane queues and retries on."""
-    from repro.cloud import CapacityError, PlacementError
+    from repro.cloud.errors import CapacityError, PlacementError
 
     assert issubclass(CapacityError, PlacementError)
     env = Environment()

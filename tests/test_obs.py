@@ -12,19 +12,17 @@ import random
 
 import pytest
 
-from repro.obs import (
-    Counter,
-    Histogram,
-    MetricError,
-    MetricsRegistry,
-    TimeConstraintAuditor,
+from repro.obs.audit import TimeConstraintAuditor
+from repro.obs.exporters import (
     chrome_trace,
     export_jsonl,
     prometheus_text,
     render_span_tree,
 )
-from repro.sim import Environment, SpanError, TimeSeries, TraceLog
-from repro.sim.tracing import TraceSubscription
+from repro.obs.metrics import Counter, Histogram, MetricError, MetricsRegistry
+from repro.obs.spans import SpanError
+from repro.sim.kernel import Environment
+from repro.sim.tracing import TimeSeries, TraceLog
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +268,6 @@ def test_flat_emit_json_is_byte_identical_to_seed_format():
     assert rec.span_id is None
 
 
-def test_trace_subscription_cancel_and_unsubscribe():
-    env = Environment()
-    log = TraceLog(env)
-    seen = []
-    handle = log.subscribe(seen.append)
-    assert isinstance(handle, TraceSubscription)
-    log.emit("s", "one")
-    handle.cancel()
-    handle.cancel()                       # idempotent
-    log.emit("s", "two")
-    assert [r.kind for r in seen] == ["one"]
-    # unsubscribing an unknown callable is a no-op
-    log.unsubscribe(lambda r: None)
-
-
 # ---------------------------------------------------------------------------
 # Indexed queries vs. the linear reference
 # ---------------------------------------------------------------------------
@@ -526,10 +509,12 @@ def test_auditor_skips_firings_without_constraint():
 # ---------------------------------------------------------------------------
 
 def _elastic_stack():
-    from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from repro.core.manifest import ManifestBuilder
-    from repro.core.service_manager import ServiceManager
-    from repro.monitoring import MonitoringAgent
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host, HypervisorTimings
+    from repro.cloud.veem import VEEM
+    from repro.core.manifest.builder import ManifestBuilder
+    from repro.core.service_manager.manager import ServiceManager
+    from repro.monitoring.agents import MonitoringAgent
 
     env = Environment()
     veem = VEEM(env, repository=ImageRepository(bandwidth_mb_per_s=1000))

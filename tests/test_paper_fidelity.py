@@ -8,7 +8,8 @@ well-formed XML at all) must parse into the expected abstract syntax.
 
 import pytest
 
-from repro.core.manifest import manifest_from_xml, parse_action
+from repro.core.manifest.elasticity import parse_action
+from repro.core.manifest.ovf_xml import manifest_from_xml
 
 # The two snippets exactly as printed in §6.1.2, embedded in an envelope.
 PAPER_XML = """

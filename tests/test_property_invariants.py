@@ -4,23 +4,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cloud import (
+from repro.cloud.errors import PlacementError
+from repro.cloud.placement import (
     Affinity,
     AntiAffinity,
-    ComponentCap,
-    DeploymentDescriptor,
-    Host,
-    Placer,
-    PlacementError,
     BestFit,
+    ComponentCap,
     FirstFit,
+    Placer,
     WorstFit,
-    VirtualMachine,
 )
-from repro.core.service_manager import ServiceAccountant
-from repro.monitoring import DataSource, InformationModel, MulticastChannel
-from repro.monitoring import AttributeType, Probe, ProbeAttribute
-from repro.sim import Environment
+from repro.cloud.veeh import Host
+from repro.cloud.vm import DeploymentDescriptor, VirtualMachine
+from repro.core.service_manager.accounting import ServiceAccountant
+from repro.monitoring.distribution import MulticastChannel
+from repro.monitoring.infomodel import InformationModel
+from repro.monitoring.measurements import AttributeType, ProbeAttribute
+from repro.monitoring.probes import DataSource, Probe
+from repro.sim.kernel import Environment
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from math import inf
 
 import pytest
 
-from repro.core.manifest import ElasticityRule
-from repro.core.service_manager import RuleInterpreter
-from repro.monitoring import Measurement
-from repro.sim import Environment, Interrupt
+from repro.core.manifest.elasticity import ElasticityRule
+from repro.core.service_manager.rules import RuleInterpreter
+from repro.monitoring.measurements import Measurement
+from repro.sim.kernel import Environment, Interrupt
 from tests.oracles.kernel import HeapEnvironment
 
 

@@ -19,7 +19,7 @@ from repro.experiments.scale import (
     run_scale,
     verify_against_oracle,
 )
-from repro.sim import read_peak_rss_kb
+from repro.sim.shard import read_peak_rss_kb
 from tests.oracles.kernel import HeapEnvironment
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")

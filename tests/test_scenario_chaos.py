@@ -8,9 +8,13 @@ partition makes a site invisible to federated admission until it heals.
 
 import pytest
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM, VMState
-from repro.control import Admitted, ControlPlane, Rejected
-from repro.core.manifest import ManifestBuilder
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import VMState
+from repro.control.plane import ControlPlane
+from repro.control.requests import Admitted, Rejected
+from repro.core.manifest.builder import ManifestBuilder
 from repro.scenarios.chaos import (
     HostCrash,
     NetworkPartition,
@@ -23,7 +27,8 @@ from repro.scenarios.chaos import (
     sites_of,
 )
 from repro.scenarios.invariants import check_no_oversubscription
-from repro.sim import Environment, TraceLog
+from repro.sim.kernel import Environment
+from repro.sim.tracing import TraceLog
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
 

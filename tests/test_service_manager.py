@@ -2,22 +2,19 @@
 
 import pytest
 
-from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM, VMState
-from repro.core.manifest import (
-    ManifestBuilder,
-    ManifestValidationError,
-)
-from repro.core.service_manager import (
-    ManifestParser,
-    RuleInterpreter,
-    ScaleError,
-    ServiceManager,
-)
-from repro.monitoring import (
-    Measurement,
-    MonitoringAgent,
-)
-from repro.sim import Environment
+from repro.cloud.images import ImageRepository
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
+from repro.cloud.vm import VMState
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.manifest.validation import ManifestValidationError
+from repro.core.service_manager.lifecycle import ScaleError
+from repro.core.service_manager.manager import ServiceManager
+from repro.core.service_manager.parser import ManifestParser
+from repro.core.service_manager.rules import RuleInterpreter
+from repro.monitoring.agents import MonitoringAgent
+from repro.monitoring.measurements import Measurement
+from repro.sim.kernel import Environment
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
 
@@ -76,7 +73,7 @@ def test_parser_rejects_invalid_manifest():
 
 
 def test_parser_accepts_xml():
-    from repro.core.manifest import manifest_to_xml
+    from repro.core.manifest.ovf_xml import manifest_to_xml
     xml = manifest_to_xml(web_manifest())
     parsed = ManifestParser().parse(xml)
     assert parsed.manifest.service_name == "webshop"
@@ -138,7 +135,7 @@ def measurement(qname, value, t=0.0):
 
 
 def test_rule_fires_when_condition_holds():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0})
@@ -150,7 +147,7 @@ def test_rule_fires_when_condition_holds():
 
 
 def test_rule_uses_default_before_first_measurement():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0})
@@ -160,7 +157,7 @@ def test_rule_uses_default_before_first_measurement():
 
 
 def test_rule_without_default_or_record_logs_error():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)")
     interp, calls = make_interpreter(env, [rule])
@@ -170,7 +167,7 @@ def test_rule_without_default_or_record_logs_error():
 
 
 def test_latest_value_wins():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0})
@@ -181,7 +178,7 @@ def test_latest_value_wins():
 
 
 def test_cooldown_prevents_duplicate_response():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0},
@@ -202,7 +199,7 @@ def test_cooldown_prevents_duplicate_response():
 
 
 def test_failed_action_does_not_start_cooldown():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0})
@@ -221,7 +218,7 @@ def test_failed_action_does_not_start_cooldown():
 
 
 def test_events_for_other_services_ignored():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0})
@@ -231,7 +228,7 @@ def test_events_for_other_services_ignored():
 
 
 def test_periodic_loop_evaluates():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0},
@@ -283,7 +280,7 @@ def record_pass_instants(interp):
 
 
 def period_rules():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     slow = ElasticityRule.from_text("slow", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0},
                                     time_constraint_ms=10_000)
@@ -338,7 +335,7 @@ def test_explicit_eval_period_overrides_rule_set():
 
 
 def test_install_duplicate_and_uninstall():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "1 > 0", "notify()")
     interp, calls = make_interpreter(env, [rule])
@@ -351,7 +348,7 @@ def test_install_duplicate_and_uninstall():
 
 
 def test_trace_records_elasticity_actions():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "@a.b > 4", "deployVM(x)",
                                     defaults={"a.b": 0})
@@ -580,7 +577,7 @@ def test_reconfigure_through_rule_action():
 def test_builtin_time_kpis():
     """§4.2.1: "the current time can be introduced as a monitorable
     parameter if necessary" — rules can gate on simulated wall time."""
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment(initial_time=6 * 3600)  # 06:00
     calls = []
     rule = ElasticityRule.from_text(
@@ -608,7 +605,7 @@ def test_builtin_time_kpis():
 
 
 def test_builtin_time_can_be_shadowed_by_measurement():
-    from repro.core.manifest import ElasticityRule
+    from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     calls = []
     rule = ElasticityRule.from_text(
@@ -657,7 +654,7 @@ def drive_random_lifecycle(seed: int) -> set:
     after every operation and every run step. Returns the operations that
     took effect."""
     import random
-    from repro.cloud import PlacementError
+    from repro.cloud.errors import PlacementError
     from tests.setups import (
         CHAOS_TIMINGS,
         make_veem as make_site,

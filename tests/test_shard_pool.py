@@ -13,20 +13,23 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.scale import (
-    ScaleConfig,
-    SessionProfile,
-    make_shard,
-    run_scale,
-)
-from repro.sim import EpochReport, ShardError, ShardPool
+from repro.experiments.scale import ScaleConfig, make_shard, run_scale
+from repro.scenarios.workloads import SessionProfile
+from repro.sim.shard import EpochReport, ShardError, ShardPool
 
 #: Modules a federation worker never runs: it replays the coordinator's
 #: drawn profiles (no numpy), and no pinned replay needs the solver, the
-#: grid, the SAP model or the paper harness.
+#: grid, the SAP model or the paper harness. Nor does it parse HUTN, bill,
+#: run an SLA monitor or a generated instrument, adapt probe rates, relay
+#: measurements, export a trace or profile its kernel.
 NOT_IN_A_WORKER = ("numpy", "repro.apps", "repro.grid", "repro.solver",
                    "repro.experiments.polymorph", "repro.experiments.weekly",
-                   "repro.experiments.fig11")
+                   "repro.experiments.fig11",
+                   "repro.core.manifest.hutn",
+                   "repro.core.service_manager.billing", "repro.core.sla",
+                   "repro.core.constraints.instruments",
+                   "repro.monitoring.adaptive", "repro.monitoring.relay",
+                   "repro.obs.exporters", "repro.obs.profile")
 
 
 class _GcProbe:

@@ -4,7 +4,7 @@ import gc
 
 import pytest
 
-from repro.sim import (
+from repro.sim.kernel import (
     AllOf,
     AnyOf,
     Environment,
@@ -407,15 +407,16 @@ def test_processes_start_before_same_time_events():
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_cancelled_timeout_is_skipped_dead(reference):
+    """An ``AnyOf`` loser stays queued, dead, until its timestamp drains."""
     env = make_env(reference)
-    doomed = env.timeout(5)
-    env.timeout(7)
-    doomed.cancel()
+    doomed = env.timeout(7)
+    env.any_of([env.timeout(5), doomed])
     env.run()
     assert env.now == 7.0
+    assert doomed.dead
     assert env.dead_skipped == 1
-    # Dead pops still count as processed work.
-    assert env.events_processed == 2
+    # Dead pops still count as processed work: winner, AnyOf and loser.
+    assert env.events_processed == 3
 
 
 @pytest.mark.parametrize("reference", [False, True])
@@ -492,13 +493,16 @@ def test_interrupt_before_start_detaches_first_wait(reference):
 
 @pytest.mark.parametrize("reference", [False, True])
 def test_attaching_callback_revives_cancelled_event(reference):
-    """cancel() is lazy, never destructive: a callback attached afterwards
-    still runs, and the pop is not counted as a dead skip."""
+    """Cancellation is lazy, never destructive: a callback attached to an
+    ``AnyOf`` loser afterwards still runs, and the pop is not counted as a
+    dead skip."""
     env = make_env(reference)
     fired = []
-    t = env.timeout(1, value="v")
-    t.cancel()
-    t.callbacks.append(lambda e: fired.append(e.value))
+    loser = env.timeout(2, value="v")
+    env.any_of([env.timeout(1), loser])
+    env.run(until=1.5)
+    assert loser.dead
+    loser.callbacks.append(lambda e: fired.append(e.value))
     env.run()
     assert fired == ["v"]
     assert env.dead_skipped == 0
@@ -516,9 +520,7 @@ def test_events_processed_counts_every_pop(reference):
 
 def test_kernel_counters_exposed_as_metrics_views():
     env = Environment()
-    t = env.timeout(3)
-    t.cancel()
-    env.timeout(4)
+    env.any_of([env.timeout(4), env.timeout(3)])
     env.run()
     m = env.metrics
     assert m.value("kernel.events.processed") == float(env.events_processed)

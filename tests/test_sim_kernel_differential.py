@@ -19,12 +19,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.sim import (  # noqa: E402
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupt,
-)
+from repro.sim.kernel import AllOf, AnyOf, Environment, Interrupt  # noqa: E402
 from tests.oracles.kernel import HeapEnvironment  # noqa: E402
 
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.5, 7.0)

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, TimeSeries, TraceLog
+from repro.sim.kernel import Environment
 from repro.sim.rng import RandomStreams, lognormal_from_mean_cv
-from repro.sim.tracing import SeriesRecorder
+from repro.sim.tracing import SeriesRecorder, TimeSeries, TraceLog
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,13 @@
 
 import pytest
 
-from repro.core.manifest import (
-    ManifestBuilder,
-    ServiceLevelObjective,
-    SLASection,
-    manifest_from_xml,
-    manifest_to_xml,
-    validate_manifest,
-    Severity,
-)
+from repro.core.manifest.builder import ManifestBuilder
+from repro.core.manifest.ovf_xml import manifest_from_xml, manifest_to_xml
+from repro.core.manifest.sla import ServiceLevelObjective, SLASection
+from repro.core.manifest.validation import validate_manifest, Severity
 from repro.core.sla import SLAMonitor
-from repro.monitoring import Measurement
-from repro.sim import Environment
+from repro.monitoring.measurements import AttributeType, Measurement
+from repro.sim.kernel import Environment
 
 
 def make_slo(**kw):
@@ -256,9 +251,12 @@ def test_statement_shape():
 
 def test_end_to_end_sla_protection_scales_service():
     """Full loop: SLO breach → protection hook → scale-up via lifecycle."""
-    from repro.cloud import Host, HypervisorTimings, ImageRepository, VEEM
-    from repro.core.service_manager import ScaleError, ServiceManager
-    from repro.monitoring import MonitoringAgent
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veeh import Host, HypervisorTimings
+    from repro.cloud.veem import VEEM
+    from repro.core.service_manager.lifecycle import ScaleError
+    from repro.core.service_manager.manager import ServiceManager
+    from repro.monitoring.agents import MonitoringAgent
 
     env = Environment()
     repo = ImageRepository(bandwidth_mb_per_s=1000)
@@ -292,7 +290,7 @@ def test_end_to_end_sla_protection_scales_service():
     agent = MonitoringAgent(env, service_id="svc-1", component="LB",
                             network=sm.network)
     agent.expose("app.response.time", lambda: 8.0, frequency_s=10,
-                 type=__import__("repro.monitoring", fromlist=["AttributeType"]).AttributeType.DOUBLE)
+                 type=AttributeType.DOUBLE)
     env.run(until=env.now + 320)
     assert monitor.penalties_accrued > 0
     assert service.instance_count("web") > 1

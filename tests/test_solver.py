@@ -9,43 +9,39 @@ and the typed rejection reasons that thread solver explanations into
 
 import pytest
 
-from repro.cloud import (
-    AntiAffinity,
-    CapacityError,
-    Host,
-    HypervisorTimings,
-    ImageRepository,
-    PlacementConstraint,
-    VEEM,
-)
+from repro.cloud.errors import CapacityError
+from repro.cloud.images import ImageRepository
+from repro.cloud.placement import AntiAffinity, PlacementConstraint
+from repro.cloud.veeh import Host, HypervisorTimings
+from repro.cloud.veem import VEEM
 from repro.cloud.vm import DeploymentDescriptor
-from repro.control import (
+from repro.control.plane import ControlPlane
+from repro.control.requests import (
     Admitted,
-    ControlPlane,
     Rejected,
     RejectCode,
     RejectionReason,
     RequestState,
 )
-from repro.core.manifest import ManifestBuilder
-from repro.sim import Environment
-from repro.solver import (
+from repro.core.manifest.builder import ManifestBuilder
+from repro.sim.kernel import Environment
+from repro.solver.defrag import execute_plan, fragmentation_score, plan_defrag
+from repro.solver.encode import (
+    encode_admission,
+    encode_service,
+    snapshot_hosts,
+)
+from repro.solver.explain import PruneCode
+from repro.solver.model import (
     HostView,
     Item,
     ModelConstraints,
     PlacementModel,
-    PruneCode,
     SearchBudget,
     Solution,
     Unsolved,
-    encode_admission,
-    encode_service,
-    execute_plan,
-    fragmentation_score,
-    plan_defrag,
-    snapshot_hosts,
-    solve,
 )
+from repro.solver.search import solve
 from tests.oracles.solver import replay_safe, validate_assignment
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=5, shutdown_s=1)
@@ -277,7 +273,7 @@ def test_unsupported_constraint_type_refuses_to_encode():
 
 
 def test_encode_admission_packs_committed_plus_candidate():
-    from repro.cloud import AdmissionController, HostType
+    from repro.cloud.capacity import AdmissionController, HostType
     admission = AdmissionController(2, HostType(10, 16384))
     admission.admit(ragged_manifest())
     # committed ceiling already fills both bins jointly; another copy is
@@ -325,7 +321,7 @@ def test_terminal_rejection_carries_typed_reason_and_explanation():
     env = Environment()
     # 1 real host, admission believes 2: the second deploy can never land
     # and the solver's UNSAT explanation reaches the terminal reason.
-    from repro.control import RetryPolicy
+    from repro.control.backpressure import RetryPolicy
     control = ControlPlane(env, retry=RetryPolicy(max_attempts=2,
                                                   initial_backoff_s=1.0))
     control.add_site("s", make_veem(env, [(4, 8192)]), pool_hosts=2)
@@ -348,7 +344,7 @@ def test_terminal_rejection_carries_typed_reason_and_explanation():
 
 
 def test_hard_screen_rejections_are_typed():
-    from repro.control import TenantQuota
+    from repro.control.tenants import TenantQuota
     env = Environment()
     control = ControlPlane(env, max_queue_depth=0)
     control.add_site("s", make_veem(env, [(4, 8192)]))
@@ -436,7 +432,7 @@ def test_what_if_solver_only_when_ffd_refuses_a_joint_fit():
 
 
 def test_what_if_quota_screens():
-    from repro.control import TenantQuota
+    from repro.control.tenants import TenantQuota
     env = Environment()
     control = ControlPlane(env)
     control.add_site("s", make_veem(env, [(8, 16384)] * 2))
@@ -558,7 +554,7 @@ def test_defrag_executor_aborts_on_stale_plan():
 
 
 def test_migration_plan_replay_catches_oversubscription():
-    from repro.solver import MigrationPlan, MigrationStep
+    from repro.solver.defrag import MigrationPlan, MigrationStep
     env = Environment()
     veem = make_veem(env, [(2, 2048)] * 2, name="site")
     scatter(veem, ["site-h0", "site-h1"], cpu=2, mem=2048)

@@ -7,7 +7,7 @@ Two contracts:
    solver must also find a solution (the solver strictly dominates the
    fast path: it only ever runs *after* greedy failed, so it may never be
    the reason an admissible service is refused). And every
-   :class:`~repro.solver.Solution` must pass the independent
+   :class:`~repro.solver.model.Solution` must pass the independent
    :func:`~tests.oracles.solver.validate_assignment` oracle: no
    oversubscription, no constraint violations.
 
@@ -34,28 +34,17 @@ MAX_EXAMPLES = int(os.environ.get("SOLVER_FUZZ_EXAMPLES", "60"))
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.cloud import (  # noqa: E402
-    AntiAffinity,
-    Affinity,
-    CapacityError,
-    ComponentCap,
-    Host,
-    Placer,
-    PlacementError,
-    VirtualMachine,
-)
+from repro.cloud.errors import CapacityError, PlacementError  # noqa: E402
+from repro.cloud.placement import AntiAffinity, Affinity, ComponentCap, Placer  # noqa: E402
+from repro.cloud.veeh import Host  # noqa: E402
+from repro.cloud.vm import VirtualMachine  # noqa: E402
 from repro.cloud.vm import DeploymentDescriptor  # noqa: E402
-from repro.control import ControlPlane  # noqa: E402
-from repro.core.manifest import ManifestBuilder  # noqa: E402
-from repro.sim import Environment  # noqa: E402
-from repro.solver import (  # noqa: E402
-    SearchBudget,
-    Solution,
-    Unsolved,
-    encode_items,
-    snapshot_hosts,
-    solve,
-)
+from repro.control.plane import ControlPlane  # noqa: E402
+from repro.core.manifest.builder import ManifestBuilder  # noqa: E402
+from repro.sim.kernel import Environment  # noqa: E402
+from repro.solver.encode import encode_items, snapshot_hosts  # noqa: E402
+from repro.solver.model import SearchBudget, Solution, Unsolved  # noqa: E402
+from repro.solver.search import solve  # noqa: E402
 from repro.solver.encode import ItemSpec, compile_constraints  # noqa: E402
 from tests.oracles.solver import validate_assignment  # noqa: E402
 
@@ -177,7 +166,8 @@ def test_what_if_is_pure(probe_manifests):
 
 
 def _veem(env, name, shapes):
-    from repro.cloud import VEEM, ImageRepository
+    from repro.cloud.images import ImageRepository
+    from repro.cloud.veem import VEEM
     repo = ImageRepository(bandwidth_mb_per_s=1000)
     repo.add("img", 64, href="img")
     veem = VEEM(env, name=name, repository=repo)

@@ -143,7 +143,8 @@ def write_manifests(work: Path) -> tuple[str, str]:
     """The paper's §6.1.2 manifest as XML and as HUTN text."""
     code = (
         "import sys\n"
-        "from repro.core.manifest import manifest_to_text, manifest_to_xml\n"
+        "from repro.core.manifest.hutn import manifest_to_text\n"
+        "from repro.core.manifest.ovf_xml import manifest_to_xml\n"
         "from tests.test_manifest_xml import paper_manifest\n"
         "m = paper_manifest()\n"
         "open(sys.argv[1], 'w').write(manifest_to_xml(m))\n"
