@@ -65,8 +65,6 @@ import math
 import sys
 from pathlib import Path
 
-from .core.manifest.hutn import manifest_from_text, manifest_to_text
-from .core.manifest.ovf_xml import manifest_from_xml, manifest_to_xml
 from .core.manifest.validation import Severity, validate_manifest
 
 __all__ = ["main"]
@@ -78,6 +76,9 @@ class _LoadError(Exception):
 
 
 def _load_manifest(path: str):
+    from .core.manifest.hutn import manifest_from_text
+    from .core.manifest.ovf_xml import manifest_from_xml
+
     try:
         text = Path(path).read_text()
         if text.lstrip().startswith("<"):
@@ -121,6 +122,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .core.manifest.hutn import manifest_to_text
+    from .core.manifest.ovf_xml import manifest_to_xml
+
     manifest = _load_manifest(args.manifest)
     if args.to == "xml":
         print(manifest_to_xml(manifest))
@@ -224,8 +228,7 @@ def _cmd_capacity(args) -> int:
             try:
                 controller.admit(manifest)
                 print(f"admit {manifest.service_name} ({path}): OK "
-                      f"(committed ceiling "
-                      f"{controller.committed_plan.hosts_for_ceiling} / "
+                      f"(committed ceiling {controller.committed_hosts} / "
                       f"{args.hosts} hosts)")
             except CapacityError as exc:
                 print(f"admit {manifest.service_name} ({path}): REFUSED — "

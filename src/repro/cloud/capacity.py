@@ -172,9 +172,35 @@ def _ffd_rows(demands: Iterable[InstanceDemand]
             for d in sorted(demands, key=_ffd_key)]
 
 
+class _Pack:
+    """The state of one first-fit-decreasing pass, which :func:`_pack_rows`
+    continues in place: per-bin free CPU and memory, per-bin component
+    tallies (kept only when the pack tallies) and the skip-start map."""
+
+    __slots__ = ("cpu", "mem", "counts", "starts")
+
+    def __init__(self) -> None:
+        self.cpu: list[float] = []
+        self.mem: list[float] = []
+        self.counts: list[dict[str, int]] = []
+        self.starts: dict[tuple, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.cpu)
+
+    def copy(self) -> "_Pack":
+        other = _Pack()
+        other.cpu = self.cpu[:]
+        other.mem = self.mem[:]
+        other.counts = [dict(c) for c in self.counts]
+        other.starts = dict(self.starts)
+        return other
+
+
 def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
                host: HostType, limit: Optional[int] = None,
-               track_counts: bool = True) -> int:
+               track_counts: bool = True,
+               pack: Optional[_Pack] = None) -> int:
     """First-fit-decreasing over pre-sorted ``(cpu, mem, cap, component)``
     rows, bins as parallel free-capacity lists; returns bins used.
 
@@ -202,14 +228,21 @@ def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
     same-named components of different services share a bin's tally), so
     this is only sound when the caller knows **no row in the whole pack**
     carries a cap; :class:`_DemandTable` tracks exactly that.
+
+    ``pack`` is a pass to continue, updated in place: FFD is one
+    sequential pass, so continuing a pack with rows that all sort at or
+    after the rows it consumed (with the same ``track_counts``) gives what
+    one pack of both would. A caller that keeps a pack continues a copy.
     """
+    if pack is None:
+        pack = _Pack()
     host_cpu = host.cpu_cores
     host_mem = host.memory_mb
     eps = 1e-9
-    bins_cpu: list[float] = []
-    bins_mem: list[float] = []
-    bins_count: list[dict[str, int]] = []
-    starts: dict[tuple, int] = {}
+    bins_cpu = pack.cpu
+    bins_mem = pack.mem
+    bins_count = pack.counts
+    starts = pack.starts
     for cpu, mem, cap, comp in rows:
         if cpu > host_cpu or mem > host_mem:
             raise CapacityError(
@@ -320,23 +353,21 @@ class _DemandTable:
     def rows(self) -> Iterator[tuple[float, float, int, str]]:
         return zip(self.cpu, self.mem, self.cap, self.comp)
 
-    def rows_with(self, demands: tuple[InstanceDemand, ...]
+    def rows_with(self, extra: list[tuple[float, float, int, str]]
                   ) -> Iterator[tuple[float, float, int, str]]:
-        """Rows merged with a candidate's demands, preserving FFD order
-        (candidate rows after equal-key committed rows — exactly where a
-        repack of ``admitted + [candidate]`` would stable-sort them)."""
-        extra = sorted(demands, key=_ffd_key)
+        """Rows merged with a candidate's :func:`_ffd_rows`, preserving FFD
+        order (candidate rows after equal-key committed rows — exactly
+        where a repack of ``admitted + [candidate]`` would stable-sort
+        them)."""
         keys = self.keys
         table_rows = self.rows()
         i, n = 0, len(keys)
-        for d in extra:
-            key = _ffd_key(d)
+        for row in extra:
+            key = (-row[1], -row[0])
             while i < n and keys[i] <= key:
                 yield next(table_rows)
                 i += 1
-            yield (d.cpu, d.memory_mb,
-                   -1 if d.per_host_cap is None else d.per_host_cap,
-                   d.component)
+            yield row
         yield from table_rows
 
 
@@ -344,25 +375,31 @@ class AdmissionController:
     """Guaranteed-capacity admission: every admitted service must be able to
     reach its maximum instances simultaneously on the pool.
 
-    Admission decisions are exact first-fit-decreasing repacks of everything
-    admitted plus the candidate, but the scale harness asks thousands of
-    times per simulated minute, so the committed demand lives in two
-    struct-of-arrays :class:`_DemandTable` s (floor and ceiling) kept in
-    FFD order incrementally — a verdict is one :func:`_pack_rows` pass over
-    dense float columns with no re-expansion, no re-sort and no
-    ``InstanceDemand`` object churn. Three caches sit in front of the pack
-    — none of them changes a single verdict:
+    A verdict is exactly a first-fit-decreasing repack of every admitted
+    service's ceiling plus the candidate's, but the scale harness asks
+    thousands of times per simulated minute, so the controller keeps what
+    that repack would redo. None of this changes a single verdict:
 
-    * aggregate ceiling totals give an O(1) *necessary* screen — if total
-      demand exceeds the pool's raw capacity, no packing can fit and the
-      pack is skipped (and the pack itself exits early once the verdict
-      can no longer be "yes");
-    * the last ``can_admit`` verdict is memoised by manifest identity and a
-      mutation version, collapsing the ``can_admit`` → ``admit`` double
-      pack and the control plane's repeated probes of a saturated pool;
-    * :attr:`committed_plan` (and so :attr:`headroom`, the federated
-      ranking key read per submission per site) is cached until the
-      admitted set changes.
+    * the committed ceiling lives in a struct-of-arrays
+      :class:`_DemandTable`, kept in FFD order incrementally with running
+      totals, which give an O(1) *necessary* screen: if total demand
+      exceeds the pool's raw capacity, no packing fits and nothing is
+      packed;
+    * the table's FFD pack (a :class:`_Pack`). FFD is one sequential pass
+      over rows in FFD order, and a candidate's rows usually sort after
+      every committed row (in a homogeneous fleet, always), so the verdict
+      is a copy of that pack continued by the candidate's own rows, which
+      stops once the pool is exceeded. A candidate with a row that sorts
+      before a committed one, or that brings the first capped row into an
+      untallied pack, is packed in full with the committed rows.
+      ``admit`` adopts the verdict's pack, so :attr:`headroom` (the key
+      the control plane ranks every site by on every submission) is a bin
+      count; ``release`` drops the pack, and the next reader packs the
+      ceiling once;
+    * the last ``can_admit`` verdict and its pack, memoised by manifest
+      identity and a mutation version: ``can_admit`` then ``admit`` packs
+      once, and the control plane's repeated probes of a saturated pool
+      pack nothing.
     """
 
     def __init__(self, pool_hosts: int, host: Optional[HostType] = None):
@@ -371,14 +408,15 @@ class AdmissionController:
         self.pool_hosts = pool_hosts
         self.host = host or HostType()
         self.admitted: list[ServiceManifest] = []
-        #: Bumped on every admit/release; guards all caches below.
+        #: Bumped on every admit/release; guards the verdict memo.
         self._version = 0
-        self._floor = _DemandTable()
         self._ceiling = _DemandTable()
         self._tokens: list[int] = []
         self._next_token = 0
-        self._committed: Optional[tuple[int, CapacityPlan]] = None
-        self._last_check: Optional[tuple[ServiceManifest, int, bool]] = None
+        #: the FFD pack of ``_ceiling``; None after a release until read
+        self._pack: Optional[_Pack] = _Pack()
+        self._last_check: Optional[
+            tuple[ServiceManifest, int, bool, Optional[_Pack]]] = None
 
     def can_admit(self, manifest: ServiceManifest) -> bool:
         memo = self._last_check
@@ -387,6 +425,7 @@ class AdmissionController:
             return memo[2]
         envelope = demand_envelope(manifest)
         cpu, mem = envelope.totals("ceiling")
+        pack = None
         if (self._ceiling.total_mem + mem
                 > self.host.memory_mb * self.pool_hosts + 1e-6
                 or self._ceiling.total_cpu + cpu
@@ -394,14 +433,9 @@ class AdmissionController:
             # Aggregate demand alone overflows the pool: no packing exists.
             verdict = False
         else:
-            track = (self._ceiling.capped_rows > 0
-                     or any(d.per_host_cap is not None
-                            for d in envelope.ceiling))
-            hosts = _pack_rows(self._ceiling.rows_with(envelope.ceiling),
-                               self.host, limit=self.pool_hosts,
-                               track_counts=track)
+            hosts, pack = self._pack_with(envelope, limit=self.pool_hosts)
             verdict = hosts <= self.pool_hosts
-        self._last_check = (manifest, self._version, verdict)
+        self._last_check = (manifest, self._version, verdict, pack)
         return verdict
 
     def admit(self, manifest: ServiceManifest) -> None:
@@ -410,13 +444,16 @@ class AdmissionController:
                 f"cannot admit {manifest.service_name!r}: worst-case demand "
                 f"exceeds the {self.pool_hosts}-host pool"
             )
+        # The verdict's pack consumed exactly the rows the table holds
+        # after this insert, in the same order, and never hit its limit.
+        pack = self._last_check[3]
         envelope = demand_envelope(manifest)
         token = self._next_token
         self._next_token += 1
         self.admitted.append(manifest)
         self._tokens.append(token)
-        self._floor.insert(token, envelope.floor)
         self._ceiling.insert(token, envelope.ceiling)
+        self._pack = pack
         self._version += 1
 
     def release(self, manifest: ServiceManifest) -> None:
@@ -426,23 +463,50 @@ class AdmissionController:
         index = self.admitted.index(manifest)
         del self.admitted[index]
         token = self._tokens.pop(index)
-        self._floor.remove(token)
         self._ceiling.remove(token)
+        self._pack = None
         self._version += 1
 
     def probe(self, manifest: ServiceManifest) -> int:
         """Hosts the committed worst case plus this manifest would need.
 
-        Pure what-if: a full FFD pack with no pool limit and no caches
-        touched — nothing about the controller (or its memos) changes, so
-        federation-wide probes are observably side-effect free.
+        Pure what-if: the same pack as :meth:`can_admit` with no pool
+        limit, and the verdict memo is left alone — nothing observable
+        about the controller changes, so federation-wide probes are
+        side-effect free.
         """
-        envelope = demand_envelope(manifest)
-        track = (self._ceiling.capped_rows > 0
-                 or any(d.per_host_cap is not None
-                        for d in envelope.ceiling))
-        return _pack_rows(self._ceiling.rows_with(envelope.ceiling),
-                          self.host, track_counts=track)
+        return self._pack_with(demand_envelope(manifest))[0]
+
+    def _pack_with(self, envelope: DemandEnvelope,
+                   limit: Optional[int] = None) -> tuple[int, _Pack]:
+        """Pack the committed ceiling plus ``envelope``'s; returns the
+        :func:`_pack_rows` result and the pack."""
+        table = self._ceiling
+        rows = _ffd_rows(envelope.ceiling)
+        tallied = table.capped_rows > 0
+        capped = any(row[2] >= 0 for row in rows)
+        if ((not rows or not table.keys
+                or (-rows[0][1], -rows[0][0]) >= table.keys[-1])
+                and (tallied or not capped)):
+            # Every candidate row sorts after the committed ones, and the
+            # committed pack tallies if the candidate needs it to.
+            pack = self._committed_pack().copy()
+            hosts = _pack_rows(rows, self.host, limit=limit,
+                               track_counts=tallied, pack=pack)
+        else:
+            pack = _Pack()
+            hosts = _pack_rows(table.rows_with(rows), self.host,
+                               limit=limit, track_counts=tallied or capped,
+                               pack=pack)
+        return hosts, pack
+
+    def _committed_pack(self) -> _Pack:
+        pack = self._pack
+        if pack is None:
+            pack = self._pack = _Pack()
+            _pack_rows(self._ceiling.rows(), self.host,
+                       track_counts=self._ceiling.capped_rows > 0, pack=pack)
+        return pack
 
     def committed_rows(self) -> list[tuple[int, str, float, float,
                                            Optional[int]]]:
@@ -455,28 +519,12 @@ class AdmissionController:
                 for i in range(len(t))]
 
     @property
-    def committed_plan(self) -> CapacityPlan:
-        cached = self._committed
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        plan = CapacityPlan(
-            host=self.host,
-            hosts_for_floor=_pack_rows(
-                self._floor.rows(), self.host,
-                track_counts=self._floor.capped_rows > 0),
-            hosts_for_ceiling=_pack_rows(
-                self._ceiling.rows(), self.host,
-                track_counts=self._ceiling.capped_rows > 0),
-            floor_cpu=self._floor.total_cpu,
-            floor_memory_mb=self._floor.total_mem,
-            ceiling_cpu=self._ceiling.total_cpu,
-            ceiling_memory_mb=self._ceiling.total_mem,
-        )
-        self._committed = (self._version, plan)
-        return plan
+    def committed_hosts(self) -> int:
+        """Hosts the committed worst case packs onto."""
+        return len(self._committed_pack())
 
     @property
     def headroom(self) -> int:
         """Hosts still unreserved at the committed worst case — the ranking
         key the control plane's federated site selection spreads load by."""
-        return self.pool_hosts - self.committed_plan.hosts_for_ceiling
+        return self.pool_hosts - self.committed_hosts

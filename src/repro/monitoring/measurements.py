@@ -208,8 +208,9 @@ def _make_measurement_builder():
     timestamp, values, seqno)``: it writes the frozen, slotted dataclass's
     slots through their member descriptors instead of running the keyword
     ``__init__`` (≈0.7 µs against ≈2 µs). It runs none of the constructor's
-    checks: the probe runs :func:`_check_identity` per sample, and the
-    fabric's stream cache holds only identities a strict decode accepted.
+    checks: a data source runs :func:`_check_identity` once per probe, when
+    it binds the probe (its identity never changes), and the fabric's
+    stream cache holds only identities a strict decode accepted.
     """
     new = object.__new__
     slot = Measurement.__dict__

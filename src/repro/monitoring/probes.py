@@ -77,8 +77,8 @@ class Probe:
             return None
         values = tuple(values)
         self.dictionary.validate_values(values)
-        # the public constructor's checks, then its slots written directly
-        _check_identity(self.qualified_name, service_id, self.probe_id)
+        # The identity passed the public constructor's checks when the
+        # data source bound this probe, so the slots are written directly.
         return _build_measurement(self.qualified_name, service_id,
                                   self.probe_id, env.now, values,
                                   next(self._seq))
@@ -154,6 +154,8 @@ class DataSource:
     def add_probe(self, probe: Probe, *, start: bool = True) -> Probe:
         if probe.name in self.probes:
             raise ValueError(f"duplicate probe name {probe.name!r}")
+        # Every sample carries this identity, and none of it changes.
+        _check_identity(probe.qualified_name, self.service_id, probe.probe_id)
         probe.datasource = self
         self.probes[probe.name] = probe
         if self.infomodel is not None:

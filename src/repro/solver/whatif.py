@@ -125,7 +125,7 @@ def what_if(plane, manifest, *, tenant: Optional[str] = None,
     for site in plane.sites:
         eligible = plane._eligible(site, manifest)
         admission = site.admission
-        hosts_before = admission.committed_plan.hosts_for_ceiling
+        hosts_before = admission.committed_hosts
         if not eligible:
             verdicts.append(SiteVerdict(
                 site=site.name, eligible=False, admits_now=False,

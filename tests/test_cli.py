@@ -1,5 +1,10 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import main
@@ -20,6 +25,22 @@ def text_path(tmp_path):
     path = tmp_path / "service.rsm"
     path.write_text(manifest_to_text(paper_manifest()))
     return str(path)
+
+
+def test_importing_the_cli_loads_no_manifest_syntax():
+    """Only the manifest subcommands read or write a concrete syntax, so
+    importing the CLI (which every subcommand does) loads neither the
+    textual nor the XML syntax, nor the XML parser."""
+    syntaxes = ["repro.core.manifest.hutn", "repro.core.manifest.ovf_xml",
+                "xml.etree.ElementTree"]
+    code = ("import sys, repro.__main__; "
+            f"print([m for m in {syntaxes!r} if m in sys.modules])")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_validate_xml_ok(xml_path, capsys):

@@ -14,6 +14,8 @@ books balance:
   never breaches its quota.
 """
 
+import os
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -36,6 +38,12 @@ TENANT_NAMES = ("alpha", "beta", "gamma")
 
 #: states in which a request holds a capacity/quota reservation
 LIVE = (RequestState.DEPLOYING, RequestState.ACTIVE)
+
+
+def examples(default: int) -> int:
+    """A property's example budget: ``default`` in tier-1, raised by CI's
+    solver-fuzz step through ``SOLVER_FUZZ_EXAMPLES``."""
+    return int(os.environ.get("SOLVER_FUZZ_EXAMPLES", default))
 
 
 def make_control(pool_hosts, quotas):
@@ -104,7 +112,7 @@ quota_strategy = st.sampled_from([
 ])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(pool_hosts=st.integers(1, 6),
        quotas=st.tuples(quota_strategy, quota_strategy, quota_strategy),
        ops=st.lists(operation, max_size=40))
@@ -137,7 +145,7 @@ def test_admission_never_oversubscribes_under_churn(pool_hosts, quotas, ops):
             assert request.envelope.ceiling
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(pool_hosts=st.integers(1, 4),
        sizes=st.lists(st.tuples(st.sampled_from([1.0, 2.0, 4.0]),
                                 st.integers(1, 3)),

@@ -1,12 +1,14 @@
-"""The scripts in ``examples/`` run to completion.
+"""The scripts in ``examples/`` and the README's snippets run to
+completion.
 
-Each runs in its own interpreter from the repository root with
+Each example runs in its own interpreter from the repository root with
 ``PYTHONPATH=src`` and must exit 0. Two must also print what they always
 have: the quickstart's scale-up/down cycle and the monitoring tour's
 network accounting.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,11 +28,11 @@ EXPECTED = {
 }
 
 
-def run_example(path):
+def run_example(path, cwd=ROOT):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, str(path)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, str(path)], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
 
@@ -45,3 +47,19 @@ def test_example_runs(path):
     assert result.returncode == 0, result.stderr
     for line in EXPECTED.get(path.stem, ()):
         assert line in result.stdout
+
+
+def test_readme_snippets_run_in_order(tmp_path):
+    """The README's Python blocks build on each other (the control plane
+    reuses the quickstart's kernel, VEEM and manifest; the tracing block
+    its Service Manager), so they run as one script, in a temporary
+    directory because the last one writes ``trace.json``."""
+    blocks = re.findall(r"```python\n(.*?)```",
+                        (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 3
+    script = tmp_path / "readme.py"
+    script.write_text("\n".join(blocks))
+    result = run_example(script, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "'admitted': 1" in result.stdout
+    assert (tmp_path / "trace.json").exists()

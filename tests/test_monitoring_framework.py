@@ -154,6 +154,32 @@ def test_duplicate_probe_name_rejected():
         ds.add_probe(make_probe())
 
 
+def test_probe_identity_is_checked_once_at_binding(monkeypatch):
+    """A probe's qualified name, service id and probe id never change, so
+    the data source checks them when it binds the probe, not per sample."""
+    from repro.monitoring import probes
+
+    checked = []
+    check = probes._check_identity
+
+    def counting(*identity):
+        checked.append(identity)
+        check(*identity)
+
+    monkeypatch.setattr(probes, "_check_identity", counting)
+    env = Environment()
+    net = MulticastChannel(env)
+    store = MeasurementStore()
+    store.subscribe_to(net)
+    ds = DataSource(env, "ds", "svc-1", net)
+    probe = ds.add_probe(make_probe(rate=10))
+    assert checked == [("uk.ucl.test.kpi", "svc-1", probe.probe_id)]
+    env.run(until=55)
+    ds.emit_now(probe.name)
+    assert store.notifications == 6
+    assert len(checked) == 1
+
+
 def test_probe_validation():
     with pytest.raises(ValueError):
         make_probe(rate=0)

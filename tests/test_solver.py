@@ -379,7 +379,7 @@ def build_federation(env, shapes_by_site):
 
 def admission_fingerprint(control):
     return [
-        (s.name, s.headroom, s.admission.committed_plan.hosts_for_ceiling,
+        (s.name, s.headroom, s.admission.committed_hosts,
          len(s.admission.admitted),
          tuple((h.cpu_free, h.memory_free) for h in s.site.veem.hosts))
         for s in control.sites

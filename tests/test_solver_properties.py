@@ -180,7 +180,7 @@ def _veem(env, name, shapes):
 def _fingerprint(control):
     return [
         (s.name, s.headroom,
-         s.admission.committed_plan.hosts_for_ceiling,
+         s.admission.committed_hosts,
          len(s.admission.admitted),
          tuple((h.cpu_free, h.memory_free) for h in s.site.veem.hosts))
         for s in control.sites
