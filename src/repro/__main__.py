@@ -105,6 +105,15 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    """An ``argparse`` type: a finite number of at least zero."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number of at least 0, got {value:g}")
+    return value
+
+
 def _cmd_validate(args) -> int:
     manifest = _load_manifest(args.manifest)
     issues = validate_manifest(manifest)
@@ -637,9 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "H simulated hours (DESIGN §13)")
     p.add_argument("--sites", type=int, default=100)
     p.add_argument("--services", type=int, default=10_000)
-    p.add_argument("--hours", type=float, default=1.0)
+    p.add_argument("--hours", type=_positive_float, default=1.0)
     p.add_argument("--tenants", type=int, default=8)
-    p.add_argument("--monitor-period", type=float, default=60.0,
+    p.add_argument("--monitor-period", type=_positive_float, default=60.0,
                    help="session-KPI publication period (s)")
     p.add_argument("--elastic-fraction", type=float, default=0.25,
                    help="fraction of services whose burst trips scale-up")
@@ -647,9 +656,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--procs", type=int, default=1,
                    help="worker processes; >1 shards the federation's "
                         "sites across a spawn pool with epoch barriers")
-    p.add_argument("--epoch", type=float, default=600.0,
+    p.add_argument("--epoch", type=_positive_float, default=600.0,
                    help="simulated seconds between shard barriers")
-    p.add_argument("--defrag-every", type=float, default=0.0,
+    p.add_argument("--defrag-every", type=_non_negative_float, default=0.0,
                    metavar="H",
                    help="run a defragmenting migration pass per site every "
                         "H simulated hours (0 = off)")
@@ -672,7 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "alpha ...)")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--procs", type=int, default=None)
-    p.add_argument("--hours", type=float, default=None)
+    p.add_argument("--hours", type=_positive_float, default=None)
     p.add_argument("--out", default="runs",
                    help="directory for per-cell JSONL (default: runs/)")
     p.add_argument("--list", action="store_true",

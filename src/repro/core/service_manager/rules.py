@@ -3,8 +3,9 @@
 Implements the §4.2.2 OCL contract precisely:
 
 * ``notify(e: Event)`` — incoming monitoring events are appended to the
-  record store (here: latest-value per qualified name, plus a full journal
-  that answers the rule conditions' window operations);
+  record store (here: latest-value per qualified name, plus the trailing
+  windows the installed conditions' window operations read — a stream no
+  window reads keeps only its latest sample);
 * ``evaluate(qe: QualifiedElement)`` — the latest record's value, else the
   KPI's declared default;
 * ``evaluateRules()`` — for every installed rule whose condition evaluates
@@ -65,7 +66,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Optional
 
-from ...monitoring.consumers import MeasurementJournal, MeasurementStore
+from ...monitoring.consumers import MeasurementStore, TrailingWindows
 from ...monitoring.distribution import DistributionFramework
 from ...monitoring.measurements import Measurement
 from ...sim.kernel import Environment, Interrupt
@@ -132,7 +133,10 @@ class RuleInterpreter:
         self.executor = executor
         self.trace = trace if trace is not None else TraceLog(env)
         self.store = MeasurementStore()
-        self.journal = MeasurementJournal()
+        #: what the installed rules' window operations read: a stream is
+        #: kept from the first install of a rule that reads it through a
+        #: window, as far back as its longest window (DESIGN.md §9)
+        self.windows = TrailingWindows()
         self._rules: dict[str, _InstalledRule] = {}
         self._defaults = dict(kpi_defaults or {})
         self._explicit_period = eval_period_s
@@ -202,10 +206,15 @@ class RuleInterpreter:
         refs = rule.kpi_references()
         expression = rule.trigger.expression
         cond = expression.compile()
+        windowed = False
+        for node in expression.walk():
+            if isinstance(node, WindowOp):
+                self.windows.watch(node.name, node.window_s)
+                windowed = True
         periodic = (
-            not refs
+            windowed
+            or not refs
             or not refs.isdisjoint((self.TIME_NOW, self.TIME_OF_DAY))
-            or any(isinstance(node, WindowOp) for node in expression.walk())
         )
         installed = _InstalledRule(rule=rule, seq=self._seq, refs=refs,
                                    cond=cond, periodic=periodic)
@@ -236,6 +245,7 @@ class RuleInterpreter:
         if installed.periodic:
             self._periodic.remove(installed)
         self._hot.pop(name, None)
+        # Its windows stay watched: keeping more never changes an answer.
         self._refresh_period()
 
     @property
@@ -264,7 +274,7 @@ class RuleInterpreter:
         if measurement.service_id != self.service_id:
             return  # multiple service instances operate independently
         previous = self.store.notify(measurement)
-        self.journal.notify(measurement)
+        self.windows.notify(measurement, self.env.now)
         name = measurement.qualified_name
         # A sample repeating the stored values cannot change any condition
         # that reads only the latest values (DESIGN.md §9).
@@ -322,11 +332,10 @@ class RuleInterpreter:
         return self._defaults.get(name)
 
     def _window(self, name: str, window_s: float, op: str) -> Optional[float]:
-        """Trailing-window aggregation over the journal, for the §4.2.1
-        time-series operations (mean/min/max/count)."""
+        """Trailing-window aggregation for the §4.2.1 time-series
+        operations (mean/min/max/count)."""
         now = self.env.now
-        return self.journal.aggregate(self.service_id, name,
-                                      now - window_s, now, op)
+        return self.windows.aggregate(name, now - window_s, now, op)
 
     def _set_hot(self, installed: _InstalledRule, flag: bool) -> None:
         if flag:

@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..monitoring.consumers import MeasurementJournal, MeasurementStore
+from ..monitoring.consumers import MeasurementStore, TrailingWindows
 from ..monitoring.distribution import DistributionFramework
 from ..monitoring.measurements import Measurement
 from ..sim.kernel import Environment, Interrupt
 from ..sim.tracing import TraceLog
-from .manifest.expressions import EvaluationContext
+from .manifest.expressions import EvaluationContext, WindowOp
 from .manifest.sla import SLASection, ServiceLevelObjective
 
 __all__ = ["SLOSample", "SLOBreach", "SLAMonitor"]
@@ -71,7 +71,12 @@ class SLAMonitor:
         self.sla = sla
         self.trace = trace if trace is not None else TraceLog(env)
         self.store = MeasurementStore()
-        self.journal = MeasurementJournal()
+        #: the trailing windows the objectives read (DESIGN.md §9)
+        self.windows = TrailingWindows()
+        for slo in sla:
+            for node in slo.expression.walk():
+                if isinstance(node, WindowOp):
+                    self.windows.watch(node.name, node.window_s)
         self._defaults = dict(kpi_defaults or {})
         self._states = {slo.name: _ObjectiveState(slo) for slo in sla}
         self._hooks: list[ProtectionHook] = []
@@ -112,7 +117,7 @@ class SLAMonitor:
         if measurement.service_id != self.service_id:
             return
         self.store.notify(measurement)
-        self.journal.notify(measurement)
+        self.windows.notify(measurement, self.env.now)
 
     def add_protection_hook(self, hook: ProtectionHook) -> None:
         self._hooks.append(hook)
@@ -147,8 +152,7 @@ class SLAMonitor:
 
         def window(name: str, window_s: float, op: str) -> Optional[float]:
             now = self.env.now
-            return self.journal.aggregate(self.service_id, name,
-                                          now - window_s, now, op)
+            return self.windows.aggregate(name, now - window_s, now, op)
 
         return EvaluationContext(latest=latest, window=window)
 

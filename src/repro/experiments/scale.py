@@ -150,25 +150,29 @@ class ScaleConfig:
     def __post_init__(self) -> None:
         if self.flight_recorder < 0:
             raise ValueError("flight_recorder must be >= 0")
-        if self.sites <= 0 or self.services <= 0 or self.hours <= 0:
-            raise ValueError("sites, services and hours must be positive")
+        if self.sites <= 0 or self.services <= 0:
+            raise ValueError("sites and services must be positive")
+        # Written so that NaN fails them too: a NaN or infinite run
+        # length, epoch or period would never end the run.
+        for name in ("hours", "epoch_s", "monitor_period_s"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be a finite number above 0, got {value}")
+        for name in ("defrag_every_h", "settle_s"):
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be a finite number of at "
+                                 f"least 0, got {value}")
         if self.tenants <= 0:
             raise ValueError("need at least one tenant")
         if not 0.0 <= self.elastic_fraction <= 1.0:
             raise ValueError("elastic_fraction must be in [0, 1]")
         if self.procs <= 0:
             raise ValueError("procs must be positive")
-        if self.epoch_s <= 0:
-            raise ValueError("epoch_s must be positive")
-        if self.defrag_every_h < 0:
-            raise ValueError("defrag_every_h must be >= 0")
-        if self.settle_s < 0:
-            raise ValueError("settle_s must be >= 0")
         if self.duration_s + self.settle_s <= WARMUP_S:
             raise ValueError(f"the run must outlast the {WARMUP_S:g} s "
                              f"warm-up")
-        if self.monitor_period_s <= 0:
-            raise ValueError("monitor_period_s must be positive")
         if self.workload not in WORKLOADS:
             raise ValueError(f"unknown workload {self.workload!r}; "
                              f"have {sorted(WORKLOADS)}")

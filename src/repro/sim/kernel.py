@@ -187,8 +187,8 @@ def _make_timeout_factory(env: "Environment") -> Callable[..., Timeout]:
     new = object.__new__
 
     def timeout(delay: float, value: Any = None) -> Timeout:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:   # false for a negative delay and for NaN
+            raise ValueError(f"delay must be a number >= 0, got {delay}")
         self = new(Timeout)
         self.env = env
         self.callbacks = []
@@ -659,9 +659,10 @@ class Environment:
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:   # a past time, or NaN
                 raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
+                    f"until={stop_time} is not a time at or after now "
+                    f"({self._now})"
                 )
 
         # The drain loop is the single hottest path in the harness: queue

@@ -46,8 +46,8 @@ class HeapEnvironment(Environment):
     def _timeout(self, delay: float, value: Any = None) -> Timeout:
         """``env.timeout`` on the oracle: a Timeout with its slots written
         one by one, scheduled through the heap's ``_schedule``."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:   # false for a negative delay and for NaN
+            raise ValueError(f"delay must be a number >= 0, got {delay}")
         event = object.__new__(Timeout)
         event.env = self
         event.callbacks = []
@@ -88,9 +88,10 @@ class HeapEnvironment(Environment):
             stop_event = until
         elif until is not None:
             stop_time = float(until)
-            if stop_time < self._now:
+            if not stop_time >= self._now:   # a past time, or NaN
                 raise ValueError(
-                    f"until={stop_time} is in the past (now={self._now})"
+                    f"until={stop_time} is not a time at or after now "
+                    f"({self._now})"
                 )
 
         queue = self._queue

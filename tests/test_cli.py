@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.core.manifest.hutn import manifest_to_text
 from repro.core.manifest.ovf_xml import manifest_to_xml
 from tests.test_manifest_xml import paper_manifest
@@ -197,13 +197,27 @@ _COUNT_FLAGS = [
     for command, flag, value in (("capacity", "--host-cpu", "0"),
                                  ("capacity", "--host-memory", "-1"),
                                  ("plan", "--host-cpu", "0"),
-                                 ("plan", "--host-memory", "inf"))])
+                                 ("plan", "--host-memory", "inf"),
+                                 # a NaN or infinite time never ends a run
+                                 ("scale", "--hours", "nan"),
+                                 ("scale", "--hours", "inf"),
+                                 ("scale", "--epoch", "nan"),
+                                 ("scale", "--monitor-period", "nan"),
+                                 ("scale", "--monitor-period", "inf"),
+                                 ("scale", "--monitor-period", "0"),
+                                 ("experiment", "--hours", "nan"))] + [
+    pytest.param("scale", "--defrag-every", value,
+                 f"must be a finite number of at least 0, got {value}",
+                 id=f"scale---defrag-every-{value}")
+    for value in ("nan", "inf", "-1")])
 def test_count_below_one_is_refused_before_building(command, flag, value,
                                                     message, xml_path,
                                                     capsys):
+    # The parser refuses the value, so no command runs: at a parser that
+    # took it, a NaN run length would never end.
     manifest = [xml_path] if command in ("capacity", "plan") else []
     with pytest.raises(SystemExit) as exit_info:
-        main([command, *manifest, flag, value])
+        build_parser().parse_args([command, *manifest, flag, value])
     assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.err.endswith(f"error: argument {flag}: {message}\n")

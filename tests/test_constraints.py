@@ -318,13 +318,17 @@ def test_enforcement_validator_ignores_non_holding_events():
 
 def test_end_to_end_enforcement_validation():
     """Full stack: deploy, drive load, then validate enforcement from the
-    real journal and trace — the paper's §4.2.3 instrument in action."""
+    journal of the instrument the manifest generates and the real trace —
+    the paper's §4.2.3 instrument in action."""
     env = Environment()
     veem = make_veem(env)
     sm = ServiceManager(env, veem)
     manifest = sap_manifest()
     service = sm.deploy(manifest, service_id="svc-sap")
     env.run(until=service.deployment)
+    # Generated before the agent publishes, so its journal holds every
+    # KPI event the rule engine sees.
+    instruments = generate_instruments(manifest, "svc-sap", sm.network)
 
     sessions = {"n": 0}
     agent = MonitoringAgent(env, service_id="svc-sap",
@@ -338,8 +342,7 @@ def test_end_to_end_enforcement_validation():
     sessions["n"] = 0
     env.run(until=env.now + 120)
 
-    validator = ElasticityEnforcementValidator(
-        manifest, "svc-sap", service.interpreter.journal, sm.trace)
+    validator = instruments.validator(sm.trace)
     assert validator.violations() == [], [
         str(v) for v in validator.violations()]
     summary = validator.summary()

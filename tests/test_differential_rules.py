@@ -11,6 +11,8 @@ same simulated clock:
 Whatever the sequence — sparse churn, unmeasured KPIs, error rules, window
 aggregations, cooldowns, refusing executors — both engines must produce
 identical :class:`RuleFiring` journals and identical per-rule statistics.
+The reference engine's windows read every sample it was notified of; the
+optimised engine's keep only what a window can still reach.
 Most samples repeat their stream's previous values, which the optimised
 engine does not count as a change, so the streams also carry the values
 where equality and the condition's float view could part: NaN, 0.0 then
@@ -45,6 +47,11 @@ def build_rules():
             "error-prone", "@k.c > 2", "undeployVM(x)", defaults=DEFAULTS),
         ElasticityRule.from_text(
             "windowed", "mean(@k.a, 30) > 4", "notify()", defaults=DEFAULTS),
+        # a second, shorter window on k.a, and a window on a second stream
+        ElasticityRule.from_text(
+            "burst", "count(@k.a, 5) >= 2", "notify()", defaults=DEFAULTS),
+        ElasticityRule.from_text(
+            "peak", "max(@k.b, 12) > 9", "deployVM(x)", defaults=DEFAULTS),
         ElasticityRule.from_text(
             "timed", "(@system.time.timeofday > 36000) && (@k.t >= 1)",
             "notify()", defaults=DEFAULTS),
@@ -179,9 +186,9 @@ def test_differential_streams_repeat_and_reach_the_edges():
     seen = {kind: 0 for kind in ("nan", "signed-zero", "bool", "string")}
     followers = repeats = firings = errors = 0
     for seed in range(8):
-        optimised, _, _, _ = run_differential(seed)
+        optimised, reference, _, _ = run_differential(seed)
         last = {}
-        for m in optimised.journal:
+        for m in reference.journal:
             if m.qualified_name in last:
                 followers += 1
                 repeats += last[m.qualified_name] == m.values
@@ -201,6 +208,22 @@ def test_differential_streams_repeat_and_reach_the_edges():
     assert all(seen.values()), seen
     assert repeats > followers / 2   # most samples repeat their predecessor
     assert firings > 0 and errors > 0
+
+
+def test_optimised_windows_drop_what_no_window_reaches():
+    """The windowed rules are checked against the whole stream only if the
+    optimised engine dropped samples the oracle kept: both windowed
+    streams lose some on every seed, and the unwindowed ones keep none."""
+    for seed in range(8):
+        optimised, reference, _, _ = run_differential(seed)
+        for name in ("k.a", "k.b"):
+            kept = optimised.windows.aggregate(name, -math.inf, math.inf,
+                                               "count")
+            seen = len(reference.journal.stream("svc", name))
+            assert 0 < kept < seen, (seed, name, kept, seen)
+        for name in ("k.c", "k.t", "k.unused"):
+            assert optimised.windows.aggregate(
+                name, -math.inf, math.inf, "count") == 0.0
 
 
 def test_incremental_engine_actually_skips():
@@ -254,7 +277,11 @@ def test_only_a_changed_value_dirties_its_kpi():
     interp.evaluate_rules()
     assert interp.last_pass["dirty_kpis"] == 1
     assert interp.last_pass["evaluated"] == 1
-    assert len(interp.journal) == 4   # every sample is still recorded
+    # The store holds the last sample; no window reads the stream, so the
+    # engine keeps nothing else of it.
+    assert interp.store.value("svc", "a.b") == 4
+    assert interp.windows.aggregate("a.b", -math.inf, math.inf,
+                                    "count") == 0.0
 
 
 def test_refused_rule_is_still_evaluated_on_a_repeat():

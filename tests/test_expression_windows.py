@@ -1,5 +1,8 @@
 """Tests for the §4.2.1 time-series (window) extension of the rule language."""
 
+import gc
+from math import inf
+
 import pytest
 
 from repro.core.manifest.expressions import (
@@ -221,6 +224,53 @@ def test_rule_engine_max_peak():
     samples = {10: 50, 20: 5, 30: 5}
     assert _firing_times("max(@q.size, 25) < 20", samples,
                          (10, 20, 30, 35, 36)) == [36.0]
+
+
+# ---------------------------------------------------------------------------
+# Bounded retention: a stream is kept only as far back as a window reads
+# ---------------------------------------------------------------------------
+
+def live_samples(service_id):
+    return sum(1 for obj in gc.get_objects()
+               if type(obj) is Measurement and obj.service_id == service_id)
+
+
+def test_window_free_rules_keep_only_the_latest_sample():
+    from repro.core.manifest.elasticity import ElasticityRule
+
+    env = Environment()
+    interp = RuleInterpreter(env, "svc-free", executor=lambda a, r: True)
+    interp.install(ElasticityRule.from_text(
+        "up", "@q.size > 5", "deployVM(x)", defaults={"q.size": 0}))
+    for i in range(1000):
+        interp.notify(Measurement("q.size", "svc-free", "p", float(i), (i,)))
+    assert interp.store.value("svc-free", "q.size") == 999
+    assert interp.windows.aggregate("q.size", -inf, inf, "count") == 0.0
+    assert live_samples("svc-free") == 1
+
+
+def test_a_window_keeps_only_the_samples_it_can_still_read():
+    from repro.core.manifest.elasticity import ElasticityRule
+
+    env = Environment()
+    interp = RuleInterpreter(env, "svc-1", executor=lambda a, r: True)
+    interp.install(ElasticityRule.from_text(
+        "smooth-up", "mean(@q.size, 30) > 50", "deployVM(x)",
+        defaults={"q.size": 0}))
+
+    def drive(env):
+        for _ in range(100):   # one sample a second, its value its time
+            interp.notify(measurement("q.size", env.now, env.now))
+            yield env.timeout(1)
+
+    env.process(drive(env))
+    env.run()
+    # The last sample came at t=99: the window reads back to t=69 now and
+    # later, so exactly t=69..99 is kept.
+    kept = interp.windows
+    assert kept.aggregate("q.size", -inf, inf, "count") == 31.0
+    assert kept.aggregate("q.size", -inf, inf, "min") == 69.0
+    assert kept.aggregate("q.size", -inf, inf, "max") == 99.0
 
 
 def test_validator_replays_window_rules():

@@ -1,6 +1,7 @@
 """Tests for the federation scale harness (``python -m repro scale``)."""
 
 import dataclasses
+import gc
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from repro.experiments.scale import (
     run_scale,
     verify_against_oracle,
 )
+from repro.monitoring.measurements import Measurement
 from repro.sim.shard import read_peak_rss_kb
 from tests.oracles.kernel import HeapEnvironment
 
@@ -54,6 +56,17 @@ def test_config_validation():
         ScaleConfig(monitor_period_s=0.0)
     with pytest.raises(ValueError, match="warm-up"):
         ScaleConfig(hours=0.01)
+
+
+@pytest.mark.parametrize("field", ["hours", "epoch_s", "monitor_period_s",
+                                   "defrag_every_h", "settle_s"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_refuses_a_time_that_is_not_finite(field, value):
+    """A NaN passes every ``<= 0`` check, and a NaN or infinite run length,
+    epoch or period never ends the run (a NaN defrag period silently
+    turned defragmentation off)."""
+    with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+        ScaleConfig(sites=2, services=4, **{field: value})
 
 
 def test_config_pool_sizing_admits_whole_ceiling():
@@ -136,6 +149,29 @@ def test_same_seed_replays_identically():
     assert a.peak_queue_depth == b.peak_queue_depth
 
 
+def test_a_run_keeps_no_sample_history():
+    """No rule of a federation reads a window, so each service keeps only
+    its latest sample (held by the rule engine's store, and by the loop
+    that published it): a journal of every sample kept 60 a service over
+    this hour."""
+    # Samples other tests left alive are not this run's; holding them
+    # keeps their ids from being reused.
+    earlier = [obj for obj in gc.get_objects() if type(obj) is Measurement]
+    skip = {id(obj) for obj in earlier}
+    live = {}
+
+    def census(msg):
+        if msg.startswith("checking"):   # the run is over, still alive
+            for obj in gc.get_objects():
+                if type(obj) is Measurement and id(obj) not in skip:
+                    live[obj.service_id] = live.get(obj.service_id, 0) + 1
+
+    run_scale(ScaleConfig(sites=4, services=60, hours=1,
+                          check_invariants=True), progress=census)
+    assert len(live) == 60
+    assert max(live.values()) <= 2
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -150,8 +186,9 @@ def test_cli_scale_smoke():
     assert "per 1k VMs" in out.stdout
 
 
+# ``--monitor-period 0`` is refused by the parser now (tests/test_cli.py).
 @pytest.mark.parametrize("argv", [["--sites", "0"], ["--procs", "0"],
-                                  ["--monitor-period", "0"]])
+                                  ["--elastic-fraction", "1.5"]])
 def test_cli_scale_bad_config_is_a_typed_error(argv, capsys):
     t0 = perf_counter()
     assert main(["scale", *argv]) == 2

@@ -51,6 +51,19 @@ def test_timeout_negative_delay_rejected():
         env.timeout(-1)
 
 
+@pytest.mark.parametrize("reference", [False, True])
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_timeout_refuses_a_delay_that_is_not_a_number_from_zero(reference,
+                                                                delay):
+    """NaN fails ``delay < 0`` as it fails every comparison; a NaN timeout
+    would resume its process at ``now == nan``."""
+    env = make_env(reference)
+    with pytest.raises(ValueError, match=f"got {delay}"):
+        env.timeout(delay)
+    env.run()
+    assert env.now == 0.0 and env.events_processed == 0
+
+
 def test_timeout_delivers_value():
     env = Environment()
     got = []
@@ -80,6 +93,19 @@ def test_run_until_past_time_raises():
     env = Environment(initial_time=50)
     with pytest.raises(ValueError):
         env.run(until=10)
+
+
+@pytest.mark.parametrize("reference", [False, True])
+def test_run_until_nan_raises_and_leaves_the_clock(reference):
+    """``run(until=nan)`` would drain a finite queue and leave ``now ==
+    nan`` (and never return with a periodic process)."""
+    env = make_env(reference)
+    env.timeout(5)
+    with pytest.raises(ValueError, match="until=nan"):
+        env.run(until=float("nan"))
+    assert env.now == 0.0 and env.events_processed == 0
+    env.run(until=10)
+    assert env.now == 10.0 and env.events_processed == 1
 
 
 def test_process_join_returns_value():

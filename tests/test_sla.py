@@ -123,6 +123,31 @@ def drive(env, monitor, profile):
     env.process(proc(env))
 
 
+def test_monitor_keeps_only_what_its_windows_read():
+    """An objective over ``mean(@kpi, 30)`` keeps that stream back to
+    ``now - 30``; a stream no objective aggregates keeps nothing."""
+    from math import inf
+
+    env = Environment()
+    slo = make_slo(expression="mean(@app.response.time, 30) < 2")
+    monitor = SLAMonitor(env, "svc-1", SLASection((slo,)),
+                         kpi_defaults={"app.response.time": 0})
+
+    def proc(env):
+        for _ in range(100):   # one sample a second, its value its time
+            monitor.notify(measurement(env.now, env.now))
+            monitor.notify(measurement(env.now, env.now, qname="app.load"))
+            yield env.timeout(1)
+
+    env.process(proc(env))
+    env.run()
+    kept = monitor.windows
+    assert kept.aggregate("app.response.time", -inf, inf, "count") == 31.0
+    assert kept.aggregate("app.response.time", -inf, inf, "min") == 69.0
+    assert kept.aggregate("app.load", -inf, inf, "count") == 0.0
+    assert monitor.store.value("svc-1", "app.load") == 99.0
+
+
 def test_monitor_all_compliant():
     env = Environment()
     monitor, _ = make_monitor(env)
