@@ -134,8 +134,10 @@ def _publish_all(net, traffic):
 
 
 def test_broker_fanout_indexed_1k(benchmark):
-    """Routed delivery of 100 packets through 1k+ subscriptions, indexed
-    routing (exact-topic dict + compiled globs + route cache)."""
+    """Routed delivery of 100 packets through 1k+ subscriptions, warm
+    route cache: each packet is one cache lookup and one lazy decode (a
+    miss would scan the subscriptions once for its key). It keeps the name
+    of the removed topic index because ``BENCH_baseline.json`` keys on it."""
     net, traffic = _fanout_broker(PubSubBroker)
     benchmark(_publish_all, net, traffic)
     assert net.bytes_delivered > 0
@@ -143,8 +145,8 @@ def test_broker_fanout_indexed_1k(benchmark):
 
 def test_broker_fanout_reference_1k(benchmark):
     """Same traffic through the seed's linear-scan broker (the oracle in
-    ``tests/oracles/broker.py``) — the baseline the ≥5× indexed speedup is
-    measured against."""
+    ``tests/oracles/broker.py``) — the baseline the ≥5× route-cache and
+    lazy-decode speedup is measured against."""
     net, traffic = _fanout_broker(ReferenceBroker)
     benchmark(_publish_all, net, traffic)
     assert net.bytes_delivered > 0
@@ -173,7 +175,7 @@ def test_multicast_fanout_50(benchmark):
 
 def test_probe_emission_throughput(benchmark):
     """End-to-end producer hot path: collect → cached-prefix encode →
-    publish → indexed route → lazy decode → consumer callback, ×100."""
+    publish → cached route → lazy decode → consumer callback, ×100."""
     env = Environment()
     net = PubSubBroker(env)
     net.subscribe(lambda m: None, service_id="svc-1",

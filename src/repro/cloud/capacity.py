@@ -433,8 +433,13 @@ class AdmissionController:
             # Aggregate demand alone overflows the pool: no packing exists.
             verdict = False
         else:
-            hosts, pack = self._pack_with(envelope, limit=self.pool_hosts)
-            verdict = hosts <= self.pool_hosts
+            try:
+                hosts, pack = self._pack_with(envelope,
+                                              limit=self.pool_hosts)
+            except CapacityError:   # an instance exceeds the host type
+                verdict = False
+            else:
+                verdict = hosts <= self.pool_hosts
         self._last_check = (manifest, self._version, verdict, pack)
         return verdict
 

@@ -451,10 +451,22 @@ class ControlPlane:
                 return True
         return False
 
+    def ranked_sites(self, manifest: ServiceManifest
+                     ) -> list[ControlledSite]:
+        """The sites eligible for ``manifest`` in the order admission tries
+        them: favoured first, then greatest headroom, then federation
+        order."""
+        ranked = sorted(
+            (self._preference(site, manifest), -site.headroom, index, site)
+            for index, site in enumerate(self.sites)
+            if self._eligible(site, manifest)
+        )
+        return [site for _pref, _headroom, _index, site in ranked]
+
     def _best_site(self, request: ProvisioningRequest
                    ) -> Optional[ControlledSite]:
-        """Federated selection: eligible sites that can admit the worst
-        case right now, favoured first, then greatest headroom.
+        """Federated selection: the first of :meth:`ranked_sites` that can
+        admit the worst case right now.
 
         Sites are ranked *before* the (expensive, full-repack) admission
         probe and scanned in rank order: because the ranking key does not
@@ -462,12 +474,7 @@ class ControlPlane:
         ``min()`` over all admitting candidates, but saturated low-rank
         sites are never packed at all."""
         manifest = request.manifest
-        ranked = sorted(
-            (self._preference(site, manifest), -site.headroom, index, site)
-            for index, site in enumerate(self.sites)
-            if self._eligible(site, manifest)
-        )
-        for _pref, _headroom, _index, site in ranked:
+        for site in self.ranked_sites(manifest):
             if site.admission.can_admit(manifest):
                 return site
         return None

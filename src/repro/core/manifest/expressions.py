@@ -39,30 +39,26 @@ aggregate a KPI's measurements over the trailing window of the given number
 of seconds. Evaluating them requires window-capable bindings (see
 :class:`EvaluationContext`); plain latest-value bindings raise.
 
-Evaluation paths
-----------------
+Evaluation
+----------
 
-Every node supports two semantically identical evaluation paths:
-
-* :meth:`Expression.interpret` — the reference tree-walk, one virtual
-  dispatch per node, transcribing the §4.2.2 OCL contract directly;
-* :meth:`Expression.compile` — lowers the tree *once* into a single flat
-  Python closure by emitting the condition as Python source and evaluating
-  it: constant subtrees are folded at compile time, arithmetic and
-  comparisons become native operators, and ``&&``/``||`` short-circuit when
-  the skipped operand is statically *total* (provably unable to raise), so
-  skipping it cannot hide a configuration error.
-
-:meth:`Expression.evaluate` — the public hot path — calls the cached
-compiled closure, so repeated rule evaluation pays one function call
-instead of a full tree of virtual dispatches.
+:meth:`Expression.compile` lowers the tree *once* into a single flat Python
+closure by emitting the condition as Python source and evaluating it:
+constant subtrees are folded at compile time, arithmetic and comparisons
+become native operators, and ``&&``/``||`` become the non-short-circuiting
+``&``/``|`` on bools, so every operand is evaluated, left to right, and
+every KPI is read exactly as the recursive ``evaluate(Expression)`` of
+§4.2.2 reads it. :meth:`Expression.evaluate` — the public hot path — calls
+the cached closure, so repeated rule evaluation pays one function call
+instead of a tree of virtual dispatches. The §4.2.2 tree-walk itself is the
+test oracle ``interpret`` in ``tests/oracles/expressions.py``; the compiled
+closure must give its value, or raise its exception, on every tree.
 """
 
 from __future__ import annotations
 
 import abc
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
@@ -205,35 +201,15 @@ def _lit(value: float) -> str:
     return f"float({str(float(value))!r})"
 
 
-def _fold(expr: "Expression") -> Optional[CompiledExpression]:
-    """Constant-fold a subtree that reads no KPIs.
-
-    Such a subtree evaluates to the same result on every call, so it is
-    evaluated once at compile time. A constant *error* (e.g. a literal
-    division by zero) compiles to a closure re-raising it, matching the
-    interpreted path raising on every evaluation.
-    """
-    if expr.kpi_references():
-        return None
-    try:
-        value = expr.interpret(_never)
-    except ExpressionError as exc:
-        def raise_(bindings: Bindings, _exc=exc) -> float:
-            raise _exc
-        raise_.compiled_source = f"<constant error: {exc}>"
-        return raise_
-    fn = lambda bindings, _v=value: _v  # noqa: E731
-    fn.compiled_source = f"lambda b: {_lit(value)}"
-    return fn
-
-
 def _const_value(expr: "Expression") -> Optional[float]:
     """The subtree's compile-time constant value, or None if it reads KPIs
     or raises (operand specialisation then falls back to emitted code)."""
+    if isinstance(expr, Literal):
+        return float(expr.value)
     if expr.kpi_references():
         return None
     try:
-        return expr.interpret(_never)
+        return expr.compile()(_never)
     except ExpressionError:
         return None
 
@@ -261,11 +237,6 @@ class Expression(abc.ABC):
     """Base class for condition-expression AST nodes."""
 
     @abc.abstractmethod
-    def interpret(self, bindings: Bindings) -> float:
-        """Reference tree-walk evaluation; booleans are 1.0 / 0.0 per the
-        OCL semantics. Semantically identical to the compiled path."""
-
-    @abc.abstractmethod
     def kpi_references(self) -> set[str]:
         """Every qualified name the expression reads."""
 
@@ -277,22 +248,14 @@ class Expression(abc.ABC):
     def _emit(self) -> str:
         """Python source for this node's value, as a self-contained
         parenthesised expression over the bindings parameter ``b`` and the
-        :data:`_COMPILE_ENV` helpers. Operand evaluation order matches
-        :meth:`interpret` exactly."""
+        :data:`_COMPILE_ENV` helpers. Every operand is evaluated, left to
+        right, as §4.2.2's recursive evaluation does."""
 
     def _emit_bool(self) -> str:
         """Python source for this node's truth value (``> 0`` per §4.2.2).
         Boolean operators override this to chain natively instead of boxing
         intermediate results to 1.0/0.0."""
         return f"({self._emit()} > 0.0)"
-
-    @abc.abstractmethod
-    def _total(self) -> bool:
-        """True when evaluation can never raise under well-behaved bindings
-        (a callable that returns rather than throws): all KPI references
-        carry defaults, divisions have non-zero constant divisors, and no
-        window operations are involved. Only total operands may be skipped
-        by short-circuit without hiding a configuration error."""
 
     def compile(self) -> CompiledExpression:
         """Lower the tree to a single flat closure; cached per node.
@@ -306,11 +269,22 @@ class Expression(abc.ABC):
             return self._compiled
         except AttributeError:
             pass
-        fn = _fold(self)
-        if fn is None:
-            source = "lambda b: " + self._emit()
-            fn = eval(source, _COMPILE_ENV)  # noqa: S307 - see _COMPILE_ENV
-            fn.compiled_source = source
+        source = "lambda b: " + self._emit()
+        fn = eval(source, _COMPILE_ENV)  # noqa: S307 - see _COMPILE_ENV
+        fn.compiled_source = source
+        if not self.kpi_references():
+            # A tree that reads no KPI gives the same result on every call:
+            # run its code once and keep the value, or the error it raises.
+            try:
+                value = fn(_never)
+            except ExpressionError as exc:
+                def raise_(bindings: Bindings, _exc=exc) -> float:
+                    raise _exc
+                fn = raise_
+                fn.compiled_source = f"<constant error: {exc}>"
+            else:
+                fn = lambda bindings, _v=value: _v  # noqa: E731
+                fn.compiled_source = f"lambda b: {_lit(value)}"
         object.__setattr__(self, "_compiled", fn)
         return fn
 
@@ -338,17 +312,11 @@ class Expression(abc.ABC):
 class Literal(Expression):
     value: float
 
-    def interpret(self, bindings: Bindings) -> float:
-        return float(self.value)
-
     def kpi_references(self) -> set[str]:
         return set()
 
     def _emit(self) -> str:
         return _lit(float(self.value))
-
-    def _total(self) -> bool:
-        return True
 
     def unparse(self) -> str:
         if float(self.value).is_integer():
@@ -376,21 +344,6 @@ class KPIRef(Expression):
     def __post_init__(self) -> None:
         validate_qualified_name(self.name)
 
-    def interpret(self, bindings: Bindings) -> float:
-        try:
-            value = bindings(self.name)
-        except (TypeError, KeyError) as exc:
-            raise ExpressionError(
-                f"KPI lookup for {self.name!r} failed: {exc}"
-            ) from exc
-        if value is None:
-            if self.default is None:
-                raise ExpressionError(
-                    f"no monitoring record for {self.name!r} and no default"
-                )
-            return float(self.default)
-        return float(value)
-
     def kpi_references(self) -> set[str]:
         return {self.name}
 
@@ -398,9 +351,6 @@ class KPIRef(Expression):
         if self.default is None:
             return f"_ref(b, {self.name!r})"
         return f"_refd(b, {self.name!r}, {_lit(float(self.default))})"
-
-    def _total(self) -> bool:
-        return self.default is not None
 
     def unparse(self) -> str:
         return f"@{self.name}"
@@ -430,24 +380,6 @@ class WindowOp(Expression):
         if self.window_s <= 0:
             raise ExpressionError("window must be positive")
 
-    def interpret(self, bindings: Bindings) -> float:
-        if isinstance(bindings, EvaluationContext):
-            value = bindings.aggregate(self.name, self.window_s, self.op)
-        else:
-            raise ExpressionError(
-                f"{self.unparse()} requires an EvaluationContext, got plain "
-                f"latest-value bindings"
-            )
-        if value is None:
-            if self.op == "count":
-                return 0.0
-            if self.default is None:
-                raise ExpressionError(
-                    f"empty window for {self.unparse()} and no default"
-                )
-            return float(self.default)
-        return float(value)
-
     def kpi_references(self) -> set[str]:
         return {self.name}
 
@@ -457,9 +389,6 @@ class WindowOp(Expression):
         return (f"_win(b, {self.op!r}, {self.name!r}, "
                 f"{_lit(float(self.window_s))}, {default}, "
                 f"{self.unparse()!r})")
-
-    def _total(self) -> bool:
-        return False
 
     def unparse(self) -> str:
         if float(self.window_s).is_integer():
@@ -478,12 +407,6 @@ class UnaryOp(Expression):
         if self.op not in ("-", "!"):
             raise ExpressionError(f"unknown unary operator {self.op!r}")
 
-    def interpret(self, bindings: Bindings) -> float:
-        value = self.operand.interpret(bindings)
-        if self.op == "-":
-            return -value
-        return 0.0 if value > 0 else 1.0
-
     def kpi_references(self) -> set[str]:
         return self.operand.kpi_references()
 
@@ -497,22 +420,12 @@ class UnaryOp(Expression):
             return f"({self._emit()} > 0.0)"
         return f"(not {_emit_folded_bool(self.operand)})"
 
-    def _total(self) -> bool:
-        return self.operand._total()
-
     def walk(self) -> Iterator[Expression]:
         yield self
         yield from self.operand.walk()
 
     def unparse(self) -> str:
         return f"{self.op}({self.operand.unparse()})"
-
-
-_ARITH = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-}
 
 
 @dataclass(frozen=True)
@@ -524,17 +437,6 @@ class BinaryOp(Expression):
     def __post_init__(self) -> None:
         if self.op not in ("+", "-", "*", "/"):
             raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
-
-    def interpret(self, bindings: Bindings) -> float:
-        a = self.left.interpret(bindings)
-        b = self.right.interpret(bindings)
-        if self.op == "/":
-            if b == 0:
-                raise ExpressionError(
-                    f"division by zero in {self.unparse()!r}"
-                )
-            return a / b
-        return _ARITH[self.op](a, b)
 
     def kpi_references(self) -> set[str]:
         return self.left.kpi_references() | self.right.kpi_references()
@@ -549,14 +451,6 @@ class BinaryOp(Expression):
             return f"_div({left}, {_emit_folded(self.right)}, {message!r})"
         return f"({left} {self.op} {_emit_folded(self.right)})"
 
-    def _total(self) -> bool:
-        if not (self.left._total() and self.right._total()):
-            return False
-        if self.op != "/":
-            return True
-        rv = _const_value(self.right)
-        return rv is not None and rv != 0
-
     def walk(self) -> Iterator[Expression]:
         yield self
         yield from self.left.walk()
@@ -566,14 +460,7 @@ class BinaryOp(Expression):
         return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
 
 
-_COMPARE = {
-    ">": operator.gt,
-    "<": operator.lt,
-    ">=": operator.ge,
-    "<=": operator.le,
-    "==": operator.eq,
-    "!=": operator.ne,
-}
+_COMPARE = (">", "<", ">=", "<=", "==", "!=")
 
 
 @dataclass(frozen=True)
@@ -586,11 +473,6 @@ class Comparison(Expression):
         if self.op not in _COMPARE:
             raise ExpressionError(f"unknown comparison operator {self.op!r}")
 
-    def interpret(self, bindings: Bindings) -> float:
-        a = self.left.interpret(bindings)
-        b = self.right.interpret(bindings)
-        return 1.0 if _COMPARE[self.op](a, b) else 0.0
-
     def kpi_references(self) -> set[str]:
         return self.left.kpi_references() | self.right.kpi_references()
 
@@ -601,9 +483,6 @@ class Comparison(Expression):
         left = _emit_folded(self.left)
         right = _emit_folded(self.right)
         return f"({left} {self.op} {right})"
-
-    def _total(self) -> bool:
-        return self.left._total() and self.right._total()
 
     def walk(self) -> Iterator[Expression]:
         yield self
@@ -624,16 +503,6 @@ class BooleanOp(Expression):
         if self.op not in ("&&", "||"):
             raise ExpressionError(f"unknown boolean operator {self.op!r}")
 
-    def interpret(self, bindings: Bindings) -> float:
-        a = self.left.interpret(bindings) > 0
-        # No short-circuit here: both sides' KPI lookups must be resolvable,
-        # which surfaces missing-default configuration errors
-        # deterministically rather than only when the left side happens to
-        # be false.
-        b = self.right.interpret(bindings) > 0
-        result = (a and b) if self.op == "&&" else (a or b)
-        return 1.0 if result else 0.0
-
     def kpi_references(self) -> set[str]:
         return self.left.kpi_references() | self.right.kpi_references()
 
@@ -643,17 +512,11 @@ class BooleanOp(Expression):
     def _emit_bool(self) -> str:
         left = _emit_folded_bool(self.left)
         right = _emit_folded_bool(self.right)
-        # Short-circuit (`and`/`or`) only when the skipped operand is total:
-        # skipping it then cannot suppress a missing-default or division
-        # error, so the compiled path stays observationally identical to
-        # interpret(). Otherwise the non-short-circuiting boolean `&`/`|`
-        # forces both operands, exactly like the tree-walk.
-        word = ("and" if self.op == "&&" else "or") if self.right._total() \
-            else ("&" if self.op == "&&" else "|")
+        # The non-short-circuiting `&`/`|` on bools: both operands run, so
+        # every KPI is read and every error raised as §4.2.2's recursive
+        # evaluation reads and raises them, whatever the left side gives.
+        word = "&" if self.op == "&&" else "|"
         return f"({left} {word} {right})"
-
-    def _total(self) -> bool:
-        return self.left._total() and self.right._total()
 
     def walk(self) -> Iterator[Expression]:
         yield self
@@ -735,6 +598,17 @@ class _Parser:
             )
         return self.advance()
 
+    @staticmethod
+    def number(token: _Token) -> float:
+        """A NUMBER token's value. One that overflows a float is refused:
+        it would unparse as ``inf``, which no longer parses."""
+        value = float(token.text)
+        if not math.isfinite(value):
+            raise ExpressionError(
+                f"number {token.text} at position {token.pos} is too large"
+            )
+        return value
+
     def parse(self) -> Expression:
         expr = self.or_expr()
         if self.current.kind != "END":
@@ -789,7 +663,7 @@ class _Parser:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
-            return Literal(float(token.text))
+            return Literal(self.number(token))
         if token.kind == "KPIREF":
             self.advance()
             name = token.text[1:]  # strip '@'
@@ -804,9 +678,9 @@ class _Parser:
             ref = self.expect("KPIREF")
             name = ref.text[1:]
             self.expect("COMMA")
-            number = self.expect("NUMBER")
+            window_s = self.number(self.expect("NUMBER"))
             self.expect("RPAREN")
-            return WindowOp(token.text, name, float(number.text),
+            return WindowOp(token.text, name, window_s,
                             default=self.defaults.get(name))
         if token.kind == "LPAREN":
             self.advance()

@@ -344,27 +344,12 @@ class ServiceLifecycleManager:
     def _heal(self, component: ManagedComponent, dead: VirtualMachine) -> None:
         """Replace a failed instance if the component fell below its floor.
 
-        The floor is the instance minimum, but never less than one for a
-        component that was deliberately running (elastic arrays scaled to
-        zero stay at zero — the elasticity rules own that decision).
+        The floor is the instance minimum: a component with a minimum of
+        zero is not healed (elastic arrays scaled to zero stay at zero —
+        the elasticity rules own that decision).
         """
-        bounds = component.system.instances
-        floor = max(bounds.minimum, 1 if bounds.minimum >= 1 else 0)
-        if component.effective_count >= floor:
-            return
-        try:
-            replacement = self._deploy_instance(component)
-        except Exception as exc:
-            self.trace.emit("lifecycle", "instance.heal.failed",
-                            service=self.parsed.service_id,
-                            component=component.system.system_id,
-                            error=str(exc))
-            return
-        self._counter('_m_heals', 'core.lifecycle.heals').inc()
-        self.trace.emit("lifecycle", "instance.heal",
-                        service=self.parsed.service_id,
-                        component=component.system.system_id,
-                        failed_vm=dead.vm_id, replacement=replacement.vm_id)
+        if component.effective_count < component.system.instances.minimum:
+            self._replace(component, dead.vm_id)
 
     def ensure_floor(self) -> int:
         """Redeploy every component currently below its heal floor.
@@ -379,25 +364,30 @@ class ServiceLifecycleManager:
             return 0
         deployed = 0
         for component in self.components.values():
-            bounds = component.system.instances
-            floor = max(bounds.minimum, 1 if bounds.minimum >= 1 else 0)
-            while component.effective_count < floor:
-                try:
-                    replacement = self._deploy_instance(component)
-                except Exception as exc:
-                    self.trace.emit("lifecycle", "instance.heal.failed",
-                                    service=self.parsed.service_id,
-                                    component=component.system.system_id,
-                                    error=str(exc))
+            while (component.effective_count
+                   < component.system.instances.minimum):
+                if not self._replace(component, None):
                     break
                 deployed += 1
-                self._counter('_m_heals', 'core.lifecycle.heals').inc()
-                self.trace.emit("lifecycle", "instance.heal",
-                                service=self.parsed.service_id,
-                                component=component.system.system_id,
-                                failed_vm=None,
-                                replacement=replacement.vm_id)
         return deployed
+
+    def _replace(self, component: ManagedComponent,
+                 failed_vm: Optional[str]) -> bool:
+        """Deploy one replacement instance (a heal); False if it failed."""
+        try:
+            replacement = self._deploy_instance(component)
+        except Exception as exc:
+            self.trace.emit("lifecycle", "instance.heal.failed",
+                            service=self.parsed.service_id,
+                            component=component.system.system_id,
+                            error=str(exc))
+            return False
+        self._counter('_m_heals', 'core.lifecycle.heals').inc()
+        self.trace.emit("lifecycle", "instance.heal",
+                        service=self.parsed.service_id,
+                        component=component.system.system_id,
+                        failed_vm=failed_vm, replacement=replacement.vm_id)
+        return True
 
     # ------------------------------------------------------------------
     # Runtime scaling (§5.1.2)

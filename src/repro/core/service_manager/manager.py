@@ -43,7 +43,6 @@ class ManagedService:
     #: ``service.deploy`` causal span (child of the provisioning request's
     #: span when the control plane drove the deployment)
     span: Optional[object] = field(default=None, repr=False)
-    _suite: object = field(default=None, repr=False)
 
     @property
     def service_id(self) -> str:
@@ -51,7 +50,8 @@ class ManagedService:
 
     def check_constraints(self) -> CheckReport:
         """Run the §4.2.2 semantic suite against current state."""
-        return self._suite.check(self.lifecycle.provisioning_domain())
+        return deployment_suite().check(
+            self.lifecycle.provisioning_domain())
 
     def instance_count(self, system_id: str) -> int:
         return self.lifecycle.instance_count(system_id)
@@ -62,15 +62,13 @@ class ServiceManager:
 
     def __init__(self, env: Environment, veem: VEEM, *,
                  network: Optional[DistributionFramework] = None,
-                 trace: Optional[TraceLog] = None,
-                 eval_period_s: Optional[float] = None):
+                 trace: Optional[TraceLog] = None):
         self.env = env
         self.veem = veem
         self.network = network or MulticastChannel(env)
         self.trace = trace if trace is not None else veem.trace
         self.parser = ManifestParser()
         self.services: dict[str, ManagedService] = {}
-        self._eval_period_s = eval_period_s
         #: called with (service, termination_process) when undeploy begins —
         #: the control plane hooks in here to free admission capacity once
         #: the termination completes, whichever layer initiated the undeploy
@@ -114,7 +112,6 @@ class ServiceManager:
             self.env, parsed.service_id,
             executor=self._make_executor(lifecycle, parsed),
             trace=self.trace,
-            eval_period_s=self._eval_period_s,
             kpi_defaults=parsed.manifest.kpi_defaults(),
         )
         interpreter.install_all(parsed.rules())
@@ -129,7 +126,6 @@ class ServiceManager:
         service = ManagedService(
             parsed=parsed, lifecycle=lifecycle, interpreter=interpreter,
             deployment=deployment, tenant=tenant, span=span,
-            _suite=deployment_suite(),
         )
         self.services[parsed.service_id] = service
         return service

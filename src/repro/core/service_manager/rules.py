@@ -44,10 +44,6 @@ unchanged is provably still false (conditions are pure functions of
 give equal floats), so skipping it cannot change the firing journal.
 The evaluate-everything tree-walking engine this must match is the
 differential oracle ``FullPassInterpreter`` in ``tests/oracles/rules.py``.
-A compiled condition may skip an operand that is total for numeric values;
-a rule reading a KPI whose latest value is not numeric (a string, say) is
-therefore evaluated by the interpreter, which reads every KPI and raises
-as the full pass does.
 
 Idle ticks
 ----------
@@ -79,17 +75,6 @@ __all__ = ["RuleFiring", "RuleInterpreter"]
 #: Executes one action; returns True if the action was actually carried out
 #: (False = refused, e.g. scale-down with nothing left to remove).
 ActionExecutor = Callable[[ElasticityAction, ElasticityRule], bool]
-
-
-def _readable(values: tuple) -> bool:
-    """Whether a condition can read a sample with these values: the first
-    is ``None`` (the KPI's default applies) or converts to a float."""
-    try:
-        if values[0] is not None:
-            float(values[0])
-    except Exception:   # no values, or no float reading of the first
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -149,8 +134,6 @@ class RuleInterpreter:
         self._kpi_index: dict[str, list[_InstalledRule]] = {}
         #: KPIs whose latest values changed since the last evaluation pass
         self._dirty: set[str] = set()
-        #: KPIs whose latest sample a condition cannot read as a number
-        self._unreadable: set[str] = set()
         self._periodic: list[_InstalledRule] = []
         self._hot: dict[str, _InstalledRule] = {}
         self._context = EvaluationContext(latest=self._bindings,
@@ -276,16 +259,10 @@ class RuleInterpreter:
         previous = self.store.notify(measurement)
         self.windows.notify(measurement, self.env.now)
         name = measurement.qualified_name
-        # A sample repeating the stored values cannot change any condition
-        # that reads only the latest values (DESIGN.md §9).
-        changed = previous is None or previous.values != measurement.values
-        if changed:
-            if _readable(measurement.values):
-                self._unreadable.discard(name)
-            else:
-                self._unreadable.add(name)
         if name in self._kpi_index:
-            if changed:
+            # A sample repeating the stored values cannot change any
+            # condition that reads only the latest values (DESIGN.md §9).
+            if previous is None or previous.values != measurement.values:
                 self._dirty.add(name)
             # Delivery is synchronous from the publisher's span scope, so the
             # ambient span here *is* the KPI publication — remember it as the
@@ -406,7 +383,6 @@ class RuleInterpreter:
         work = self._candidates()
         dirty_kpis = len(self._dirty)
         self._dirty.clear()
-        unreadable = self._unreadable
         fired: list[RuleFiring] = []
         evaluated = 0
         cooldown_skipped = 0
@@ -420,13 +396,8 @@ class RuleInterpreter:
                 cooldown_skipped += 1
                 continue
             evaluated += 1
-            cond = installed.cond
-            if unreadable and not installed.refs.isdisjoint(unreadable):
-                # The compiled closure may short-circuit past the read that
-                # fails; the interpreter reads every KPI, as a full pass does.
-                cond = rule.trigger.expression.interpret
             try:
-                holds = cond(context) > 0.0
+                holds = installed.cond(context) > 0.0
             except Exception as exc:
                 self.trace.emit("rule-engine", "rule.error",
                                 rule=rule.name, service=self.service_id,

@@ -40,20 +40,18 @@ path is engineered:
   (:func:`repro.monitoring.codec.peek_header`), is looked up in a route
   cache that fronts both fabrics. The cache holds the matched subscriptions
   in registration order and is cleared whenever the subscription set
-  changes. A fabric says only how a miss is computed
-  (:meth:`DistributionFramework._match`) and how delivered bytes are
-  charged (:meth:`DistributionFramework._charge`): the
-  multicast channel scans its members once per key and charges every
-  member; the broker consults its index and charges matched members.
+  changes. A miss scans the subscriptions once for that key
+  (:meth:`DistributionFramework._match`, glob patterns compiled once per
+  subscription); a fabric says only how delivered bytes are charged
+  (:meth:`DistributionFramework._charge`): the multicast channel charges
+  every member, the broker the matched ones.
 * **Lazy decode** — a full
   :class:`~repro.monitoring.measurements.Measurement` is materialised at
   most once per packet, shared by all matched consumers, and never for
   packets nobody wants (``packets_decoded`` counts the full decodes).
-* **Indexed routing** — :class:`PubSubBroker` keys exact subscriptions in a
-  dict on the canonical :func:`topic_for` string and compiles glob
-  subscriptions once (``fnmatch.translate`` → ``re.compile``). The seed's
-  linear scan is the differential-test oracle, ``ReferenceBroker`` in
-  ``tests/oracles/broker.py``.
+
+The seed's per-packet decode and scan is the differential-test oracle,
+``ReferenceBroker`` in ``tests/oracles/broker.py``.
 
 Delivery is synchronous: :meth:`DistributionFramework.publish` returns once
 every matched consumer has run, so a consumer sees the publisher's ambient
@@ -93,7 +91,6 @@ __all__ = [
     "MulticastChannel",
     "PubSubBroker",
     "Subscription",
-    "topic_for",
 ]
 
 #: A consumer callback receives the decoded measurement.
@@ -106,16 +103,6 @@ _GLOB_RE = re.compile(r"[*?\[]")
 _fabric_ids = itertools.count(1)
 
 
-def topic_for(service_id: str, qualified_name: str) -> str:
-    """Canonical topic string for pub/sub routing.
-
-    This is the key of :class:`PubSubBroker`'s exact-match index: a
-    subscription that pins both the service id and a non-glob qualified name
-    is stored (and looked up per packet) under this string.
-    """
-    return f"{service_id}/{qualified_name}"
-
-
 class Subscription:
     """One registered consumer: filters + callback + compiled matcher.
 
@@ -126,29 +113,21 @@ class Subscription:
     """
 
     __slots__ = ("framework", "callback", "service_id", "qualified_name",
-                 "seq", "active", "_match")
+                 "active", "_match")
 
     def __init__(self, framework: "DistributionFramework",
                  callback: ConsumerCallback,
                  service_id: Optional[str],
-                 qualified_name: Optional[str],
-                 seq: int):
+                 qualified_name: Optional[str]):
         self.framework = framework
         self.callback = callback
         self.service_id = service_id
         self.qualified_name = qualified_name
-        #: registration order; routing invokes matched callbacks in it, as
-        #: a linear scan of the subscriptions would
-        self.seq = seq
         self.active = True
         if qualified_name is not None and _GLOB_RE.search(qualified_name):
             self._match = re.compile(fnmatch.translate(qualified_name)).match
         else:
             self._match = None
-
-    @property
-    def is_glob(self) -> bool:
-        return self._match is not None
 
     def matches(self, service_id: str, qualified_name: str) -> bool:
         """Whether a packet with this routing header passes the filters."""
@@ -176,8 +155,9 @@ class DistributionFramework(abc.ABC):
     Delivery is shared by every fabric: peek the routing header, look its
     ``(service id, qualified name)`` key up in the route cache, charge the
     delivered bytes, then decode the packet once and hand it to every
-    matched subscription. Implementations supply :meth:`_match` (a cache
-    miss) and :meth:`_charge` (the byte accounting).
+    matched subscription. A cache miss scans the subscriptions
+    (:meth:`_match`); implementations supply :meth:`_charge` (the byte
+    accounting).
     """
 
     def __init__(self, env: Environment):
@@ -191,7 +171,6 @@ class DistributionFramework(abc.ABC):
         #: unmatched packets never increment this)
         self.packets_decoded = 0
         self._subs: list[Subscription] = []
-        self._sub_seq = itertools.count().__next__
         #: (service id, qualified name) -> matched subscriptions, in
         #: registration order; cleared on any subscribe/unsubscribe
         self._route_cache: dict[tuple[str, str], tuple[Subscription, ...]] = {}
@@ -252,11 +231,9 @@ class DistributionFramework(abc.ABC):
         ``None`` filters mean "everything"; the qualified name may be a glob
         pattern (``uk.ucl.condor.*``).
         """
-        sub = Subscription(self, callback, service_id, qualified_name,
-                           self._sub_seq())
+        sub = Subscription(self, callback, service_id, qualified_name)
         self._subs.append(sub)
         self._route_cache.clear()
-        self._on_subscribed(sub)
         return sub
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -268,17 +245,10 @@ class DistributionFramework(abc.ABC):
         subscription.active = False
         self._subs.remove(subscription)
         self._route_cache.clear()
-        self._on_unsubscribed(subscription)
 
     @property
     def subscription_count(self) -> int:
         return len(self._subs)
-
-    def _on_subscribed(self, subscription: Subscription) -> None:
-        """Hook for implementations to maintain routing state."""
-
-    def _on_unsubscribed(self, subscription: Subscription) -> None:
-        """Hook for implementations to maintain routing state."""
 
     # -- delivery ------------------------------------------------------------
     def _deliver(self, packet: bytes) -> None:
@@ -321,11 +291,12 @@ class DistributionFramework(abc.ABC):
             if sub.active:
                 sub.callback(measurement)
 
-    @abc.abstractmethod
     def _match(self, service_id: str,
                qualified_name: str) -> tuple[Subscription, ...]:
         """The subscriptions a packet with this header reaches, in
         registration order (computed on a route-cache miss)."""
+        return tuple(sub for sub in self._subs
+                     if sub.matches(service_id, qualified_name))
 
     @abc.abstractmethod
     def _charge(self, size: int, route: tuple[Subscription, ...]) -> int:
@@ -344,11 +315,6 @@ class MulticastChannel(DistributionFramework):
     body is only materialised (once) if at least one filter matches.
     """
 
-    def _match(self, service_id: str,
-               qualified_name: str) -> tuple[Subscription, ...]:
-        return tuple(sub for sub in self._subs
-                     if sub.matches(service_id, qualified_name))
-
     def _charge(self, size: int, route: tuple[Subscription, ...]) -> int:
         return size * len(self._subs)  # every member receives it
 
@@ -356,62 +322,11 @@ class MulticastChannel(DistributionFramework):
 class PubSubBroker(DistributionFramework):
     """Topic-routed delivery: only matching subscribers receive the packet.
 
-    The default routing mode is indexed: exact subscriptions live in dicts
-    keyed on :func:`topic_for` / qualified name / service id and globs are
-    compiled once; the index answers route-cache misses, so the steady
-    state is a single dict lookup. The differential tests assert it routes
-    exactly as the seed's O(subscriptions) linear scan with per-packet
+    A packet reaches the subscriptions whose filters pass, in registration
+    order, and only those deliveries are charged. The differential tests
+    assert it routes exactly as the seed's per-packet decode and scan with
     ``fnmatch`` (``tests/oracles/broker.py``).
     """
-
-    def __init__(self, env: Environment):
-        super().__init__(env)
-        #: subscriptions pinning service id + exact qualified name,
-        #: keyed on the canonical topic string
-        self._exact: dict[str, list[Subscription]] = {}
-        #: exact qualified name, any service
-        self._by_qname: dict[str, list[Subscription]] = {}
-        #: service id only, any qualified name
-        self._by_service: dict[str, list[Subscription]] = {}
-        #: glob qualified names (optionally service-pinned), compiled
-        self._globs: list[Subscription] = []
-        #: no filters at all
-        self._catch_all: list[Subscription] = []
-
-    # -- index maintenance ---------------------------------------------------
-    def _bucket(self, sub: Subscription) -> list[Subscription]:
-        if sub.is_glob:
-            return self._globs
-        if sub.qualified_name is None:
-            if sub.service_id is None:
-                return self._catch_all
-            return self._by_service.setdefault(sub.service_id, [])
-        if sub.service_id is None:
-            return self._by_qname.setdefault(sub.qualified_name, [])
-        return self._exact.setdefault(
-            topic_for(sub.service_id, sub.qualified_name), [])
-
-    def _on_subscribed(self, sub: Subscription) -> None:
-        self._bucket(sub).append(sub)
-
-    def _on_unsubscribed(self, sub: Subscription) -> None:
-        self._bucket(sub).remove(sub)
-
-    # -- routing -------------------------------------------------------------
-    def _match(self, service_id: str,
-               qualified_name: str) -> tuple[Subscription, ...]:
-        matched = list(self._exact.get(topic_for(service_id, qualified_name),
-                                       ()))
-        matched += self._by_qname.get(qualified_name, ())
-        matched += self._by_service.get(service_id, ())
-        matched += self._catch_all
-        for sub in self._globs:
-            if sub.matches(service_id, qualified_name):
-                matched.append(sub)
-        # callbacks must fire in registration order, exactly as a linear
-        # scan of the subscriptions would invoke them
-        matched.sort(key=lambda s: s.seq)
-        return tuple(matched)
 
     def _charge(self, size: int, route: tuple[Subscription, ...]) -> int:
         return size * len(route)  # only matched deliveries

@@ -167,23 +167,15 @@ def what_if(plane, manifest, *, tenant: Optional[str] = None,
 
     chosen = solver_only = None
     if quota_explanation is None:
-        # Replicate _best_site's ranking so "chosen" is the site submit()
-        # would actually pick this instant.
-        ranked = sorted(
-            (plane._preference(site, manifest), -site.headroom, index)
-            for index, site in enumerate(plane.sites)
-            if verdicts[index].eligible
-        )
-        by_index = {index: v for index, v in enumerate(verdicts)}
-        for _pref, _headroom, index in ranked:
-            if by_index[index].admits_now:
-                chosen = by_index[index].site
-                break
+        # The plane's own ranking, so "chosen" is the site submit() would
+        # actually pick this instant.
+        by_site = {v.site: v for v in verdicts}
+        ranked = [by_site[site.name]
+                  for site in plane.ranked_sites(manifest)]
+        chosen = next((v.site for v in ranked if v.admits_now), None)
         if chosen is None:
-            for _pref, _headroom, index in ranked:
-                if by_index[index].solver_fits:
-                    solver_only = by_index[index].site
-                    break
+            solver_only = next((v.site for v in ranked if v.solver_fits),
+                               None)
 
     explanation = quota_explanation
     if explanation is None and chosen is None and solver_only is None:

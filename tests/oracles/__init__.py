@@ -7,6 +7,8 @@ behaviour, kept beside the tests rather than inside the shipping package:
   kernel, ordered by an explicit ``(time, priority, seq)`` key;
 * :class:`~tests.oracles.broker.ReferenceBroker` — the publish/subscribe
   broker that decodes every packet and scans every subscription;
+* :func:`~tests.oracles.expressions.interpret` — the §4.2.2 tree-walk of
+  a condition expression, which compiled conditions must match;
 * :class:`~tests.oracles.rules.FullPassInterpreter` — the rule engine that
   evaluates every installed rule on every pass with tree-walking
   conditions (the §4.2.2 ``evaluateRules()`` transcription);

@@ -1,12 +1,13 @@
-"""The linear-scan broker: the oracle for indexed topic routing.
+"""The per-packet broker: the oracle for routed delivery.
 
 :class:`ReferenceBroker` routes the way the broker did before the route
-cache, the topic index and lazy decode: every packet is fully decoded,
-then every subscription is scanned in registration order with a
-per-packet ``fnmatch`` on its qualified-name pattern. The routing
-differential suite asserts :class:`~repro.monitoring.distribution.PubSubBroker`
-delivers the same callbacks and charges the same bytes;
-``benchmarks/test_bench_micro.py`` measures the indexed fan-out against it.
+cache and lazy decode: every packet is fully decoded, then every
+subscription is scanned in registration order with a per-packet
+``fnmatch`` on its qualified-name pattern. The routing differential
+suite asserts :class:`~repro.monitoring.distribution.PubSubBroker`, which
+scans once per routing key and serves later packets from its route
+cache, delivers the same callbacks and charges the same bytes;
+``benchmarks/test_bench_micro.py`` measures the cached fan-out against it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ __all__ = ["ReferenceBroker"]
 
 
 class ReferenceBroker(PubSubBroker):
-    """A :class:`PubSubBroker` that ignores its index when delivering."""
+    """A :class:`PubSubBroker` that ignores its route cache when
+    delivering."""
 
     def _deliver(self, packet: bytes) -> None:
         # Unconditional full decode, then a linear scan with per-packet

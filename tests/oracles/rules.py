@@ -2,8 +2,8 @@
 
 :class:`FullPassInterpreter` is §4.2.2's ``evaluateRules()`` read
 literally: every pass evaluates every installed rule, conditions are
-evaluated by walking the expression tree (``Expression.interpret``), and
-window operations read a journal of every sample the engine was notified
+evaluated by walking the expression tree (:func:`tests.oracles.expressions.interpret`),
+and window operations read a journal of every sample the engine was notified
 of. The rule differential suite replays random measurement streams through
 it and through :class:`~repro.core.service_manager.rules.RuleInterpreter`
 (whose windows keep only what a window can still reach) and compares
@@ -12,10 +12,12 @@ firing journals, traces and per-rule statistics.
 
 from __future__ import annotations
 
+import functools
 from math import inf
 
 from repro.core.service_manager.rules import RuleInterpreter
 from repro.monitoring.consumers import MeasurementJournal
+from tests.oracles.expressions import interpret
 
 __all__ = ["FullPassInterpreter"]
 
@@ -37,7 +39,8 @@ class FullPassInterpreter(RuleInterpreter):
     def install(self, rule) -> None:
         super().install(rule)
         if not self._compiled:
-            self._rules[rule.name].cond = rule.trigger.expression.interpret
+            self._rules[rule.name].cond = functools.partial(
+                interpret, rule.trigger.expression)
 
     def notify(self, measurement) -> None:
         super().notify(measurement)

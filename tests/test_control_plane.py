@@ -218,6 +218,20 @@ def test_selection_prefers_site_with_most_headroom():
     assert sites == ["large", "large", "small", "large"]
 
 
+def test_selection_skips_a_site_whose_hosts_are_too_small():
+    """A site whose host type cannot hold an instance cannot admit the
+    service: selection moves on to the next site, and a pin is refused."""
+    env = Environment()
+    control = ControlPlane(env)
+    control.add_site("small", make_veem(env, 4, cpu=2, memory_mb=4096))
+    control.add_site("large", make_veem(env, 1))
+    control.register_tenant("acme")
+    out = control.submit("acme", host_filler("svc"))
+    assert isinstance(out, Admitted) and out.site == "large"
+    pinned = control.submit("acme", host_filler("pinned"), site="small")
+    assert isinstance(pinned, Rejected) and "cannot admit" in pinned.reason
+
+
 def test_selection_honours_favour_avoid_and_trust():
     env = Environment()
     control = ControlPlane(env)

@@ -1,12 +1,16 @@
 """Tests for the expression compile step (AST → flat closure).
 
-The compiled path must be observationally identical to the reference
-tree-walk (:meth:`Expression.interpret`): same values, same errors, same
-evaluation order — compilation is allowed to be faster, never different.
+The compiled path must be observationally identical to the §4.2.2
+tree-walk (the oracle :func:`tests.oracles.expressions.interpret`): same
+values, same errors, same evaluation order — compilation is allowed to be
+faster, never different. CI's extended Hypothesis step raises the
+property's example budget through ``SOLVER_FUZZ_EXAMPLES``.
 """
 
+import os
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.manifest.expressions import (
@@ -19,6 +23,7 @@ from repro.core.manifest.expressions import (
     UnaryOp,
     parse_expression,
 )
+from tests.oracles.expressions import interpret
 
 
 def bind(**values):
@@ -62,20 +67,25 @@ def _exprs(depth=3):
 def _outcome(fn, bindings):
     try:
         return ("value", fn(bindings))
-    except ExpressionError as exc:
-        return ("error", str(exc))
+    except (ExpressionError, ValueError, TypeError) as exc:
+        return ("error", type(exc), str(exc))
 
 
 @given(expr=_exprs())
-@settings(max_examples=300)
+@example(expr=parse_expression("(@a.b > 1) && (@c.d < 5)",
+                               defaults={"a.b": 0, "c.d": 0}))
+@settings(max_examples=int(os.environ.get("SOLVER_FUZZ_EXAMPLES", "300")))
 def test_compiled_matches_interpreted(expr):
     """Value-or-error equivalence over random trees and partial bindings."""
     for bindings in (
         bind(a__b=2.0, c__d=3.0, e__f__g=5.0, miss__ing=0.5),
         bind(a__b=2.0, c__d=0.0),   # undefaulted refs unbound → errors
         bind(),                      # only defaults resolvable
+        # a defaulted KPI whose value float() refuses: every operand that
+        # reads it must raise, whatever the other side of && or || gives
+        bind(a__b=0.0, c__d="busy", e__f__g=5.0, miss__ing=0.5),
     ):
-        interpreted = _outcome(expr.interpret, bindings)
+        interpreted = _outcome(lambda b: interpret(expr, b), bindings)
         compiled = _outcome(expr.evaluate, bindings)
         if interpreted[0] == "value":
             assert compiled[0] == "value"
@@ -110,14 +120,16 @@ def test_partial_folding_inside_live_tree():
 
 
 def test_short_circuit_only_when_operand_total():
-    # Right side fully defaulted → provably total → native `and`.
-    safe = parse_expression("(@a.b > 1) && (@c.d < 5)",
-                            defaults={"a.b": 0, "c.d": 0})
-    assert " and " in safe.compile().compiled_source
-    # Right side lacks a default → may raise → both sides forced via `&`.
-    unsafe = parse_expression("(@a.b > 1) && (@c.d < 5)",
-                              defaults={"a.b": 0})
-    assert " & " in unsafe.compile().compiled_source
+    # Never a short-circuit: `&&`/`||` force both operands through `&`/`|`
+    # whether or not the right side has defaults, because a defaulted KPI
+    # can still hold a value float() refuses.
+    for defaults in ({"a.b": 0, "c.d": 0}, {"a.b": 0}):
+        for op, word in (("&&", " & "), ("||", " | ")):
+            expr = parse_expression(f"(@a.b > 1) {op} (@c.d < 5)",
+                                    defaults=defaults)
+            source = expr.compile().compiled_source
+            assert word in source
+            assert " and " not in source and " or " not in source
 
 
 def test_compiled_no_short_circuit_surfaces_missing_kpis():
@@ -133,7 +145,7 @@ def test_division_by_zero_same_message_both_paths():
     expr = parse_expression("@a.b / @c.d", defaults={"a.b": 1, "c.d": 0})
     bindings = bind()
     with pytest.raises(ExpressionError) as interpreted:
-        expr.interpret(bindings)
+        interpret(expr, bindings)
     with pytest.raises(ExpressionError) as compiled:
         expr.evaluate(bindings)
     assert str(compiled.value) == str(interpreted.value)
@@ -150,7 +162,7 @@ def test_constant_divisor_is_inlined():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("evaluate", [
-    lambda e, b: e.interpret(b),
+    lambda e, b: interpret(e, b),
     lambda e, b: e.evaluate(b),
 ], ids=["interpreted", "compiled"])
 def test_raising_bindings_become_expression_error(evaluate):

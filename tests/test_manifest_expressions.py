@@ -131,6 +131,18 @@ def test_malformed_expressions_rejected(text):
         parse_expression(text)
 
 
+@pytest.mark.parametrize("text, literal, position", [
+    ("@q.size > 1e999", "1e999", 10),
+    ("mean(@q.size, 1e999)", "1e999", 14),
+])
+def test_overflowing_number_rejected(text, literal, position):
+    """A literal that overflows a float would unparse as ``inf``, which
+    does not parse: it is refused where it is read."""
+    with pytest.raises(ExpressionError,
+                       match=f"number {literal} at position {position}"):
+        parse_expression(text)
+
+
 def test_ast_node_validation():
     with pytest.raises(ExpressionError):
         UnaryOp("~", Literal(1))

@@ -42,6 +42,18 @@ def test_sla_and_rules_round_trip():
     assert m2.sla.objective("fast").penalty_per_breach == 12.5
 
 
+def test_largest_literals_round_trip_and_overflow_is_refused():
+    b = ManifestBuilder("svc")
+    b.component("web", image_mb=500, initial=1, minimum=1, maximum=4)
+    b.kpi("LB", "web", "q.size", default=0)
+    with pytest.raises(ExpressionError, match="1e999"):
+        b.rule("huge", "@q.size > 1e999", "deployVM(web)")
+    b.rule("large", "(@q.size > 1e308) || (mean(@q.size, 1e308) > 1)",
+           "deployVM(web)")
+    m1 = b.build()
+    assert manifest_from_text(manifest_to_text(m1)) == m1
+
+
 def test_text_and_xml_syntaxes_describe_same_model():
     """Two concrete syntaxes, one abstract syntax — the §4.2 point."""
     m = paper_manifest()

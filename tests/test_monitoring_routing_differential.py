@@ -1,8 +1,9 @@
-"""Differential tests: indexed broker routing vs the reference linear scan.
+"""Differential tests: cached broker routing vs the reference per-packet scan.
 
-The PubSubBroker's indexed mode (exact-topic dict + compiled globs + route
-cache) must be observationally identical to the seed's O(subscriptions)
-linear scan, kept as ``tests.oracles.broker.ReferenceBroker``. These
+The PubSubBroker (a subscription scan per routing key, compiled globs, the
+route cache and lazy decode) must be observationally identical to the
+seed's per-packet decode and O(subscriptions) scan with ``fnmatch``, kept
+as ``tests.oracles.broker.ReferenceBroker``. These
 tests drive both with identical randomized subscribe/unsubscribe/publish
 traffic and assert identical callback sequences and byte accounting. The
 multicast channel shares the route cache; its byte accounting is checked

@@ -200,6 +200,22 @@ def test_monitor_unevaluable_counts_as_held():
     assert monitor.breaches() == []
 
 
+def test_monitor_unreadable_value_counts_as_held():
+    """A defaulted KPI whose latest value float() refuses makes the
+    objective unevaluable, as the reference evaluation raises, even where
+    the other operand of ``&&`` is already false."""
+    env = Environment()
+    slo = ServiceLevelObjective.from_text(
+        "steady", "(@app.load > 1) && (@app.state < 5)",
+        defaults={"app.load": 0, "app.state": 0})
+    monitor = SLAMonitor(env, "svc-1", SLASection((slo,)),
+                         kpi_defaults={"app.load": 0, "app.state": 0})
+    monitor.notify(measurement(0.0, 0.0, qname="app.load"))
+    monitor.notify(measurement("degraded", 0.0, qname="app.state"))
+    assert monitor.sample("steady").held
+    assert monitor.trace.query(kind="slo.violated") == []
+
+
 def test_protection_hook_invoked_on_breach():
     env = Environment()
     monitor, slo = make_monitor(env)

@@ -13,7 +13,9 @@ Two contracts:
 
 2. **What-if purity** — ``ControlPlane.what_if`` never mutates any site:
    admission ledgers, headroom and host free-capacity fingerprints are
-   identical before and after arbitrary probes.
+   identical before and after arbitrary probes. And it names the site
+   ``submit`` picks: a submit right after a probe admits on the probe's
+   ``chosen`` site, or not at all when it chose none.
 
 Generation notes: anti-affinity pairs are installed symmetrically and
 affinity edges only point at alphabetically-earlier components (placed
@@ -40,6 +42,7 @@ from repro.cloud.veeh import Host  # noqa: E402
 from repro.cloud.vm import VirtualMachine  # noqa: E402
 from repro.cloud.vm import DeploymentDescriptor  # noqa: E402
 from repro.control.plane import ControlPlane  # noqa: E402
+from repro.control.requests import Admitted  # noqa: E402
 from repro.core.manifest.builder import ManifestBuilder  # noqa: E402
 from repro.sim.kernel import Environment  # noqa: E402
 from repro.solver.encode import encode_items, snapshot_hosts  # noqa: E402
@@ -127,7 +130,7 @@ def test_solver_dominates_greedy_and_never_violates(instance):
 
 
 @st.composite
-def manifests(draw):
+def manifests(draw, sites=()):
     n = draw(st.integers(1, 3))
     b = ManifestBuilder(f"svc-{n}")
     names = []
@@ -141,6 +144,12 @@ def manifests(draw):
                     initial=count, minimum=count, maximum=count)
     if len(names) >= 2 and draw(st.booleans()):
         b.colocate(names[0], names[1])
+    if sites and draw(st.booleans()):
+        favour = draw(st.lists(st.sampled_from(sites), max_size=2,
+                               unique=True))
+        avoid = draw(st.lists(st.sampled_from(sites), max_size=1))
+        b.site_placement(favour=favour,
+                         avoid=[s for s in avoid if s not in favour])
     return b.build()
 
 
@@ -163,6 +172,30 @@ def test_what_if_is_pure(probe_manifests):
         control.what_if(manifest, tenant="acme")
         control.what_if(manifest, exact=False)
     assert _fingerprint(control) == before
+
+
+@settings(max_examples=max(10, MAX_EXAMPLES // 3), deadline=None)
+@given(st.lists(st.lists(st.sampled_from(((2.0, 4096.0), (4.0, 8192.0),
+                                           (8.0, 16384.0))),
+                         min_size=1, max_size=3),
+                min_size=1, max_size=4),
+       st.data())
+def test_submit_admits_on_the_site_what_if_chose(federation, data):
+    env = Environment()
+    control = ControlPlane(env)
+    sites = [f"s{i}" for i in range(len(federation))]
+    for name, shapes in zip(sites, federation):
+        control.add_site(name, _veem(env, name, shapes))
+    control.register_tenant("acme")
+    for manifest in data.draw(st.lists(manifests(sites=sites),
+                                       min_size=1, max_size=5)):
+        report = control.what_if(manifest, tenant="acme", exact=False)
+        outcome = control.submit("acme", manifest)
+        if report.chosen is None:
+            assert not isinstance(outcome, Admitted)
+            break   # a queued request would be drained ahead of the next
+        assert isinstance(outcome, Admitted)
+        assert outcome.site == report.chosen
 
 
 def _veem(env, name, shapes):

@@ -44,7 +44,6 @@ KEEP_FILE = ROOT / "tools" / "sweep_keep.txt"
 GROUPS = {
     "paper": "paper features reached only from tests or from generated code",
     "failure": "failure and refusal paths a healthy run never takes",
-    "checker": "checkers the tests compare against",
     "observer": "read accessors the suites observe state through",
     "benchmark": "kept for the benchmark",
     "candidate": "test-only code left for a later deletion",
