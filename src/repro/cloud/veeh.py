@@ -143,15 +143,14 @@ class Host:
         """Mark an image as already present (ablation: avoid replication)."""
         self._image_cache.add(image_id)
 
-    def stage_image(self, repo: ImageRepository, image_id: str,
-                    cache: bool = False):
+    def stage_image(self, repo: ImageRepository, image_id: str):
         """Process: make the base image available locally.
 
         Returns a generator to be driven by the caller (the VEEM deploy
-        process). A cache hit completes immediately. By default each VM
-        deployment pays the replication cost ("duplicating the disk image",
-        §6.1.4) because the copy-on-deploy clone is per-VM; with ``cache=True``
-        the transferred image stays resident for later deployments.
+        process). A cache hit (an image :meth:`prestage` placed) completes
+        immediately. Otherwise each VM deployment pays the replication cost
+        ("duplicating the disk image", §6.1.4), because the copy-on-deploy
+        clone is per-VM.
         """
         if image_id in self._image_cache:
             self.cache_hits += 1
@@ -159,8 +158,6 @@ class Host:
         duration = repo.record_transfer(image_id)
         self.images_staged += 1
         yield self.env.timeout(duration)
-        if cache:
-            self._image_cache.add(image_id)
 
     # -- failure injection -------------------------------------------------------
     def fail(self) -> list[VirtualMachine]:

@@ -36,8 +36,7 @@ class VEEM:
     def __init__(self, env: Environment, *, name: str = "veem",
                  repository: Optional[ImageRepository] = None,
                  placer: Optional[Placer] = None,
-                 trace: Optional[TraceLog] = None,
-                 cache_images: bool = False):
+                 trace: Optional[TraceLog] = None):
         self.env = env
         self.name = name
         # Explicit None checks: an empty ImageRepository is falsy (__len__),
@@ -46,9 +45,6 @@ class VEEM:
                            else ImageRepository())
         self.placer = placer if placer is not None else Placer()
         self.trace = trace if trace is not None else TraceLog(env)
-        #: if True, a transferred image stays resident on the host and later
-        #: deployments of the same image skip replication (ablation knob).
-        self.cache_images = cache_images
         self.hosts: list[Host] = []
         self.networks = NetworkFabric()
         self._vm_seq = itertools.count(1)
@@ -288,8 +284,7 @@ class VEEM:
         vm.transition(VMState.STAGING)
         image = self.repository.resolve_href(d.disk_source)
         yield self.env.process(
-            host.stage_image(self.repository, image.image_id,
-                             cache=self.cache_images),
+            host.stage_image(self.repository, image.image_id),
             name=f"stage:{vm.vm_id}",
         )
         if not vm.is_active:

@@ -17,12 +17,12 @@ infrastructure trace log — the behaviourally equivalent artefact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
-from ...monitoring.consumers import MeasurementJournal
+from ...monitoring.consumers import MeasurementJournal, ServiceBindings
 from ...monitoring.distribution import DistributionFramework
 from ...sim.tracing import TraceLog
-from ..manifest.expressions import EvaluationContext
 from ..manifest.model import ServiceManifest
 from .framework import Violation
 
@@ -121,11 +121,13 @@ class ElasticityEnforcementValidator:
     """Instrument #2: replay monitoring events, verify actions followed.
 
     The validator reconstructs the rule interpreter's view: it replays the
-    journal's events in time order into a latest-value table, evaluates each
-    rule whenever one of its KPIs updates, and — where the condition held —
-    looks for a matching ``elasticity.action`` entry in the infrastructure
-    log within the rule's time constraint. A holding condition inside the
-    rule's cooldown window after a firing is excused.
+    journal's events in time order into the same
+    :class:`~repro.monitoring.consumers.ServiceBindings` the interpreter
+    reads, its clock the replayed instant, evaluates each rule whenever one
+    of its KPIs updates, and — where the condition held — looks for a
+    matching ``elasticity.action`` entry in the infrastructure log within
+    the rule's time constraint. A holding condition inside the rule's
+    cooldown window after a firing is excused.
     """
 
     def __init__(self, manifest: ServiceManifest, service_id: str,
@@ -157,7 +159,6 @@ class ElasticityEnforcementValidator:
             (m for m in self.journal if m.service_id == self.service_id),
             key=lambda m: (m.timestamp, m.seqno),
         )
-        latest: dict[str, float] = {}
         defaults = self.manifest.kpi_defaults()
         findings: list[EnforcementFinding] = []
         for rule in self.manifest.elasticity_rules:
@@ -166,32 +167,25 @@ class ElasticityEnforcementValidator:
             refusals = self._refusal_times(rule.name)
             tc = rule.trigger.time_constraint_s
             cooldown = rule.effective_cooldown_s
-            latest.clear()
+            replay = SimpleNamespace(now=0.0)
+            bindings = ServiceBindings(replay, self.service_id, defaults)
+            bindings.watch(rule.trigger.expression)
             last_enforced: Optional[float] = None
             # Group same-timestamp events: the interpreter never observes a
             # half-applied instant, so the replay must apply all simultaneous
             # updates before judging the condition.
             index = 0
             while index < len(events):
-                t = events[index].timestamp
+                t = replay.now = events[index].timestamp
                 group_relevant = False
                 while index < len(events) and events[index].timestamp == t:
                     event = events[index]
-                    latest[event.qualified_name] = float(event.value)
+                    bindings.notify(event)
                     if event.qualified_name in relevant:
                         group_relevant = True
                     index += 1
                 if not group_relevant:
                     continue
-
-                def window(name, window_s, op, _t=t):
-                    return self.journal.aggregate(self.service_id, name,
-                                                  _t - window_s, _t, op)
-
-                bindings = EvaluationContext(
-                    latest=lambda name: latest.get(name, defaults.get(name)),
-                    window=window,
-                )
                 try:
                     holds = rule.trigger.expression.holds(bindings)
                 except Exception:

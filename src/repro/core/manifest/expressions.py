@@ -23,8 +23,7 @@ qualified name. Evaluation follows the OCL semantics of §4.2.2 exactly:
 Grammar (precedence low → high)::
 
     or_expr    := and_expr ( '||' and_expr )*
-    and_expr   := not_expr ( '&&' not_expr )*
-    not_expr   := '!' not_expr | comparison
+    and_expr   := comparison ( '&&' comparison )*
     comparison := additive ( ('>'|'<'|'>='|'<='|'=='|'!=') additive )?
     additive   := term ( ('+'|'-') term )*
     term       := factor ( ('*'|'/') factor )*
@@ -36,8 +35,12 @@ Window operations are the time-series extension §4.2.1 announces ("we are
 currently working on the ability to specify a time series and operations
 related to that time series (mean, minimum, maximum, etc.)"): they
 aggregate a KPI's measurements over the trailing window of the given number
-of seconds. Evaluating them requires window-capable bindings (see
-:class:`EvaluationContext`); plain latest-value bindings raise.
+of seconds. Evaluating them requires window-capable bindings (an
+:class:`EvaluationContext`); plain latest-value bindings raise. A
+condition may read the current time (:data:`BUILTIN_KPIS`) undeclared.
+The parser refuses a condition deeper than :data:`MAX_DEPTH` with an
+:class:`ExpressionError` naming the position, so every condition it
+returns compiles and unparses to text it accepts again.
 
 Evaluation
 ----------
@@ -79,6 +82,10 @@ __all__ = [
     "parse_expression",
     "Bindings",
     "EvaluationContext",
+    "TIME_NOW",
+    "TIME_OF_DAY",
+    "BUILTIN_KPIS",
+    "MAX_DEPTH",
 ]
 
 
@@ -93,33 +100,34 @@ Bindings = Callable[[str], Optional[float]]
 CompiledExpression = Callable[[Bindings], float]
 
 
-class EvaluationContext:
-    """Window-capable bindings for expressions with time-series operations.
+#: §4.2.1: "the current time can be introduced as a monitorable parameter
+#: if necessary": the time in seconds, and the seconds since midnight. A
+#: measurement published under either name shadows it.
+TIME_NOW = "system.time.now"
+TIME_OF_DAY = "system.time.timeofday"
+BUILTIN_KPIS = frozenset((TIME_NOW, TIME_OF_DAY))
 
-    Wraps a latest-value resolver plus a window aggregator. The aggregator
-    receives (qualified name, window seconds, operation) and returns the
-    aggregate over measurements in the trailing window, or ``None`` when the
-    window is empty.
-    """
+#: The deepest tree, and the most parentheses its text nests, the parser
+#: accepts: compiled, such a tree nests at most ``2 * MAX_DEPTH - 1``
+#: parentheses (Python takes 200); unparsed, ``MAX_DEPTH - 1``.
+MAX_DEPTH = 100
 
-    __slots__ = ("latest", "window")
 
-    def __init__(self, latest: Bindings,
-                 window: Optional[
-                     Callable[[str, float, str], Optional[float]]] = None):
-        self.latest = latest
-        self.window = window
+class EvaluationContext(abc.ABC):
+    """Window-capable bindings: ``context(name)`` resolves a KPI as plain
+    bindings do, and ``aggregate`` answers a window operation."""
 
+    __slots__ = ()
+
+    @abc.abstractmethod
     def __call__(self, name: str) -> Optional[float]:
-        return self.latest(name)
+        """The KPI's value now, or ``None`` when nothing resolves it."""
 
+    @abc.abstractmethod
     def aggregate(self, name: str, window_s: float,
                   op: str) -> Optional[float]:
-        if self.window is None:
-            raise ExpressionError(
-                f"{op}(@{name}, {window_s:g}) needs window-capable bindings"
-            )
-        return self.window(name, window_s, op)
+        """The ``op`` aggregate of the KPI's measurements over the trailing
+        ``window_s`` seconds, or ``None`` when the window is empty."""
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +211,15 @@ def _lit(value: float) -> str:
 
 def _const_value(expr: "Expression") -> Optional[float]:
     """The subtree's compile-time constant value, or None if it reads KPIs
-    or raises (operand specialisation then falls back to emitted code)."""
+    or raises (operand specialisation then falls back to emitted code). A
+    subtree too deep to compile fails its whole tree."""
     if isinstance(expr, Literal):
         return float(expr.value)
     if expr.kpi_references():
         return None
+    fn = expr.compile()
     try:
-        return expr.compile()(_never)
+        return fn(_never)
     except ExpressionError:
         return None
 
@@ -235,6 +245,9 @@ def _emit_folded_bool(expr: "Expression") -> str:
 
 class Expression(abc.ABC):
     """Base class for condition-expression AST nodes."""
+
+    #: nodes on the longest path from this node down to a leaf
+    depth = 1
 
     @abc.abstractmethod
     def kpi_references(self) -> set[str]:
@@ -269,10 +282,18 @@ class Expression(abc.ABC):
             return self._compiled
         except AttributeError:
             pass
-        source = "lambda b: " + self._emit()
-        fn = eval(source, _COMPILE_ENV)  # noqa: S307 - see _COMPILE_ENV
+        try:
+            source = "lambda b: " + self._emit()
+            fn = eval(source, _COMPILE_ENV)  # noqa: S307 - see _COMPILE_ENV
+            constant = not self.kpi_references()
+        except (RecursionError, SyntaxError, MemoryError):
+            # A tree built in code skips the parser's depth bound: it can
+            # outgrow the stack while emitting, or Python's nesting limit.
+            raise ExpressionError(
+                f"condition too deep to compile (the parser accepts at most "
+                f"{MAX_DEPTH} levels)") from None
         fn.compiled_source = source
-        if not self.kpi_references():
+        if constant:
             # A tree that reads no KPI gives the same result on every call:
             # run its code once and keep the value, or the error it raises.
             try:
@@ -406,6 +427,7 @@ class UnaryOp(Expression):
     def __post_init__(self) -> None:
         if self.op not in ("-", "!"):
             raise ExpressionError(f"unknown unary operator {self.op!r}")
+        object.__setattr__(self, "depth", self.operand.depth + 1)
 
     def kpi_references(self) -> set[str]:
         return self.operand.kpi_references()
@@ -429,17 +451,38 @@ class UnaryOp(Expression):
 
 
 @dataclass(frozen=True)
-class BinaryOp(Expression):
-    op: str  # + - * /
+class _Binary(Expression):
+    """An operator over two operands. The subclasses differ only in the
+    operators they accept and the code they emit."""
+
+    op: str
     left: Expression
     right: Expression
 
+    #: the operators a subclass accepts, and what its refusal calls them
+    OPERATORS = ()
+    KIND = ""
+
     def __post_init__(self) -> None:
-        if self.op not in ("+", "-", "*", "/"):
-            raise ExpressionError(f"unknown arithmetic operator {self.op!r}")
+        if self.op not in self.OPERATORS:
+            raise ExpressionError(f"unknown {self.KIND} operator {self.op!r}")
+        object.__setattr__(self, "depth",
+                           max(self.left.depth, self.right.depth) + 1)
 
     def kpi_references(self) -> set[str]:
         return self.left.kpi_references() | self.right.kpi_references()
+
+    def walk(self) -> Iterator[Expression]:
+        yield self
+        yield from self.left.walk()
+        yield from self.right.walk()
+
+    def unparse(self) -> str:
+        return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
+
+
+class BinaryOp(_Binary):
+    OPERATORS, KIND = ("+", "-", "*", "/"), "arithmetic"
 
     def _emit(self) -> str:
         left = _emit_folded(self.left)
@@ -451,30 +494,12 @@ class BinaryOp(Expression):
             return f"_div({left}, {_emit_folded(self.right)}, {message!r})"
         return f"({left} {self.op} {_emit_folded(self.right)})"
 
-    def walk(self) -> Iterator[Expression]:
-        yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
-
-    def unparse(self) -> str:
-        return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
-
 
 _COMPARE = (">", "<", ">=", "<=", "==", "!=")
 
 
-@dataclass(frozen=True)
-class Comparison(Expression):
-    op: str
-    left: Expression
-    right: Expression
-
-    def __post_init__(self) -> None:
-        if self.op not in _COMPARE:
-            raise ExpressionError(f"unknown comparison operator {self.op!r}")
-
-    def kpi_references(self) -> set[str]:
-        return self.left.kpi_references() | self.right.kpi_references()
+class Comparison(_Binary):
+    OPERATORS, KIND = _COMPARE, "comparison"
 
     def _emit(self) -> str:
         return f"(1.0 if {self._emit_bool()} else 0.0)"
@@ -484,27 +509,9 @@ class Comparison(Expression):
         right = _emit_folded(self.right)
         return f"({left} {self.op} {right})"
 
-    def walk(self) -> Iterator[Expression]:
-        yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
 
-    def unparse(self) -> str:
-        return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
-
-
-@dataclass(frozen=True)
-class BooleanOp(Expression):
-    op: str  # '&&' or '||'
-    left: Expression
-    right: Expression
-
-    def __post_init__(self) -> None:
-        if self.op not in ("&&", "||"):
-            raise ExpressionError(f"unknown boolean operator {self.op!r}")
-
-    def kpi_references(self) -> set[str]:
-        return self.left.kpi_references() | self.right.kpi_references()
+class BooleanOp(_Binary):
+    OPERATORS, KIND = ("&&", "||"), "boolean"
 
     def _emit(self) -> str:
         return f"(1.0 if {self._emit_bool()} else 0.0)"
@@ -517,14 +524,6 @@ class BooleanOp(Expression):
         # evaluation reads and raises them, whatever the left side gives.
         word = "&" if self.op == "&&" else "|"
         return f"({left} {word} {right})"
-
-    def walk(self) -> Iterator[Expression]:
-        yield self
-        yield from self.left.walk()
-        yield from self.right.walk()
-
-    def unparse(self) -> str:
-        return f"({self.left.unparse()} {self.op} {self.right.unparse()})"
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +578,8 @@ class _Parser:
         self.tokens = list(_tokenize(text))
         self.index = 0
         self.defaults = defaults or {}
+        #: parentheses open around the current token
+        self.nesting = 0
 
     @property
     def current(self) -> _Token:
@@ -609,6 +610,16 @@ class _Parser:
             )
         return value
 
+    def node(self, cls: type, token: _Token,
+             *operands: Expression) -> Expression:
+        """``cls(token.text, *operands)``, refused deeper than MAX_DEPTH."""
+        node = cls(token.text, *operands)
+        if node.depth > MAX_DEPTH:
+            raise ExpressionError(
+                f"condition deeper than {MAX_DEPTH} levels at position "
+                f"{token.pos}")
+        return node
+
     def parse(self) -> Expression:
         expr = self.or_expr()
         if self.current.kind != "END":
@@ -621,45 +632,50 @@ class _Parser:
     def or_expr(self) -> Expression:
         left = self.and_expr()
         while self.current.kind == "OP" and self.current.text == "||":
-            self.advance()
-            left = BooleanOp("||", left, self.and_expr())
+            left = self.node(BooleanOp, self.advance(), left, self.and_expr())
         return left
 
     def and_expr(self) -> Expression:
-        left = self.not_expr()
-        while self.current.kind == "OP" and self.current.text == "&&":
-            self.advance()
-            left = BooleanOp("&&", left, self.not_expr())
-        return left
-
-    def not_expr(self) -> Expression:
         # '!' is handled at factor level (tight binding, as in C) so that
-        # '!(x) + 1' negates only the parenthesised operand; this rung of
-        # the precedence ladder exists for grammar clarity.
-        return self.comparison()
+        # '!(x) + 1' negates only the parenthesised operand.
+        left = self.comparison()
+        while self.current.kind == "OP" and self.current.text == "&&":
+            left = self.node(BooleanOp, self.advance(), left,
+                             self.comparison())
+        return left
 
     def comparison(self) -> Expression:
         left = self.additive()
         if self.current.kind == "OP" and self.current.text in _COMPARE:
-            op = self.advance().text
-            return Comparison(op, left, self.additive())
+            return self.node(Comparison, self.advance(), left,
+                             self.additive())
         return left
 
     def additive(self) -> Expression:
         left = self.term()
         while self.current.kind == "OP" and self.current.text in ("+", "-"):
-            op = self.advance().text
-            left = BinaryOp(op, left, self.term())
+            left = self.node(BinaryOp, self.advance(), left, self.term())
         return left
 
     def term(self) -> Expression:
         left = self.factor()
         while self.current.kind == "OP" and self.current.text in ("*", "/"):
-            op = self.advance().text
-            left = BinaryOp(op, left, self.factor())
+            left = self.node(BinaryOp, self.advance(), left, self.factor())
         return left
 
     def factor(self) -> Expression:
+        # A loop, not recursion: a run of unary operators meets the depth
+        # bound before the stack's. '!' is a factor so that unparse()
+        # output of ASTs nesting it inside arithmetic always reparses.
+        unary = []
+        while self.current.kind == "OP" and self.current.text in ("-", "!"):
+            unary.append(self.advance())
+        expr = self.operand()
+        for token in reversed(unary):
+            expr = self.node(UnaryOp, token, expr)
+        return expr
+
+    def operand(self) -> Expression:
         token = self.current
         if token.kind == "NUMBER":
             self.advance()
@@ -683,18 +699,16 @@ class _Parser:
             return WindowOp(token.text, name, window_s,
                             default=self.defaults.get(name))
         if token.kind == "LPAREN":
+            self.nesting += 1   # bounded before the descent can overflow
+            if self.nesting > MAX_DEPTH:
+                raise ExpressionError(
+                    f"more than {MAX_DEPTH} nested parentheses at position "
+                    f"{token.pos}")
             self.advance()
             expr = self.or_expr()
+            self.nesting -= 1
             self.expect("RPAREN")
             return expr
-        if token.kind == "OP" and token.text == "-":
-            self.advance()
-            return UnaryOp("-", self.factor())
-        if token.kind == "OP" and token.text == "!":
-            # Programmatic ASTs may nest '!' inside arithmetic; accept it
-            # anywhere a factor is legal so unparse() output always reparses.
-            self.advance()
-            return UnaryOp("!", self.factor())
         raise ExpressionError(
             f"unexpected token {token.text!r} at position {token.pos}"
         )

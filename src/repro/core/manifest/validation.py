@@ -3,7 +3,9 @@
 The second facet of the language definition (§4.2: "the abstract syntax, the
 well-formedness rules, and the behavioural semantics"). These are static
 checks a Service Manager runs at submission time, before any deployment —
-dangling references, contradictory constraints, undeclared KPIs.
+dangling references, contradictory constraints, undeclared KPIs, conditions
+that do not compile. A condition may read the built-in time parameters
+(``expressions.BUILTIN_KPIS``) without declaring them.
 
 Severities: ``error`` manifests must be rejected; ``warning`` manifests are
 deployable but suspicious (e.g. a declared KPI nothing consumes).
@@ -15,6 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .elasticity import VEEMOperation
+from .expressions import BUILTIN_KPIS, Expression, ExpressionError
 from .model import ServiceManifest
 
 __all__ = ["Severity", "ValidationIssue", "validate_manifest",
@@ -55,6 +58,14 @@ def validate_manifest(manifest: ServiceManifest) -> list[ValidationIssue]:
 
     def warning(code: str, message: str) -> None:
         issues.append(ValidationIssue(Severity.WARNING, code, message))
+
+    def compiles(expression: Expression, code: str, owner: str) -> None:
+        # Whatever validates also deploys: the engine compiles each
+        # condition when it installs it.
+        try:
+            expression.compile()
+        except ExpressionError as exc:
+            error(code, f"{owner}: condition does not compile: {exc}")
 
     file_ids = {f.file_id for f in manifest.references}
     disk_ids = {d.disk_id for d in manifest.disks}
@@ -158,10 +169,12 @@ def validate_manifest(manifest: ServiceManifest) -> list[ValidationIssue]:
     for rule in manifest.elasticity_rules:
         for qname in rule.kpi_references():
             consumed.add(qname)
-            if qname not in declared:
+            if qname not in declared and qname not in BUILTIN_KPIS:
                 error("rule-undeclared-kpi",
                       f"rule {rule.name!r} references KPI {qname!r} not "
                       f"declared in the application description")
+        compiles(rule.trigger.expression, "rule-condition",
+                 f"rule {rule.name!r}")
         for action in rule.actions:
             if action.operation in (VEEMOperation.DEPLOY_VM,
                                     VEEMOperation.UNDEPLOY_VM,
@@ -193,10 +206,11 @@ def validate_manifest(manifest: ServiceManifest) -> list[ValidationIssue]:
     for slo in manifest.sla.objectives:
         for qname in slo.kpi_references():
             consumed.add(qname)
-            if qname not in declared:
+            if qname not in declared and qname not in BUILTIN_KPIS:
                 error("slo-undeclared-kpi",
                       f"SLO {slo.name!r} references KPI {qname!r} not "
                       f"declared in the application description")
+        compiles(slo.expression, "slo-condition", f"SLO {slo.name!r}")
 
     for qname in declared - consumed:
         warning("kpi-unused",

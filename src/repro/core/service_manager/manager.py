@@ -81,7 +81,6 @@ class ServiceManager:
     def deploy(self, manifest: Union[str, ServiceManifest], *,
                service_id: Optional[str] = None,
                drivers: Optional[dict[str, ComponentDriver]] = None,
-               start_rules: bool = True,
                tenant: Optional[str] = None,
                placement_plan: Optional[dict] = None) -> ManagedService:
         """Steps 1–7: parse, install rules, set up images, deploy VEEs.
@@ -116,7 +115,7 @@ class ServiceManager:
         )
         interpreter.install_all(parsed.rules())
         interpreter.subscribe_to(self.network)
-        if start_rules and parsed.rules():
+        if parsed.rules():
             interpreter.start()
         # Steps 4–7 run as a process.
         deployment = self.env.process(

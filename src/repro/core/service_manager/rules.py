@@ -7,9 +7,14 @@ Implements the §4.2.2 OCL contract precisely:
   windows the installed conditions' window operations read — a stream no
   window reads keeps only its latest sample);
 * ``evaluate(qe: QualifiedElement)`` — the latest record's value, else the
-  KPI's declared default;
+  built-in time parameter of that name (§4.2.1), else the KPI's declared
+  default;
 * ``evaluateRules()`` — for every installed rule whose condition evaluates
   ``> 0``, the associated actions are invoked against the VEEM interface.
+
+The store, the windows and the resolution order are the service's
+:class:`~repro.monitoring.consumers.ServiceBindings`, the one reading of a
+KPI that the SLA monitor and the generated validator share.
 
 Evaluation scheduling follows §4.2.2's guidance: "it is for the
 implementation to determine when the rules should be checked to fit within
@@ -62,13 +67,13 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Optional
 
-from ...monitoring.consumers import MeasurementStore, TrailingWindows
+from ...monitoring.consumers import ServiceBindings
 from ...monitoring.distribution import DistributionFramework
 from ...monitoring.measurements import Measurement
 from ...sim.kernel import Environment, Interrupt
 from ...sim.tracing import TraceLog
 from ..manifest.elasticity import ElasticityAction, ElasticityRule
-from ..manifest.expressions import Bindings, EvaluationContext, WindowOp
+from ..manifest.expressions import BUILTIN_KPIS, Bindings
 
 __all__ = ["RuleFiring", "RuleInterpreter"]
 
@@ -111,20 +116,16 @@ class RuleInterpreter:
     def __init__(self, env: Environment, service_id: str, *,
                  executor: ActionExecutor,
                  trace: Optional[TraceLog] = None,
-                 eval_period_s: Optional[float] = None,
                  kpi_defaults: Optional[dict[str, float]] = None):
         self.env = env
         self.service_id = service_id
         self.executor = executor
         self.trace = trace if trace is not None else TraceLog(env)
-        self.store = MeasurementStore()
-        #: what the installed rules' window operations read: a stream is
-        #: kept from the first install of a rule that reads it through a
-        #: window, as far back as its longest window (DESIGN.md §9)
-        self.windows = TrailingWindows()
+        #: what the conditions read: the latest samples, and the windows
+        #: a stream is kept in from the first install of a rule that reads
+        #: it through a window, as far back as its longest one (DESIGN.md §9)
+        self.bindings = ServiceBindings(env, service_id, kpi_defaults)
         self._rules: dict[str, _InstalledRule] = {}
-        self._defaults = dict(kpi_defaults or {})
-        self._explicit_period = eval_period_s
         # Sets ``_period``, the evaluation period in force: recomputed when
         # the rule set changes, read on every pass of the evaluation loop.
         self._refresh_period()
@@ -136,8 +137,6 @@ class RuleInterpreter:
         self._dirty: set[str] = set()
         self._periodic: list[_InstalledRule] = []
         self._hot: dict[str, _InstalledRule] = {}
-        self._context = EvaluationContext(latest=self._bindings,
-                                          window=self._window)
         #: live network subscriptions, cancelled by detach() on undeploy
         self._subscriptions: list = []
         #: span of the most recent measurement per indexed KPI — the causal
@@ -189,15 +188,10 @@ class RuleInterpreter:
         refs = rule.kpi_references()
         expression = rule.trigger.expression
         cond = expression.compile()
-        windowed = False
-        for node in expression.walk():
-            if isinstance(node, WindowOp):
-                self.windows.watch(node.name, node.window_s)
-                windowed = True
         periodic = (
-            windowed
+            self.bindings.watch(expression)
             or not refs
-            or not refs.isdisjoint((self.TIME_NOW, self.TIME_OF_DAY))
+            or not refs.isdisjoint(BUILTIN_KPIS)
         )
         installed = _InstalledRule(rule=rule, seq=self._seq, refs=refs,
                                    cond=cond, periodic=periodic)
@@ -215,22 +209,6 @@ class RuleInterpreter:
         for rule in rules:
             self.install(rule)
 
-    def uninstall(self, name: str) -> None:
-        if name not in self._rules:
-            raise ValueError(f"no rule {name!r} installed")
-        installed = self._rules.pop(name)
-        for qname in installed.refs:
-            bucket = self._kpi_index.get(qname)
-            if bucket is not None:
-                bucket.remove(installed)
-                if not bucket:
-                    del self._kpi_index[qname]
-        if installed.periodic:
-            self._periodic.remove(installed)
-        self._hot.pop(name, None)
-        # Its windows stay watched: keeping more never changes an answer.
-        self._refresh_period()
-
     @property
     def rules(self) -> list[ElasticityRule]:
         return [ir.rule for ir in self._rules.values()]
@@ -242,9 +220,7 @@ class RuleInterpreter:
     def _refresh_period(self) -> None:
         # Called whenever the rule set changes; a running loop waits the
         # new period from its next pass on.
-        if self._explicit_period is not None:
-            self._period = self._explicit_period
-        elif self._rules:
+        if self._rules:
             self._period = min(ir.rule.trigger.time_constraint_s
                                for ir in self._rules.values()) / 2.0
         else:
@@ -256,8 +232,7 @@ class RuleInterpreter:
     def notify(self, measurement: Measurement) -> None:
         if measurement.service_id != self.service_id:
             return  # multiple service instances operate independently
-        previous = self.store.notify(measurement)
-        self.windows.notify(measurement, self.env.now)
+        previous = self.bindings.notify(measurement)
         name = measurement.qualified_name
         if name in self._kpi_index:
             # A sample repeating the stored values cannot change any
@@ -290,30 +265,6 @@ class RuleInterpreter:
     # ------------------------------------------------------------------
     # Evaluation (OCL: RuleInterpreter::evaluateRules / evaluate)
     # ------------------------------------------------------------------
-    #: built-in monitorable parameters (§4.2.1: "the current time can be
-    #: introduced as a monitorable parameter if necessary") — resolved when
-    #: no application measurement shadows them
-    TIME_NOW = "system.time.now"
-    TIME_OF_DAY = "system.time.timeofday"
-
-    def _bindings(self, name: str) -> Optional[float]:
-        """OCL evaluate(QualifiedElement): latest record value or None (the
-        KPIRef falls back to its declared default)."""
-        value = self.store.value(self.service_id, name)
-        if value is not None:
-            return float(value)
-        if name == self.TIME_NOW:
-            return self.env.now
-        if name == self.TIME_OF_DAY:
-            return self.env.now % 86400.0
-        return self._defaults.get(name)
-
-    def _window(self, name: str, window_s: float, op: str) -> Optional[float]:
-        """Trailing-window aggregation for the §4.2.1 time-series
-        operations (mean/min/max/count)."""
-        now = self.env.now
-        return self.windows.aggregate(name, now - window_s, now, op)
-
     def _set_hot(self, installed: _InstalledRule, flag: bool) -> None:
         if flag:
             if not installed.hot:
@@ -379,7 +330,7 @@ class RuleInterpreter:
             self._charge_idle(1)
             return []
         self.evaluations += 1
-        context = self._context
+        bindings = self.bindings
         work = self._candidates()
         dirty_kpis = len(self._dirty)
         self._dirty.clear()
@@ -397,7 +348,7 @@ class RuleInterpreter:
                 continue
             evaluated += 1
             try:
-                holds = installed.cond(context) > 0.0
+                holds = installed.cond(bindings) > 0.0
             except Exception as exc:
                 self.trace.emit("rule-engine", "rule.error",
                                 rule=rule.name, service=self.service_id,

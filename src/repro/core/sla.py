@@ -7,6 +7,11 @@ sliding windows, accrues penalties on breaches, and invokes *protection
 hooks* so the provider can react (e.g. force a scale-up) before or as an
 obligation is breached — "automated monitoring and protection of service
 level obligations based on defined semantic constraints".
+
+An objective reads its KPIs as an elasticity rule does: through the
+service's :class:`~repro.monitoring.consumers.ServiceBindings`, so the
+latest sample, the built-in time parameters (§4.2.1), the declared defaults
+and the trailing windows mean the same to both.
 """
 
 from __future__ import annotations
@@ -14,12 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ..monitoring.consumers import MeasurementStore, TrailingWindows
+from ..monitoring.consumers import ServiceBindings
 from ..monitoring.distribution import DistributionFramework
 from ..monitoring.measurements import Measurement
 from ..sim.kernel import Environment, Interrupt
 from ..sim.tracing import TraceLog
-from .manifest.expressions import EvaluationContext, WindowOp
 from .manifest.sla import SLASection, ServiceLevelObjective
 
 __all__ = ["SLOSample", "SLOBreach", "SLAMonitor"]
@@ -70,14 +74,10 @@ class SLAMonitor:
         self.service_id = service_id
         self.sla = sla
         self.trace = trace if trace is not None else TraceLog(env)
-        self.store = MeasurementStore()
-        #: the trailing windows the objectives read (DESIGN.md §9)
-        self.windows = TrailingWindows()
+        #: what the objectives read, their windows watched from the start
+        self.bindings = ServiceBindings(env, service_id, kpi_defaults)
         for slo in sla:
-            for node in slo.expression.walk():
-                if isinstance(node, WindowOp):
-                    self.windows.watch(node.name, node.window_s)
-        self._defaults = dict(kpi_defaults or {})
+            self.bindings.watch(slo.expression)
         self._states = {slo.name: _ObjectiveState(slo) for slo in sla}
         self._hooks: list[ProtectionHook] = []
         self._subscriptions: list = []
@@ -116,8 +116,7 @@ class SLAMonitor:
     def notify(self, measurement: Measurement) -> None:
         if measurement.service_id != self.service_id:
             return
-        self.store.notify(measurement)
-        self.windows.notify(measurement, self.env.now)
+        self.bindings.notify(measurement)
 
     def add_protection_hook(self, hook: ProtectionHook) -> None:
         self._hooks.append(hook)
@@ -143,24 +142,11 @@ class SLAMonitor:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _context(self) -> EvaluationContext:
-        def latest(name: str) -> Optional[float]:
-            value = self.store.value(self.service_id, name)
-            if value is None:
-                return self._defaults.get(name)
-            return float(value)
-
-        def window(name: str, window_s: float, op: str) -> Optional[float]:
-            now = self.env.now
-            return self.windows.aggregate(name, now - window_s, now, op)
-
-        return EvaluationContext(latest=latest, window=window)
-
     def sample(self, name: str) -> SLOSample:
         """Evaluate one objective now (also used by the periodic loop)."""
         state = self._states[name]
         try:
-            held = state.slo.expression.holds(self._context())
+            held = state.slo.expression.holds(self.bindings)
         except Exception:
             # Not yet evaluable (no data, no default): treated as held —
             # obligations begin once the service actually reports.

@@ -9,10 +9,13 @@ implements exactly that contract. The §4.2.1 time-series operations read a
 trailing window of a stream, and :func:`aggregate_window` is the one
 routine that answers them, over either of two histories.
 :class:`TrailingWindows` keeps a stream only while a window operation reads
-it, and only as far back as the longest such window reaches: the rule
-engine and the SLA monitor read their conditions' windows through it.
-:class:`MeasurementJournal` keeps the full history, which the generated
-validation instruments (§4.2.3) replay and aggregate.
+it, and only as far back as the longest such window reaches.
+:class:`ServiceBindings` puts the two together into the one reading of a
+KPI: the rule engine, the SLA monitor and the generated validation
+instruments (§4.2.3) all evaluate their conditions through it, so a name
+resolves the same way in each — latest sample, else built-in time
+parameter, else declared default. :class:`MeasurementJournal` keeps the
+full history, which the validator replays.
 """
 
 from __future__ import annotations
@@ -20,11 +23,18 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Any, Iterable, Optional
 
+from ..core.manifest.expressions import (
+    TIME_NOW,
+    TIME_OF_DAY,
+    EvaluationContext,
+    Expression,
+    WindowOp,
+)
 from .distribution import DistributionFramework, Subscription
 from .measurements import Measurement
 
 __all__ = ["MeasurementStore", "MeasurementJournal", "TrailingWindows",
-           "aggregate_window"]
+           "ServiceBindings", "aggregate_window"]
 
 
 class MeasurementStore:
@@ -145,15 +155,72 @@ class TrailingWindows:
                                 since, until, op)
 
 
+class ServiceBindings(EvaluationContext):
+    """One service's KPIs as its conditions read them (§4.2.2, §4.2.1).
+
+    ``bindings(name)`` is OCL's ``evaluate(QualifiedElement)``: the latest
+    sample's value, else the built-in time parameter of that name
+    (``system.time.now`` is ``clock.now``, ``system.time.timeofday`` the
+    seconds since its last midnight), else the KPI's declared default,
+    else ``None``. :meth:`aggregate` answers a window operation over
+    ``[now - window_s, now]`` from the trailing windows :meth:`watch` keeps.
+    ``clock`` is any object with a ``now``: the simulation environment, or
+    a replay's cursor. The owner drops other services' samples before
+    :meth:`notify`.
+    """
+
+    __slots__ = ("clock", "service_id", "store", "windows", "_defaults")
+
+    def __init__(self, clock: Any, service_id: str,
+                 defaults: Optional[dict[str, float]] = None) -> None:
+        self.clock = clock
+        self.service_id = service_id
+        self.store = MeasurementStore()
+        #: the trailing windows the watched conditions read (DESIGN.md §9)
+        self.windows = TrailingWindows()
+        self._defaults = dict(defaults or {})
+
+    def watch(self, expression: Expression) -> bool:
+        """Keep, from now on, every window ``expression``'s window
+        operations read; true when it has any."""
+        windowed = False
+        for node in expression.walk():
+            if isinstance(node, WindowOp):
+                self.windows.watch(node.name, node.window_s)
+                windowed = True
+        return windowed
+
+    def notify(self, measurement: Measurement) -> Optional[Measurement]:
+        """Record a sample at ``clock.now``; returns the sample it replaces
+        as the latest of its stream, or ``None`` for the stream's first."""
+        previous = self.store.notify(measurement)
+        self.windows.notify(measurement, self.clock.now)
+        return previous
+
+    def __call__(self, name: str) -> Optional[float]:
+        value = self.store.value(self.service_id, name)
+        if value is not None:
+            return float(value)
+        if name == TIME_NOW:
+            return self.clock.now
+        if name == TIME_OF_DAY:
+            return self.clock.now % 86400.0
+        return self._defaults.get(name)
+
+    def aggregate(self, name: str, window_s: float,
+                  op: str) -> Optional[float]:
+        now = self.clock.now
+        return self.windows.aggregate(name, now - window_s, now, op)
+
+
 class MeasurementJournal:
     """Full-history consumer: every event kept, queryable by stream/time.
 
-    The enforcement validator reads its window operations through
-    :meth:`aggregate` and replays the events, as the generated
-    elasticity-validation instruments must: they replay "incoming
-    monitoring events and [verify] where appropriate that suitable
-    adjustment operations were invoked by matching entries and time frames
-    in infrastructural logs" (§4.2.3).
+    The enforcement validator replays its events through
+    :class:`ServiceBindings`, as the generated elasticity-validation
+    instruments must: they replay "incoming monitoring events and [verify]
+    where appropriate that suitable adjustment operations were invoked by
+    matching entries and time frames in infrastructural logs" (§4.2.3).
     """
 
     __slots__ = ("_events", "_by_stream")

@@ -3,10 +3,9 @@
 Chaos events are frozen, picklable dataclasses scheduled against the real
 infrastructure objects: host crashes and correlated whole-site outages
 (:meth:`~repro.cloud.veem.VEEM.inject_host_failure` under the hood),
-spot-VM preemption waves (:meth:`~repro.cloud.veem.VEEM.preempt`),
+spot-VM preemption waves (:meth:`~repro.cloud.veem.VEEM.preempt`) and
 federation network partitions (:meth:`~repro.control.plane.ControlPlane.
-partition`), and a deliberately-broken :class:`Oversubscribe` hook used to
-prove the invariant checker detects violations.
+partition`).
 
 :func:`install_chaos` spawns one process per event; every action and every
 recovery emits a ``chaos.*`` trace record through the run's
@@ -37,7 +36,6 @@ __all__ = [
     "SpotPreemption",
     "SiteOutage",
     "NetworkPartition",
-    "Oversubscribe",
     "ChaosEvent",
     "sites_of",
     "restrict_event",
@@ -83,21 +81,7 @@ class NetworkPartition:
     heal_after_s: float = 0.0
 
 
-@dataclass(frozen=True)
-class Oversubscribe:
-    """TEST-ONLY invariant violation: corrupt one host's capacity
-    accounting so it reads as oversubscribed. Exists purely to prove the
-    experiment runner detects and reports a broken invariant — never a
-    model of real behaviour."""
-
-    at_s: float
-    site: str
-    host_index: int = 0
-    extra_cpu: float = 1.0
-
-
-ChaosEvent = Union[HostCrash, SpotPreemption, SiteOutage,
-                   NetworkPartition, Oversubscribe]
+ChaosEvent = Union[HostCrash, SpotPreemption, SiteOutage, NetworkPartition]
 
 
 def sites_of(event: ChaosEvent) -> tuple:
@@ -230,21 +214,11 @@ def install_chaos(env, events, *, veems_by_site: dict,
         control.heal_partition(event.sites)
         trace.emit("chaos", "chaos.heal", sites=sorted(event.sites))
 
-    def oversubscribe(event: Oversubscribe):
-        yield env.timeout(event.at_s)
-        veem = veems_by_site[event.site]
-        host = veem.hosts[event.host_index]
-        # Deliberate accounting corruption — see the class docstring.
-        host._cpu_used = host.cpu_cores + event.extra_cpu
-        trace.emit("chaos", "chaos.oversubscribe", site=event.site,
-                   host=host.name, extra_cpu=event.extra_cpu)
-
     runners = {
         HostCrash: host_crash,
         SpotPreemption: preemption,
         SiteOutage: site_outage,
         NetworkPartition: partition,
-        Oversubscribe: oversubscribe,
     }
     processes = []
     for index, event in enumerate(events):

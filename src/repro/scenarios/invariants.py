@@ -17,8 +17,9 @@ can run mid-simulation or at the end):
   span of a live (QUEUED/DEPLOYING/ACTIVE) request; anything else leaked.
 
 Violations are data, not exceptions: the experiment runner reports failing
-cells and exits non-zero, and the test-only ``Oversubscribe`` chaos hook
-exists precisely to prove these checks catch a corrupted system.
+cells and exits non-zero. The runner and report suites prove these checks
+catch a corrupted system by crashing a host whose failure keeps its booked
+capacity: the reservation drift fails the cell.
 """
 
 from __future__ import annotations

@@ -153,3 +153,26 @@ def two_web_tenants(env, n_hosts: int = 4) -> SimpleNamespace:
     b = sm.deploy(web_tenant_manifest(), service_id="tenant-B")
     env.run(until=env.all_of([a.deployment, b.deployment]))
     return SimpleNamespace(sm=sm, a=a, b=b)
+
+
+# ---------------------------------------------------------------------------
+# A planted invariant violation
+# ---------------------------------------------------------------------------
+
+def crash_keeping_bookings(monkeypatch) -> None:
+    """Make a crashed host keep the CPU and memory its VMs had booked.
+
+    A production :class:`~repro.scenarios.chaos.HostCrash` then leaves
+    reservation drift behind (booked capacity no resident VM accounts
+    for), which the ``no-oversubscription`` invariant reports: the runner
+    and report suites plant their failing cell this way.
+    """
+    fail = Host.fail
+
+    def fail_keeping_bookings(host):
+        booked = host._cpu_used, host._mem_used
+        casualties = fail(host)
+        host._cpu_used, host._mem_used = booked
+        return casualties
+
+    monkeypatch.setattr(Host, "fail", fail_keeping_bookings)

@@ -170,10 +170,11 @@ def test_host_image_staging_cost_and_cache():
 
     def stage_twice(env):
         t0 = env.now
-        yield env.process(host.stage_image(repo, "base", cache=True))
+        yield env.process(host.stage_image(repo, "base"))
         durations.append(env.now - t0)
+        host.prestage("base")
         t0 = env.now
-        yield env.process(host.stage_image(repo, "base", cache=True))
+        yield env.process(host.stage_image(repo, "base"))
         durations.append(env.now - t0)
 
     env.process(stage_twice(env))
@@ -195,7 +196,7 @@ def test_host_staging_without_cache_pays_every_time():
     def stage(env):
         for _ in range(3):
             t0 = env.now
-            yield env.process(host.stage_image(repo, "base", cache=False))
+            yield env.process(host.stage_image(repo, "base"))
             times.append(env.now - t0)
 
     env.process(stage(env))

@@ -234,18 +234,6 @@ def test_duplicate_host_name_rejected():
         veem.add_host(Host(env, "h0"))
 
 
-def test_image_caching_mode_amortises_staging():
-    env = Environment()
-    veem = make_veem(env, cache_images=True)
-    vm1 = veem.submit(make_desc())
-    env.run(until=vm1.on_running)
-    vm2 = veem.submit(make_desc())  # lands on h0 again (first fit)
-    t0 = env.now
-    env.run(until=vm2.on_running)
-    # Second deploy on the same host skips the 10 s image transfer.
-    assert env.now - t0 == pytest.approx(47.0)
-
-
 def test_suspend_and_resume_cycle():
     env = Environment()
     veem = make_veem(env)

@@ -9,10 +9,13 @@ same simulated clock:
   evaluate-everything tree-walking interpreter transcribed from §4.2.2.
 
 Whatever the sequence — sparse churn, unmeasured KPIs, error rules, window
-aggregations, cooldowns, refusing executors — both engines must produce
-identical :class:`RuleFiring` journals and identical per-rule statistics.
-The reference engine's windows read every sample it was notified of; the
-optimised engine's keep only what a window can still reach.
+aggregations, cooldowns, refusing executors, a time-of-day condition that
+flips mid-run — both engines must produce identical :class:`RuleFiring`
+journals and identical per-rule statistics. The reference engine's windows
+read every sample it was notified of; the optimised engine's keep only what
+a window can still reach. A third evaluator, the SLA monitor given the same
+conditions as objectives, must hold at every sample exactly where the
+§4.2.2 tree-walk over the reference engine's bindings is ``> 0``.
 Most samples repeat their stream's previous values, which the optimised
 engine does not count as a change, so the streams also carry the values
 where equality and the condition's float view could part: NaN, 0.0 then
@@ -26,14 +29,19 @@ import zlib
 import pytest
 
 from repro.core.manifest.elasticity import ElasticityRule
+from repro.core.manifest.sla import SLASection, ServiceLevelObjective
 from repro.core.service_manager.rules import RuleInterpreter
+from repro.core.sla import SLAMonitor
 from repro.monitoring.measurements import Measurement
 from repro.sim.kernel import Environment
 from repro.sim.tracing import TraceLog
+from tests.oracles.expressions import interpret
 from tests.oracles.rules import FullPassInterpreter
 
 
 DEFAULTS = {"k.a": 0.0, "k.b": 5.0, "k.t": 1.0}  # k.c deliberately missing
+#: the runs start 150 s before 10:00, so the timed condition flips mid-run
+START = 36_000.0 - 150.0
 
 
 def build_rules():
@@ -108,9 +116,22 @@ def sample_stream(rng):
     return next_value
 
 
-def run_differential(seed, steps=120):
+def reference_holds(expr, bindings):
+    """The §4.2.2 tree-walk's verdict; a condition it cannot evaluate
+    counts as held, as an SLO sample counts it."""
+    try:
+        return interpret(expr, bindings) > 0
+    except Exception:
+        return True
+
+
+def run_differential(seed, steps=120, slo_samples=None):
+    """Replay one drawn stream through both engines. Given a list as
+    ``slo_samples``, an SLA monitor whose objectives are the rules'
+    conditions reads the same stream and is sampled at every evaluation
+    step; each sample appends ``(name, held, reference verdict)``."""
     rng = random.Random(seed)
-    env = Environment()
+    env = Environment(initial_time=START)
     publisher = TraceLog(env)
     optimised_log, reference_log = [], []
     optimised = RuleInterpreter(
@@ -122,7 +143,18 @@ def run_differential(seed, steps=120):
     for rule in build_rules():
         optimised.install(rule)
         reference.install(rule)
+    monitor = SLAMonitor(env, "svc", SLASection(tuple(
+        ServiceLevelObjective(rule.name, rule.trigger.expression)
+        for rule in build_rules())), kpi_defaults=DEFAULTS)
     next_value = sample_stream(rng)
+
+    def sample_slos():
+        if slo_samples is None:
+            return
+        for slo in monitor.sla:
+            held = monitor.sample(slo.name).held
+            slo_samples.append((slo.name, held, reference_holds(
+                slo.expression, reference.bindings)))
 
     def driver(env):
         for _ in range(steps):
@@ -135,13 +167,15 @@ def run_differential(seed, steps=120):
                 # its own packet
                 with publisher.span_scope("monitoring", "kpi.publish",
                                           kpi=name):
-                    for engine in (optimised, reference):
+                    for engine in (optimised, reference, monitor):
                         engine.notify(Measurement(name, "svc", "probe-1",
                                                   env.now, (value,)))
             else:
                 assert optimised.evaluate_rules() == reference.evaluate_rules()
+                sample_slos()
             yield env.timeout(rng.choice([0.0, 0.5, 1.5, 4.0, 7.0]))
         assert optimised.evaluate_rules() == reference.evaluate_rules()
+        sample_slos()
 
     env.process(driver(env))
     env.run()
@@ -178,6 +212,29 @@ def test_traces_and_stats_identical(seed):
     optimised, reference, _, _ = run_differential(seed)
     assert optimised.stats() == reference.stats()
     assert trace_view(optimised.trace) == trace_view(reference.trace)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sla_monitor_holds_where_the_reference_does(seed):
+    samples = []
+    run_differential(seed, slo_samples=samples)
+    assert samples
+    for name, held, expected in samples:
+        assert held == expected, name
+
+
+def test_sla_differential_sees_every_verdict():
+    """The SLO differential is meaningful only if the time, window and
+    plain conditions each both hold and fail along the way."""
+    verdicts = {}
+    for seed in range(8):
+        samples = []
+        run_differential(seed, slo_samples=samples)
+        for name, held, _ in samples:
+            verdicts.setdefault(name, set()).add(held)
+    for name in ("timed", "windowed", "burst", "peak", "plain",
+                 "error-prone"):
+        assert verdicts[name] == {True, False}, name
 
 
 def test_differential_streams_repeat_and_reach_the_edges():
@@ -217,12 +274,12 @@ def test_optimised_windows_drop_what_no_window_reaches():
     for seed in range(8):
         optimised, reference, _, _ = run_differential(seed)
         for name in ("k.a", "k.b"):
-            kept = optimised.windows.aggregate(name, -math.inf, math.inf,
-                                               "count")
+            kept = optimised.bindings.windows.aggregate(
+                name, -math.inf, math.inf, "count")
             seen = len(reference.journal.stream("svc", name))
             assert 0 < kept < seen, (seed, name, kept, seen)
         for name in ("k.c", "k.t", "k.unused"):
-            assert optimised.windows.aggregate(
+            assert optimised.bindings.windows.aggregate(
                 name, -math.inf, math.inf, "count") == 0.0
 
 
@@ -279,8 +336,8 @@ def test_only_a_changed_value_dirties_its_kpi():
     assert interp.last_pass["evaluated"] == 1
     # The store holds the last sample; no window reads the stream, so the
     # engine keeps nothing else of it.
-    assert interp.store.value("svc", "a.b") == 4
-    assert interp.windows.aggregate("a.b", -math.inf, math.inf,
+    assert interp.bindings.store.value("svc", "a.b") == 4
+    assert interp.bindings.windows.aggregate("a.b", -math.inf, math.inf,
                                     "count") == 0.0
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments.scale import ScaleConfig, run_scale
-from repro.scenarios.chaos import NetworkPartition, Oversubscribe
+from repro.scenarios.chaos import HostCrash, NetworkPartition
 from repro.scenarios.runner import (
     SCENARIOS,
     Scenario,
@@ -17,6 +17,7 @@ from repro.scenarios.runner import (
     scenario_names,
 )
 from repro.scenarios.workloads import WorkloadError
+from tests.setups import crash_keeping_bookings
 
 #: small enough to keep the suite fast, big enough to exercise elasticity
 FAST = ["services=8", "hours=0.25", "settle=120"]
@@ -95,13 +96,15 @@ def test_chaos_scenario_passes_invariants(tmp_path):
     assert record["chaos"] and record["chaos"][0]["type"] == "SiteOutage"
 
 
-def test_intentional_violation_is_a_failing_cell(tmp_path):
-    """The test-only Oversubscribe hook must surface as a failing cell —
-    proof the runner's invariant checking can actually fail."""
+def test_intentional_violation_is_a_failing_cell(tmp_path, monkeypatch):
+    """A host crash that leaves the host's capacity booked must surface as
+    a failing cell — proof the runner's invariant checking can actually
+    fail."""
+    crash_keeping_bookings(monkeypatch)
     name = "_broken-host"
     SCENARIOS[name] = Scenario(
-        name, "test-only: corrupt a host's accounting mid-run",
-        chaos=lambda cfg: (Oversubscribe(
+        name, "test-only: a crashed host keeps its booked capacity",
+        chaos=lambda cfg: (HostCrash(
             at_s=cfg.monitor_period_s * 3 + 15.0, site="site-0"),))
     try:
         result = run_experiment(name, sweep=FAST, seed=7,
@@ -110,7 +113,8 @@ def test_intentional_violation_is_a_failing_cell(tmp_path):
         del SCENARIOS[name]
     assert not result.ok
     (cell,) = result.cells
-    assert any("no-oversubscription" in v for v in cell.report.violations)
+    assert any("no-oversubscription" in v and "reservation drift" in v
+               for v in cell.report.violations)
     (record,) = [json.loads(line) for line in
                  (tmp_path / f"{name}-seed7.jsonl").read_text().splitlines()]
     assert record["ok"] is False and record["violations"]

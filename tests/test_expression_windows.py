@@ -16,10 +16,19 @@ from repro.monitoring.measurements import Measurement
 from repro.sim.kernel import Environment
 
 
-def ctx_from_samples(samples):
-    """An EvaluationContext over a fixed {name: [values]} table."""
-    def window(name, window_s, op):
-        values = samples.get(name, [])
+class ctx_from_samples(EvaluationContext):
+    """An EvaluationContext over a fixed {name: [values]} table: every
+    window holds the whole list."""
+
+    def __init__(self, samples):
+        self.samples = samples
+
+    def __call__(self, name):
+        values = self.samples.get(name)
+        return values[-1] if values else None
+
+    def aggregate(self, name, window_s, op):
+        values = self.samples.get(name, [])
         if not values:
             return None
         if op == "mean":
@@ -29,11 +38,6 @@ def ctx_from_samples(samples):
         if op == "max":
             return max(values)
         return float(len(values))
-
-    return EvaluationContext(
-        latest=lambda n: samples[n][-1] if samples.get(n) else None,
-        window=window,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -105,13 +109,6 @@ def test_plain_bindings_rejected():
     expr = parse_expression("mean(@a.b, 60) > 1", defaults={"a.b": 0})
     with pytest.raises(ExpressionError, match="EvaluationContext"):
         expr.evaluate(lambda n: 5.0)
-
-
-def test_context_without_window_support_rejected():
-    ctx = EvaluationContext(latest=lambda n: 5.0, window=None)
-    expr = parse_expression("mean(@a.b, 60)", defaults={"a.b": 0})
-    with pytest.raises(ExpressionError, match="window-capable"):
-        expr.evaluate(ctx)
 
 
 def test_mixing_latest_and_window_refs():
@@ -244,8 +241,9 @@ def test_window_free_rules_keep_only_the_latest_sample():
         "up", "@q.size > 5", "deployVM(x)", defaults={"q.size": 0}))
     for i in range(1000):
         interp.notify(Measurement("q.size", "svc-free", "p", float(i), (i,)))
-    assert interp.store.value("svc-free", "q.size") == 999
-    assert interp.windows.aggregate("q.size", -inf, inf, "count") == 0.0
+    assert interp.bindings.store.value("svc-free", "q.size") == 999
+    assert interp.bindings.windows.aggregate(
+        "q.size", -inf, inf, "count") == 0.0
     assert live_samples("svc-free") == 1
 
 
@@ -267,7 +265,7 @@ def test_a_window_keeps_only_the_samples_it_can_still_read():
     env.run()
     # The last sample came at t=99: the window reads back to t=69 now and
     # later, so exactly t=69..99 is kept.
-    kept = interp.windows
+    kept = interp.bindings.windows
     assert kept.aggregate("q.size", -inf, inf, "count") == 31.0
     assert kept.aggregate("q.size", -inf, inf, "min") == 69.0
     assert kept.aggregate("q.size", -inf, inf, "max") == 99.0

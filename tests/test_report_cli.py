@@ -15,7 +15,8 @@ from repro.obs.report import (
     sparkline,
 )
 from repro.scenarios.runner import SCENARIOS, Scenario, run_experiment
-from repro.scenarios.chaos import Oversubscribe
+from repro.scenarios.chaos import HostCrash
+from tests.setups import crash_keeping_bookings
 
 FAST = ["services=8", "hours=0.25", "settle=120"]
 
@@ -128,11 +129,12 @@ def test_report_custom_metrics(corpus):
     assert "peak_vms" not in text
 
 
-def test_report_flags_failing_records(tmp_path):
+def test_report_flags_failing_records(tmp_path, monkeypatch):
+    crash_keeping_bookings(monkeypatch)
     name = "_broken-host-report"
     SCENARIOS[name] = Scenario(
-        name, "test-only: corrupt a host's accounting mid-run",
-        chaos=lambda cfg: (Oversubscribe(
+        name, "test-only: a crashed host keeps its booked capacity",
+        chaos=lambda cfg: (HostCrash(
             at_s=cfg.monitor_period_s * 3 + 15.0, site="site-0"),))
     try:
         result = run_experiment(name, sweep=FAST, seed=7,

@@ -8,10 +8,13 @@ that wakes on every tick and runs the full candidate pass there.
 
 Two environments replay the same random script: notifies from processes
 and between runs, on and off the rule grid and at instants other
-processes share; installs and uninstalls; ``stop()`` and ``start()``;
-``run(until=...)`` boundaries on and off the grid; cooldowns, periodic
-rules, erroring rules and a refusing executor. Everything observable must
-agree, on both kernels and on the profiled drain.
+processes share; installs; uninstalls, each a rebuild (the interpreter
+stops and a fresh one of the same class takes over, holding the rules
+still installed and re-notified with each KPI's latest sample);
+``stop()`` and ``start()``; ``run(until=...)`` boundaries on and off the
+grid; cooldowns, periodic rules, erroring rules and a refusing executor.
+Everything observable must agree, on both kernels and on the profiled
+drain.
 """
 
 import random
@@ -24,6 +27,7 @@ from repro.core.manifest.elasticity import ElasticityRule
 from repro.core.service_manager.rules import RuleInterpreter
 from repro.monitoring.measurements import Measurement
 from repro.sim.kernel import Environment, Interrupt
+from repro.sim.tracing import TraceLog
 from tests.oracles.kernel import HeapEnvironment
 
 
@@ -138,24 +142,74 @@ def draw_script(seed: int) -> tuple:
     return initial, processes, runs, refusals
 
 
-def apply(interp: RuleInterpreter, rules: list, action: tuple) -> None:
+class Engine:
+    """The interpreter a replay drives, and the ones its uninstalls
+    retired: an uninstall stops the interpreter and continues with a fresh
+    one of the same class, on the same trace, holding the rules still
+    installed and re-notified with each KPI's latest sample."""
+
+    def __init__(self, cls: type, env, executor):
+        self.cls, self.env, self.executor = cls, env, executor
+        self.trace = TraceLog(env)
+        self.latest: dict[str, Measurement] = {}
+        self.running = False
+        self.retired: list[RuleInterpreter] = []
+        self.interp = self.fresh()
+
+    def fresh(self) -> RuleInterpreter:
+        return self.cls(self.env, "svc", executor=self.executor,
+                        trace=self.trace, kpi_defaults=DEFAULTS)
+
+    @property
+    def all(self) -> list[RuleInterpreter]:
+        return [*self.retired, self.interp]
+
+    def total(self, counter: str) -> int:
+        return sum(getattr(interp, counter) for interp in self.all)
+
+    def notify(self, name: str, value: float) -> None:
+        sample = Measurement(name, "svc", "probe", self.env.now, (value,))
+        self.latest[name] = sample
+        self.interp.notify(sample)
+
+    def uninstall(self, name: str) -> None:
+        old = self.interp
+        old.stop()
+        self.retired.append(old)
+        self.interp = self.fresh()
+        for rule in old.rules:
+            if rule.name != name:
+                self.interp.install(rule)
+        for sample in self.latest.values():
+            self.interp.notify(sample)
+        if self.running:
+            self.interp.start()
+
+    def start(self) -> None:
+        self.running = True
+        self.interp.start()
+
+    def stop(self) -> None:
+        self.running = False
+        self.interp.stop()
+
+
+def apply(engine: Engine, rules: list, action: tuple) -> None:
     kind = action[0]
-    installed = {rule.name for rule in interp.rules}
+    installed = {rule.name for rule in engine.interp.rules}
     if kind == "notify":
-        interp.notify(Measurement(action[1], "svc", "probe", interp.env.now,
-                                  (action[2],)))
+        engine.notify(action[1], action[2])
     elif kind == "calm":
         for name, value in CALM:
-            interp.notify(Measurement(name, "svc", "probe", interp.env.now,
-                                      (value,)))
+            engine.notify(name, value)
     elif kind == "install" and rules[action[1]].name not in installed:
-        interp.install(rules[action[1]])
+        engine.interp.install(rules[action[1]])
     elif kind == "uninstall" and rules[action[1]].name in installed:
-        interp.uninstall(rules[action[1]].name)
+        engine.uninstall(rules[action[1]].name)
     elif kind == "stop":
-        interp.stop()
+        engine.stop()
     elif kind == "start":
-        interp.start()
+        engine.start()
 
 
 def replay(script: tuple, cls: type, kernel: str) -> dict:
@@ -173,17 +227,17 @@ def replay(script: tuple, cls: type, kernel: str) -> dict:
                     decision))
         return decision
 
-    interp = cls(env, "svc", executor=executor, kpi_defaults=DEFAULTS)
+    engine = Engine(cls, env, executor)
     rules = catalogue()
     for index in initial:
-        interp.install(rules[index])
-    interp.start()
+        engine.interp.install(rules[index])
+    engine.start()
 
     def process(pid, steps):
         for delay, action in steps:
             yield env.timeout(delay)
             log.append(("wake", pid, env.now))
-            apply(interp, rules, action)
+            apply(engine, rules, action)
 
     for pid, steps in enumerate(processes):
         env.process(process(pid, steps))
@@ -191,25 +245,28 @@ def replay(script: tuple, cls: type, kernel: str) -> dict:
     jumped = []
     for until, between in runs:
         env.run(until=until)
-        boundaries.append((env.now, interp.evaluations, interp.rules_skipped,
-                           interp.rules_evaluated, dict(interp.last_pass)))
-        jumped.append(interp.ticks_jumped)
+        boundaries.append((env.now, engine.total("evaluations"),
+                           engine.total("rules_skipped"),
+                           engine.total("rules_evaluated"),
+                           dict(engine.interp.last_pass)))
+        jumped.append(engine.total("ticks_jumped"))
         for action in between:
             log.append(("between", env.now, action))
-            apply(interp, rules, action)
-    interp.stop()
+            apply(engine, rules, action)
+    engine.stop()
     env.run(until=env.now + 60.0)
     return {
         "log": log,
-        "firings": interp.firings,
+        "firings": [f for interp in engine.all for f in interp.firings],
         "boundaries": boundaries,
         "trace": [(r.time, r.kind, r.details.get("rule"))
-                  for r in interp.trace.records],
-        "stats": interp.stats(),
+                  for r in engine.trace.records],
+        "stats": [interp.stats() for interp in engine.all],
         "dead_skipped": env.dead_skipped,
         "events": env.events_processed,
-        "ticks_jumped": interp.ticks_jumped,
+        "ticks_jumped": engine.total("ticks_jumped"),
         "jumped_before_tail": jumped[-2],
+        "rebuilds": len(engine.retired),
     }
 
 
@@ -234,7 +291,7 @@ def test_differential_script_exercises_the_jump(kernel):
     """The differential is only meaningful if the loop took the jump, also
     while other processes were still acting, and if the scripts fired
     rules and errored along the way."""
-    jumped = fewer_events = mid_script = fired = errored = 0
+    jumped = fewer_events = mid_script = fired = errored = rebuilt = 0
     for seed in SEEDS:
         script = draw_script(seed)
         ticking = replay(script, TickingInterpreter, kernel)
@@ -245,9 +302,11 @@ def test_differential_script_exercises_the_jump(kernel):
         fired += bool(jumping["firings"])
         errored += any(kind == "rule.error"
                        for _, kind, _ in jumping["trace"])
+        rebuilt += jumping["rebuilds"] > 0
     assert jumped == fewer_events >= len(SEEDS) * 3 // 4
     assert mid_script >= len(SEEDS) // 4
     assert fired >= len(SEEDS) // 2 and errored >= len(SEEDS) // 8
+    assert rebuilt >= len(SEEDS) // 2
 
 
 def probe_run(cls: type, kernel: str, period: float, offset: float,
@@ -296,10 +355,12 @@ def test_probe_ties_match_ticking_loop(kernel, period, offset):
 def tick_point_run(cls: type) -> tuple:
     env = Environment()
     calls = []
-    interp = cls(env, "svc", eval_period_s=0.3,
+    interp = cls(env, "svc",
                  executor=lambda a, r: calls.append(env.now) or True)
+    # A 600 ms time constraint gives the 0.3 s period.
     interp.install(ElasticityRule.from_text(
-        "up", "@k.a > 3", "deployVM(x)", defaults={"k.a": 0.0}))
+        "up", "@k.a > 3", "deployVM(x)", defaults={"k.a": 0.0},
+        time_constraint_ms=600, cooldown_s=5.0))
     interp.start()
 
     def wake(env):

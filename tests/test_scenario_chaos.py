@@ -18,7 +18,6 @@ from repro.core.manifest.builder import ManifestBuilder
 from repro.scenarios.chaos import (
     HostCrash,
     NetworkPartition,
-    Oversubscribe,
     SiteOutage,
     SpotPreemption,
     event_to_dict,
@@ -29,6 +28,7 @@ from repro.scenarios.chaos import (
 from repro.scenarios.invariants import check_no_oversubscription
 from repro.sim.kernel import Environment
 from repro.sim.tracing import TraceLog
+from tests.setups import crash_keeping_bookings
 
 TIMINGS = HypervisorTimings(define_s=1, boot_s=10, shutdown_s=2)
 
@@ -169,17 +169,21 @@ def test_unknown_site_rejected_at_install():
                       veems_by_site=veems, control=control)
 
 
-def test_oversubscribe_corrupts_accounting_detectably():
+def test_crash_keeping_bookings_reads_as_reservation_drift(monkeypatch):
+    """The fault the runner and report suites plant their failing cell
+    with: a crashed host that keeps its VMs' booked capacity."""
+    crash_keeping_bookings(monkeypatch)
     env = Environment()
     control, veems = make_plane(env, sites=1)
+    control.submit("t0", web_manifest(), site="site-0")
+    env.run(until=60)
     assert check_no_oversubscription(veems.values()) == []
-    install_chaos(env, (Oversubscribe(at_s=5.0, site="site-0",
-                                      extra_cpu=2.0),),
+    install_chaos(env, (HostCrash(at_s=5.0, site="site-0"),),
                   veems_by_site=veems, control=control)
-    env.run(until=10)
+    env.run(until=70)
     violations = check_no_oversubscription(veems.values())
     assert violations
-    assert any("cpu" in str(v) for v in violations)
+    assert all("reservation drift" in str(v) for v in violations)
 
 
 # ---------------------------------------------------------------------------

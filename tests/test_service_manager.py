@@ -293,6 +293,9 @@ def period_rules():
 def test_running_loop_follows_rule_set_period():
     env = Environment()
     slow, tight = period_rules()
+    # No rules at all: the 5 s idle default.
+    assert RuleInterpreter(env, "svc-0",
+                           executor=lambda a, r: True).eval_period_s == 5.0
     interp, _ = make_interpreter(env, [slow])
     instants = record_pass_instants(interp)
     interp.start()
@@ -304,47 +307,19 @@ def test_running_loop_follows_rule_set_period():
     assert interp.eval_period_s == 1.0
     env.run(until=12.5)
     assert instants() == [5.0, 10.0, 11.0, 12.0]
-    # Uninstalled: after the 1 s wait in progress, back to 5 s.
-    interp.uninstall("tight")
-    assert interp.eval_period_s == 5.0
-    env.run(until=25)
-    assert instants() == [5.0, 10.0, 11.0, 12.0, 13.0, 18.0, 23.0]
-    # No rules at all: the 5 s idle default.
-    interp.uninstall("slow")
-    assert interp.eval_period_s == 5.0
-
-
-def test_explicit_eval_period_overrides_rule_set():
-    env = Environment()
-    slow, tight = period_rules()
-    interp = RuleInterpreter(env, "svc-1", executor=lambda a, r: True,
-                             eval_period_s=3.0)
-    assert interp.eval_period_s == 3.0
-    interp.install(slow)
-    instants = record_pass_instants(interp)
-    interp.start()
-    env.run(until=4)
-    interp.install(tight)
-    assert interp.eval_period_s == 3.0
-    env.run(until=8)
-    interp.uninstall("tight")
-    interp.uninstall("slow")
-    assert interp.eval_period_s == 3.0
-    env.run(until=13)
-    assert instants() == [3.0, 6.0, 9.0, 12.0]
 
 
 def test_install_duplicate_and_uninstall():
+    """A rule name installs once, and stays installed for the
+    interpreter's life: the engine has no uninstall."""
     from repro.core.manifest.elasticity import ElasticityRule
     env = Environment()
     rule = ElasticityRule.from_text("up", "1 > 0", "notify()")
     interp, calls = make_interpreter(env, [rule])
     with pytest.raises(ValueError):
         interp.install(rule)
-    interp.uninstall("up")
-    with pytest.raises(ValueError):
-        interp.uninstall("up")
-    assert interp.rules == []
+    assert interp.rules == [rule]
+    assert not hasattr(interp, "uninstall")
 
 
 def test_trace_records_elasticity_actions():
@@ -468,10 +443,10 @@ def test_undeploy_releases_monitoring_subscription():
     env.run(until=sm.undeploy(service))
     assert sm.network.subscription_count == 0
     # late measurements for the dead service are dropped, not delivered
-    before = service.interpreter.store.notifications
+    before = service.interpreter.bindings.store.notifications
     sm.network.publish(Measurement("com.shop.lb.sessions",
                                    service.service_id, "p-9", env.now, (5,)))
-    assert service.interpreter.store.notifications == before
+    assert service.interpreter.bindings.store.notifications == before
 
 
 def test_undeploy_is_idempotent():

@@ -141,11 +141,11 @@ def test_monitor_keeps_only_what_its_windows_read():
 
     env.process(proc(env))
     env.run()
-    kept = monitor.windows
+    kept = monitor.bindings.windows
     assert kept.aggregate("app.response.time", -inf, inf, "count") == 31.0
     assert kept.aggregate("app.response.time", -inf, inf, "min") == 69.0
     assert kept.aggregate("app.load", -inf, inf, "count") == 0.0
-    assert monitor.store.value("svc-1", "app.load") == 99.0
+    assert monitor.bindings.store.value("svc-1", "app.load") == 99.0
 
 
 def test_monitor_all_compliant():
@@ -307,8 +307,9 @@ def test_end_to_end_sla_protection_scales_service():
                                                  shutdown_s=1)))
     sm = ServiceManager(env, veem)
     manifest = sla_manifest()
-    # Rules disabled: only the SLA protection path may add capacity.
-    service = sm.deploy(manifest, service_id="svc-1", start_rules=False)
+    # Rules stopped: only the SLA protection path may add capacity.
+    service = sm.deploy(manifest, service_id="svc-1")
+    service.interpreter.stop()
     env.run(until=service.deployment)
 
     monitor = SLAMonitor(env, "svc-1", manifest.sla,

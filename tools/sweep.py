@@ -46,7 +46,6 @@ GROUPS = {
     "failure": "failure and refusal paths a healthy run never takes",
     "observer": "read accessors the suites observe state through",
     "benchmark": "kept for the benchmark",
-    "candidate": "test-only code left for a later deletion",
 }
 
 #: Dunder methods that build an object; the protocol rule never keeps them.
