@@ -674,10 +674,7 @@ def test_metrics_merge_overhead(benchmark):
         canonical_view,
     )
 
-    # No flight recorder: the epoch wall-clock the merge is bounded against
-    # covers the simulation alone.
-    cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0,
-                      flight_recorder=0)
+    cfg = ScaleConfig(sites=2, services=8, hours=0.25, settle_s=120.0)
     t0 = perf_counter()
     env = FederationRun(cfg, [f"site-{s}" for s in range(cfg.sites)]).env
     env.run(until=cfg.duration_s + cfg.settle_s)

@@ -241,7 +241,7 @@ class Placer:
     policy: PlacementPolicy = field(default_factory=FirstFit)
     constraints: list[PlacementConstraint] = field(default_factory=list)
     #: plain tallies (the placer has no environment of its own); the owning
-    #: VEEM exposes them as ``cloud.placement.*`` registry views
+    #: VEEM exposes them as ``cloud.placement.*`` registry gauges
     selections: int = 0
     capacity_failures: int = 0
     constraint_failures: int = 0

@@ -54,8 +54,8 @@ class VEEM:
         #: live fleet, not every VM the site ever had
         self._live: list[VirtualMachine] = []
         # Registry-owned operation counters (these paths are not hot — a VM
-        # operation costs simulated seconds) plus views over the placer's
-        # plain tallies.
+        # operation costs simulated seconds) plus the placer's plain tallies
+        # as gauges (metric_rows).
         metrics = env.metrics
         self._m_submitted = metrics.counter("cloud.veem.submitted", site=name)
         self._m_refused = metrics.counter("cloud.veem.placement_refused",
@@ -67,13 +67,16 @@ class VEEM:
                                            site=name)
         self._m_provision = metrics.histogram("cloud.veem.provisioning_s",
                                               site=name)
+        metrics.add_source(self)
+
+    def metric_rows(self):
+        labels = {"site": self.name}
         placer = self.placer
-        metrics.register_view("cloud.placement.selections",
-                              lambda: placer.selections, site=name)
-        metrics.register_view("cloud.placement.capacity_failures",
-                              lambda: placer.capacity_failures, site=name)
-        metrics.register_view("cloud.placement.constraint_failures",
-                              lambda: placer.constraint_failures, site=name)
+        yield "cloud.placement.selections", labels, placer.selections
+        yield ("cloud.placement.capacity_failures", labels,
+               placer.capacity_failures)
+        yield ("cloud.placement.constraint_failures", labels,
+               placer.constraint_failures)
 
     # ------------------------------------------------------------------
     # Site assembly

@@ -149,8 +149,7 @@ class ControlPlane:
         # Kept out of ``_m_counters`` so ``stats()`` keeps its shape.
         self._m_solver_rescued = metrics.counter(
             "control.plane.solver_rescued", plane=plane)
-        metrics.register_view("control.plane.queue_depth",
-                              lambda: self.scheduler.depth, plane=plane)
+        metrics.add_source(self)
         self.series = SeriesRecorder(env)
         self.series.record("queue.depth", 0)
         self._seq = itertools.count(1)
@@ -161,6 +160,10 @@ class ControlPlane:
         # because every screened manifest is retained in ``self.requests``
         # before the screen runs, so ids are never recycled.
         self._solo_ceilings: dict[tuple, Optional[int]] = {}
+
+    def metric_rows(self):
+        yield ("control.plane.queue_depth", {"plane": self._plane_label},
+               self.scheduler.depth)
 
     # ------------------------------------------------------------------
     # Assembly

@@ -170,7 +170,6 @@ class ElasticityEnforcementValidator:
             replay = SimpleNamespace(now=0.0)
             bindings = ServiceBindings(replay, self.service_id, defaults)
             bindings.watch(rule.trigger.expression)
-            last_enforced: Optional[float] = None
             # Group same-timestamp events: the interpreter never observes a
             # half-applied instant, so the replay must apply all simultaneous
             # updates before judging the condition.
@@ -196,9 +195,9 @@ class ElasticityEnforcementValidator:
                     (a for a in actions if t <= a <= t + tc), None)
                 if action_at is not None:
                     verdict = "enforced"
-                    last_enforced = action_at
-                elif (last_enforced is not None
-                      and t <= last_enforced + cooldown):
+                elif any(a <= t <= a + cooldown for a in actions):
+                    # Held inside the cooldown after any firing — also one
+                    # a clock-driven rule made between samples.
                     verdict = "cooldown"
                 elif any(t <= r <= t + tc for r in refusals):
                     verdict = "refused"

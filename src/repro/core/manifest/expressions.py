@@ -325,9 +325,6 @@ class Expression(abc.ABC):
         """Pre-order traversal of the subtree (self included)."""
         yield self
 
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.unparse()!r}>"
-
 
 @dataclass(frozen=True)
 class Literal(Expression):

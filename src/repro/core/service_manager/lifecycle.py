@@ -160,10 +160,7 @@ class ServiceLifecycleManager:
         self.term_span = None
         #: invoked with each VM that reaches RUNNING (apps bind guests here)
         self.on_instance_running: list[Callable[[str, VirtualMachine], None]] = []
-        env.metrics.register_view(
-            "core.lifecycle.active_instances",
-            lambda: sum(c.active_count for c in self.components.values()),
-            service=parsed.service_id)
+        env.metrics.add_source(self)
         # Scaling/healing counters are created on first use: most services
         # in a churn-heavy run never scale, and deploy/terminate is a
         # control-plane hot path.
@@ -178,6 +175,11 @@ class ServiceLifecycleManager:
                 name, service=self.parsed.service_id)
             setattr(self, attr, counter)
         return counter
+
+    def metric_rows(self):
+        yield ("core.lifecycle.active_instances",
+               {"service": self.parsed.service_id},
+               sum(c.active_count for c in self.components.values()))
 
     def _activated(self, span):
         """Ambient-scope context for a synchronous section, or a no-op."""

@@ -153,29 +153,21 @@ class RuleInterpreter:
         self.rules_skipped = 0
         #: breakdown of the most recent pass, for validation and benches
         self.last_pass: dict[str, int] = {}
-        #: views registered lazily on the first install() — a service with
-        #: no elasticity rules never publishes rule-engine streams
-        self._views_registered = False
+        env.metrics.add_source(self)
 
-    def _register_views(self) -> None:
+    def metric_rows(self):
         # The per-pass tallies stay plain ints (the evaluation pass is a
-        # microsecond-scale hot path); the registry reads them as views.
-        metrics = self.env.metrics
-        service_id = self.service_id
-        metrics.register_view("core.rules.installed",
-                              lambda: len(self._rules), service=service_id)
-        metrics.register_view("core.rules.evaluations",
-                              lambda: self.evaluations, service=service_id)
-        metrics.register_view("core.rules.rules_evaluated",
-                              lambda: self.rules_evaluated,
-                              service=service_id)
-        metrics.register_view("core.rules.rules_skipped",
-                              lambda: self.rules_skipped, service=service_id)
-        metrics.register_view("core.rules.ticks_jumped",
-                              lambda: self.ticks_jumped, service=service_id)
-        metrics.register_view("core.rules.firings",
-                              lambda: len(self.firings), service=service_id)
-        self._views_registered = True
+        # microsecond-scale hot path); the registry reads them as gauges.
+        # A service with no elasticity rule publishes no rule-engine stream.
+        if not self._rules:
+            return
+        labels = {"service": self.service_id}
+        yield "core.rules.installed", labels, len(self._rules)
+        yield "core.rules.evaluations", labels, self.evaluations
+        yield "core.rules.rules_evaluated", labels, self.rules_evaluated
+        yield "core.rules.rules_skipped", labels, self.rules_skipped
+        yield "core.rules.ticks_jumped", labels, self.ticks_jumped
+        yield "core.rules.firings", labels, len(self.firings)
 
     # ------------------------------------------------------------------
     # Installation (§5.1.1 step 3)
@@ -183,8 +175,6 @@ class RuleInterpreter:
     def install(self, rule: ElasticityRule) -> None:
         if rule.name in self._rules:
             raise ValueError(f"rule {rule.name!r} already installed")
-        if not self._views_registered:
-            self._register_views()
         refs = rule.kpi_references()
         expression = rule.trigger.expression
         cond = expression.compile()

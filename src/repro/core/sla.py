@@ -82,21 +82,17 @@ class SLAMonitor:
         self._hooks: list[ProtectionHook] = []
         self._subscriptions: list = []
         self._started = False
-        # Registry views over the sample/breach lists — zero cost on the
+        # Gauges over the sample/breach lists — zero cost on the
         # evaluation path, live totals in the unified metrics registry.
-        metrics = env.metrics
-        metrics.register_view(
-            "core.sla.samples",
-            lambda: sum(len(s.samples) for s in self._states.values()),
-            service=service_id)
-        metrics.register_view(
-            "core.sla.breaches",
-            lambda: sum(len(s.breaches) for s in self._states.values()),
-            service=service_id)
-        metrics.register_view(
-            "core.sla.penalties_accrued",
-            lambda: self.penalties_accrued,
-            service=service_id)
+        env.metrics.add_source(self)
+
+    def metric_rows(self):
+        labels = {"service": self.service_id}
+        states = self._states.values()
+        yield "core.sla.samples", labels, sum(len(s.samples) for s in states)
+        yield ("core.sla.breaches", labels,
+               sum(len(s.breaches) for s in states))
+        yield "core.sla.penalties_accrued", labels, self.penalties_accrued
 
     # ------------------------------------------------------------------
     # Wiring

@@ -55,7 +55,7 @@ from ..core.manifest.builder import ManifestBuilder
 from ..monitoring.agents import MonitoringAgent
 from ..obs.audit import TimeConstraintAuditor, audit_violation_strings
 from ..obs.metrics import SnapshotCursor, canonical_view
-from ..obs.recorder import FlightRecorder
+from ..obs.recorder import FLIGHT_RECORDS, dump_flight, flight_snapshot
 from ..scenarios.chaos import (
     NetworkPartition,
     install_chaos,
@@ -143,13 +143,8 @@ class ScaleConfig:
     #: run the repro.scenarios.invariants suite at end of run (per shard
     #: under ``procs > 1``) and report violations on the ScaleReport
     check_invariants: bool = False
-    #: flight-recorder ring capacity (recent trace records kept per
-    #: process, dumped on failure); 0 disables the recorder
-    flight_recorder: int = 256
 
     def __post_init__(self) -> None:
-        if self.flight_recorder < 0:
-            raise ValueError("flight_recorder must be >= 0")
         if self.sites <= 0 or self.services <= 0:
             raise ValueError("sites and services must be positive")
         # Written so that NaN fails them too: a NaN or infinite run
@@ -499,8 +494,6 @@ class FederationRun:
         if profiler is not None:
             profiler.attach(env)
         control = self.control = ControlPlane(env)
-        self.recorder = (FlightRecorder(control.trace, cfg.flight_recorder)
-                         if cfg.flight_recorder > 0 else None)
 
         say(f"building {len(self.site_names)} site(s) × "
             f"{cfg.hosts_per_site} host(s) ...")
@@ -598,16 +591,17 @@ class FederationRun:
             findings=findings, **final)
 
     def _crash_dump(self, exc: BaseException):
-        """Dump the flight ring and raise an error naming the dump, chained
+        """Dump the trace's tail and raise an error naming the dump, chained
         to ``exc`` (across the pipe, the coordinator's ShardError carries
-        it); without a recorder, re-raise ``exc`` unchanged."""
-        if self.recorder is None:
-            raise exc
+        it)."""
         path = os.path.join(
             tempfile.gettempdir(),
             f"repro-flight-shard{self.shard}-pid{os.getpid()}.jsonl")
+        trace = self.control.trace
         try:
-            self.recorder.dump(path, reason=repr(exc))
+            dump_flight(path, flight_snapshot(trace), reason=repr(exc),
+                        meta={"capacity": FLIGHT_RECORDS,
+                              "seen": len(trace.records)})
         except OSError:
             raise exc from None
         raise RuntimeError(
@@ -648,9 +642,8 @@ class FederationRun:
                 "dead_skipped": self.env.dead_skipped,
                 "violations": violations,
             }
-            if self.recorder is not None and (violations
-                                              or self._audit_violated):
-                payload["flight"] = self.recorder.snapshot()
+            if violations or self._audit_violated:
+                payload["flight"] = flight_snapshot(self.control.trace)
             return self._report(peak_rss_kb=read_peak_rss_kb(),
                                 payload=payload)
         except Exception as exc:

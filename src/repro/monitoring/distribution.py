@@ -181,17 +181,17 @@ class DistributionFramework(abc.ABC):
         #: entry per distinct probe identity, never evicted
         self._streams: dict[bytes, tuple[tuple[str, str], str]] = {}
         # The counters above stay plain ints (the delivery loop is the
-        # hottest path in the system); the unified registry sees them
-        # through zero-cost views instead.
+        # hottest path in the system); the unified registry reads them as
+        # gauges when it collects (metric_rows).
         self._fabric_label = f"fabric{next(_fabric_ids)}"
-        metrics = env.metrics
+        env.metrics.add_source(self)
+
+    def metric_rows(self):
+        labels = {"fabric": self._fabric_label}
         for attr in ("bytes_published", "bytes_delivered",
                      "packets_published", "packets_decoded",
                      "route_cache_hits", "route_cache_misses"):
-            metrics.register_view(
-                f"monitoring.fabric.{attr}",
-                (lambda _a=attr: getattr(self, _a)),
-                fabric=self._fabric_label)
+            yield f"monitoring.fabric.{attr}", labels, getattr(self, attr)
 
     # -- publishing ----------------------------------------------------------
     def publish(self, measurement: Measurement, *,

@@ -1,4 +1,5 @@
-"""The unified metrics layer: Counter / Histogram / views behind one registry.
+"""The unified metrics layer: counters, histograms and gauges behind one
+registry.
 
 Before this module, operational counters were scattered: the rule engine kept
 ``evaluations``/``rules_skipped`` ints, the distribution fabric kept
@@ -10,18 +11,19 @@ The registry unifies them under one naming scheme, ``layer.component.metric``
 (e.g. ``control.plane.admitted``, ``monitoring.fabric.bytes_published``),
 with optional labels for per-instance streams (``service="sap-1"``).
 
-Two kinds of instruments coexist deliberately:
+Two kinds of numbers coexist deliberately:
 
 * **owned** instruments (:class:`Counter`, :class:`Histogram`) — the
   registry is the canonical store; components that previously kept their
   own tallies (control plane, VEEM) now increment these, and any legacy
   attribute is a *view* over the registry.
-* **view** instruments (:meth:`MetricsRegistry.register_view`) — a callable
-  sampled at collection time, reported as kind ``gauge``. Hot-path counters
-  (per-packet byte accounting, per-pass rule-engine tallies) stay as the
-  plain attributes they always were — zero added cost on the fast path,
-  gated at <10 % on the headline benches — and the registry reads them on
-  demand.
+* **gauges** — a component that keeps plain tallies registers itself once
+  (:meth:`MetricsRegistry.add_source`) and yields them from its
+  ``metric_rows()`` method as ``(name, labels, value)`` rows, which the
+  registry reads only when it collects. Hot-path counters (per-packet byte
+  accounting, per-pass rule-engine tallies) stay the plain attributes they
+  always were — zero added cost on the fast path — and a component holds
+  nothing per gauge: the fact is kept once, where it lives.
 
 Either way every number is reachable through :meth:`MetricsRegistry.collect`
 and the Prometheus-style dump in :mod:`repro.obs.exporters`.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 __all__ = ["Counter", "Histogram", "MetricsRegistry", "MetricError",
            "SnapshotCursor", "canonical_view"]
@@ -183,27 +185,7 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count}>"
 
 
-class _View:
-    """A read-only instrument backed by a callable, sampled at collect."""
-
-    __slots__ = ("name", "labels", "fn")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: LabelKey, fn: Callable[[], float]):
-        self.name = name
-        self.labels = labels
-        self.fn = fn
-
-    @property
-    def value(self) -> float:
-        return float(self.fn())
-
-    def __repr__(self) -> str:
-        return f"<View {self.name}>"
-
-
-Instrument = Union[Counter, Histogram, _View]
+Instrument = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -211,14 +193,18 @@ class MetricsRegistry:
 
     ``counter``/``histogram`` are get-or-create on the
     (name, labels) key — two components asking for the same stream share the
-    instrument. ``register_view`` replaces on re-registration so a component
-    rebuilt mid-run (a second rule interpreter over the same service — the
-    full-pass oracle in ``tests/oracles/rules.py``, say) re-binds its
-    stream instead of erroring.
+    instrument. Gauges are read from the sources (:meth:`add_source`) in
+    registration order, and a later source's row replaces an earlier one's
+    under the same key, so a component rebuilt mid-run (a second rule
+    interpreter over the same service — the full-pass oracle in
+    ``tests/oracles/rules.py``, say) re-binds its stream instead of
+    erroring. A gauge never shadows an owned instrument.
     """
 
     def __init__(self) -> None:
         self._instruments: dict[tuple[str, LabelKey], Instrument] = {}
+        #: components whose ``metric_rows()`` are read as gauges on collect
+        self._sources: list = []
 
     # -- owned instruments ---------------------------------------------------
     def _get_or_create(self, cls, name: str, labels: dict[str, Any]):
@@ -240,19 +226,23 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get_or_create(Histogram, name, labels)
 
-    # -- views ---------------------------------------------------------------
-    def register_view(self, name: str, fn: Callable[[], float],
-                      **labels: Any) -> None:
-        """Expose an externally-owned number (a hot-path attribute) under
-        the unified namespace. Re-registering the same key replaces the
-        binding."""
-        validate_metric_name(name)
-        key = (name, _label_key(labels))
-        existing = self._instruments.get(key)
-        if existing is not None and not isinstance(existing, _View):
-            raise MetricError(
-                f"{name}{dict(key[1])!r} already owned as {existing.kind}")
-        self._instruments[key] = _View(name, key[1], fn)
+    # -- gauges --------------------------------------------------------------
+    def add_source(self, owner) -> None:
+        """Read ``owner.metric_rows()`` — ``(name, labels, value)`` rows —
+        as gauges whenever the registry collects."""
+        self._sources.append(owner)
+
+    def _gauges(self) -> dict[tuple[str, LabelKey], float]:
+        gauges: dict[tuple[str, LabelKey], float] = {}
+        for owner in self._sources:
+            for name, labels, value in owner.metric_rows():
+                key = (validate_metric_name(name), _label_key(labels))
+                owned = self._instruments.get(key)
+                if owned is not None:
+                    raise MetricError(f"{name}{dict(key[1])!r} already "
+                                      f"owned as {owned.kind}")
+                gauges[key] = float(value)
+        return gauges
 
     # -- cross-process merging ----------------------------------------------
     def _merge_target(self, cls, name: str, label_key: LabelKey):
@@ -283,32 +273,38 @@ class MetricsRegistry:
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._instruments)
+        return len(self._instruments) + len(self._gauges())
 
     def __contains__(self, name: str) -> bool:
-        return any(k[0] == name for k in self._instruments)
+        return (any(k[0] == name for k in self._instruments)
+                or any(k[0] == name for k in self._gauges()))
 
     def get(self, name: str, **labels: Any) -> Optional[Instrument]:
+        """The owned instrument under (name, labels), or None."""
         return self._instruments.get((name, _label_key(labels)))
 
     def value(self, name: str, **labels: Any) -> Optional[float]:
         """Current scalar value (histograms: observation count)."""
         instrument = self.get(name, **labels)
         if instrument is None:
-            return None
+            return self._gauges().get((name, _label_key(labels)))
         if isinstance(instrument, Histogram):
             return float(instrument.count)
         return instrument.value
 
     def collect(self) -> Iterator[tuple[str, dict[str, str], str, Any]]:
-        """Yield ``(name, labels, kind, value)`` for every instrument,
-        sorted by name then labels; histograms yield their summary dict."""
-        for (name, labels), instrument in sorted(
-                self._instruments.items(), key=lambda item: item[0]):
-            if isinstance(instrument, Histogram):
-                yield name, dict(labels), "histogram", instrument.summary()
-            else:
-                yield name, dict(labels), instrument.kind, instrument.value
+        """Yield ``(name, labels, kind, value)`` for every instrument and
+        gauge, sorted by name then labels; histograms yield their summary
+        dict."""
+        rows = [(key, instrument.kind,
+                 instrument.summary() if isinstance(instrument, Histogram)
+                 else instrument.value)
+                for key, instrument in self._instruments.items()]
+        rows.extend((key, "gauge", value)
+                    for key, value in self._gauges().items())
+        for (name, labels), kind, value in sorted(rows,
+                                                  key=lambda row: row[0]):
+            yield name, dict(labels), kind, value
 
 
 class SnapshotCursor:
@@ -317,7 +313,7 @@ class SnapshotCursor:
     Each :meth:`snapshot` call returns only what changed since the last one:
     counter deltas and histogram observation tails in arrival order. The
     payload format is ``{(name, LabelKey): (kind, delta | tuple_of_values)}``
-    — plain builtins, safe to ship over a multiprocessing pipe. Views are
+    — plain builtins, safe to ship over a multiprocessing pipe. Gauges are
     excluded (they read process-local attributes that cannot travel), as
     are zero deltas and empty tails, keeping epoch payloads compact.
 
@@ -350,7 +346,7 @@ class SnapshotCursor:
 def canonical_view(registry: MetricsRegistry) -> dict[str, Any]:
     """The federation-wide metric view used for oracle comparison.
 
-    Owned instruments only (views read process-local attributes and are
+    Owned instruments only (gauges read process-local attributes and are
     meaningless across a merge), with the ``plane`` label stripped —
     ``ControlPlane`` numbers its metric streams with a module-level counter,
     so ``plane1`` in the coordinator is ``plane3`` in a test that built two

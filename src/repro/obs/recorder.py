@@ -1,14 +1,13 @@
-"""The flight recorder: a bounded ring of recent trace records.
+"""The flight recorder: the tail of a trace, dumped on failure.
 
 Chaos cells and sharded runs fail far from the coordinator: a worker's
 invariant violation used to mean "rerun with ``--procs 1`` and hope the
-bug reproduces". The recorder keeps the last *N* :class:`TraceRecord`
-entries per shard in a ``deque(maxlen=N)`` — the listener is the deque's
-bound ``append``, so the hot-path cost is one method call per record —
-and on failure the ring is dumped to a JSONL file whose path travels in
-the error message.
+bug reproduces". A :class:`~repro.sim.tracing.TraceLog` keeps every record,
+so the flight snapshot is simply its last :data:`FLIGHT_RECORDS` entries,
+taken when something fails — nothing is recorded on the way — and dumped
+to a JSONL file whose path travels in the error message.
 
-Dump triggers (wired by callers, not the recorder):
+Dump triggers (wired by callers):
 
 * :class:`~repro.sim.shard.ShardError` — the worker dumps before the
   traceback crosses the pipe, and puts the dump path in it;
@@ -22,10 +21,12 @@ Dump triggers (wired by callers, not the recorder):
 from __future__ import annotations
 
 import json
-from collections import deque
 from typing import Any, Optional
 
-__all__ = ["FlightRecorder", "dump_flight"]
+__all__ = ["FLIGHT_RECORDS", "dump_flight", "flight_snapshot"]
+
+#: How many of a trace's most recent records a flight snapshot keeps.
+FLIGHT_RECORDS = 256
 
 #: Detail values that serialise as themselves; everything else goes
 #: through ``str()`` so a snapshot is always picklable and JSON-safe.
@@ -40,36 +41,15 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-class FlightRecorder:
-    """Subscribe a bounded ring buffer to a :class:`TraceLog`."""
-
-    def __init__(self, trace, capacity: int = 256):
-        if capacity <= 0:
-            raise ValueError("flight recorder capacity must be positive")
-        self.capacity = capacity
-        self._ring: deque = deque(maxlen=capacity)
-        self._trace = trace
-        self._attached_at = len(trace.records)
-        trace.subscribe(self._ring.append)
-
-    @property
-    def seen(self) -> int:
-        """Records observed since attach (ring holds the last ``capacity``)."""
-        return len(self._trace.records) - self._attached_at
-
-    def snapshot(self) -> tuple:
-        """The ring as picklable dicts, oldest first — safe to ship over a
-        multiprocessing pipe or embed in a report."""
-        return tuple(
-            {"time": r.time, "source": r.source, "kind": r.kind,
-             "span_id": r.span_id,
-             "details": {k: _jsonable(v) for k, v in r.details.items()}}
-            for r in self._ring)
-
-    def dump(self, path, *, reason: str = "") -> str:
-        return dump_flight(path, self.snapshot(), reason=reason,
-                           meta={"capacity": self.capacity,
-                                 "seen": self.seen})
+def flight_snapshot(trace) -> tuple:
+    """The trace's last :data:`FLIGHT_RECORDS` records as picklable dicts,
+    oldest first — safe to ship over a multiprocessing pipe or embed in a
+    report."""
+    return tuple(
+        {"time": r.time, "source": r.source, "kind": r.kind,
+         "span_id": r.span_id,
+         "details": {k: _jsonable(v) for k, v in r.details.items()}}
+        for r in trace.records[-FLIGHT_RECORDS:])
 
 
 def dump_flight(path, records, *, reason: str = "",

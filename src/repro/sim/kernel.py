@@ -222,8 +222,7 @@ class Process(Event):
     ``yield some_process`` implements *join*.
     """
 
-    __slots__ = ("_generator", "_send", "_resume_cb", "name", "_target",
-                 "_init_event")
+    __slots__ = ("_generator", "_send", "_resume_cb", "name", "_target")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: Optional[str] = None):
@@ -246,7 +245,6 @@ class Process(Event):
         init._value = None
         init.callbacks.append(self._resume_cb)
         env._schedule(init, priority=Environment.URGENT)
-        self._init_event = init
         self._target = init
 
     @property
@@ -282,9 +280,10 @@ class Process(Event):
     def _on_interrupt(self, event: Event) -> None:
         if self._value is not _PENDING:
             return      # stale: the process finished before delivery
+        # The init event is URGENT and this interrupt NORMAL, so the init
+        # event has always been dispatched (its callbacks are None) by now.
         target = self._target
-        if (target is not None and target is not self._init_event
-                and target.callbacks is not None):
+        if target is not None and target.callbacks is not None:
             try:
                 target.callbacks.remove(self._resume_cb)
             except ValueError:
@@ -359,8 +358,7 @@ class Process(Event):
         # Drop the generator and every reference back to this process
         # (``_resume_cb`` is a bound method of it), so a finished process
         # is freed by reference counting, not by the cycle collector.
-        self._generator = self._send = self._resume_cb = None
-        self._init_event = self._target = None
+        self._generator = self._send = self._resume_cb = self._target = None
         self._ok = ok
         self._value = value
         if not ok and isinstance(value, BaseException):
@@ -409,20 +407,24 @@ class _Condition(Event):
     def _discard_pending(self) -> None:
         """Lazy cancellation of losers once the condition's outcome is fixed.
 
-        Only plain Timeouts are detached and dead-marked: a Timeout can never
-        fail, so skipping its dispatch cannot swallow an error the kernel
-        would otherwise raise, and nothing else observes it. Other pending
-        events keep their callback — for them ``_check`` degrades to a no-op.
+        Every pending loser drops the condition's callback: once triggered,
+        ``_check`` returns before it defuses anything, so detaching it
+        changes no dispatch, value or raised error, and a finished wait
+        pins nothing until its losers fire (a VM's ``on_stopped`` may come
+        hours later). Only a plain Timeout left with no callback is
+        dead-marked: a Timeout can never fail, so skipping its dispatch
+        cannot swallow an error the kernel would otherwise raise, and
+        nothing else observes it.
         """
         check = self._check
         for e in self.events:
             cbs = e.callbacks
-            if cbs is not None and type(e) is Timeout:
+            if cbs is not None:
                 try:
                     cbs.remove(check)
                 except ValueError:
                     continue
-                if not cbs:
+                if not cbs and type(e) is Timeout:
                     e.dead = True
 
     def _check(self, event: Event) -> None:
@@ -562,17 +564,17 @@ class Environment:
         """The environment's :class:`~repro.obs.metrics.MetricsRegistry`.
 
         Built on first access so simulations that never touch observability
-        pay nothing. The kernel's own counters are exposed as views under
-        ``kernel.*``.
+        pay nothing. The kernel's own counters are its gauges under
+        ``kernel.*`` (:meth:`metric_rows`).
         """
         if self._metrics is None:
-            registry = MetricsRegistry()
-            registry.register_view("kernel.events.processed",
-                                   lambda: float(self.events_processed))
-            registry.register_view("kernel.events.dead_skipped",
-                                   lambda: float(self._dead_skipped))
-            self._metrics = registry
+            self._metrics = MetricsRegistry()
+            self._metrics.add_source(self)
         return self._metrics
+
+    def metric_rows(self):
+        yield "kernel.events.processed", {}, self.events_processed
+        yield "kernel.events.dead_skipped", {}, self._dead_skipped
 
     @property
     def current_span(self):

@@ -137,7 +137,6 @@ class TraceLog:
         # environment-wide property); bind the list once for the hot paths.
         self._scope = env._obs_scope
         self.records: list[TraceRecord] = []
-        self._listeners: list[Callable[[TraceRecord], None]] = []
         #: All spans opened through this log, by id (insertion-ordered).
         self.spans: dict[int, Span] = {}
         # Lazy per-(source, kind) indices over ``records``; ``_idx_pos`` is
@@ -160,8 +159,6 @@ class TraceLog:
         record = TraceRecord(self.env.now, source, kind, details,
                              scope[-1].span_id if scope else None)
         self.records.append(record)
-        for listener in self._listeners:
-            listener(record)
         return record
 
     def emit_in(self, span: Optional[Span], source: str, kind: str,
@@ -172,14 +169,7 @@ class TraceLog:
         record = TraceRecord(self.env.now, source, kind, details,
                              span.span_id if span is not None else None)
         self.records.append(record)
-        for listener in self._listeners:
-            listener(record)
         return record
-
-    def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
-        """Call ``listener`` with every record emitted from now on, for
-        the rest of the log's life."""
-        self._listeners.append(listener)
 
     def __len__(self) -> int:
         return len(self.records)

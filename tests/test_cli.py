@@ -278,3 +278,22 @@ def test_obs_report(tmp_path, capsys):
     lines = [json.loads(line) for line in jsonl.read_text().splitlines()]
     assert any(row.get("record") == "span" for row in lines)
     assert any("span_id" in row for row in lines)
+
+
+def test_obs_report_stdout_is_golden():
+    """The span tree, the whole metric dump (owned instruments and every
+    component's gauges) and the audit print byte for byte what they
+    printed when ``tests/golden/obs_report.txt`` was written. The report
+    runs in its own interpreter: fabric and plane labels number from the
+    first one built in the process. Regenerate only for a change that
+    means to move it: ``PYTHONPATH=src python -m repro obs-report >
+    tests/golden/obs_report.txt``."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    result = subprocess.run([sys.executable, "-m", "repro", "obs-report"],
+                            cwd=root, env=env, capture_output=True,
+                            timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (root / "tests" / "golden"
+                             / "obs_report.txt").read_bytes()

@@ -9,6 +9,7 @@ to the VEE it caused — including the §4.2.3 time-constraint audit.
 
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,14 +109,25 @@ def test_registry_get_or_create_shares_and_checks_kind():
         reg.histogram("x.y.z", service="s1")
 
 
+def owner(*rows):
+    """A component keeping plain tallies, which the registry reads as
+    gauges: ``(name, labels, value)`` rows."""
+    return SimpleNamespace(metric_rows=lambda: rows)
+
+
 def test_registry_views_replace_but_never_shadow_owned():
     reg = MetricsRegistry()
-    reg.register_view("a.b.view", lambda: 1)
-    reg.register_view("a.b.view", lambda: 2)   # replace is fine
+    reg.add_source(owner(("a.b.view", {}, 1)))
+    reg.add_source(owner(("a.b.view", {}, 2)))  # a later owner replaces
     assert reg.value("a.b.view") == 2
+    assert "a.b.view" in reg and len(reg) == 1
+    assert reg.get("a.b.view") is None          # get() is owned-only
     reg.counter("a.b.owned").inc(5)
-    with pytest.raises(MetricError):
-        reg.register_view("a.b.owned", lambda: 0)
+    assert list(reg.collect()) == [("a.b.owned", {}, "counter", 5.0),
+                                   ("a.b.view", {}, "gauge", 2.0)]
+    reg.add_source(owner(("a.b.owned", {}, 0)))
+    with pytest.raises(MetricError, match="already owned"):
+        list(reg.collect())
     assert reg.value("a.b.owned") == 5
 
 

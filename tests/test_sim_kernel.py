@@ -465,6 +465,24 @@ def test_anyof_loser_timeout_is_dead_marked(reference):
 
 
 @pytest.mark.parametrize("reference", [False, True])
+def test_anyof_detaches_from_every_pending_loser(reference):
+    """A fired condition leaves no callback on a loser that is not a
+    Timeout either, so a finished wait pins nothing; the loser still
+    fires, and the condition keeps its value."""
+    env = make_env(reference)
+    winner, loser = env.event(), env.event()
+    condition = env.any_of([winner, loser])
+    winner.succeed("w")
+    env.run()
+    assert condition.value == {winner: "w"}
+    assert loser.callbacks == []
+    loser.succeed("late")
+    env.run()
+    assert loser.processed and not loser.dead
+    assert condition.value == {winner: "w"}
+
+
+@pytest.mark.parametrize("reference", [False, True])
 def test_interrupt_dead_marks_abandoned_timeout(reference):
     env = make_env(reference)
     log = []

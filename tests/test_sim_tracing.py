@@ -62,13 +62,12 @@ def test_trace_log_time_window():
     assert [r.details["i"] for r in window] == [1, 2, 3]
 
 
-def test_trace_log_listener_and_json():
+def test_trace_log_keeps_every_record_and_json():
     env = Environment()
     log = TraceLog(env)
-    seen = []
-    log.subscribe(seen.append)
     rec = log.emit("src", "kind", value=7)
-    assert seen == [rec]
+    other = log.emit_in(None, "src", "other")
+    assert log.records == [rec, other]
     parsed = json.loads(rec.to_json())
     assert parsed["details"]["value"] == 7
 

@@ -276,6 +276,21 @@ def test_window_slo_over_journal():
     assert compliance is not None and 0 < compliance < 1
 
 
+def test_monitor_gauges_read_through_the_registry():
+    env = Environment()
+    monitor, _ = make_monitor(env)
+    monitor.start()
+    drive(env, monitor, [(1, 5.0), (105, 0.5)])
+    env.run(until=201)
+    entry = monitor.statement()["responsive"]
+    metrics = env.metrics
+    assert metrics.value("core.sla.samples", service="svc-1") == 20
+    assert entry["samples"] == 20
+    assert metrics.value("core.sla.breaches", service="svc-1") == 1
+    assert metrics.value("core.sla.penalties_accrued",
+                         service="svc-1") == 25.0
+
+
 def test_statement_shape():
     env = Environment()
     monitor, _ = make_monitor(env)

@@ -3,6 +3,7 @@ sim-time profiler, and the epoch-report protocol extensions."""
 
 import json
 import pickle
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -17,11 +18,17 @@ from repro.obs.metrics import (
     canonical_view,
 )
 from repro.obs.profile import SimProfiler
-from repro.obs.recorder import FlightRecorder, dump_flight
+from repro.obs.recorder import FLIGHT_RECORDS, dump_flight, flight_snapshot
 from repro.sim.kernel import Environment, SimError
 from repro.sim.shard import EpochReport
 from repro.sim.tracing import TraceLog
 from tests.oracles.kernel import HeapEnvironment
+
+
+def owner(*rows):
+    """A component keeping plain tallies, which the registry reads as
+    gauges: ``(name, labels, value)`` rows."""
+    return SimpleNamespace(metric_rows=lambda: rows)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +63,7 @@ def test_cursor_histogram_ships_tails_in_order():
 
 def test_cursor_skips_views_and_empties():
     reg = MetricsRegistry()
-    reg.register_view("a.b.view", lambda: 42.0)
+    reg.add_source(owner(("a.b.view", {}, 42.0)))
     reg.counter("a.b.zero")          # created but never incremented
     reg.histogram("a.b.empty")
     cur = SnapshotCursor()
@@ -125,7 +132,7 @@ def test_canonical_view_strips_plane_and_sums():
     reg.counter("c.p.admitted", plane="plane1").inc(3)
     reg.counter("c.p.admitted", plane="plane9").inc(4)
     reg.counter("c.p.zero", plane="plane1")            # dropped: zero
-    reg.register_view("c.p.depth", lambda: 5.0)        # dropped: view
+    reg.add_source(owner(("c.p.depth", {}, 5.0)))      # dropped: gauge
     reg.histogram("c.p.empty")                         # dropped: empty
     reg.histogram("c.p.wait", plane="plane2").observe(1.0)
     view = canonical_view(reg)
@@ -213,21 +220,19 @@ def _trace_env():
 
 def test_flight_recorder_keeps_last_n():
     env, trace = _trace_env()
-    rec = FlightRecorder(trace, capacity=4)
-    for i in range(10):
+    assert flight_snapshot(trace) == ()
+    for i in range(FLIGHT_RECORDS + 10):
         trace.emit("test", "tick", seq=i)
-    snap = rec.snapshot()
-    assert [r["details"]["seq"] for r in snap] == [6, 7, 8, 9]
-    assert rec.seen == 10
-    with pytest.raises(ValueError):
-        FlightRecorder(trace, capacity=0)
+    snap = flight_snapshot(trace)
+    assert [r["details"]["seq"] for r in snap] == list(
+        range(10, FLIGHT_RECORDS + 10))
+    assert len(trace.records) == FLIGHT_RECORDS + 10
 
 
 def test_flight_recorder_snapshot_is_portable():
     env, trace = _trace_env()
-    rec = FlightRecorder(trace, capacity=8)
     trace.emit("test", "obj", payload=object(), ok=True, level=1.5)
-    snap = rec.snapshot()
+    snap = flight_snapshot(trace)
     assert pickle.loads(pickle.dumps(snap)) == snap
     json.dumps(snap)                 # JSON-safe too
     details = snap[0]["details"]
@@ -237,14 +242,16 @@ def test_flight_recorder_snapshot_is_portable():
 
 def test_flight_recorder_dump_and_close(tmp_path):
     env, trace = _trace_env()
-    rec = FlightRecorder(trace, capacity=4)
     trace.emit("test", "tick", seq=1)
-    path = rec.dump(tmp_path / "f.jsonl", reason="unit test")
+    path = dump_flight(tmp_path / "f.jsonl", flight_snapshot(trace),
+                       reason="unit test",
+                       meta={"capacity": FLIGHT_RECORDS, "seen": 1})
     lines = [json.loads(line) for line
              in open(path).read().splitlines()]
     assert lines[0]["record"] == "flight"
     assert lines[0]["reason"] == "unit test"
-    assert lines[0]["captured"] == 1 and lines[0]["capacity"] == 4
+    assert lines[0]["captured"] == 1
+    assert lines[0]["capacity"] == FLIGHT_RECORDS and lines[0]["seen"] == 1
     assert lines[1]["kind"] == "tick"
 
 

@@ -77,13 +77,14 @@ def test_the_validator_judges_a_rule_on_the_clock():
         (60.0, "missed"), (120.0, "missed")]
 
 
-def test_a_business_hours_rule_from_the_manifest_fires_only_inside_hours():
+def business_hours_run(probe_at=None):
+    """Deploy the business-hours rule at 06:00 and run to 06:00 the next
+    day, with the probe started at ``probe_at`` (right after deployment
+    when None). Returns the manifest, the service, its generated
+    instruments and the trace."""
     b = builder("hours")
     b.rule("office", BUSINESS_HOURS, "notify()", cooldown_s=3600)
     manifest = b.build()
-    assert manifest_from_text(manifest_to_text(manifest)) == manifest
-    assert manifest_from_xml(manifest_to_xml(manifest)) == manifest
-
     env = Environment(initial_time=6 * 3600)
     veem = VEEM(env)
     veem.add_host(Host(env, "h0", cpu_cores=8, memory_mb=16384))
@@ -91,22 +92,44 @@ def test_a_business_hours_rule_from_the_manifest_fires_only_inside_hours():
     instruments = generate_instruments(manifest, "hours", sm.network)
     service = sm.deploy(manifest, service_id="hours")
     env.run(until=service.deployment)
-    # The probe reports on the ten minutes, so a report lands on each hour
-    # the rule fires at, inside the rule's time constraint.
-    env.run(until=6 * 3600 + 600)
+    if probe_at is not None:
+        env.run(until=probe_at)
     agent = MonitoringAgent(env, service_id="hours", component="app",
                             network=sm.network)
     agent.expose("q.size", lambda: 50, frequency_s=600)
     env.run(until=30 * 3600)
+    return manifest, service, instruments, sm.trace
+
+
+def test_a_business_hours_rule_from_the_manifest_fires_only_inside_hours():
+    # The probe reports on the ten minutes, so a report lands on each hour
+    # the rule fires at, inside the rule's time constraint.
+    manifest, service, instruments, trace = business_hours_run(
+        probe_at=6 * 3600 + 600)
+    assert manifest_from_text(manifest_to_text(manifest)) == manifest
+    assert manifest_from_xml(manifest_to_xml(manifest)) == manifest
 
     fired = [f.time for f in service.interpreter.firings]
     assert fired == [float(h * 3600) for h in range(9, 17)]
     samples = [m.timestamp for m in instruments.reporter.journal]
     inside = [t for t in samples if NINE <= t % 86400 < FIVE]
     assert len(inside) > 40 and len(samples) > len(inside)
-    findings = instruments.validator(sm.trace).findings()
+    findings = instruments.validator(trace).findings()
     assert [f.held_at for f in findings] == inside
     verdicts = {f.verdict for f in findings}
     assert verdicts == {"enforced", "cooldown"}
     enforced = [f.action_at for f in findings if f.verdict == "enforced"]
     assert enforced == fired
+
+
+def test_a_clock_driven_firing_between_samples_is_not_missed():
+    """The probe reports off the hour, so the rule turns true between
+    samples and fires on the engine's next pass, before any sample. Every
+    sample it holds at lies inside the cooldown of a firing, so the
+    validator excuses it instead of calling it missed."""
+    _manifest, service, instruments, trace = business_hours_run()
+    fired = [f.time for f in service.interpreter.firings]
+    assert fired == [float(h * 3600) for h in range(9, 17)]
+    findings = instruments.validator(trace).findings()
+    assert findings and all(f.held_at % 3600 for f in findings)
+    assert {f.verdict for f in findings} == {"cooldown"}
