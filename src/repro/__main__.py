@@ -96,6 +96,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """An ``argparse`` type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """An ``argparse`` type: a finite number above zero."""
     value = float(text)
@@ -618,12 +626,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="what-if admission: would this manifest fit, "
                             "where, at what committed cost? (DESIGN §15)")
     p.add_argument("manifest")
-    p.add_argument("--sites", type=int, default=2)
+    p.add_argument("--sites", type=_positive_int, default=2)
     p.add_argument("--hosts", type=_positive_int, default=4,
                    help="hosts per site")
     p.add_argument("--host-cpu", type=_positive_float, default=4.0)
     p.add_argument("--host-memory", type=_positive_float, default=8192.0)
-    p.add_argument("--admitted", type=int, default=0,
+    p.add_argument("--admitted", type=_non_negative_int, default=0,
                    help="pre-admit this many copies of the manifest "
                         "before probing")
     p.add_argument("--greedy-only", action="store_true",
@@ -633,7 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("control-demo",
                        help="multi-tenant control-plane demo (DESIGN §11)")
     p.add_argument("--tenants", type=_positive_int, default=4)
-    p.add_argument("--services", type=int, default=4,
+    p.add_argument("--services", type=_non_negative_int, default=4,
                    help="services submitted per tenant")
     p.add_argument("--hosts", type=_positive_int, default=6,
                    help="hosts at the larger site")
@@ -708,13 +716,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "scenario (span tree, metrics, audit — "
                             "DESIGN §12)")
     p.add_argument("--tenants", type=_positive_int, default=2)
-    p.add_argument("--services", type=int, default=2,
+    p.add_argument("--services", type=_non_negative_int, default=2,
                    help="services submitted per tenant")
     p.add_argument("--hosts", type=_positive_int, default=3,
                    help="hosts at the larger site")
     p.add_argument("--quota", type=_positive_int, default=2,
                    help="max concurrent services per tenant")
-    p.add_argument("--depth", type=int, default=6,
+    p.add_argument("--depth", type=_non_negative_int, default=6,
                    help="max span-tree depth to print")
     p.add_argument("--chrome", metavar="FILE", default=None,
                    help="also write a Chrome trace-event JSON file")

@@ -17,11 +17,10 @@ declared CPU/memory. This module turns a set of manifests into host counts:
 
 from __future__ import annotations
 
+import math
 import weakref
-from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..core.manifest.model import ServiceManifest
 from .errors import CapacityError
@@ -163,10 +162,15 @@ def _ffd_key(d: InstanceDemand) -> tuple[float, float]:
     return (-d.memory_mb, -d.cpu)
 
 
+#: An FFD key that sorts before every row's: the last key of no rows.
+_NO_ROWS = (-math.inf, -math.inf)
+
+
 def _ffd_rows(demands: Iterable[InstanceDemand]
               ) -> list[tuple[float, float, int, str]]:
     """The ``(cpu, mem, cap, component)`` rows :func:`_pack_rows` packs,
-    in first-fit-decreasing order (``-1`` = no per-host cap)."""
+    in first-fit-decreasing order (``-1`` = no per-host cap). The sort is
+    stable: equal demands keep their order."""
     return [(d.cpu, d.memory_mb,
              -1 if d.per_host_cap is None else d.per_host_cap, d.component)
             for d in sorted(demands, key=_ffd_key)]
@@ -175,7 +179,7 @@ def _ffd_rows(demands: Iterable[InstanceDemand]
 class _Pack:
     """The state of one first-fit-decreasing pass, which :func:`_pack_rows`
     continues in place: per-bin free CPU and memory, per-bin component
-    tallies (kept only when the pack tallies) and the skip-start map."""
+    tallies and the skip-start map."""
 
     __slots__ = ("cpu", "mem", "counts", "starts")
 
@@ -199,7 +203,6 @@ class _Pack:
 
 def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
                host: HostType, limit: Optional[int] = None,
-               track_counts: bool = True,
                pack: Optional[_Pack] = None) -> int:
     """First-fit-decreasing over pre-sorted ``(cpu, mem, cap, component)``
     rows, bins as parallel free-capacity lists; returns bins used.
@@ -210,8 +213,8 @@ def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
     can't have:
 
     * **struct-of-arrays bins** — the inner first-fit scan compares floats
-      in two lists instead of loading bin attributes; per-bin
-      component tallies are only kept when a per-host cap is present;
+      in two lists instead of loading bin attributes, and reads a bin's
+      component tally only for a row with a per-host cap;
     * **monotone skip-start** — bins never regain capacity (or shed
       component count) during one pack, so a bin that rejected a demand
       rejects every identical later demand; the scan for each distinct
@@ -219,20 +222,19 @@ def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
       was placed, collapsing the quadratic bin scan of homogeneous fleets
       to a linear pass.
 
+    Every bin tallies every instance placed on it, capped or not, as the
+    oracle's bins do (same-named components of different services share a
+    tally). An uncapped row never reads a tally, so the tallies only
+    matter to capped rows, and any pack can be continued by one.
+
     ``limit`` is an early exit for admission verdicts: once more than
     ``limit`` bins are open the caller's answer is already "no", so the
     pack stops and returns ``limit + 1``.
 
-    ``track_counts=False`` skips per-bin component tallies entirely. A
-    tallying pack counts *every* placed instance (capped or not — and
-    same-named components of different services share a bin's tally), so
-    this is only sound when the caller knows **no row in the whole pack**
-    carries a cap; :class:`_DemandTable` tracks exactly that.
-
     ``pack`` is a pass to continue, updated in place: FFD is one
     sequential pass, so continuing a pack with rows that all sort at or
-    after the rows it consumed (with the same ``track_counts``) gives what
-    one pack of both would. A caller that keeps a pack continues a copy.
+    after the rows it consumed gives what one pack of both would. A
+    caller that keeps a pack continues a copy.
     """
     if pack is None:
         pack = _Pack()
@@ -271,104 +273,15 @@ def _pack_rows(rows: Iterable[tuple[float, float, int, str]],
                 return n + 1
             bins_cpu.append(host_cpu - cpu)
             bins_mem.append(host_mem - mem)
-            if track_counts:
-                bins_count.append({comp: 1})
+            bins_count.append({comp: 1})
             starts[key] = n
         else:
             bins_cpu[placed] -= cpu
             bins_mem[placed] -= mem
-            if track_counts:
-                counts = bins_count[placed]
-                counts[comp] = counts.get(comp, 0) + 1
+            counts = bins_count[placed]
+            counts[comp] = counts.get(comp, 0) + 1
             starts[key] = placed
     return len(bins_cpu)
-
-
-class _DemandTable:
-    """Struct-of-arrays table of committed instance demands, maintained in
-    first-fit-decreasing order.
-
-    Columns (parallel, keyed by dense row index): ``cpu``/``mem`` as
-    ``array('d')``, per-host cap as ``array('l')`` (``-1`` = uncapped),
-    component name and owner token as lists. New demands bisect into FFD
-    position (equal keys land *after* existing rows), so the table's row
-    order is exactly what ``sorted(admitted-expansion, key=FFD)`` would
-    produce: :func:`_pack_rows` over it packs as a repack of the admitted
-    manifests would.
-    """
-
-    __slots__ = ("cpu", "mem", "cap", "comp", "owner", "keys",
-                 "total_cpu", "total_mem", "capped_rows")
-
-    def __init__(self) -> None:
-        self.cpu = array("d")
-        self.mem = array("d")
-        self.cap = array("l")
-        self.comp: list[str] = []
-        self.owner: list[int] = []
-        #: FFD sort keys, kept parallel for the bisect
-        self.keys: list[tuple[float, float]] = []
-        self.total_cpu = 0.0
-        self.total_mem = 0.0
-        #: rows carrying a per-host cap — when zero (the common fleet),
-        #: packs over this table can skip per-bin component tallies
-        self.capped_rows = 0
-
-    def __len__(self) -> int:
-        return len(self.cpu)
-
-    def insert(self, token: int, demands: tuple[InstanceDemand, ...]) -> None:
-        for d in sorted(demands, key=_ffd_key):
-            key = _ffd_key(d)
-            pos = bisect_right(self.keys, key)
-            self.keys.insert(pos, key)
-            self.cpu.insert(pos, d.cpu)
-            self.mem.insert(pos, d.memory_mb)
-            self.cap.insert(pos, -1 if d.per_host_cap is None
-                            else d.per_host_cap)
-            self.comp.insert(pos, d.component)
-            self.owner.insert(pos, token)
-            self.total_cpu += d.cpu
-            self.total_mem += d.memory_mb
-            if d.per_host_cap is not None:
-                self.capped_rows += 1
-
-    def remove(self, token: int) -> None:
-        keep = [i for i, t in enumerate(self.owner) if t != token]
-        if len(keep) == len(self.owner):
-            return
-        for i, t in enumerate(self.owner):
-            if t == token:
-                self.total_cpu -= self.cpu[i]
-                self.total_mem -= self.mem[i]
-                if self.cap[i] >= 0:
-                    self.capped_rows -= 1
-        self.cpu = array("d", (self.cpu[i] for i in keep))
-        self.mem = array("d", (self.mem[i] for i in keep))
-        self.cap = array("l", (self.cap[i] for i in keep))
-        self.comp = [self.comp[i] for i in keep]
-        self.owner = [self.owner[i] for i in keep]
-        self.keys = [self.keys[i] for i in keep]
-
-    def rows(self) -> Iterator[tuple[float, float, int, str]]:
-        return zip(self.cpu, self.mem, self.cap, self.comp)
-
-    def rows_with(self, extra: list[tuple[float, float, int, str]]
-                  ) -> Iterator[tuple[float, float, int, str]]:
-        """Rows merged with a candidate's :func:`_ffd_rows`, preserving FFD
-        order (candidate rows after equal-key committed rows — exactly
-        where a repack of ``admitted + [candidate]`` would stable-sort
-        them)."""
-        keys = self.keys
-        table_rows = self.rows()
-        i, n = 0, len(keys)
-        for row in extra:
-            key = (-row[1], -row[0])
-            while i < n and keys[i] <= key:
-                yield next(table_rows)
-                i += 1
-            yield row
-        yield from table_rows
 
 
 class AdmissionController:
@@ -376,26 +289,26 @@ class AdmissionController:
     reach its maximum instances simultaneously on the pool.
 
     A verdict is exactly a first-fit-decreasing repack of every admitted
-    service's ceiling plus the candidate's, but the scale harness asks
-    thousands of times per simulated minute, so the controller keeps what
-    that repack would redo. None of this changes a single verdict:
+    service's ceiling plus the candidate's. The controller's state is the
+    list of what it admitted, :attr:`admitted`; the scale harness asks
+    thousands of times per simulated minute, so the controller also keeps
+    what that repack would redo, each derived from :attr:`admitted`. None
+    of it changes a single verdict:
 
-    * the committed ceiling lives in a struct-of-arrays
-      :class:`_DemandTable`, kept in FFD order incrementally with running
-      totals, which give an O(1) *necessary* screen: if total demand
-      exceeds the pool's raw capacity, no packing fits and nothing is
-      packed;
-    * the table's FFD pack (a :class:`_Pack`). FFD is one sequential pass
-      over rows in FFD order, and a candidate's rows usually sort after
-      every committed row (in a homogeneous fleet, always), so the verdict
-      is a copy of that pack continued by the candidate's own rows, which
-      stops once the pool is exceeded. A candidate with a row that sorts
-      before a committed one, or that brings the first capped row into an
-      untallied pack, is packed in full with the committed rows.
-      ``admit`` adopts the verdict's pack, so :attr:`headroom` (the key
-      the control plane ranks every site by on every submission) is a bin
-      count; ``release`` drops the pack, and the next reader packs the
-      ceiling once;
+    * the committed ceiling's CPU and memory totals, which give an O(1)
+      *necessary* screen: if total demand exceeds the pool's raw capacity,
+      no packing fits and nothing is packed;
+    * the committed ceiling's FFD pack (a :class:`_Pack`) and the FFD key
+      of its last row. FFD is one sequential pass over rows in FFD order,
+      and a candidate's rows usually sort at or after every committed row
+      (in a homogeneous fleet, always), so the verdict is a copy of that
+      pack continued by the candidate's own rows, which stops once the
+      pool is exceeded. A candidate with a row that sorts before a
+      committed one is packed in full with the committed rows, rebuilt
+      from :attr:`admitted`. ``admit`` adopts the verdict's pack, so
+      :attr:`headroom` (the key the control plane ranks every site by on
+      every submission) is a bin count; ``release`` drops the pack, and
+      the next reader packs the ceiling once;
     * the last ``can_admit`` verdict and its pack, memoised by manifest
       identity and a mutation version: ``can_admit`` then ``admit`` packs
       once, and the control plane's repeated probes of a saturated pool
@@ -410,10 +323,12 @@ class AdmissionController:
         self.admitted: list[ServiceManifest] = []
         #: Bumped on every admit/release; guards the verdict memo.
         self._version = 0
-        self._ceiling = _DemandTable()
-        self._tokens: list[int] = []
-        self._next_token = 0
-        #: the FFD pack of ``_ceiling``; None after a release until read
+        #: the committed ceiling's CPU and memory
+        self._cpu = 0.0
+        self._mem = 0.0
+        #: the FFD key of the committed ceiling's last row
+        self._last_key = _NO_ROWS
+        #: the committed ceiling's FFD pack; None after a release until read
         self._pack: Optional[_Pack] = _Pack()
         self._last_check: Optional[
             tuple[ServiceManifest, int, bool, Optional[_Pack]]] = None
@@ -426,9 +341,8 @@ class AdmissionController:
         envelope = demand_envelope(manifest)
         cpu, mem = envelope.totals("ceiling")
         pack = None
-        if (self._ceiling.total_mem + mem
-                > self.host.memory_mb * self.pool_hosts + 1e-6
-                or self._ceiling.total_cpu + cpu
+        if (self._mem + mem > self.host.memory_mb * self.pool_hosts + 1e-6
+                or self._cpu + cpu
                 > self.host.cpu_cores * self.pool_hosts + 1e-6):
             # Aggregate demand alone overflows the pool: no packing exists.
             verdict = False
@@ -449,26 +363,29 @@ class AdmissionController:
                 f"cannot admit {manifest.service_name!r}: worst-case demand "
                 f"exceeds the {self.pool_hosts}-host pool"
             )
-        # The verdict's pack consumed exactly the rows the table holds
-        # after this insert, in the same order, and never hit its limit.
-        pack = self._last_check[3]
         envelope = demand_envelope(manifest)
-        token = self._next_token
-        self._next_token += 1
+        cpu, mem = envelope.totals("ceiling")
+        self._cpu += cpu
+        self._mem += mem
+        self._last_key = max([self._last_key,
+                              *map(_ffd_key, envelope.ceiling)])
         self.admitted.append(manifest)
-        self._tokens.append(token)
-        self._ceiling.insert(token, envelope.ceiling)
-        self._pack = pack
+        # The verdict's pack consumed exactly the committed rows, in FFD
+        # order, and never hit its limit.
+        self._pack = self._last_check[3]
         self._version += 1
 
     def release(self, manifest: ServiceManifest) -> None:
-        # Same semantics as ``list.remove``: drop the first admitted entry
-        # that compares equal (equal manifests have equal envelopes, so
-        # releasing any one of them frees identical rows).
-        index = self.admitted.index(manifest)
-        del self.admitted[index]
-        token = self._tokens.pop(index)
-        self._ceiling.remove(token)
+        # ``list.remove`` drops the first admitted entry that compares
+        # equal; equal manifests have equal envelopes, so releasing any one
+        # of them frees identical rows.
+        self.admitted.remove(manifest)
+        cpu, mem = demand_envelope(manifest).totals("ceiling")
+        self._cpu -= cpu
+        self._mem -= mem
+        self._last_key = max((_ffd_key(d) for m in self.admitted
+                              for d in demand_envelope(m).ceiling),
+                             default=_NO_ROWS)
         self._pack = None
         self._version += 1
 
@@ -482,46 +399,47 @@ class AdmissionController:
         """
         return self._pack_with(demand_envelope(manifest))[0]
 
+    def _rows(self, candidate: tuple[InstanceDemand, ...] = ()
+              ) -> list[tuple[float, float, int, str]]:
+        """The committed ceiling's :func:`_ffd_rows`, with ``candidate``'s
+        rows merged in. The sort is stable, so equal rows keep admission
+        order and a candidate's follow the committed ones, as in a repack
+        of ``admitted + [candidate]``."""
+        return _ffd_rows([d for m in self.admitted
+                          for d in demand_envelope(m).ceiling]
+                         + list(candidate))
+
     def _pack_with(self, envelope: DemandEnvelope,
                    limit: Optional[int] = None) -> tuple[int, _Pack]:
         """Pack the committed ceiling plus ``envelope``'s; returns the
         :func:`_pack_rows` result and the pack."""
-        table = self._ceiling
         rows = _ffd_rows(envelope.ceiling)
-        tallied = table.capped_rows > 0
-        capped = any(row[2] >= 0 for row in rows)
-        if ((not rows or not table.keys
-                or (-rows[0][1], -rows[0][0]) >= table.keys[-1])
-                and (tallied or not capped)):
-            # Every candidate row sorts after the committed ones, and the
-            # committed pack tallies if the candidate needs it to.
+        if not rows or (-rows[0][1], -rows[0][0]) >= self._last_key:
+            # Every candidate row sorts at or after the committed ones.
             pack = self._committed_pack().copy()
-            hosts = _pack_rows(rows, self.host, limit=limit,
-                               track_counts=tallied, pack=pack)
         else:
             pack = _Pack()
-            hosts = _pack_rows(table.rows_with(rows), self.host,
-                               limit=limit, track_counts=tallied or capped,
-                               pack=pack)
-        return hosts, pack
+            rows = self._rows(envelope.ceiling)
+        return _pack_rows(rows, self.host, limit=limit, pack=pack), pack
 
     def _committed_pack(self) -> _Pack:
         pack = self._pack
         if pack is None:
             pack = self._pack = _Pack()
-            _pack_rows(self._ceiling.rows(), self.host,
-                       track_counts=self._ceiling.capped_rows > 0, pack=pack)
+            _pack_rows(self._rows(), self.host, pack=pack)
         return pack
 
     def committed_rows(self) -> list[tuple[int, str, float, float,
                                            Optional[int]]]:
-        """The committed ceiling as ``(owner_token, component, cpu,
-        memory_mb, per_host_cap)`` rows in FFD order — the admission side
-        of the constraint-model encoding (``repro.solver.encode``)."""
-        t = self._ceiling
-        return [(t.owner[i], t.comp[i], t.cpu[i], t.mem[i],
-                 None if t.cap[i] < 0 else int(t.cap[i]))
-                for i in range(len(t))]
+        """The committed ceiling as ``(owner, component, cpu, memory_mb,
+        per_host_cap)`` rows in FFD order, the owner being the service's
+        index in :attr:`admitted` — the admission side of the
+        constraint-model encoding (``repro.solver.encode``)."""
+        owned = [(i, d) for i, m in enumerate(self.admitted)
+                 for d in demand_envelope(m).ceiling]
+        owned.sort(key=lambda row: _ffd_key(row[1]))
+        return [(i, d.component, d.cpu, d.memory_mb, d.per_host_cap)
+                for i, d in owned]
 
     @property
     def committed_hosts(self) -> int:

@@ -89,10 +89,6 @@ __all__ = ["ControlledSite", "ControlPlane"]
 #: Infrastructure errors the drive loop treats as transient and retries.
 TRANSIENT_ERRORS = (CapacityError, ScaleError)
 
-#: Distinguishes the metric streams of multiple planes sharing one
-#: environment (differential tests build several).
-_plane_ids = itertools.count(1)
-
 
 @dataclass
 class ControlledSite:
@@ -137,7 +133,9 @@ class ControlPlane:
         # decisions, not hot-path work); ``stats()`` reads them under their
         # short names.
         metrics = env.metrics
-        plane = f"plane{next(_plane_ids)}"
+        # Distinguishes the metric streams of planes sharing one
+        # environment (differential tests build several).
+        plane = f"plane{next(env.ids('plane'))}"
         self._plane_label = plane
         self._m_counters = {
             name: metrics.counter(f"control.plane.{name}", plane=plane)

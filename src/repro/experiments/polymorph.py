@@ -31,7 +31,7 @@ from ..cloud.veeh import Host, HypervisorTimings
 from ..cloud.veem import VEEM
 from ..core.manifest.builder import ManifestBuilder
 from ..core.manifest.model import ServiceManifest
-from ..core.service_manager.manager import ServiceManager
+from ..core.service_manager.manager import ManagedService, ServiceManager
 from ..grid.execution import CondorExecDriver, VirtualCluster
 from ..grid.polymorph import PolymorphSearchConfig, build_polymorph_workflow
 from ..grid.scheduler import CondorScheduler, ExecutionNodeHandle
@@ -45,6 +45,7 @@ __all__ = [
     "TestbedConfig",
     "RunResult",
     "polymorph_manifest",
+    "deploy_elastic",
     "run_dedicated",
     "run_elastic",
     "table3",
@@ -290,13 +291,17 @@ def run_dedicated(workload: Optional[PolymorphSearchConfig] = None,
 # Elastic run on the full RESERVOIR stack (Fig. 11 right)
 # ---------------------------------------------------------------------------
 
-def run_elastic(workload: Optional[PolymorphSearchConfig] = None,
-                cfg: Optional[TestbedConfig] = None) -> RunResult:
-    """Deploy the manifest through the Service Manager and run the search."""
-    workload = workload or PolymorphSearchConfig()
-    cfg = cfg or TestbedConfig()
-    env = Environment()
+def deploy_elastic(env: Environment, cfg: TestbedConfig, service_id: str
+                   ) -> tuple[ServiceManager, ManagedService, CondorScheduler]:
+    """Build the elastic testbed in ``env`` and deploy the polymorph service
+    on it; returns the Service Manager, the service and its scheduler.
 
+    The hosts, the image repository (the exec image prestaged on every host
+    when ``cfg`` asks), the VEEM, the Service Manager, the Condor scheduler
+    and its virtual cluster, then the deployment (``env`` runs until it
+    completes) and the monitoring agent, which publishes the KPIs the
+    rules of ``cfg.trigger_mode`` read.
+    """
     # -- infrastructure -----------------------------------------------------
     timings = HypervisorTimings(
         define_s=cfg.define_s, boot_s=cfg.boot_s, shutdown_s=cfg.shutdown_s)
@@ -323,12 +328,12 @@ def run_elastic(workload: Optional[PolymorphSearchConfig] = None,
         trace=veem.trace,
     )
 
-    service = sm.deploy(manifest, service_id="polymorph-1",
+    service = sm.deploy(manifest, service_id=service_id,
                         drivers={"exec": CondorExecDriver(cluster)})
     env.run(until=service.deployment)
 
     # -- monitoring agents (§6.1.2: agent on the Grid Management service) ----
-    agent = MonitoringAgent(env, service_id="polymorph-1",
+    agent = MonitoringAgent(env, service_id=service_id,
                             component="GridMgmtService", network=sm.network)
     agent.expose(QUEUE_KPI, lambda: scheduler.queue_size,
                  frequency_s=cfg.monitoring_period_s, units="jobs")
@@ -348,6 +353,16 @@ def run_elastic(workload: Optional[PolymorphSearchConfig] = None,
         agent.expose(UTIL_KPI, utilisation,
                      frequency_s=cfg.monitoring_period_s,
                      type=AttributeType.DOUBLE)
+    return sm, service, scheduler
+
+
+def run_elastic(workload: Optional[PolymorphSearchConfig] = None,
+                cfg: Optional[TestbedConfig] = None) -> RunResult:
+    """Deploy the manifest through the Service Manager and run the search."""
+    workload = workload or PolymorphSearchConfig()
+    cfg = cfg or TestbedConfig()
+    env = Environment()
+    sm, service, scheduler = deploy_elastic(env, cfg, "polymorph-1")
 
     # -- run the search --------------------------------------------------------
     ctx = WorkflowContext(env, scheduler)

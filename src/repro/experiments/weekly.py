@@ -22,24 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..cloud.images import ImageRepository
-from ..cloud.veeh import Host, HypervisorTimings
-from ..cloud.veem import VEEM
-from ..core.service_manager.manager import ServiceManager
-from ..grid.execution import CondorExecDriver, VirtualCluster
 from ..grid.polymorph import PolymorphSearchConfig, build_polymorph_workflow
-from ..grid.scheduler import CondorScheduler
 from ..grid.workflow import WorkflowContext
-from ..monitoring.agents import MonitoringAgent
 from ..sim.kernel import Environment
 from ..sim.rng import RandomStreams
-from .polymorph import (
-    IDLE_KPI,
-    INSTANCES_KPI,
-    QUEUE_KPI,
-    TestbedConfig,
-    polymorph_manifest,
-)
+from .polymorph import TestbedConfig, deploy_elastic
 
 __all__ = ["WeeklyConfig", "SearchRecord", "WeeklyResult", "run_week"]
 
@@ -136,38 +123,7 @@ def run_week(cfg: Optional[WeeklyConfig] = None,
     testbed = testbed or TestbedConfig()
     rng = RandomStreams(cfg.random_seed).stream("weekly")
     env = Environment()
-
-    timings = HypervisorTimings(
-        define_s=testbed.define_s, boot_s=testbed.boot_s,
-        shutdown_s=testbed.shutdown_s)
-    repo = ImageRepository(
-        bandwidth_mb_per_s=testbed.image_bandwidth_mb_per_s)
-    veem = VEEM(env, repository=repo)
-    for i in range(testbed.n_hosts):
-        veem.add_host(Host(env, f"host-{i}", cpu_cores=testbed.host_cpu_cores,
-                           memory_mb=testbed.host_memory_mb, timings=timings))
-    sm = ServiceManager(env, veem)
-
-    manifest = polymorph_manifest(testbed)
-    scheduler = CondorScheduler(env, match_delay_s=testbed.match_delay_s,
-                                trace=veem.trace)
-    cluster = VirtualCluster(
-        env, veem, scheduler,
-        registration_delay_s=testbed.registration_delay_s,
-        trace=veem.trace,
-    )
-    service = sm.deploy(manifest, service_id="polymorph-week",
-                        drivers={"exec": CondorExecDriver(cluster)})
-    env.run(until=service.deployment)
-
-    agent = MonitoringAgent(env, service_id="polymorph-week",
-                            component="GridMgmtService", network=sm.network)
-    agent.expose(QUEUE_KPI, lambda: scheduler.queue_size,
-                 frequency_s=testbed.monitoring_period_s, units="jobs")
-    agent.expose(INSTANCES_KPI, lambda: cluster.instance_count,
-                 frequency_s=testbed.monitoring_period_s)
-    agent.expose(IDLE_KPI, lambda: scheduler.idle_node_count,
-                 frequency_s=testbed.monitoring_period_s)
+    _sm, service, scheduler = deploy_elastic(env, testbed, "polymorph-week")
 
     week_start = env.now
     searches: list[SearchRecord] = []

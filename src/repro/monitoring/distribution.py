@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import abc
 import fnmatch
-import itertools
 import re
 import struct
 from typing import Callable, Optional, Sequence
@@ -98,9 +97,6 @@ ConsumerCallback = Callable[[Measurement], None]
 
 #: characters that make a qualified-name filter a glob pattern
 _GLOB_RE = re.compile(r"[*?\[]")
-
-#: distinguishes multiple fabrics in one environment's metrics registry
-_fabric_ids = itertools.count(1)
 
 
 class Subscription:
@@ -182,8 +178,9 @@ class DistributionFramework(abc.ABC):
         self._streams: dict[bytes, tuple[tuple[str, str], str]] = {}
         # The counters above stay plain ints (the delivery loop is the
         # hottest path in the system); the unified registry reads them as
-        # gauges when it collects (metric_rows).
-        self._fabric_label = f"fabric{next(_fabric_ids)}"
+        # gauges when it collects (metric_rows), labelled apart from the
+        # environment's other fabrics.
+        self._fabric_label = f"fabric{next(env.ids('fabric'))}"
         env.metrics.add_source(self)
 
     def metric_rows(self):

@@ -41,9 +41,6 @@ __all__ = ["Probe", "DataSource"]
 #: skip this interval (nothing worth reporting).
 Collector = Callable[[], Optional[Sequence[Any]]]
 
-_probe_ids = itertools.count(1)
-_datasource_ids = itertools.count(1)
-
 
 class Probe:
     """One measurement stream: data dictionary + collector + emission loop."""
@@ -56,7 +53,9 @@ class Probe:
             raise ValueError("probe name must be non-empty")
         if data_rate_s <= 0:
             raise ValueError("data rate must be positive")
-        self.probe_id = f"probe-{next(_probe_ids)}"
+        #: ``probe-N``, numbered per environment when a data source binds
+        #: the probe (it has no environment before)
+        self.probe_id: Optional[str] = None
         self.name = name
         self.qualified_name = validate_qualified_name(qualified_name)
         self.dictionary = DataDictionary(tuple(attributes))
@@ -124,7 +123,7 @@ class DataSource:
         if not service_id:
             raise ValueError("service_id must be non-empty")
         self.env = env
-        self.datasource_id = f"ds-{next(_datasource_ids)}"
+        self.datasource_id = f"ds-{next(env.ids('datasource'))}"
         self.name = name
         self.service_id = service_id
         self.network = network
@@ -154,6 +153,8 @@ class DataSource:
     def add_probe(self, probe: Probe, *, start: bool = True) -> Probe:
         if probe.name in self.probes:
             raise ValueError(f"duplicate probe name {probe.name!r}")
+        if probe.probe_id is None:
+            probe.probe_id = f"probe-{next(self.env.ids('probe'))}"
         # Every sample carries this identity, and none of it changes.
         _check_identity(probe.qualified_name, self.service_id, probe.probe_id)
         probe.datasource = self

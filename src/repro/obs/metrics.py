@@ -348,10 +348,11 @@ def canonical_view(registry: MetricsRegistry) -> dict[str, Any]:
 
     Owned instruments only (gauges read process-local attributes and are
     meaningless across a merge), with the ``plane`` label stripped —
-    ``ControlPlane`` numbers its metric streams with a module-level counter,
-    so ``plane1`` in the coordinator is ``plane3`` in a test that built two
-    earlier planes. Counters summed across stripped keys (zero counters
-    dropped), histograms summarised after a
+    ``ControlPlane`` numbers its metric streams per environment, so the
+    one plane of a single-process run is ``plane1`` while a test that
+    builds three planes in one environment has ``plane3``, and every shard
+    worker's plane is ``plane1``. Counters summed across stripped keys
+    (zero counters dropped), histograms summarised after a
     sorted-instrument-order merge (empty ones dropped). Keys render as
     ``name`` or ``name{k=v,...}``, sorted.
     """

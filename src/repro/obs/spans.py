@@ -8,13 +8,15 @@ one thing (``kind``), with an optional causal parent — so "which KPI
 publication caused this VEEM deploy, and how long did the chain take?" is a
 tree walk, not a join.
 
-Span identity is process-global (one counter shared by every
-:class:`~repro.sim.tracing.TraceLog`), so parent links remain unambiguous
-even when different layers write to different logs. The *ambient* span — the
+Span identity is per environment (one sequence, ``env.ids("span")``,
+shared by every :class:`~repro.sim.tracing.TraceLog` of the
+:class:`~repro.sim.kernel.Environment`), so parent links remain unambiguous
+even when different layers write to different logs, and a run numbers its
+spans from 1 whatever ran before it in the process. The *ambient* span — the
 implicit parent for spans and records created synchronously inside a scope —
-lives on the :class:`~repro.sim.kernel.Environment`, not on any one log:
-causality is a property of the execution context, and a VEEM tracing to its
-own log still parents its deploy span under the rule firing that invoked it.
+lives on the environment too, not on any one log: causality is a property of
+the execution context, and a VEEM tracing to its own log still parents its
+deploy span under the rule firing that invoked it.
 
 This module is dependency-free by design: :mod:`repro.sim.tracing` imports
 it, not the other way around.
@@ -22,14 +24,9 @@ it, not the other way around.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional
 
 __all__ = ["Span", "SpanError"]
-
-#: Process-global span id allocator — ids are unique across every TraceLog
-#: so cross-log parent references cannot collide.
-_span_ids = itertools.count(1)
 
 
 class SpanError(Exception):
@@ -93,8 +90,3 @@ class Span:
         state = self.status if self.closed else "open"
         return (f"<Span #{self.span_id} {self.source}:{self.kind} "
                 f"{state} @{self.start:g}>")
-
-
-def next_span_id() -> int:
-    """Allocate a process-globally-unique span id."""
-    return next(_span_ids)

@@ -36,10 +36,11 @@ Design notes
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from heapq import heappop, heappush
 from time import perf_counter
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
 from ..obs.metrics import MetricsRegistry
 
@@ -499,7 +500,7 @@ class Environment:
 
     __slots__ = ("_now", "_buckets", "_urgent", "_times", "_live_n",
                  "_live_u", "_draining", "_events_done", "_dead_skipped",
-                 "_metrics", "_obs_scope", "_profile_cb", "_until",
+                 "_metrics", "_obs_scope", "_ids", "_profile_cb", "_until",
                  "timeout")
 
     def __init__(self, initial_time: float = 0.0):
@@ -539,6 +540,8 @@ class Environment:
         #: never span a ``yield`` (processes interleave); cross-process
         #: causality is passed explicitly via ``parent=``.
         self._obs_scope: list[Any] = []
+        #: Id sequences by kind; see :meth:`ids`.
+        self._ids: dict[str, Iterator[int]] = {}
 
     @property
     def now(self) -> float:
@@ -581,6 +584,17 @@ class Environment:
         """The innermost ambient span, or None outside any scope."""
         scope = self._obs_scope
         return scope[-1] if scope else None
+
+    def ids(self, kind: str) -> Iterator[int]:
+        """The environment's sequence of ``kind`` ids: 1, 2, ...
+
+        Span ids, fabric and control-plane labels and probe and data-source
+        ids number per environment, so what a run prints never depends on
+        what ran before it in the process. Every TraceLog of an environment
+        draws from the one ``"span"`` sequence: a VEEM's own log parents
+        its spans under a rule firing in another log.
+        """
+        return self._ids.setdefault(kind, itertools.count(1))
 
     # -- factories -----------------------------------------------------------
     def event(self) -> Event:

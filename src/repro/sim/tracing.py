@@ -29,7 +29,7 @@ from itertools import islice
 from operator import attrgetter, mul, sub
 from typing import Any, Callable, Iterator, Optional, Union
 
-from ..obs.spans import Span, SpanError, next_span_id
+from ..obs.spans import Span, SpanError
 from .kernel import Environment
 
 __all__ = [
@@ -133,9 +133,12 @@ class TraceLog:
 
     def __init__(self, env: Environment):
         self.env = env
-        # The ambient scope stack lives on the environment (causality is an
-        # environment-wide property); bind the list once for the hot paths.
+        # The ambient scope stack and the span id sequence live on the
+        # environment (causality is an environment-wide property, and a
+        # span in one log may parent a span in another); bind both once
+        # for the hot paths.
         self._scope = env._obs_scope
+        self._span_ids = env.ids("span")
         self.records: list[TraceRecord] = []
         #: All spans opened through this log, by id (insertion-ordered).
         self.spans: dict[int, Span] = {}
@@ -244,8 +247,8 @@ class TraceLog:
             parent_id = parent.span_id
         else:
             parent_id = int(parent)
-        sp = Span(next_span_id(), parent_id, source, kind, self.env.now,
-                  details=details)
+        sp = Span(next(self._span_ids), parent_id, source, kind,
+                  self.env.now, details=details)
         self.spans[sp.span_id] = sp
         return sp
 

@@ -73,7 +73,7 @@ def fragmentation_score(hosts: Sequence) -> float:
     rows = _ffd_rows(InstanceDemand(vm.descriptor.component_id or "vm",
                                     vm.descriptor.cpu, vm.descriptor.memory_mb)
                      for h in used for vm in h.vms)
-    ideal = _pack_rows(rows, shape, track_counts=False)
+    ideal = _pack_rows(rows, shape)
     return max(0.0, (len(used) - ideal) / len(used))
 
 
@@ -242,7 +242,7 @@ def _sim_score(sims, hosts) -> float:
                      for s in sims for vm in s.movable)
     # Pinned (non-RUNNING) VMs are invisible to the movable scan above;
     # fall back to counting their hosts as irreducible.
-    ideal = _pack_rows(rows, shape, track_counts=False)
+    ideal = _pack_rows(rows, shape)
     ideal += sum(1 for s in sims if s.pinned and not s.movable)
     return max(0.0, (len(used) - ideal) / len(used))
 

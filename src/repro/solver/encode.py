@@ -139,38 +139,19 @@ def service_specs(manifest: ServiceManifest, *,
     return specs
 
 
-def manifest_constraints(manifest: ServiceManifest) -> ModelConstraints:
-    """MDL5 placement section → model constraints (the same mapping as
-    ``ParsedService.placement_constraints``)."""
-    placement = manifest.placement
-    return ModelConstraints(
-        affinities=tuple((c.system_id, c.with_system_id)
-                         for c in placement.colocations),
-        anti_affinities=tuple((a.system_id, a.avoid_system_id)
-                              for a in placement.anti_colocations),
-        caps=tuple((system_id, cap)
-                   for system_id, cap in placement.per_host_caps),
-    )
-
-
 def encode_service(manifest: ServiceManifest, hosts: Sequence, *,
-                   service_id: Optional[str] = None,
-                   constraints: Optional[Iterable] = None
-                   ) -> PlacementModel:
+                   constraints: Iterable,
+                   service_id: Optional[str] = None) -> PlacementModel:
     """A service's initial instances against live hosts.
 
     ``constraints`` takes the owning placer's live constraint list (which
     may include other services' installed constraints — same-named
     components are service-scoped at check time, so compiling them all is
-    exactly the live behaviour); omitted, the manifest's own placement
-    section is compiled.
+    exactly the live behaviour).
     """
-    compiled = (compile_constraints(constraints)
-                if constraints is not None
-                else manifest_constraints(manifest))
     return encode_items(
         service_specs(manifest, service_id=service_id),
-        snapshot_hosts(hosts), compiled,
+        snapshot_hosts(hosts), compile_constraints(constraints),
     )
 
 
@@ -179,17 +160,18 @@ def encode_admission(admission: AdmissionController,
                      service_id: Optional[str] = None) -> PlacementModel:
     """The committed worst case plus a candidate, on the pool's empty bins.
 
-    Committed rows keep their owner token as a synthetic service id, so
-    per-host caps stay service-scoped like the live placer (a deliberate
-    refinement of the FFD packer, which tallies caps by bare component
-    name); the candidate's ceiling gets ``service_id``.
+    Committed rows keep their owner (the service's index among the
+    admitted) as a synthetic service id, so per-host caps stay
+    service-scoped like the live placer (a deliberate refinement of the
+    FFD packer, which tallies caps by bare component name); the
+    candidate's ceiling gets ``service_id``.
     """
     specs: list[ItemSpec] = []
     caps: dict[str, int] = {}
-    for token, comp, cpu, mem, cap in admission.committed_rows():
+    for owner, comp, cpu, mem, cap in admission.committed_rows():
         specs.append(ItemSpec(
-            name=f"committed-{token}-{len(specs)}", component=comp,
-            service_id=f"committed-{token}", cpu=cpu, memory_mb=mem,
+            name=f"committed-{owner}-{len(specs)}", component=comp,
+            service_id=f"committed-{owner}", cpu=cpu, memory_mb=mem,
         ))
         if cap is not None:
             caps.setdefault(comp, cap)

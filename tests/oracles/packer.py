@@ -6,7 +6,7 @@ demands by memory then CPU, descending, and put each into the first open
 :func:`reference_plan` builds a
 :class:`~repro.cloud.capacity.CapacityPlan` with it. The capacity and
 admission suites assert that
-:func:`~repro.cloud.capacity.plan_capacity` and the table-backed
+:func:`~repro.cloud.capacity.plan_capacity` and the incremental
 :class:`~repro.cloud.capacity.AdmissionController` (both over
 ``repro.cloud.capacity._pack_rows``) reach the same host counts.
 """

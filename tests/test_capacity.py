@@ -198,7 +198,7 @@ _manifests = st.lists(
 @given(specs=_manifests, pool=st.integers(1, 12),
        data=st.data())
 def test_incremental_admission_matches_repack_oracle(specs, pool, data):
-    """The table-backed controller must agree with a from-scratch repack
+    """The incremental controller must agree with a from-scratch repack
     by the object packer after every admit and release — same verdicts,
     same committed hosts and headroom, same what-if probe of the next
     manifest — and so must ``plan_capacity``. The three reads come first
@@ -304,10 +304,10 @@ def test_a_larger_service_is_packed_in_full(monkeypatch):
     assert sizes == [3, 3, 9, 2]
 
 
-def test_the_first_capped_service_is_packed_in_full(monkeypatch):
-    """An untallied committed pack cannot place a capped row, so the first
-    capped candidate packs in full with tallies, even though its rows sort
-    after the committed ones; later candidates continue the tallied pack."""
+def test_a_capped_service_continues_the_committed_pack(monkeypatch):
+    """Every pack tallies each bin's components, so a capped candidate
+    whose rows sort after the committed ones continues the committed pack
+    like any other: each verdict packs only the candidate's rows."""
     sizes = _packed_rows(monkeypatch)
     controller = AdmissionController(pool_hosts=3, host=HostType(4, 8192))
     assert _admit_against_oracle(controller, _uniform(1.0, 2048.0, 4))
@@ -318,9 +318,9 @@ def test_the_first_capped_service_is_packed_in_full(monkeypatch):
     assert _admit_against_oracle(
         controller, _uniform(0.5, 1024.0, 4, cap=2))
     assert controller.committed_hosts == 3
-    assert sizes == [4, 4 + 4, 4 + 4]
+    assert sizes == [4, 4, 4]
     assert _admit_against_oracle(controller, _uniform(0.5, 512.0, 1))
-    assert sizes == [4, 8, 8, 1]
+    assert sizes == [4, 4, 4, 1]
 
 
 def test_the_federation_plan_packs_each_service_once(monkeypatch):

@@ -184,13 +184,20 @@ _COUNT_FLAGS = [
     ("control-demo", "--tenants"), ("control-demo", "--hosts"),
     ("control-demo", "--quota"), ("obs-report", "--tenants"),
     ("obs-report", "--hosts"), ("obs-report", "--quota"),
-    ("capacity", "--hosts"), ("plan", "--hosts")]
+    ("capacity", "--hosts"), ("plan", "--hosts"), ("plan", "--sites")]
+
+_NON_NEGATIVE_FLAGS = [
+    ("plan", "--admitted"), ("control-demo", "--services"),
+    ("obs-report", "--services"), ("obs-report", "--depth")]
 
 
 @pytest.mark.parametrize("command, flag, value, message", [
     pytest.param(command, flag, "0", "must be at least 1, got 0",
                  id=f"{command}-{flag}")
     for command, flag in _COUNT_FLAGS] + [
+    pytest.param(command, flag, "-1", "must be at least 0, got -1",
+                 id=f"{command}-{flag}")
+    for command, flag in _NON_NEGATIVE_FLAGS] + [
     pytest.param(command, flag, value,
                  f"must be a finite number above 0, got {value}",
                  id=f"{command}-{flag}-{value}")
@@ -283,10 +290,9 @@ def test_obs_report(tmp_path, capsys):
 def test_obs_report_stdout_is_golden():
     """The span tree, the whole metric dump (owned instruments and every
     component's gauges) and the audit print byte for byte what they
-    printed when ``tests/golden/obs_report.txt`` was written. The report
-    runs in its own interpreter: fabric and plane labels number from the
-    first one built in the process. Regenerate only for a change that
-    means to move it: ``PYTHONPATH=src python -m repro obs-report >
+    printed when ``tests/golden/obs_report.txt`` was written, run as
+    ``python -m repro``. Regenerate only for a change that means to move
+    it: ``PYTHONPATH=src python -m repro obs-report >
     tests/golden/obs_report.txt``."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
@@ -297,3 +303,15 @@ def test_obs_report_stdout_is_golden():
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout == (root / "tests" / "golden"
                              / "obs_report.txt").read_bytes()
+
+
+def test_obs_report_is_golden_twice_in_one_process(capsys):
+    """Span ids, fabric and plane labels and probe ids number per
+    environment, so a report printed after other runs in the same
+    interpreter (this test process has built many) is still the golden
+    one, and so is the next."""
+    golden = (Path(__file__).resolve().parent / "golden"
+              / "obs_report.txt").read_bytes()
+    for _ in range(2):
+        assert main(["obs-report"]) == 0
+        assert capsys.readouterr().out.encode() == golden

@@ -4,11 +4,15 @@ Full-size runs live in the benchmarks; here we verify the harness mechanics
 and the qualitative shape of the results on small, fast workloads.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.manifest.validation import ensure_valid
 from repro.experiments.fig11 import extract_series, render_ascii_chart, render_run
 from repro.experiments.polymorph import (
+    QUEUE_KPI,
+    UTIL_KPI,
     TestbedConfig,
     polymorph_manifest,
     run_dedicated,
@@ -17,6 +21,7 @@ from repro.experiments.polymorph import (
 )
 from repro.experiments.weekly import WeeklyConfig, run_week
 from repro.grid.polymorph import PolymorphSearchConfig
+from repro.monitoring.probes import DataSource
 
 SMALL = PolymorphSearchConfig(
     seed_durations_s=(300.0, 450.0),
@@ -181,3 +186,32 @@ def test_weekly_small_run_shape():
     assert result.saving > 0.9
     assert 0 < result.busy_fraction < 0.1
     assert result.elastic_node_seconds > 0
+
+
+#: one active day with a two-hour window: five small searches
+TINY_WEEK = WeeklyConfig(idle_days=(1, 2, 3, 4, 5, 6),
+                         window_end_s=8 * 3600.0, base_workload=SMALL)
+
+
+def test_the_infra_week_publishes_the_utilisation_kpi(monkeypatch):
+    """The week's rules in ``infra`` mode read the utilisation KPI, so the
+    week's agent publishes it as the Table 3 run's does."""
+    published = Counter()
+    publish = DataSource._publish
+
+    def counting(self, probe, measurement):
+        published[measurement.qualified_name] += 1
+        publish(self, probe, measurement)
+
+    monkeypatch.setattr(DataSource, "_publish", counting)
+    run_week(TINY_WEEK, TestbedConfig(trigger_mode="infra"))
+    assert published[UTIL_KPI] == published[QUEUE_KPI] > 0
+
+
+def test_prestaging_shortens_the_weeks_searches():
+    def mean_turnaround(testbed):
+        searches = run_week(TINY_WEEK, testbed).searches
+        return sum(s.turnaround_s for s in searches) / len(searches)
+
+    assert (mean_turnaround(TestbedConfig(prestage_images=True))
+            < mean_turnaround(TestbedConfig()))

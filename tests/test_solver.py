@@ -24,6 +24,7 @@ from repro.control.requests import (
     RequestState,
 )
 from repro.core.manifest.builder import ManifestBuilder
+from repro.core.service_manager.parser import ManifestParser
 from repro.sim.kernel import Environment
 from repro.solver.defrag import execute_plan, fragmentation_score, plan_defrag
 from repro.solver.encode import (
@@ -228,7 +229,10 @@ def test_encode_service_matches_descriptor_naming():
                 minimum=1, maximum=3)
     env = Environment()
     veem = make_veem(env, [(4, 8192)])
-    model = encode_service(b.build(), veem.hosts, service_id="svc-1")
+    manifest = b.build()
+    model = encode_service(
+        manifest, veem.hosts, service_id="svc-1",
+        constraints=ManifestParser().parse(manifest).placement_constraints())
     assert [i.name for i in model.items] == ["web", "web-1", "web-2"]
     assert all(i.service_id == "svc-1" for i in model.items)
 
@@ -240,7 +244,10 @@ def test_encode_service_compiles_manifest_placement():
     b.colocate("ci", "dbms")
     env = Environment()
     veem = make_veem(env, [(4, 8192), (4, 8192)])
-    model = encode_service(b.build(), veem.hosts)
+    manifest = b.build()
+    model = encode_service(
+        manifest, veem.hosts,
+        constraints=ManifestParser().parse(manifest).placement_constraints())
     assert ("ci", "dbms") in model.constraints.affinities
     out = solve(model)
     assert isinstance(out, Solution)
